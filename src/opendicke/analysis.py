@@ -9,27 +9,29 @@ the steady state when kappa > 0 and from the ground state when kappa = 0;
 the analytic critical pump is used for centering.
 
 Scan tables carry one row per grid point with a status column; points where
-the model raises (divergence at the critical point, defective matrices,
-instability) are reported, never dropped.
+the model fails (divergence at the critical point, defective matrices,
+instability) are reported, never dropped.  Every scan computes its grid as
+batches of arrays, BATCH_ROWS pump values at a time; a row's status is its
+first failing check, in the order mean field, defective, biorthonormality,
+pairing, unstable, divergent, moment structure, observables.  ``threads``
+arguments are accepted for compatibility and have no effect.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entanglement import log_negativity, quad_covariance
+from .entanglement import covariance_batch, log_negativity_batch
 from .errors import (DefectiveMatrix, DegenerateBranch, DivergentSteadyState,
                      DynamicalInstability, InvalidCurve, NumericalFailure,
                      UnstableState)
-from .fluctuations import SecondMoments, observables, spectrum_scan, \
-    steady_state_moments
-from .groundstate import ground_state_moments
-from .model import ModelParams, critical_pump, solve_mean_field
+from .fluctuations import observables_batch, spectrum_scan, steady_state_batch
+from .groundstate import ground_state_batch
+from .model import ModelParams, critical_pump, mean_field_batch
 
 DEFAULT_WINDOW = (math.exp(-14.0), math.exp(-5.0))
 DEFAULT_POINTS_PER_SIDE = 40
@@ -38,6 +40,10 @@ GOOD_FIT_R_SQUARED = 0.999
 # this, relative to the data; it gives up after FIT_MAX_ITER steps.
 FIT_STEP_TOL = 1e-10
 FIT_MAX_ITER = 50
+# Pump values per batch of a grid scan.  It bounds the (N, 4, 4)
+# temporaries of a long grid to about a megabyte; a batch adds a fixed cost
+# of a few hundred microseconds.
+BATCH_ROWS = 256
 
 
 class Side(enum.Enum):
@@ -46,6 +52,7 @@ class Side(enum.Enum):
 
 
 class ScanKind(enum.Enum):
+    MEAN_FIELD = "mean_field"
     MEAN_AND_FLUCT = "mean_and_fluct"
     EXPONENT = "exponent"
     ENTANGLEMENT = "entanglement"
@@ -152,36 +159,29 @@ def exponent_fit(curve, window: tuple[float, float] = DEFAULT_WINDOW,
                        n_points=pts.shape[0], background=float(background))
 
 
-def _point_moments(params: ModelParams) -> SecondMoments:
-    """Fluctuation moments with the kappa = 0 / kappa > 0 dispatch."""
-    if params.kappa == 0.0:
-        return ground_state_moments(params)
-    return steady_state_moments(params)
+def _moments(params: ModelParams, y_grid):
+    """(mean fields, rows whose mean field holds, fluctuation moments) of a
+    pump grid, with the kappa = 0 (ground state) / kappa > 0 (steady state)
+    dispatch.  Failed rows keep their error in the batch's ``errors``."""
+    mf = mean_field_batch(params, y_grid)
+    mean_ok = mf.errors.alive.copy()
+    moments = ground_state_batch if params.kappa == 0.0 else steady_state_batch
+    return mf, mean_ok, moments(params, mf)
 
 
 def depletion_curve(params: ModelParams, side: Side,
                     window: tuple[float, float] = DEFAULT_WINDOW,
                     n: int = DEFAULT_POINTS_PER_SIDE,
                     threads: int = 1) -> np.ndarray:
-    """(eps, delta_n, n_photon) rows approaching y_c from one side."""
+    """(eps, delta_n, n_photon) rows approaching y_c from one side; raises
+    the error of the first row that fails."""
     y_c = critical_pump(params)
     eps = exponent_grid(window, n)
     sign = -1.0 if side is Side.BELOW else 1.0
-    ys = y_c * (1.0 + sign * eps)
-
-    def point(y: float) -> tuple[float, float]:
-        return observables(_point_moments(params.with_pump(y)))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(point, ys))
-    else:
-        values = [point(y) for y in ys]
-    out = np.empty((n, 3))
-    out[:, 0] = eps
-    out[:, 1] = [v[0] for v in values]
-    out[:, 2] = [v[1] for v in values]
-    return out
+    mf, _, s = _moments(params, y_c * (1.0 + sign * eps))
+    delta_n, n_photon = observables_batch(s, mf.errors)
+    mf.errors.raise_first()
+    return np.column_stack([eps, delta_n, n_photon])
 
 
 def critical_exponent(params: ModelParams, side: Side,
@@ -202,9 +202,6 @@ _STATUS_BY_ERROR = (
     (NumericalFailure, "failed"),
 )
 
-# Errors that scans absorb into a row status instead of aborting.
-SCAN_ERRORS = tuple(cls for cls, _ in _STATUS_BY_ERROR)
-
 
 def status_of(err: Exception) -> str:
     """Status-column label for a scan-protected error."""
@@ -214,81 +211,91 @@ def status_of(err: Exception) -> str:
     raise err
 
 
-def _map_points(func, ys, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(func, ys))
-    return [func(y) for y in ys]
+def _status_column(errors) -> list[str]:
+    return ["ok" if err is None else status_of(err) for err in errors.errors]
 
 
-def _excitation_table(params: ModelParams, y_grid, threads: int) -> Table:
+def _mean_field_table(params: ModelParams, y_grid) -> Table:
+    mf = mean_field_batch(params, y_grid)
+    ok = mf.errors.alive
+    alpha0_sq = np.where(ok, np.abs(mf.alpha0) ** 2, math.nan)
+    beta0_sq = np.where(ok, mf.beta0 ** 2, math.nan)
+    rows = list(zip(mf.y.tolist(), (mf.y / critical_pump(params)).tolist(),
+                    alpha0_sq.tolist(), beta0_sq.tolist(),
+                    _status_column(mf.errors)))
+    return Table(kind=ScanKind.MEAN_FIELD,
+                 columns=("y", "y_over_yc", "alpha0_sq", "beta0_sq", "status"),
+                 rows=rows)
+
+
+def _grid_rows(rows_of, params: ModelParams, y_grid) -> list[tuple]:
+    """Rows of a pump grid, computed in batches of at most BATCH_ROWS pumps."""
+    y = np.asarray(y_grid, dtype=float).reshape(-1)
     y_c = critical_pump(params)
+    rows = []
+    for start in range(0, y.size, BATCH_ROWS):
+        rows += rows_of(params, y[start:start + BATCH_ROWS], y_c)
+    return rows
 
-    def point(y: float) -> tuple:
-        p = params.with_pump(y)
-        try:
-            mf = solve_mean_field(p)
-        except SCAN_ERRORS as err:
-            return (y, y / y_c, math.nan, math.nan, math.nan,
-                    math.nan, math.nan, status_of(err))
-        try:
-            delta_n, n_photon = observables(_point_moments(p))
-            status = "ok"
-        except SCAN_ERRORS as err:
-            delta_n = n_photon = math.nan
-            status = status_of(err)
-        return (y, y / y_c, mf.alpha0.real, mf.alpha0.imag, mf.beta0 ** 2,
-                delta_n, n_photon, status)
 
-    rows = _map_points(point, np.asarray(y_grid, dtype=float), threads)
+def _excitation_rows(params: ModelParams, y, y_c: float) -> list[tuple]:
+    mf, mean_ok, s = _moments(params, y)
+    delta_n, n_photon = observables_batch(s, mf.errors)
+    ok = mf.errors.alive
+    nan = math.nan
+    return list(zip(y.tolist(), (y / y_c).tolist(),
+                    np.where(mean_ok, mf.alpha0.real, nan).tolist(),
+                    np.where(mean_ok, mf.alpha0.imag, nan).tolist(),
+                    np.where(mean_ok, mf.beta0 ** 2, nan).tolist(),
+                    np.where(ok, delta_n, nan).tolist(),
+                    np.where(ok, n_photon, nan).tolist(),
+                    _status_column(mf.errors)))
+
+
+def _excitation_table(params: ModelParams, y_grid) -> Table:
     return Table(kind=ScanKind.MEAN_AND_FLUCT,
                  columns=("y", "y_over_yc", "alpha0_re", "alpha0_im",
                           "beta0_sq", "delta_N", "n_photon", "status"),
-                 rows=rows)
+                 rows=_grid_rows(_excitation_rows, params, y_grid))
 
 
-def _entanglement_table(params: ModelParams, y_grid, threads: int) -> Table:
-    y_c = critical_pump(params)
+def _entanglement_rows(params: ModelParams, y, y_c: float) -> list[tuple]:
+    mf, _, s = _moments(params, y)
+    c, nu_min = covariance_batch(s, mf.errors)
+    e_n = log_negativity_batch(c, mf.errors)
+    ok = mf.errors.alive
+    return list(zip(y.tolist(), (y / y_c).tolist(),
+                    np.where(ok, e_n, math.nan).tolist(),
+                    np.where(ok, nu_min, math.nan).tolist(),
+                    _status_column(mf.errors)))
 
-    def point(y: float) -> tuple:
-        p = params.with_pump(y)
-        try:
-            cov = quad_covariance(_point_moments(p))
-            row = (log_negativity(cov), cov.nu_min, "ok")
-        except SCAN_ERRORS as err:
-            row = (math.nan, math.nan, status_of(err))
-        return (y, y / y_c) + row
 
-    rows = _map_points(point, np.asarray(y_grid, dtype=float), threads)
+def _entanglement_table(params: ModelParams, y_grid) -> Table:
     return Table(kind=ScanKind.ENTANGLEMENT,
                  columns=("y", "y_over_yc", "log_negativity", "nu_min",
                           "status"),
-                 rows=rows)
+                 rows=_grid_rows(_entanglement_rows, params, y_grid))
 
 
-def _spectrum_table(params: ModelParams, y_grid, threads: int) -> Table:
-    scan = spectrum_scan(params, y_grid, threads=threads)
-    y_c = critical_pump(params)
-    rows = []
-    for i, y in enumerate(scan.y):
-        lams = scan.branches[i]
-        rows.append((float(y), float(y) / y_c)
-                    + tuple(float(v) for lam in lams for v in (lam.real, lam.imag))
-                    + (scan.status[i],))
-    columns = ("y", "y_over_yc")
-    for k in range(1, 5):
-        columns += (f"lambda{k}_re", f"lambda{k}_im")
-    columns += ("status",)
-    return Table(kind=ScanKind.SPECTRUM, columns=columns, rows=rows,
+def _spectrum_table(params: ModelParams, y_grid) -> Table:
+    scan = spectrum_scan(params, y_grid)
+    columns = [scan.y.tolist(), (scan.y / critical_pump(params)).tolist()]
+    names = ("y", "y_over_yc")
+    for k in range(4):
+        columns += [scan.branches[:, k].real.tolist(),
+                    scan.branches[:, k].imag.tolist()]
+        names += (f"lambda{k + 1}_re", f"lambda{k + 1}_im")
+    return Table(kind=ScanKind.SPECTRUM, columns=names + ("status",),
+                 rows=list(zip(*columns, scan.status)),
                  meta={"real_intervals": scan.real_intervals})
 
 
 def _exponent_table(params: ModelParams, window: tuple[float, float],
-                    n: int, sides, threads: int) -> Table:
+                    n: int, sides) -> Table:
     rows = []
     curves = {}
     for side in sides:
-        curve = depletion_curve(params, side, window, n, threads)
+        curve = depletion_curve(params, side, window, n)
         fit = exponent_fit(curve[:, :2], window, side)
         curves[side.value] = curve
         rows.append((side.value, fit.slope, fit.intercept, fit.r_squared,
@@ -300,6 +307,14 @@ def _exponent_table(params: ModelParams, window: tuple[float, float],
                  rows=rows, meta={"curves": curves})
 
 
+_GRID_TABLES = {
+    ScanKind.MEAN_FIELD: _mean_field_table,
+    ScanKind.MEAN_AND_FLUCT: _excitation_table,
+    ScanKind.ENTANGLEMENT: _entanglement_table,
+    ScanKind.SPECTRUM: _spectrum_table,
+}
+
+
 def figure_scan(kind: ScanKind, params: ModelParams, y_grid=None,
                 window: tuple[float, float] = DEFAULT_WINDOW,
                 points_per_side: int = DEFAULT_POINTS_PER_SIDE,
@@ -307,18 +322,15 @@ def figure_scan(kind: ScanKind, params: ModelParams, y_grid=None,
                 threads: int = 1) -> Table:
     """Assemble the scan table behind one of the figure kinds.
 
-    MEAN_AND_FLUCT, ENTANGLEMENT and SPECTRUM iterate over ``y_grid``;
-    EXPONENT builds its own log-centered grid from ``window`` and
-    ``points_per_side`` on the requested ``sides``.
+    MEAN_FIELD, MEAN_AND_FLUCT, ENTANGLEMENT and SPECTRUM compute ``y_grid``
+    as batches of arrays; EXPONENT builds its own log-centered grid from ``window``
+    and ``points_per_side`` on the requested ``sides``.  ``threads`` is
+    accepted for compatibility and has no effect.
     """
     if kind is ScanKind.EXPONENT:
-        return _exponent_table(params, window, points_per_side, sides, threads)
+        return _exponent_table(params, window, points_per_side, sides)
     if y_grid is None:
         raise ValueError(f"{kind.value} scan requires a y grid")
-    if kind is ScanKind.MEAN_AND_FLUCT:
-        return _excitation_table(params, y_grid, threads)
-    if kind is ScanKind.ENTANGLEMENT:
-        return _entanglement_table(params, y_grid, threads)
-    if kind is ScanKind.SPECTRUM:
-        return _spectrum_table(params, y_grid, threads)
-    raise ValueError(f"unknown scan kind {kind!r}")
+    if kind not in _GRID_TABLES:
+        raise ValueError(f"unknown scan kind {kind!r}")
+    return _GRID_TABLES[kind](params, y_grid)

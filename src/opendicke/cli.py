@@ -3,8 +3,9 @@
 Subcommands: meanfield, spectrum, correlations, exponent, entanglement,
 verify.  All scans emit CSV (default) or JSON with a fixed column set and a
 status column per row; output is byte-deterministic for identical
-invocations (shortest round-trip float formatting, fixed row order, thread
-count never affects ordering).
+invocations (shortest round-trip float formatting, fixed row order).  Scans
+compute their pump grids as batches of arrays; ``--threads`` is accepted for
+compatibility and has no effect.
 
 Pump values and grid endpoints accept the token ``yc`` scaled by an optional
 prefix, e.g. ``--y=0.9yc`` or ``--y-grid=0:2yc:200``; the analytic critical
@@ -41,7 +42,6 @@ _CONFIG_TYPES = {
     "threads": int,
     "format": str,
     "output": str,
-    "log_center": str,
     "curve": lambda s: s.lower() in ("1", "true", "yes"),
 }
 
@@ -104,12 +104,6 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
             setattr(args, key, value)
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def _emit_table(table: analysis.Table, args, extra_json: dict | None = None) -> None:
     out = sys.stdout if args.output is None else open(args.output, "w",
                                                       encoding="utf-8")
@@ -122,10 +116,10 @@ def _emit_table(table: analysis.Table, args, extra_json: dict | None = None) -> 
             out.write(json.dumps(payload, indent=2, allow_nan=False))
             out.write("\n")
         else:
+            # csv writes floats in their shortest round-trip form, repr.
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(table.columns)
-            for row in table.rows:
-                writer.writerow([_cell(v) for v in row])
+            writer.writerows(table.rows)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -150,22 +144,9 @@ def _model_params(args, y: float = 0.0) -> model.ModelParams:
 
 def _cmd_meanfield(args) -> int:
     params = _model_params(args)
-    y_c = model.critical_pump(params)
-    grid = _parse_grid(args.y_grid, y_c)
-    rows = []
-    for y in grid:
-        try:
-            mf = model.solve_mean_field(params.with_pump(float(y)))
-            rows.append((float(y), float(y) / y_c, mf.photon_density,
-                         mf.order_parameter, "ok"))
-        except analysis.SCAN_ERRORS as err:
-            rows.append((float(y), float(y) / y_c, math.nan, math.nan,
-                         analysis.status_of(err)))
-    table = analysis.Table(kind=analysis.ScanKind.MEAN_AND_FLUCT,
-                           columns=("y", "y_over_yc", "alpha0_sq", "beta0_sq",
-                                    "status"),
-                           rows=rows)
-    _emit_table(table, args)
+    grid = _parse_grid(args.y_grid, model.critical_pump(params))
+    _emit_table(analysis.figure_scan(analysis.ScanKind.MEAN_FIELD, params,
+                                     y_grid=grid), args)
     return 0
 
 
@@ -173,7 +154,7 @@ def _cmd_correlations(args) -> int:
     params = _model_params(args)
     grid = _parse_grid(args.y_grid, model.critical_pump(params))
     table = analysis.figure_scan(analysis.ScanKind.MEAN_AND_FLUCT, params,
-                                 y_grid=grid, threads=args.threads)
+                                 y_grid=grid)
     _emit_table(table, args)
     return 0
 
@@ -182,7 +163,7 @@ def _cmd_entanglement(args) -> int:
     params = _model_params(args)
     grid = _parse_grid(args.y_grid, model.critical_pump(params))
     table = analysis.figure_scan(analysis.ScanKind.ENTANGLEMENT, params,
-                                 y_grid=grid, threads=args.threads)
+                                 y_grid=grid)
     _emit_table(table, args)
     return 0
 
@@ -200,7 +181,7 @@ def _cmd_spectrum(args) -> int:
     params = _model_params(args)
     grid = _parse_grid(args.y_grid, model.critical_pump(params))
     table = analysis.figure_scan(analysis.ScanKind.SPECTRUM, params,
-                                 y_grid=grid, threads=args.threads)
+                                 y_grid=grid)
     intervals = table.meta["real_intervals"]
     if args.format == "json":
         _emit_table(table, args, extra_json={
@@ -225,7 +206,7 @@ def _cmd_exponent(args) -> int:
     window = (args.window_min, args.window_max)
     table = analysis.figure_scan(analysis.ScanKind.EXPONENT, params,
                                  window=window, points_per_side=args.points,
-                                 sides=sides, threads=args.threads)
+                                 sides=sides)
     if args.curve:
         rows = []
         for side in sides:
@@ -337,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid points")
+                        help="accepted for compatibility; no effect, grids "
+                             "are computed as batches")
 
     def add_grid_command(name: str, handler, default_grid: str, help_: str):
         p = sub.add_parser(name, parents=[common], help=help_)
@@ -369,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--points", type=int,
                        default=analysis.DEFAULT_POINTS_PER_SIDE,
                        help="log-spaced points per side")
-    p_exp.add_argument("--log-center", choices=("yc",), default="yc",
-                       help="grid centering (analytic critical pump)")
     p_exp.add_argument("--curve", action="store_true",
                        help="emit the raw (eps, delta_N, n_photon) curve "
                             "instead of the fit summary")

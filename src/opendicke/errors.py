@@ -3,9 +3,14 @@
 Every failure mode that a caller may reasonably want to catch and map to a
 status (for example in a parameter scan) gets its own class.  All of them
 derive from :class:`OpenDickeError` so blanket handling stays easy.
+
+:class:`RowErrors` keeps the first error of every row of a batched pump
+scan; the scalar API raises the error of its single row.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class OpenDickeError(Exception):
@@ -57,3 +62,38 @@ class CutoffTooSmall(OpenDickeError):
 
 class InvalidCurve(OpenDickeError):
     """A curve handed to the exponent fit is unusable or cannot be fitted."""
+
+
+class RowErrors:
+    """First error of every row of a batch, in the order the checks run.
+
+    ``alive`` marks the rows without an error and ``failed`` counts the
+    others.  ``fail(mask, make)`` records ``make(i)`` for every still-alive
+    row i in ``mask``, so a later check never overwrites an earlier one and
+    each row keeps its first failing check.  Messages are built only for the
+    rows that fail.
+    """
+
+    def __init__(self, n: int):
+        self.alive = np.empty(n, dtype=bool)
+        self.alive.fill(True)
+        self.errors: list[OpenDickeError | None] = [None] * n
+        self.failed = 0
+
+    def fail(self, mask: np.ndarray, make) -> None:
+        # A single row may hand in a bool scalar.
+        if not (np.count_nonzero(mask) if np.ndim(mask) else mask):
+            return
+        hit = mask & self.alive
+        for i in np.flatnonzero(hit):
+            self.errors[i] = make(i)
+            self.failed += 1
+        self.alive &= ~hit
+
+    def raise_first(self) -> None:
+        """Raise the error of the first failed row, if any."""
+        if not self.failed:
+            return
+        for err in self.errors:
+            if err is not None:
+                raise err

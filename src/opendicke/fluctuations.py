@@ -16,21 +16,29 @@ of inv(V)) and quasi-normal modes rho_k = (l^(k), R),
 
 which is the unique solution of the Lyapunov equation M S + S M^T + D = 0
 whenever all modes are damped.
+
+Every stage runs on a stack of matrices, one per pump value: M is an
+(N, 4, 4) array, and the eigen-solves, inversions, checks and moment
+reassembly act on the whole stack.  Each check turns into a mask, and a row
+keeps its first failing check (:class:`~opendicke.errors.RowErrors`).  The
+scalar functions (``build_stability_matrix``, ``decompose``,
+``mode_correlations``, ``system_moments``, ``steady_state_moments``) are
+batches of one and raise the error of their row.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import J_COMM, OMEGA_R, T_CONJ
-from .errors import (DefectiveMatrix, DegenerateBranch, DivergentSteadyState,
-                     NumericalFailure, UnstableState)
-from .model import MeanField, ModelParams, critical_pump, solve_mean_field
+from .basis import CONJ_PERM, J_COMM, OMEGA_R, T_CONJ
+from .errors import (DefectiveMatrix, DivergentSteadyState, NumericalFailure,
+                     RowErrors, UnstableState)
+from .model import (MeanField, MeanFieldBatch, ModelParams, abs_squared,
+                    mean_field_batch, point_batch)
 
 # Eigenvector-matrix condition number and eigenvalue-cluster thresholds above
 # which a matrix is treated as defective.  At an exactly defective point a
@@ -46,6 +54,16 @@ PAIRING_TOL = 1e-8
 STABILITY_TOL = 1e-12
 DIVERGENT_TOL = 1e-12
 REAL_AXIS_TOL = 1e-8
+
+# Eigenvalue pairs (i, j), i < j, in itertools.combinations order, and the
+# same pairs as a mask of a 4x4 matrix.
+_PAIR_I, _PAIR_J = np.array(list(itertools.combinations(range(4), 2))).T
+_PAIRS = np.triu(np.ones((4, 4), dtype=bool), 1)
+# The 24 orderings of four branches, in itertools.permutations order.
+_PERMS = np.array(list(itertools.permutations(range(4))))
+_EYE = np.eye(4)
+_EYE2 = np.concatenate((_EYE, _EYE))
+_MODES = np.arange(4)
 
 
 @dataclass(frozen=True)
@@ -103,36 +121,64 @@ class SecondMoments:
         return observables(self)[1]
 
 
+def blank_failed(stack: np.ndarray, errors: RowErrors, fill=_EYE) -> np.ndarray:
+    """Overwrite the rows that already failed with a harmless matrix, so that
+    stacked linear algebra never sees their NaN, infinite or singular
+    entries."""
+    if errors.failed:
+        stack[~errors.alive] = fill
+    return stack
+
+
+# Index into (M00, M02, M20, M22, their conjugates, 0) of each entry of M:
+# row 0 is (M00, 0, M02, M02), row 2 is (M20, M02, M22, 0), and rows 1 and 3
+# are their conjugates with columns swapped.
+_ENTRY = np.array([0, 8, 1, 1, 8, 4, 5, 5, 2, 1, 3, 8, 5, 6, 8, 7])
+
+
+def stability_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
+    """Stability matrices of every row of a mean-field batch, (N, 4, 4);
+    a batch of one with scalar fields gives (1, 4, 4).
+
+    Row 0 of each M is the cavity equation, row 2 the side-mode equation;
+    rows 1 and 3 are their elementwise conjugates with columns swapped,
+    M = T conj(M) T.  The batch has already failed the rows with
+    1 - 2 beta0^2 ~ 0, where the linearization is singular.
+    """
+    alpha0, beta0, u = mf.alpha0, mf.beta0, params.u
+    # Rows whose mean field failed may hold NaN or infinite values; they are
+    # blanked below.
+    with np.errstate(all="ignore"):
+        bsq = beta0 * beta0
+        one_minus = 1.0 - 2.0 * bsq
+        half_y = 0.5 * mf.y * one_minus
+        # drive is imaginary and atom is computed as i times a real number,
+        # so that no product or quotient of two general complex numbers is
+        # taken (their rounding differs between numpy scalars and arrays).
+        # Complex factors come first: a Python complex combined with a numpy
+        # scalar stays a fast Python complex.
+        drive = 1j * u * beta0 * np.sqrt(1.0 - bsq)
+        atom = -1j * ((OMEGA_R + u * abs_squared(alpha0)) / one_minus)
+        # (M[0, 0], M[0, 2], M[2, 0], M[2, 2]), their conjugates and 0, one
+        # column per matrix, gathered into the 16 entries of M in row order.
+        entries = np.array((1j * (params.delta_c - u * bsq) - params.kappa,
+                            -(drive * alpha0) + half_y,
+                            -(drive * alpha0.conjugate()) - half_y, atom))
+    entries = np.concatenate((entries, entries.conjugate(),
+                              np.zeros((1,) + entries.shape[1:])))
+    m = entries[_ENTRY].T.reshape(-1, 4, 4)
+    return blank_failed(m, mf.errors)
+
+
 def build_stability_matrix(params: ModelParams,
                            mf: MeanField | None = None) -> StabilityMatrix:
-    """Stability matrix of the linearized equations of motion.
-
-    Row 0 is the cavity equation, row 2 the side-mode equation; rows 1 and 3
-    are their elementwise conjugates with columns swapped, M = T conj(M) T.
-    """
-    if mf is None:
-        mf = solve_mean_field(params)
-    beta0 = mf.beta0
-    alpha0 = mf.alpha0
-    bsq = beta0 ** 2
-    if abs(1.0 - 2.0 * bsq) < 1e-12:
-        raise DegenerateBranch(
-            f"1 - 2 beta0^2 = {1.0 - 2.0 * bsq!r}; linearization singular")
-    root = math.sqrt(1.0 - bsq)
-    half_y = 0.5 * params.y * (1.0 - 2.0 * bsq)
-
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 1j * (params.delta_c - params.u * bsq) - params.kappa
-    coupling = half_y - 1j * params.u * alpha0 * beta0 * root
-    m[0, 2] = coupling
-    m[0, 3] = coupling
-    m[2, 2] = -1j * (OMEGA_R + params.u * abs(alpha0) ** 2) / (1.0 - 2.0 * bsq)
-    m[2, 0] = -half_y - 1j * params.u * beta0 * root * alpha0.conjugate()
-    m[2, 1] = half_y - 1j * params.u * beta0 * root * alpha0
-    # Conjugate equations for da+ and db+.
-    m[1] = np.conj(m[0])[[1, 0, 3, 2]]
-    m[3] = np.conj(m[2])[[1, 0, 3, 2]]
-    return StabilityMatrix(m=m, params=params, mean_field=mf)
+    """Stability matrix of the linearized equations of motion (batch of one
+    of :func:`stability_batch`)."""
+    batch = point_batch(params, mf)
+    m = stability_batch(params, batch)
+    batch.errors.raise_first()
+    return StabilityMatrix(m=m[0], params=params,
+                           mean_field=batch.point(0) if mf is None else mf)
 
 
 def conjugation_defect(m: np.ndarray) -> float:
@@ -140,43 +186,100 @@ def conjugation_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - T_CONJ @ np.conj(m) @ T_CONJ)))
 
 
-def defect_diagnostics(m: np.ndarray) -> tuple[float, float, float]:
-    """(condition number of V, smallest eigenvalue gap, overlap of that pair).
+def _scale(lam: np.ndarray) -> np.ndarray:
+    """max(1, max_k |lambda_k|) of every row."""
+    return np.maximum(1.0, np.abs(lam).max(axis=-1))
 
-    The overlap is the cosine of the angle between the right eigenvectors of
-    the closest eigenvalue pair; near a defective point it approaches 1.
+
+def _defects(lam, vecs, cond, scale):
+    """Defect test of every row: (defective, |lambda_i - lambda_j|).
+
+    A row is defective when cond(V) exceeds DEFECT_COND_LIMIT, or when two
+    eigenvalues closer than DEFECT_GAP_LIMIT * scale have unit right
+    eigenvectors whose overlap |<v_i, v_j>| exceeds DEFECT_OVERLAP_LIMIT.
+    """
+    gaps = np.abs(lam[:, :, None] - lam[:, None, :])
+    defective = cond > DEFECT_COND_LIMIT
+    close = (gaps < DEFECT_GAP_LIMIT * scale[:, None, None]) & _PAIRS
+    if np.count_nonzero(close):
+        overlaps = np.abs(vecs.conj().transpose(0, 2, 1) @ vecs)
+        defective |= (close & (overlaps > DEFECT_OVERLAP_LIMIT)).any(axis=(1, 2))
+    return defective, gaps
+
+
+def _closest_pair(gaps: np.ndarray, vecs: np.ndarray) -> tuple[float, float]:
+    """(gap, overlap of the unit eigenvectors) of one row's closest
+    eigenvalue pair i < j, the first in (0, 1), (0, 2), ... order on a tie."""
+    k = int(np.argmin(gaps[_PAIR_I, _PAIR_J]))
+    i, j = _PAIR_I[k], _PAIR_J[k]
+    return float(gaps[i, j]), float(abs(np.vdot(vecs[:, i], vecs[:, j])))
+
+
+def conjugate_partners(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every eigenvalue the index of the closest conjugate, and the miss.
+
+    ``partner[n, k]`` minimizes |lambda_l - conj(lambda_k)| over l in row n
+    (the first on a tie); ``miss[n, k]`` is that distance.
+    """
+    dist = np.abs(lam[:, None, :] - lam.conj()[:, :, None])
+    return dist.argmin(axis=-1), dist.min(axis=-1)
+
+
+def sort_modes(lam: np.ndarray, vecs: np.ndarray, order: np.ndarray):
+    """Eigenvalues and eigenvector columns of every row in ``order``."""
+    rows = np.arange(lam.shape[0])[:, None]
+    return lam[rows, order], vecs.transpose(0, 2, 1)[rows, order].transpose(0, 2, 1)
+
+
+def _decompose_batch(m: np.ndarray, errors: RowErrors):
+    """Biorthogonal decomposition of a stack:
+    (lam, rights, lefts, pairing, cond, scale).
+
+    Eigenvalues are sorted by (real part, imaginary part).  Rows fail, in
+    this order, as defective (DefectiveMatrix), on the biorthonormality
+    residual (DefectiveMatrix) and on the conjugate pairing
+    (NumericalFailure).  ``scale`` is max(1, max |lambda|) of every row.
     """
     lam, vecs = np.linalg.eig(m)
-    cond = float(np.linalg.cond(vecs))
-    gap = math.inf
-    overlap = 0.0
-    for i, j in itertools.combinations(range(4), 2):
-        g = abs(lam[i] - lam[j])
-        if g < gap:
-            gap = g
-            vi = vecs[:, i] / np.linalg.norm(vecs[:, i])
-            vj = vecs[:, j] / np.linalg.norm(vecs[:, j])
-            overlap = float(abs(np.vdot(vi, vj)))
-    return cond, gap, overlap
+    # numpy orders complex numbers by (real part, imaginary part).
+    lam, vecs = sort_modes(lam, vecs, np.argsort(lam, axis=-1, kind="stable"))
+    cond = np.linalg.cond(vecs)
+    scale = _scale(lam)
+    defective, gaps = _defects(lam, vecs, cond, scale)
 
+    def defect(i: int, message: str) -> DefectiveMatrix:
+        # Reported: the closest pair, if it is closer than the gap limit.
+        gap, overlap = _closest_pair(gaps[i], vecs[i])
+        if not gap < DEFECT_GAP_LIMIT * scale[i]:
+            gap, overlap = math.inf, 0.0
+        return DefectiveMatrix(message.format(gap=gap, overlap=overlap),
+                               cond=float(cond[i]), gap=gap, overlap=overlap)
 
-def _is_defective(lam: np.ndarray, vecs: np.ndarray,
-                  cond: float) -> tuple[bool, float, float]:
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    worst_gap = math.inf
-    worst_overlap = 0.0
-    defective = cond > DEFECT_COND_LIMIT
-    for i, j in itertools.combinations(range(4), 2):
-        gap = abs(lam[i] - lam[j])
-        if gap < DEFECT_GAP_LIMIT * scale:
-            vi = vecs[:, i] / np.linalg.norm(vecs[:, i])
-            vj = vecs[:, j] / np.linalg.norm(vecs[:, j])
-            overlap = float(abs(np.vdot(vi, vj)))
-            if overlap > DEFECT_OVERLAP_LIMIT:
-                defective = True
-            if gap < worst_gap:
-                worst_gap, worst_overlap = gap, overlap
-    return defective, worst_gap, worst_overlap
+    errors.fail(defective, lambda i: defect(
+        i, f"(near-)defective stability matrix: cond(V) = {cond[i]:.3e}, "
+           "closest eigenvalue gap {gap:.3e} with overlap {overlap:.10f}"))
+    lefts = np.linalg.inv(blank_failed(vecs, errors))
+    # max |L V - 1| and max |V L - 1| of every row
+    resid = np.abs(np.concatenate((lefts @ vecs, vecs @ lefts), axis=1)
+                   - _EYE2).max(axis=(1, 2))
+    pairing, miss = conjugate_partners(lam)
+    unpaired = miss > PAIRING_TOL * scale[:, None]
+    not_involution = pairing[np.arange(lam.shape[0])[:, None], pairing] != _MODES
+
+    def failure(i: int) -> DefectiveMatrix | NumericalFailure:
+        if resid[i] > BIORTHO_TOL:
+            return defect(i, f"biorthonormalization residual {resid[i]:.3e} "
+                             f"exceeds {BIORTHO_TOL:g}; matrix too close to defective")
+        if unpaired[i].any():
+            k = int(np.argmax(unpaired[i]))
+            return NumericalFailure(f"eigenvalue {lam[i, k]!r} has no conjugate "
+                                    f"partner (closest miss {miss[i, k]:.3e})")
+        return NumericalFailure(
+            f"conjugate pairing {pairing[i]!r} is not an involution")
+
+    errors.fail((resid > BIORTHO_TOL) | (unpaired | not_involution).any(axis=1),
+                failure)
+    return lam, vecs, lefts, pairing, cond, scale
 
 
 def decompose(stability: StabilityMatrix) -> QuasiNormalSystem:
@@ -187,43 +290,45 @@ def decompose(stability: StabilityMatrix) -> QuasiNormalSystem:
     construction up to roundoff; both are still verified.  Eigenvalues are
     sorted by (real part, imaginary part) for reproducibility.
     """
-    lam, vecs = np.linalg.eig(stability.m)
-    order = np.lexsort((lam.imag, lam.real))
-    lam = lam[order]
-    vecs = vecs[:, order]
+    errors = RowErrors(1)
+    lam, vecs, lefts, pairing, cond, _ = _decompose_batch(stability.m[None], errors)
+    errors.raise_first()
+    return QuasiNormalSystem(lambdas=lam[0], rights=vecs[0], lefts=lefts[0],
+                             pairing=pairing[0], cond=float(cond[0]),
+                             matrix=stability)
 
-    cond = float(np.linalg.cond(vecs))
-    defective, gap, overlap = _is_defective(lam, vecs, cond)
-    if defective:
-        raise DefectiveMatrix(
-            f"(near-)defective stability matrix: cond(V) = {cond:.3e}, "
-            f"closest eigenvalue gap {gap:.3e} with overlap {overlap:.10f}",
-            cond=cond, gap=gap, overlap=overlap)
 
-    lefts = np.linalg.inv(vecs)
-    resid = max(float(np.max(np.abs(lefts @ vecs - np.eye(4)))),
-                float(np.max(np.abs(vecs @ lefts - np.eye(4)))))
-    if resid > BIORTHO_TOL:
-        raise DefectiveMatrix(
-            f"biorthonormalization residual {resid:.3e} exceeds "
-            f"{BIORTHO_TOL:g}; matrix too close to defective",
-            cond=cond, gap=gap, overlap=overlap)
+def _correlation_batch(lam: np.ndarray, lefts: np.ndarray, kappa: float,
+                       scale: np.ndarray, errors: RowErrors) -> np.ndarray:
+    """<rho_k rho_l> of every row; growing rows fail, then divergent ones."""
+    tol = STABILITY_TOL * scale[:, None]
+    growing = lam.real > tol
+    denom = lam[:, :, None] + lam[:, None, :]
+    numer = (-2.0 * kappa * lefts[:, :, 0])[:, :, None] * lefts[:, None, :, 1]
+    damped = np.abs(denom) > DIVERGENT_TOL * scale[:, None, None]
+    driven = np.abs(numer) > DIVERGENT_TOL * max(1.0, 2.0 * kappa)
+    # (damped < driven) is ~damped & driven.
+    divergent = damped < driven
 
-    pairing = np.empty(4, dtype=int)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    for k in range(4):
-        dist = np.abs(lam - np.conj(lam[k]))
-        partner = int(np.argmin(dist))
-        if dist[partner] > PAIRING_TOL * scale:
-            raise NumericalFailure(
-                f"eigenvalue {lam[k]!r} has no conjugate partner "
-                f"(closest miss {dist[partner]:.3e})")
-        pairing[k] = partner
-    if not np.array_equal(pairing[pairing], np.arange(4)):
-        raise NumericalFailure(f"conjugate pairing {pairing!r} is not an involution")
+    def failure(i: int) -> UnstableState | DivergentSteadyState:
+        if growing[i].any():
+            return UnstableState(f"growing quasi-normal modes, Re lambda = "
+                                 f"{lam[i][growing[i]].real!r}")
+        return DivergentSteadyState(
+            f"undamped noise-driven mode pairs "
+            f"{[(int(k), int(l)) for k, l in np.argwhere(divergent[i])]!r}: "
+            "steady-state moments diverge")
 
-    return QuasiNormalSystem(lambdas=lam, rights=vecs, lefts=lefts,
-                             pairing=pairing, cond=cond, matrix=stability)
+    errors.fail(growing.any(axis=1) | divergent.any(axis=(1, 2)), failure)
+    g = np.divide(numer, denom, out=np.zeros_like(numer), where=damped)
+    # A conservative mode pair left in its vacuum: <rho rho+> is the
+    # commutator [rho_k, rho_l] and <rho+ rho> = 0.  The pair is undamped
+    # and not driven, k lowers (Im lambda_k < 0, Re lambda_k ~ 0) and l
+    # raises (Im lambda_l > 0); lambda_l = conj(lambda_k) to 3e-12 max|lambda|
+    # then follows from lambda_k + lambda_l ~ 0.
+    lowering = (lam.imag < 0.0) & (np.abs(lam.real) <= tol)
+    vacuum = (damped | driven) < (lowering[:, :, None] & (lam.imag > 0.0)[:, None, :])
+    return np.where(vacuum, lefts @ J_COMM @ lefts.transpose(0, 2, 1), g)
 
 
 def mode_correlations(q: QuasiNormalSystem,
@@ -238,35 +343,21 @@ def mode_correlations(q: QuasiNormalSystem,
     """
     if noise is None:
         noise = NoiseSpec(kappa=q.matrix.params.kappa)
-    lam = q.lambdas
-    lefts = q.lefts
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    growing = lam.real > STABILITY_TOL * scale
-    if np.any(growing):
-        raise UnstableState(
-            f"growing quasi-normal modes, Re lambda = {lam[growing].real!r}")
+    errors = RowErrors(1)
+    lam = q.lambdas[None]
+    g = _correlation_batch(lam, q.lefts[None], noise.kappa, _scale(lam), errors)
+    errors.raise_first()
+    return g[0]
 
-    mode_comms = lefts @ J_COMM @ lefts.T
-    num_tol = DIVERGENT_TOL * max(1.0, 2.0 * noise.kappa)
-    g = np.zeros((4, 4), dtype=complex)
-    divergent = []
-    for k in range(4):
-        for l in range(4):
-            denom = lam[k] + lam[l]
-            numer = -2.0 * noise.kappa * lefts[k, 0] * lefts[l, 1]
-            if abs(denom) > DIVERGENT_TOL * scale:
-                g[k, l] = numer / denom
-            elif abs(numer) > num_tol:
-                divergent.append((k, l))
-            elif (abs(lam[k].real) <= STABILITY_TOL * scale
-                  and abs(lam[l] - np.conj(lam[k])) <= PAIRING_TOL * scale
-                  and lam[l].imag > 0.0 > lam[k].imag):
-                g[k, l] = mode_comms[k, l]
-    if divergent:
-        raise DivergentSteadyState(
-            f"undamped noise-driven mode pairs {divergent!r}: "
-            "steady-state moments diverge")
-    return g
+
+# Flat index of T conj(s)^T T: entry (i, j) is conj(s[CONJ_PERM[j], CONJ_PERM[i]]).
+_MIRROR = (4 * CONJ_PERM[None, :] + CONJ_PERM[:, None]).ravel()
+
+
+def _mirror(s: np.ndarray) -> np.ndarray:
+    """T conj(s)^T T: the adjoint partner <R_jbar R_ibar>* of every moment,
+    for one matrix or a stack."""
+    return s.conj().reshape(s.shape[:-2] + (16,))[..., _MIRROR].reshape(s.shape)
 
 
 def hermitize_moments(s: np.ndarray) -> np.ndarray:
@@ -275,62 +366,120 @@ def hermitize_moments(s: np.ndarray) -> np.ndarray:
     The symmetry holds because <R_i R_j>* = <R_jbar R_ibar>; projecting
     removes the numerical residue and makes the occupations exactly real.
     The raw violation must already be small, which the caller checks.
+    Works on one matrix or a stack.
     """
-    return 0.5 * (s + T_CONJ @ np.conj(s).T @ T_CONJ)
+    return 0.5 * (s + _mirror(s))
 
 
-def _check_moment_structure(s: np.ndarray) -> None:
-    """Raw adjoint-symmetry and commutator checks before projection.
+def commutator_errors(s: np.ndarray, scale: np.ndarray):
+    """(commutators [R_0, R_1] and [R_2, R_3] of every row, failing mask).
 
+    A commutator fails when it is further than max(1e-8, 1e-12 * scale) from
+    1; ``commutator_failure`` names the first that does.
+    """
+    # Flat entries 1, 11 are (0, 1), (2, 3) and 4, 14 are (1, 0), (3, 2).
+    flat = s.reshape(-1, 16)
+    comms = flat[:, 1::10] - flat[:, 4::10]
+    tol = np.maximum(1e-8, 1e-12 * scale)
+    return comms, tol, np.abs(comms - 1.0) > tol[:, None]
+
+
+def commutator_failure(comms, tol, bad, i: int) -> NumericalFailure:
+    k = int(np.argmax(bad[i]))
+    return NumericalFailure(
+        f"commutator [R_{2 * k}, R_{2 * k + 1}] = {complex(comms[i, k])!r} "
+        f"deviates from 1 beyond {tol[i]:g}")
+
+
+def _moment_batch(rights: np.ndarray, mode_corrs: np.ndarray,
+                  errors: RowErrors) -> np.ndarray:
+    """<R_i R_j> of every row, checked and then hermitized.
+
+    The raw adjoint-symmetry and commutator checks come before projection.
     Near the critical point the diverging entries carry a relative error of
-    order eps_machine * ||M|| / |lambda_k + lambda_l|, so the tolerance
-    scales with the magnitude of the moments.
+    order eps_machine * ||M|| / |lambda_k + lambda_l|, so the tolerances
+    scale with the magnitude of the moments.
     """
-    scale = float(np.max(np.abs(s)))
-    sym_tol = max(1e-8, 1e-6 * scale)
-    defect = float(np.max(np.abs(s - T_CONJ @ np.conj(s).T @ T_CONJ)))
-    if defect > sym_tol:
-        raise NumericalFailure(
-            f"moment matrix violates adjoint symmetry by {defect:.3e} "
-            f"(tolerance {sym_tol:g})")
-    comm_tol = max(1e-8, 1e-12 * scale)
-    for a, b in ((0, 1), (2, 3)):
-        comm = complex(s[a, b] - s[b, a])
-        if abs(comm - 1.0) > comm_tol:
-            raise NumericalFailure(
-                f"commutator [R_{a}, R_{b}] = {comm!r} deviates from 1 "
-                f"beyond {comm_tol:g}")
+    s = rights @ mode_corrs @ rights.transpose(0, 2, 1)
+    mirror = _mirror(s)
+    scale = np.abs(s).max(axis=(1, 2))
+    sym_tol = np.maximum(1e-8, 1e-6 * scale)
+    asym = np.abs(s - mirror).max(axis=(1, 2))
+    comms, tol, bad = commutator_errors(s, scale)
+
+    def structure(i: int) -> NumericalFailure:
+        if asym[i] > sym_tol[i]:
+            return NumericalFailure(
+                f"moment matrix violates adjoint symmetry by {asym[i]:.3e} "
+                f"(tolerance {sym_tol[i]:g})")
+        return commutator_failure(comms, tol, bad, i)
+
+    errors.fail((asym > sym_tol) | bad.any(axis=1), structure)
+    return 0.5 * (s + mirror)
 
 
 def system_moments(q: QuasiNormalSystem, mode_corrs: np.ndarray) -> SecondMoments:
     """Reassemble <R_i R_j> from mode correlations, enforcing commutators."""
-    s = q.rights @ mode_corrs @ q.rights.T
-    _check_moment_structure(s)
-    return SecondMoments(s=hermitize_moments(s))
+    errors = RowErrors(1)
+    s = _moment_batch(q.rights[None], np.asarray(mode_corrs)[None], errors)
+    errors.raise_first()
+    return SecondMoments(s=s[0])
+
+
+def steady_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
+    """Hermitized steady-state moments of every row of a mean-field batch.
+
+    Rows fail into ``mf.errors`` in the order degenerate branch, defective,
+    biorthonormality, pairing, unstable, divergent, moment structure; their
+    moments are then meaningless.
+    """
+    m = stability_batch(params, mf)
+    lam, rights, lefts, _, _, scale = _decompose_batch(m, mf.errors)
+    corrs = _correlation_batch(lam, lefts, params.kappa, scale, mf.errors)
+    return _moment_batch(rights, corrs, mf.errors)
 
 
 def steady_state_moments(params: ModelParams,
                          mf: MeanField | None = None) -> SecondMoments:
     """Convenience chain: mean field, stability matrix, modes, moments."""
-    stability = build_stability_matrix(params, mf)
-    q = decompose(stability)
-    return system_moments(q, mode_correlations(q))
+    batch = point_batch(params, mf)
+    s = steady_state_batch(params, batch)
+    batch.errors.raise_first()
+    return SecondMoments(s=s[0])
+
+
+# Occupations <db+ db> = s[3, 2] and <da+ da> = s[1, 0].
+_OCCUPATIONS = ((3, 2), (1, 0))
+
+
+def observables_batch(s: np.ndarray, errors: RowErrors) -> tuple[np.ndarray, np.ndarray]:
+    """(<db+ db>, <da+ da>) of every row.  An imaginary residue beyond
+    1e-10 * max(1, |value|) or a negative value fails the row."""
+    # Flat entries 14 and 4 are (3, 2) and (1, 0).
+    values = s.reshape(-1, 16)[:, 14:3:-10]
+    tol = 1e-10 * np.maximum(1.0, np.abs(values))
+    bad = (np.abs(values.imag) > tol, values.real < -tol)
+
+    def failure(r: int) -> NumericalFailure:
+        for k, (i, j) in enumerate(_OCCUPATIONS):
+            value = complex(values[r, k])
+            if bad[0][r, k]:
+                return NumericalFailure(f"<R_{i} R_{j}> = {value!r} has "
+                                        f"imaginary residue beyond {tol[r, k]:g}")
+            if bad[1][r, k]:
+                return NumericalFailure(f"<R_{i} R_{j}> = {value!r} is negative")
+
+    errors.fail((bad[0] | bad[1]).any(axis=1), failure)
+    return values[:, 0].real, values[:, 1].real
 
 
 def observables(s: SecondMoments | np.ndarray) -> tuple[float, float]:
     """(condensate depletion <db+ db>, incoherent photon number <da+ da>)."""
     mat = s.s if isinstance(s, SecondMoments) else s
-    out = []
-    for i, j in ((3, 2), (1, 0)):
-        value = complex(mat[i, j])
-        tol = 1e-10 * max(1.0, abs(value))
-        if abs(value.imag) > tol:
-            raise NumericalFailure(
-                f"<R_{i} R_{j}> = {value!r} has imaginary residue beyond {tol:g}")
-        if value.real < -tol:
-            raise NumericalFailure(f"<R_{i} R_{j}> = {value!r} is negative")
-        out.append(float(value.real))
-    return out[0], out[1]
+    errors = RowErrors(1)
+    delta_n, n_photon = observables_batch(np.asarray(mat)[None], errors)
+    errors.raise_first()
+    return float(delta_n[0]), float(n_photon[0])
 
 
 @dataclass(frozen=True)
@@ -379,13 +528,13 @@ class SpectrumScan:
         return max(self.real_intervals, key=lambda r: r.width)
 
 
-def _eig_point(params: ModelParams, y: float):
-    stability = build_stability_matrix(params.with_pump(y))
-    lam, vecs = np.linalg.eig(stability.m)
-    vecs = vecs / np.linalg.norm(vecs, axis=0)
-    cond = float(np.linalg.cond(vecs))
-    defective, _, _ = _is_defective(lam, vecs, cond)
-    return lam, vecs, cond, defective
+def _spectra(m: np.ndarray):
+    """(lam, unit right eigenvectors, cond, defective, gaps) of a stack, in
+    the eigensolver's order."""
+    lam, vecs = np.linalg.eig(m)
+    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    cond = np.linalg.cond(vecs)
+    return (lam, vecs, cond) + _defects(lam, vecs, cond, _scale(lam))
 
 
 def _has_real_pair(params: ModelParams, y: float) -> bool:
@@ -393,21 +542,37 @@ def _has_real_pair(params: ModelParams, y: float) -> bool:
     return int(np.sum(np.abs(lam.imag) <= REAL_AXIS_TOL)) >= 2
 
 
-_PERMS = list(itertools.permutations(range(4)))
+def _match_branches(lam: np.ndarray, vecs: np.ndarray):
+    """Order every row's eigenvalues to continue the branches of the row
+    before: (matched eigenvalues, ambiguous flags).
 
-
-def _match_branches(prev_lam, prev_vecs, lam, vecs) -> tuple[tuple[int, ...], bool]:
-    """Permutation aligning the new eigenvalues with the previous ones."""
-    costs = [sum(abs(lam[p[i]] - prev_lam[i]) for i in range(4)) for p in _PERMS]
-    best = min(costs)
-    tied = [p for p, c in zip(_PERMS, costs) if c - best <= 1e-12]
-    if len(tied) == 1:
-        return tied[0], False
-    overlaps = [sum(abs(np.vdot(prev_vecs[:, i], vecs[:, p[i]])) for i in range(4))
-                for p in tied]
-    top = max(overlaps)
-    winners = [p for p, o in zip(tied, overlaps) if top - o <= 1e-12]
-    return winners[0], len(winners) > 1
+    Row 0 is sorted by (real part, imaginary part).  Each later row takes the
+    permutation with the least total displacement from the previous matched
+    row; permutations within 1e-12 of the least are told apart by their
+    summed eigenvector overlaps, and a tie that remains marks the row
+    ambiguous.
+    """
+    n = lam.shape[0]
+    # dist[i - 1, a, b] = |lambda_i[a] - lambda_{i-1}[b]|
+    dist = np.abs(lam[1:, :, None] - lam[:-1, None, :])
+    perm = np.lexsort((lam[0].imag, lam[0].real))
+    perms = [perm]
+    ambiguous = [False] * n
+    for i in range(1, n):
+        d = dist[i - 1][_PERMS, perm]
+        costs = d[:, 0] + d[:, 1] + d[:, 2] + d[:, 3]
+        tied = np.flatnonzero(costs - costs.min() <= 1e-12)
+        if tied.size == 1:
+            perm = _PERMS[tied[0]]
+        else:
+            gram = np.abs(vecs[i - 1][:, perm].conj().T @ vecs[i])
+            o = gram[np.arange(4), _PERMS[tied]]
+            overlaps = o[:, 0] + o[:, 1] + o[:, 2] + o[:, 3]
+            winners = tied[overlaps.max() - overlaps <= 1e-12]
+            perm = _PERMS[winners[0]]
+            ambiguous[i] = winners.size > 1
+        perms.append(perm)
+    return np.take_along_axis(lam, np.array(perms), 1), ambiguous
 
 
 def _refine_endpoint(params: ModelParams, y_in: float, y_out: float) -> EndpointReport:
@@ -421,13 +586,11 @@ def _refine_endpoint(params: ModelParams, y_in: float, y_out: float) -> Endpoint
             y_in = mid
         else:
             y_out = mid
-    y_star = y_in
-    stability = build_stability_matrix(params.with_pump(y_star))
-    cond, gap, overlap = defect_diagnostics(stability.m)
-    lam = np.linalg.eigvals(stability.m)
-    defective, _, _ = _is_defective(lam, np.linalg.eig(stability.m)[1], cond)
-    return EndpointReport(y=y_star, refined=True, defective=defective,
-                          cond=cond, gap=gap, overlap=overlap)
+    m = build_stability_matrix(params.with_pump(y_in)).m
+    _, vecs, cond, defective, gaps = _spectra(m[None])
+    gap, overlap = _closest_pair(gaps[0], vecs[0])
+    return EndpointReport(y=y_in, refined=True, defective=bool(defective[0]),
+                          cond=float(cond[0]), gap=gap, overlap=overlap)
 
 
 def spectrum_scan(params: ModelParams, y_grid, threads: int = 1) -> SpectrumScan:
@@ -435,7 +598,8 @@ def spectrum_scan(params: ModelParams, y_grid, threads: int = 1) -> SpectrumScan
 
     Grid points where the matrix is (near-)defective are kept, flagged with
     status 'defective'; points where branch matching stays ambiguous after
-    the eigenvector tie-break are flagged 'ambiguous'.
+    the eigenvector tie-break are flagged 'ambiguous'.  The grid is one
+    batch; ``threads`` is accepted for compatibility and has no effect.
     """
     y_grid = np.asarray(y_grid, dtype=float)
     if y_grid.ndim != 1 or y_grid.size < 2:
@@ -443,29 +607,13 @@ def spectrum_scan(params: ModelParams, y_grid, threads: int = 1) -> SpectrumScan
     if np.any(np.diff(y_grid) <= 0):
         raise ValueError("y grid must be strictly increasing")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(lambda y: _eig_point(params, y), y_grid))
-    else:
-        points = [_eig_point(params, y) for y in y_grid]
-
-    branches = np.zeros((y_grid.size, 4), dtype=complex)
-    cond = np.zeros(y_grid.size)
-    status: list[str] = []
-    prev_lam = prev_vecs = None
-    for i, (lam, vecs, c, defective) in enumerate(points):
-        if prev_lam is None:
-            order = np.lexsort((lam.imag, lam.real))
-            lam, vecs = lam[order], vecs[:, order]
-            ambiguous = False
-        else:
-            perm, ambiguous = _match_branches(prev_lam, prev_vecs, lam, vecs)
-            lam, vecs = lam[list(perm)], vecs[:, list(perm)]
-        branches[i] = lam
-        cond[i] = c
-        status.append("defective" if defective else
-                      "ambiguous" if ambiguous else "ok")
-        prev_lam, prev_vecs = lam, vecs
+    mf = mean_field_batch(params, y_grid)
+    m = stability_batch(params, mf)
+    mf.errors.raise_first()
+    lam, vecs, cond, defective, _ = _spectra(m)
+    branches, ambiguous = _match_branches(lam, vecs)
+    status = ["defective" if d else "ambiguous" if a else "ok"
+              for d, a in zip(defective.tolist(), ambiguous)]
 
     real_flags = np.sum(np.abs(branches.imag) <= REAL_AXIS_TOL, axis=1) >= 2
     intervals = []

@@ -18,6 +18,11 @@ with the chemical potential mu = -(omega_r + u |alpha0|^2) / (2 (1 - 2 beta0^2))
 Below the critical pump the normal solution alpha0 = beta0 = 0 is the stable
 one; above it the condensate acquires a density modulation beta0 > 0 and the
 cavity a coherent amplitude.
+
+The mean field is computed for a whole pump grid at once
+(:func:`mean_field_batch`) or for one pump value (:func:`mean_field_point`,
+behind :func:`solve_mean_field` and the other scalar functions); both share
+the formulas and the checks.
 """
 
 from __future__ import annotations
@@ -29,9 +34,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import OMEGA_R
-from .errors import DegenerateBranch, NoThreshold, NumericalFailure
+from .errors import (DegenerateBranch, NoThreshold, NumericalFailure,
+                     OpenDickeError, RowErrors)
 
-# Residuals of the stationarity conditions must close to this level.
+# Residuals of the stationarity conditions must close to this level, relative
+# to the larger of 1 and the magnitude of their terms.
 RESIDUAL_TOL = 1e-12
 
 
@@ -81,6 +88,46 @@ class MeanField:
         return self.beta0 ** 2
 
 
+@dataclass
+class MeanFieldBatch:
+    """Mean fields along a pump grid at fixed (delta_c, kappa, u).
+
+    One row per pump value: the fields are arrays for a grid
+    (:func:`mean_field_batch`) and scalars for a single pump value
+    (:func:`mean_field_point`, :meth:`of`).
+    ``superradiant`` marks the rows above the critical pump.  Rows whose mean
+    field failed keep their error in ``errors``; their amplitudes are
+    meaningless (NaN where the superradiant branch does not exist).
+    """
+
+    y: np.ndarray
+    alpha0: np.ndarray
+    beta0: np.ndarray
+    mu: np.ndarray
+    superradiant: np.ndarray
+    errors: RowErrors
+
+    @classmethod
+    def of(cls, params: ModelParams, mf: MeanField) -> "MeanFieldBatch":
+        """A batch of one at ``params.y`` holding a given mean field; a
+        degenerate branch (1 - 2 beta0^2 ~ 0) fails its row."""
+        errors = RowErrors(1)
+        one_minus = 1.0 - 2.0 * (mf.beta0 * mf.beta0)
+        errors.fail(abs(one_minus) < 1e-12, lambda i: DegenerateBranch(
+            f"1 - 2 beta0^2 = {one_minus!r}; linearization singular"))
+        return cls(y=float(params.y), alpha0=complex(mf.alpha0), beta0=float(mf.beta0),
+                   mu=float(mf.mu), superradiant=mf.phase is Phase.SUPERRADIANT,
+                   errors=errors)
+
+    def point(self, i: int) -> MeanField:
+        def row(x):
+            return x[i] if getattr(x, "ndim", 0) else x
+        return MeanField(alpha0=complex(row(self.alpha0)), beta0=float(row(self.beta0)),
+                         mu=float(row(self.mu)),
+                         phase=(Phase.SUPERRADIANT if row(self.superradiant)
+                                else Phase.NORMAL))
+
+
 def critical_pump(params: ModelParams) -> float:
     """Pump strength at which the normal phase loses stability.
 
@@ -93,6 +140,12 @@ def critical_pump(params: ModelParams) -> float:
             f"no critical pump for delta_c = {params.delta_c!r}; need delta_c < 0")
     return math.sqrt(-OMEGA_R * (params.delta_c ** 2 + params.kappa ** 2)
                      / params.delta_c)
+
+
+def abs_squared(z):
+    """|z|^2 in real arithmetic, which rounds alike for numpy scalars and
+    arrays (complex multiplication and division need not)."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def mean_field_residuals(params: ModelParams, alpha0: complex,
@@ -108,63 +161,171 @@ def mean_field_residuals(params: ModelParams, alpha0: complex,
     return res_a, res_b
 
 
-def _order_parameter_squared(params: ModelParams, y_c: float) -> float:
-    """beta0^2 on the superradiant branch."""
+def _order_parameter(params: ModelParams, y, y_c: float):
+    """(beta0^2 of the superradiant branch at pump y, the radicand 1 - ratio).
+
+    beta0^2 = delta_c/u * ratio / (1 + sqrt(1 - ratio)) with
+    ratio = u/delta_c * (y^2 - y_c^2) / (y^2 + u omega_r) does not cancel
+    for small ratio (u = 0: (y^2 - y_c^2) / (2 y^2)); a negative radicand
+    leaves it NaN.  Scalars or arrays.
+    """
+    y_sq = y * y
     if params.u == 0.0:
-        return (params.y ** 2 - y_c ** 2) / (2.0 * params.y ** 2)
-    ratio = (params.u / params.delta_c
-             * (params.y ** 2 - y_c ** 2) / (params.y ** 2 + params.u * OMEGA_R))
-    radicand = 1.0 - ratio
+        return (y_sq - y_c ** 2) / (2.0 * y_sq), 1.0
+    dc, u = params.delta_c, params.u
+    ratio = u / dc * (y_sq - y_c ** 2) / (y_sq + u * OMEGA_R)
+    return dc / u * ratio / (1.0 + np.sqrt(1.0 - ratio)), 1.0 - ratio
+
+
+def _branch_fields(params: ModelParams, y, beta0):
+    """(alpha0, mu, 1 - 2 beta0^2, stationarity residuals) at a given beta0.
+
+    The residuals are (|t1 + t2|, |t1| + |t2|, |t3 + t4|, |t3| + |t4|) for
+    the conditions t1 + t2 = 0 and t3 + t4 = 0.  Scalars or arrays, in real
+    arithmetic (and products of a real with a complex number), which rounds
+    alike for both; general complex products and quotients need not.
+    """
+    bsq = beta0 * beta0
+    root = np.sqrt(1.0 - bsq)
+    one_minus = 1.0 - 2.0 * bsq
+    c = params.delta_c - params.u * bsq
+    t2 = y * beta0 * root
+    # alpha0 = -t2 / (i c - kappa); +0 in the normal phase, where t2 = +0 and
+    # c = delta_c < 0.  The complex factor comes first: a Python complex
+    # times a numpy scalar stays a fast Python complex.
+    alpha0 = (params.kappa + 1j * c) * (t2 / (params.kappa ** 2 + c * c))
+    gain = OMEGA_R + params.u * abs_squared(alpha0)
+    mu = -0.5 * gain / one_minus
+    t1 = (1j * c - params.kappa) * alpha0
+    t3 = gain * beta0
+    t4 = y * alpha0.imag * one_minus / root
+    return alpha0, mu, one_minus, (abs(t1 + t2), abs(t1) + abs(t2),
+                                   abs(t3 + t4), abs(t3) + abs(t4))
+
+
+def _residuals_exceed(res_a, size_a, res_b, size_b):
+    """res > RESIDUAL_TOL * max(1, size) for either condition, written with
+    operators only so that it works on scalars and arrays."""
+    return (((res_a > RESIDUAL_TOL) & (res_a > RESIDUAL_TOL * size_a))
+            | ((res_b > RESIDUAL_TOL) & (res_b > RESIDUAL_TOL * size_b)))
+
+
+def _missing_branch(radicand, bsq, y) -> NumericalFailure:
     if radicand < 0.0:
-        raise NumericalFailure(
-            f"superradiant branch undefined: radicand {radicand!r} < 0")
-    return params.delta_c / params.u * (1.0 - math.sqrt(radicand))
+        return NumericalFailure(f"superradiant branch undefined: radicand "
+                                f"{float(radicand)!r} < 0")
+    return NumericalFailure(f"beta0^2 = {float(bsq)!r} outside (0, 1) "
+                            f"for y = {float(y)!r}")
+
+
+def _degenerate_branch(one_minus) -> DegenerateBranch:
+    return DegenerateBranch(f"1 - 2 beta0^2 = {float(one_minus)!r}; "
+                            "chemical potential singular")
+
+
+def _residual_failure(res_a, size_a, res_b, size_b) -> NumericalFailure:
+    return NumericalFailure(
+        f"mean-field residuals ({res_a:.3e}, {res_b:.3e}) exceed "
+        f"{RESIDUAL_TOL:g} times max(1, size of their terms) "
+        f"({max(1.0, size_a):.3e}, {max(1.0, size_b):.3e})")
+
+
+def mean_field_batch(params: ModelParams, y_grid) -> MeanFieldBatch:
+    """Stationary mean fields on the physical (stable) branch along a grid.
+
+    At and below the critical pump a row is in the normal phase; above it on
+    the superradiant branch with beta0 > 0 (:func:`_order_parameter`).
+    Superradiant rows fail when the branch does not exist (radicand < 0 or
+    beta0^2 outside (0, 1)), when 1 - 2 beta0^2 ~ 0, and when a stationarity
+    residual exceeds RESIDUAL_TOL times the larger of 1 and the size of its
+    terms.  The pump value stored in ``params`` is ignored.
+    """
+    y = np.asarray(y_grid, dtype=float).reshape(-1)
+    y_c = critical_pump(params)
+    errors = RowErrors(y.size)
+    # Rows off the superradiant branch may overflow or take a root of a
+    # negative number here; they are masked or failed below.
+    with np.errstate(all="ignore"):
+        branch, radicand = _order_parameter(params, y, y_c)
+        sr = y > y_c
+        missing = sr & ~((0.0 < branch) & (branch < 1.0))
+        beta0 = np.sqrt(np.where(sr, branch, 0.0))
+        alpha0, mu, one_minus, residuals = _branch_fields(params, y, beta0)
+        degenerate = np.abs(one_minus) < 1e-12
+        bad = _residuals_exceed(*residuals)
+
+    def failure(i: int) -> OpenDickeError:
+        if missing[i]:
+            return _missing_branch(radicand[i] if params.u else radicand,
+                                   branch[i], y[i])
+        if degenerate[i]:
+            return _degenerate_branch(one_minus[i])
+        return _residual_failure(*(r[i] for r in residuals))
+
+    errors.fail(missing | degenerate | bad, failure)
+    return MeanFieldBatch(y, alpha0, beta0, mu, sr, errors)
+
+
+def mean_field_point(params: ModelParams) -> MeanFieldBatch:
+    """The mean field at ``params.y`` as a batch of one with scalar fields,
+    its errors not yet raised.
+
+    The formulas and checks are those of :func:`mean_field_batch`; a single
+    pump value takes its branch by conditionals instead of masks, because the
+    array operations would cost several times the arithmetic.
+    """
+    y = np.float64(params.y)
+    y_c = critical_pump(params)
+    errors = RowErrors(1)
+    if not y > y_c:
+        return MeanFieldBatch(y, 0j, 0.0, -0.5 * OMEGA_R, False, errors)
+    with np.errstate(all="ignore"):
+        branch, radicand = _order_parameter(params, y, y_c)
+        if not 0.0 < branch < 1.0:
+            errors.fail(True, lambda i: _missing_branch(radicand, branch, y))
+            return MeanFieldBatch(y, 0j, 0.0, -0.5 * OMEGA_R, True, errors)
+        beta0 = np.sqrt(branch)
+        alpha0, mu, one_minus, residuals = _branch_fields(params, y, beta0)
+    if abs(one_minus) < 1e-12:
+        errors.fail(True, lambda i: _degenerate_branch(one_minus))
+    elif _residuals_exceed(*residuals):
+        errors.fail(True, lambda i: _residual_failure(*residuals))
+    return MeanFieldBatch(y, alpha0, beta0, mu, True, errors)
+
+
+def point_batch(params: ModelParams, mf: MeanField | None = None) -> MeanFieldBatch:
+    """Batch of one at ``params.y``: the given mean field, or the solved one
+    with its errors not yet raised."""
+    if mf is None:
+        return mean_field_point(params)
+    return MeanFieldBatch.of(params, mf)
 
 
 def solve_mean_field(params: ModelParams) -> MeanField:
     """Stationary mean field on the physical (stable) branch.
 
     Below and at the critical pump this is the normal phase; above it the
-    superradiant branch with beta0 > 0.  The returned solution is verified
-    against both stationarity conditions to RESIDUAL_TOL.
+    superradiant branch with beta0 > 0.  Raises the first failing check of
+    :func:`mean_field_point`.
     """
-    y_c = critical_pump(params)
-    if params.y <= y_c:
-        mu = -0.5 * OMEGA_R
-        return MeanField(alpha0=0.0 + 0.0j, beta0=0.0, mu=mu, phase=Phase.NORMAL)
-
-    beta0_sq = _order_parameter_squared(params, y_c)
-    if not (0.0 < beta0_sq < 1.0):
-        raise NumericalFailure(
-            f"beta0^2 = {beta0_sq!r} outside (0, 1) for y = {params.y!r}")
-    beta0 = math.sqrt(beta0_sq)
-    denom = 1j * (params.delta_c - params.u * beta0_sq) - params.kappa
-    alpha0 = -params.y * beta0 * math.sqrt(1.0 - beta0_sq) / denom
-
-    if abs(1.0 - 2.0 * beta0_sq) < 1e-12:
-        raise DegenerateBranch(
-            f"1 - 2 beta0^2 = {1.0 - 2.0 * beta0_sq!r}; chemical potential singular")
-    mu = -0.5 * (OMEGA_R + params.u * abs(alpha0) ** 2) / (1.0 - 2.0 * beta0_sq)
-
-    res_a, res_b = mean_field_residuals(params, alpha0, beta0)
-    if abs(res_a) > RESIDUAL_TOL or abs(res_b) > RESIDUAL_TOL:
-        raise NumericalFailure(
-            f"mean-field residuals ({abs(res_a):.3e}, {abs(res_b):.3e}) "
-            f"exceed {RESIDUAL_TOL:g}")
-    return MeanField(alpha0=alpha0, beta0=beta0, mu=mu, phase=Phase.SUPERRADIANT)
+    batch = mean_field_point(params)
+    batch.errors.raise_first()
+    return batch.point(0)
 
 
 def mean_field_curve(params: ModelParams, y_grid) -> np.ndarray:
     """Mean-field amplitudes along a pump grid at fixed (delta_c, kappa, u).
 
-    Returns a structured array with fields y, y_over_yc, alpha0_sq, beta0_sq.
-    The pump value stored in ``params`` is ignored.
+    Returns a structured array with fields y, y_over_yc, alpha0_sq, beta0_sq
+    and raises the error of the first row whose mean field fails.  The pump
+    value stored in ``params`` is ignored.
     """
-    y_grid = np.asarray(y_grid, dtype=float)
-    y_c = critical_pump(params)
-    out = np.zeros(y_grid.size, dtype=[("y", float), ("y_over_yc", float),
-                                       ("alpha0_sq", float), ("beta0_sq", float)])
-    for i, y in enumerate(y_grid):
-        mf = solve_mean_field(params.with_pump(y))
-        out[i] = (y, y / y_c, mf.photon_density, mf.order_parameter)
+    batch = mean_field_batch(params, y_grid)
+    batch.errors.raise_first()
+    out = np.zeros(batch.y.size, dtype=[("y", float), ("y_over_yc", float),
+                                        ("alpha0_sq", float), ("beta0_sq", float)])
+    out["y"] = batch.y
+    out["y_over_yc"] = batch.y / critical_pump(params)
+    out["alpha0_sq"] = np.abs(batch.alpha0) ** 2
+    out["beta0_sq"] = batch.beta0 ** 2
     return out

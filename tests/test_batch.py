@@ -1,0 +1,189 @@
+"""Batched scans against the batch-of-one API and against pinned rows.
+
+Every scan computes its pump grid as one stack of 4x4 matrices, and the
+scalar functions are batches of one, except that the mean field of a single
+pump value takes its branch by conditionals where a grid uses masks.  The
+property below checks that a row of a scan is the scalar chain at that
+point, status for status and value for value, so that no row leaks into
+another through the masks of failed rows and the two mean-field drivers
+agree.
+The pinned rows are CLI output of the per-point implementation that the
+batched pipeline replaced; the batched arithmetic rounds differently in the
+last bits, so they are compared to 1e-12 relative.
+"""
+
+import contextlib
+import csv
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opendicke import cli
+from opendicke.analysis import ScanKind, figure_scan, status_of
+from opendicke.entanglement import log_negativity, quad_covariance
+from opendicke.errors import OpenDickeError
+from opendicke.fluctuations import observables, steady_state_moments
+from opendicke.groundstate import ground_state_moments
+from opendicke.model import ModelParams, critical_pump, solve_mean_field
+
+RATIOS = np.linspace(0.05, 2.0, 25)
+
+
+def _close(got: float, want: float, rel: float) -> bool:
+    if math.isnan(want):
+        return math.isnan(got)
+    return abs(got - want) <= rel * abs(want)
+
+
+def _point_rows(p: ModelParams) -> tuple[tuple, tuple]:
+    """(correlations row, entanglement row) of one point from the scalar API."""
+    nan = math.nan
+    try:
+        mf = solve_mean_field(p)
+    except OpenDickeError as err:
+        status = status_of(err)
+        return (nan,) * 5 + (status,), (nan, nan, status)
+    mean = (mf.alpha0.real, mf.alpha0.imag, mf.beta0 ** 2)
+    try:
+        moments = (ground_state_moments(p) if p.kappa == 0.0
+                   else steady_state_moments(p))
+    except OpenDickeError as err:
+        status = status_of(err)
+        return mean + (nan, nan, status), (nan, nan, status)
+    try:
+        excitation = mean + observables(moments) + ("ok",)
+    except OpenDickeError as err:
+        excitation = mean + (nan, nan, status_of(err))
+    try:
+        cov = quad_covariance(moments)
+        negativity = (log_negativity(cov), cov.nu_min, "ok")
+    except OpenDickeError as err:
+        negativity = (nan, nan, status_of(err))
+    return excitation, negativity
+
+
+log_uniform = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(delta_c=log_uniform, kappa=st.one_of(st.just(0.0), log_uniform),
+       u=st.floats(-5.0, 5.0))
+def test_scan_rows_equal_batch_of_one(delta_c, kappa, u):
+    base = ModelParams(delta_c=-delta_c, kappa=kappa, u=u, y=0.0)
+    grid = RATIOS * critical_pump(base)
+    excitation = figure_scan(ScanKind.MEAN_AND_FLUCT, base, grid).rows
+    negativity = figure_scan(ScanKind.ENTANGLEMENT, base, grid).rows
+    for y, row, ent in zip(grid, excitation, negativity):
+        want, want_ent = _point_rows(base.with_pump(y))
+        assert row[-1] == want[-1], f"y = {y!r}: {row} vs {want}"
+        assert ent[-1] == want_ent[-1], f"y = {y!r}: {ent} vs {want_ent}"
+        for got, value in zip(row[2:-1] + ent[2:-1], want[:-1] + want_ent[:-1]):
+            assert _close(got, value, 1e-14), f"y = {y!r}: {row} vs {want}"
+
+
+def _cli_rows(argv) -> list[list[str]]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.run(argv) == 0
+    return list(csv.reader(io.StringIO(out.getvalue())))[1:]
+
+
+# Rows of the per-point implementation: (argv, {row index: cells}).
+PINNED = {
+    "meanfield": (
+        ["meanfield", "--delta-c=-2", "--kappa=2", "--u=-1.5", "--y-grid=0:3yc:7"], {
+            1: ("1.0", "0.5", "0.0", "0.0", "ok"),
+            3: ("3.0", "1.5", "0.3570226039551584", "0.39052429175126996", "ok"),
+            6: ("6.0", "3.0", "1.6590516936330142", "0.5977636208435061", "ok")}),
+    "meanfield without branch": (
+        ["meanfield", "--delta-c=-0.5", "--kappa=1", "--u=-3", "--y-grid=0:3yc:7"], {
+            2: ("1.5811388300841898", "1.0", "0.0", "0.0", "ok"),
+            3: ("2.3717082451262845", "1.5", "nan", "nan", "failed")}),
+    "correlations kappa > 0": (
+        ["correlations", "--delta-c=-2", "--kappa=2", "--y-grid=0:2yc:9"], {
+            1: ("0.5", "0.25", "0.0", "0.0", "0.0", "0.6583333333333411",
+                "0.016666666666666892", "ok"),
+            4: ("2.0", "1.0", "0.0", "0.0", "0.0", "nan", "nan", "divergent"),
+            6: ("3.0", "1.5", "0.33592740617910627", "-0.33592740617910627",
+                "0.2777777777777778", "0.2803952991452995", "0.06153846153846161",
+                "ok"),
+            8: ("4.0", "2.0", "0.48412291827592707", "-0.48412291827592707",
+                "0.37499999999999994", "0.2583333333333299", "0.01666666666666645",
+                "ok")}),
+    "correlations kappa = 0": (
+        ["correlations", "--delta-c=-2", "--kappa=0", "--y-grid=0:2yc:9"], {
+            2: ("0.7071067811865476", "0.5", "0.0", "0.0", "0.0",
+                "0.019147653481905752", "0.01736665374103312", "ok"),
+            4: ("1.4142135623730951", "1.0", "0.0", "0.0", "0.0", "nan", "nan",
+                "unstable"),
+            7: ("2.4748737341529163", "1.7499999999999998", "0.0",
+                "-0.5848043890647434", "0.336734693877551", "0.006999591605267266",
+                "0.007168606274767807", "ok")}),
+    "correlations u != 0": (
+        ["correlations", "--delta-c=-1", "--kappa=0.5", "--u=0.5",
+         "--y-grid=0:2yc:9"], {
+            3: ("0.8385254915624212", "0.75", "0.0", "0.0", "0.0",
+                "0.26339285714285765", "0.20089285714285746", "ok"),
+            6: ("1.6770509831248424", "1.5", "0.23505230670472713",
+                "-0.522609413739594", "0.2233749630719273", "0.14975842996561753",
+                "0.033600325391768465", "ok"),
+            8: ("2.23606797749979", "2.0", "0.3267109582831973",
+                "-0.7566470875139744", "0.3159525823376357", "0.3825238493433536",
+                "0.007648459057201094", "ok")}),
+    "entanglement": (
+        ["entanglement", "--delta-c=-2", "--kappa=2", "--y-grid=0:2yc:9"], {
+            3: ("1.5", "0.75", "0.11278700298268074", "0.5005735242247541", "ok"),
+            4: ("2.0", "1.0", "nan", "nan", "divergent"),
+            7: ("3.5", "1.75", "0.08415250780404", "0.5008318725121134", "ok")}),
+    "spectrum": (
+        ["spectrum", "--delta-c=-2", "--kappa=2", "--y-grid=0:1.2yc:25"], {
+            0: ("0.0", "0.0", "-2.0", "-2.0", "-2.0", "2.0", "0.0", "-1.0", "0.0",
+                "1.0", "ok"),
+            24: ("2.4", "1.2", "-1.7071671643333097", "-1.9745732676777292",
+                 "-1.7071671643333062", "1.974573267677726", "-0.2928328356666919",
+                 "-1.0838963083223998", "-0.2928328356666932", "1.0838963083223996",
+                 "ok")}),
+    "exponent kappa > 0": (
+        ["exponent", "--delta-c=-2", "--kappa=2"], {
+            0: ("below", "-1.0000002250725382", "-1.3862970468683786",
+                "0.9999999999999551", "40", "8.315287191035679e-07",
+                "0.006737946999085467", "ok"),
+            1: ("above", "-0.9999940481764035", "-2.079370510015999",
+                "0.9999999999689569", "40", "8.315287191035679e-07",
+                "0.006737946999085467", "ok")}),
+    "exponent kappa = 0": (
+        ["exponent", "--delta-c=-2", "--kappa=0"], {
+            0: ("below", "-0.5005687312118625", "-1.8518493226964947",
+                "0.9999998338184232", "40", "8.315287191035679e-07",
+                "0.006737946999085467", "ok"),
+            1: ("above", "-0.5013192221660588", "-2.2081658439239717",
+                "0.9999990885030071", "40", "8.315287191035679e-07",
+                "0.006737946999085467", "ok")}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_rows(name):
+    argv, pinned = PINNED[name]
+    rows = _cli_rows(argv)
+    for index, want in pinned.items():
+        got = rows[index]
+        assert len(got) == len(want)
+        for cell, ref in zip(got, want):
+            try:
+                value = float(ref)
+            except ValueError:
+                assert cell == ref, f"row {index}: {got} vs {want}"
+                continue
+            if value == 0.0:
+                # exact zeros keep their printed sign: alpha0 is +0.0 in the
+                # normal phase and, at kappa = 0, its real part is +0.0 on the
+                # superradiant branch (the per-point implementation printed
+                # -0.0 there)
+                assert cell == ref, f"row {index}: {got} vs {want}"
+            else:
+                assert _close(float(cell), value, 1e-12), f"row {index}: {got} vs {want}"

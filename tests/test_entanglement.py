@@ -13,7 +13,7 @@ from opendicke.entanglement import (log_negativity, pt_nu_minus,
 from opendicke.errors import NumericalFailure
 from opendicke.fluctuations import steady_state_moments
 from opendicke.groundstate import ground_state_moments
-from opendicke.model import solve_mean_field
+from opendicke.model import ModelParams, solve_mean_field
 
 
 def _vacuum_moments() -> np.ndarray:
@@ -124,3 +124,22 @@ def test_ground_state_entanglement_grows_toward_threshold(closed_params):
         cov = quad_covariance(ground_state_moments(at_ratio(closed_params, ratio)))
         values.append(log_negativity(cov))
     assert values[0] < values[1] < values[2]
+
+
+def test_nu_minus_without_cancellation():
+    # nu_+ >> nu_-: (Sigma - sqrt(Sigma^2 - 4 det C)) / 2 cancelled to 0 here
+    # and E_N read 0.0; det C / nu_+^2 keeps nu_- to the precision of the
+    # brute-force partial-transpose spectrum.
+    p = ModelParams(delta_c=-0.29307, kappa=1634.02, u=1.50872, y=1377.14)
+    cov = quad_covariance(steady_state_moments(p))
+    assert pt_nu_minus(cov) == pytest.approx(pt_symplectic_min(cov), abs=1e-8)
+    assert log_negativity(cov) == pytest.approx(1.322e-7, rel=1e-3)
+
+
+def test_nu_minus_of_nearly_separable_state():
+    # nu_+ = 1.5e8 and nu_- ~ 1/2: the difference formula gave nu_- = 0
+    base = ModelParams(delta_c=-0.041774, kappa=5084.99, u=4.36802, y=0.0)
+    cov = quad_covariance(steady_state_moments(at_ratio(base, 0.05)))
+    assert pt_nu_minus(cov) == pytest.approx(0.4999999986, abs=1e-9)
+    assert pt_nu_minus(cov) == pytest.approx(pt_symplectic_min(cov), abs=1e-8)
+    assert log_negativity(cov) >= 0.0

@@ -1,5 +1,6 @@
 """Mean-field solutions: thresholds, closed forms, residuals, phase labels."""
 
+import decimal
 import math
 
 import numpy as np
@@ -120,3 +121,31 @@ def test_mean_field_dataclass_properties():
                    phase=Phase.SUPERRADIANT)
     assert mf.photon_density == pytest.approx(0.25, abs=1e-15)
     assert mf.order_parameter == pytest.approx(0.04, abs=1e-15)
+
+
+def test_residual_tolerance_scales_with_terms():
+    # terms of 3.8e4: rounding leaves an absolute residual of 7.3e-12, which
+    # the absolute 1e-12 tolerance rejected
+    p = ModelParams(delta_c=-0.0006143435497894374, kappa=6238.16903214622,
+                    u=1.6669718762316776, y=339770.1762731312)
+    mf = solve_mean_field(p)
+    assert mf.phase is Phase.SUPERRADIANT
+    r_alpha, r_beta = mean_field_residuals(p, mf.alpha0, mf.beta0)
+    terms = abs((1j * (p.delta_c - p.u * mf.beta0 ** 2) - p.kappa) * mf.alpha0)
+    assert abs(r_alpha) <= 1e-15 * terms
+    assert abs(r_beta) <= 1e-12
+
+
+def test_order_parameter_without_cancellation():
+    # ratio = u/delta_c (y^2 - y_c^2)/(y^2 + u) ~ 1e-4: delta_c/u (1 - sqrt(1 -
+    # ratio)) lost four digits and failed the residual check
+    p = ModelParams(delta_c=-3.12157, kappa=1.45292, u=1.973e-4, y=3.62067)
+    mf = solve_mean_field(p)
+    r_alpha, r_beta = mean_field_residuals(p, mf.alpha0, mf.beta0)
+    assert abs(r_alpha) < 1e-15 and abs(r_beta) < 1e-15
+    with decimal.localcontext(decimal.Context(prec=50)):
+        dc, u, y = (decimal.Decimal(v) for v in (p.delta_c, p.u, p.y))
+        y_c = decimal.Decimal(critical_pump(p))
+        ratio = u / dc * (y ** 2 - y_c ** 2) / (y ** 2 + u)
+        exact = float(dc / u * (1 - (1 - ratio).sqrt()))
+    assert mf.beta0 ** 2 == pytest.approx(exact, rel=1e-14)
