@@ -21,8 +21,8 @@ from .fluctuations import (NoiseSpec, QuasiNormalSystem, SecondMoments,
                            build_stability_matrix, decompose,
                            mode_correlations, observables, spectrum_scan,
                            steady_state_moments, system_moments)
-from .groundstate import (BogoliubovModes, GroundPoint, bogoliubov_modes,
-                          ground_state_curve, ground_state_moments)
+from .groundstate import (BogoliubovModes, bogoliubov_modes,
+                          ground_state_moments)
 from .model import (MeanField, ModelParams, Phase, critical_pump,
                     mean_field_curve, mean_field_residuals, solve_mean_field)
 from .oracle import FockGroundState, fock_ground_state, lyapunov_moments
@@ -32,17 +32,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BogoliubovModes", "CutoffTooSmall", "DEFAULT_WINDOW", "DefectiveMatrix",
     "DegenerateBranch", "DivergentSteadyState", "DynamicalInstability",
-    "ExponentFit", "FockGroundState", "GroundPoint", "InvalidCurve",
-    "MeanField", "ModelParams", "NoThreshold", "NoiseSpec", "NumericalFailure",
+    "ExponentFit", "FockGroundState", "InvalidCurve", "MeanField",
+    "ModelParams", "NoThreshold", "NoiseSpec", "NumericalFailure",
     "OpenDickeError", "Phase", "QuadCovariance", "QuasiNormalSystem",
     "ScanKind", "SecondMoments", "Side", "SpectrumScan", "StabilityMatrix",
     "Table", "UnstableState", "bogoliubov_modes", "build_stability_matrix",
     "critical_exponent", "critical_pump", "decompose", "depletion_curve",
     "exponent_fit", "exponent_grid", "figure_scan", "fock_ground_state",
-    "ground_state_curve", "ground_state_moments", "log_negativity",
-    "lyapunov_moments", "mean_field_curve", "mean_field_residuals",
-    "mode_correlations", "observables", "pt_nu_minus", "pt_symplectic_min",
-    "quad_covariance", "solve_mean_field", "spectrum_scan",
-    "steady_state_moments", "symplectic_eigenvalues", "system_moments",
-    "two_mode_squeezed_covariance",
+    "ground_state_moments", "log_negativity", "lyapunov_moments",
+    "mean_field_curve", "mean_field_residuals", "mode_correlations",
+    "observables", "pt_nu_minus", "pt_symplectic_min", "quad_covariance",
+    "solve_mean_field", "spectrum_scan", "steady_state_moments",
+    "symplectic_eigenvalues", "system_moments", "two_mode_squeezed_covariance",
 ]

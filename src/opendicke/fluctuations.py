@@ -52,6 +52,7 @@ DEFECT_OVERLAP_LIMIT = 1.0 - 1e-6
 BIORTHO_TOL = 1e-10
 PAIRING_TOL = 1e-8
 STABILITY_TOL = 1e-12
+HERMITICITY_TOL = 1e-12
 DIVERGENT_TOL = 1e-12
 REAL_AXIS_TOL = 1e-8
 
@@ -184,6 +185,22 @@ def build_stability_matrix(params: ModelParams,
 def conjugation_defect(m: np.ndarray) -> float:
     """Max-norm violation of M = T conj(M) T (zero for a valid matrix)."""
     return float(np.max(np.abs(m - T_CONJ @ np.conj(m) @ T_CONJ)))
+
+
+def hermiticity_errors(h: np.ndarray):
+    """(max-norm violation of h = h^dag, failing mask) of every closed-system
+    coefficient matrix h = i eta M in a stack.
+
+    A matrix fails when its defect exceeds HERMITICITY_TOL * max(1, max|h|);
+    ``hermiticity_failure`` words the error.
+    """
+    defect = np.abs(h - np.conj(np.swapaxes(h, -1, -2))).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    return defect, defect > HERMITICITY_TOL * scale
+
+
+def hermiticity_failure(defect: float) -> NumericalFailure:
+    return NumericalFailure(f"coefficient matrix not Hermitian (defect {defect:.3e})")
 
 
 def _scale(lam: np.ndarray) -> np.ndarray:

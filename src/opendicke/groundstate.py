@@ -9,9 +9,10 @@ joint vacuum, and its second moments are
 
     <R_i R_j> = sum_k N_k V[i, k] V[j, pair(k)]
 
-summed over the annihilation-side modes k (Im lambda_k < 0), where N_k is
-the commutator norm of the mode pair.  Like the open-system chain, the
-ground state is computed for a stack of matrices at once
+summed over the annihilation-side modes k (Im lambda_k < 0), where
+N_k = [c_k, c_pair(k)] is the commutator of the mode pair; each term is
+independent of the phases of the two eigenvectors.  Like the open-system
+chain, the ground state is computed for a stack of matrices at once
 (:func:`ground_state_batch`); the scalar functions are batches of one.
 """
 
@@ -22,16 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ETA, J_COMM, T_CONJ
+from .basis import CONJ_PERM, ETA, J_COMM, T_CONJ
 from .errors import DynamicalInstability, NumericalFailure
 from .fluctuations import (PAIRING_TOL, SecondMoments, blank_failed,
                            commutator_errors, commutator_failure,
-                           conjugate_partners, hermitize_moments,
-                           observables_batch, sort_modes, stability_batch)
-from .model import (MeanField, MeanFieldBatch, ModelParams, critical_pump,
-                    mean_field_batch, point_batch)
+                           conjugate_partners, hermiticity_errors,
+                           hermiticity_failure, hermitize_moments, sort_modes,
+                           stability_batch)
+from .model import MeanField, MeanFieldBatch, ModelParams, point_batch
 
-HERMITICITY_TOL = 1e-12
 FREQUENCY_TOL = 1e-10
 
 
@@ -53,8 +53,10 @@ def _eigenmodes(params: ModelParams, mf: MeanFieldBatch):
     """Eigen-decomposition of M(kappa = 0) for every row, with its checks.
 
     Returns eigenvalues sorted by imaginary part, right eigenvectors
-    (columns), left eigenvectors (rows), the conjugate partner of each mode
-    and the commutator norms of the two annihilation-side modes 0 and 1.
+    (columns), left eigenvectors (rows), the right eigenvectors of the
+    conjugate partners of the two annihilation-side modes 0 and 1 (columns),
+    the commutators [c_k, c_kbar] of those two modes with their partners, and
+    their symplectic norms [c_k, c_k^dag].
     Rows fail, in this order, on the Hermiticity of i eta M, a non-oscillatory
     spectrum, a zero frequency, an unpaired eigenvalue, a pair count other
     than two and a non-positive symplectic norm.
@@ -63,12 +65,8 @@ def _eigenmodes(params: ModelParams, mf: MeanFieldBatch):
         raise ValueError("ground state is defined for kappa = 0 only")
     errors = mf.errors
     m = stability_batch(params, mf)
-    h = 1j * ETA @ m
-    defect = np.abs(h - h.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    errors.fail(defect > HERMITICITY_TOL * np.maximum(1.0, np.abs(h).max(axis=(1, 2))),
-                lambda i: NumericalFailure(
-                    f"coefficient matrix not Hermitian (defect {defect[i]:.3e}); "
-                    "is kappa nonzero?"))
+    defect, bad = hermiticity_errors(1j * ETA @ m)
+    errors.fail(bad, lambda i: hermiticity_failure(defect[i]))
 
     lam, vecs = np.linalg.eig(m)
     scale = np.maximum(1.0, np.abs(lam).max(axis=1))
@@ -92,30 +90,36 @@ def _eigenmodes(params: ModelParams, mf: MeanFieldBatch):
     errors.fail(count != 2, lambda i: DynamicalInstability(
         f"expected two oscillatory mode pairs, found {int(count[i])}"))
 
-    # With two pairs the annihilation-side modes are 0 and 1.
+    # With two pairs the annihilation-side modes are 0 and 1.  LAPACK fixes
+    # the phase of each eigenvector on its own, so [c_k, c_kbar] carries the
+    # inverse of the phases of v_k and v_kbar, and v_k^T T v_kbar the phases
+    # themselves; their product is the symplectic norm [c_k, c_k^dag] for any
+    # phases (the two factors are that norm and 1 when v_kbar = T conj(v_k)).
     comms = lefts @ J_COMM @ lefts.transpose(0, 2, 1)
     norms = np.take_along_axis(comms[:, :2], partner[:, :2, None], 2)[..., 0]
-    bad = ((np.abs(norms.imag) > np.maximum(1e-10, 1e-8 * np.abs(norms)))
-           | (norms.real <= 0.0))
+    pairs = np.take_along_axis(vecs, partner[:, None, :2], 2)
+    symplectic = norms * (vecs[:, :, :2] * pairs[:, CONJ_PERM]).sum(axis=1)
+    bad = ((np.abs(symplectic.imag)
+            > np.maximum(1e-10, 1e-8 * np.abs(symplectic)))
+           | (symplectic.real <= 0.0))
 
     def non_positive(i: int) -> DynamicalInstability:
         k = int(np.argmax(bad[i]))
         return DynamicalInstability(
             f"mode pair ({k}, {int(partner[i, k])}) has non-positive symplectic "
-            f"norm {norms[i, k]!r}; Hamiltonian not positive definite")
+            f"norm {symplectic[i, k]!r}; Hamiltonian not positive definite")
 
     errors.fail(bad.any(axis=1), non_positive)
-    return lam, vecs, lefts, partner, norms.real
+    return lam, vecs, lefts, pairs, norms, symplectic.real
 
 
 def ground_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     """Hermitized Bogoliubov-vacuum moments of every row of a mean-field
     batch; failures go to ``mf.errors``, then the commutator check."""
-    _, vecs, _, partner, norms = _eigenmodes(params, mf)
+    _, vecs, _, pairs, norms, _ = _eigenmodes(params, mf)
     s = np.zeros(vecs.shape, dtype=complex)
     for k in (0, 1):
-        kbar = np.take_along_axis(vecs, partner[:, k, None, None], 2)[:, :, 0]
-        s += norms[:, k, None, None] * (vecs[:, :, k, None] * kbar[:, None, :])
+        s += norms[:, k, None, None] * (vecs[:, :, k, None] * pairs[:, None, :, k])
     comms, tol, bad = commutator_errors(s, np.abs(s).max(axis=(1, 2)))
     mf.errors.fail(bad.any(axis=1),
                    lambda i: commutator_failure(comms, tol, bad, i))
@@ -126,7 +130,7 @@ def bogoliubov_modes(params: ModelParams,
                      mf: MeanField | None = None) -> BogoliubovModes:
     """Symplectically normalized normal modes of the closed system."""
     batch = point_batch(params, mf)
-    lam, _, lefts, partner, norms = _eigenmodes(params, batch)
+    lam, _, lefts, _, _, norms = _eigenmodes(params, batch)
     batch.errors.raise_first()
     lam, lefts, norms = lam[0], lefts[0], norms[0]
 
@@ -157,26 +161,3 @@ def ground_state_moments(params: ModelParams,
     s = ground_state_batch(params, batch)
     batch.errors.raise_first()
     return SecondMoments(s=s[0])
-
-
-@dataclass(frozen=True)
-class GroundPoint:
-    y: float
-    y_over_yc: float
-    delta_n: float
-    n_photon: float
-    moments: SecondMoments
-
-
-def ground_state_curve(params: ModelParams, y_grid) -> list[GroundPoint]:
-    """Ground-state observables along a pump grid (kappa = 0); raises the
-    error of the first row that fails."""
-    y_c = critical_pump(params)
-    batch = mean_field_batch(params, y_grid)
-    s = ground_state_batch(params, batch)
-    delta_n, n_photon = observables_batch(s, batch.errors)
-    batch.errors.raise_first()
-    return [GroundPoint(y=y, y_over_yc=y / y_c, delta_n=dn, n_photon=nph,
-                        moments=SecondMoments(s=s[i]))
-            for i, (y, dn, nph) in enumerate(zip(batch.y.tolist(), delta_n.tolist(),
-                                                 n_photon.tolist()))]

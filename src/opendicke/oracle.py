@@ -1,13 +1,16 @@
 """Independent brute-force verifiers for the analytic routes.
 
-Two oracles, deliberately sharing no code with the formulas they check:
+Two oracles, deliberately sharing no formula with the routes they check;
+they take the same stability matrix as input, with the same input checks:
 
 * ``lyapunov_moments`` solves M S + S M^T + D = 0 as a dense 16-unknown
   linear system; for a stable M this is the unique steady state of the
   linear Langevin dynamics and must equal the eigenmode-formula result.
 * ``fock_ground_state`` diagonalizes the quadratic fluctuation Hamiltonian
   on a truncated two-mode Fock space and must reproduce the Bogoliubov
-  ground-state occupations once the cutoff has converged.
+  ground-state occupations once the cutoff has converged.  It works on the
+  even sector of the parity (-1)^(n_a + n_b) in the photon gauge a -> i a,
+  where H is a real symmetric sparse matrix, by symmetric Lanczos.
 """
 
 from __future__ import annotations
@@ -21,15 +24,16 @@ import scipy.sparse.linalg as spla
 from .basis import ETA
 from .errors import (CutoffTooSmall, DivergentSteadyState, NumericalFailure,
                      UnstableState)
-from .fluctuations import NoiseSpec, SecondMoments, StabilityMatrix, \
-    build_stability_matrix, hermitize_moments
+from .fluctuations import (NoiseSpec, SecondMoments, StabilityMatrix,
+                           build_stability_matrix, hermiticity_errors,
+                           hermiticity_failure, hermitize_moments)
 from .model import MeanField, ModelParams
 
 STABILITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 
 # Position of the adjoint of each slot of R = (da, da+, db, db+).
-_DAG = (1, 0, 3, 2)
+_DAG = np.array([1, 0, 3, 2])
 
 
 def lyapunov_moments(stability: StabilityMatrix,
@@ -84,42 +88,65 @@ class FockGroundState:
     cutoffs: tuple[int, int]
 
 
-def _ladder(cutoff: int) -> sp.csr_matrix:
-    n = cutoff + 1
-    return sp.diags(np.sqrt(np.arange(1, n)), 1, format="csr")
+# Photon gauge a -> i a: R = _GAUGE * R', with R' the ladder vector of the
+# rotated photon.  It leaves n_a and n_b unchanged, and the closed-system
+# coefficient matrix is real in it (the mean-field alpha0 is imaginary).
+_GAUGE = np.array([1j, -1j, 1.0, 1.0])
+# Mode (0 photon, 1 atom) and occupation step of each slot of R.
+_MODE = np.array([0, 0, 1, 1])
+_STEP = np.array([-1, 1, -1, 1])
+
+
+def _sector_hamiltonian(h: np.ndarray, cutoffs: tuple[int, int]):
+    """H = 1/2 sum_ij h[i,j] R_i^dag R_j for real h on the states with
+    n_a + n_b even inside the cutoffs, and their occupations (n_a, n_b).
+
+    Each term applies R_j, then R_i^dag, to every sector state by index
+    arithmetic; a step out of the box has amplitude zero, exactly as in the
+    product of two truncated ladder matrices.
+    """
+    box = np.indices((cutoffs[0] + 1, cutoffs[1] + 1), dtype=np.int32)
+    even = (box[0] + box[1]) % 2 == 0
+    occ = box[:, even]
+    dim = occ.shape[1]
+    index = np.arange(dim, dtype=np.int32)
+    position = np.full(even.shape, -1, dtype=np.int32)
+    position[even] = index
+    rows, cols, values = [], [], []
+    for i, j in zip(*np.nonzero(h)):
+        n = occ.copy()
+        amp = np.ones(dim)
+        for slot in (j, _DAG[i]):
+            mode = _MODE[slot]
+            after = n[mode] + _STEP[slot]
+            amp *= np.sqrt(np.maximum(n[mode], after).clip(min=0))
+            amp *= (after >= 0) & (after <= cutoffs[mode])
+            n[mode] = after
+        keep = amp != 0.0
+        rows.append(position[n[0, keep], n[1, keep]])
+        cols.append(index[keep])
+        values.append(0.5 * h[i, j] * amp[keep])
+    # Rebinding drops the per-term pieces before the sparse construction,
+    # which with int32 indices keeps the call's peak memory near ARPACK's.
+    rows, cols, values = map(np.concatenate, (rows, cols, values))
+    return sp.csr_matrix((values, (rows, cols)), shape=(dim, dim)), occ
 
 
 def _fock_occupations(h: np.ndarray, cutoffs: tuple[int, int]):
-    """Ground-state (delta_n, n_photon, energy) at the given cutoffs."""
-    na, nb = cutoffs
-    a1 = _ladder(na)
-    b1 = _ladder(nb)
-    ia = sp.identity(na + 1, format="csr")
-    ib = sp.identity(nb + 1, format="csr")
-    a = sp.kron(a1, ib, format="csr")
-    b = sp.kron(ia, b1, format="csr")
-    ops = (a, a.conj().T, b, b.conj().T)
-
-    dim = (na + 1) * (nb + 1)
-    ham = sp.csr_matrix((dim, dim), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            if h[i, j] != 0.0:
-                ham = ham + 0.5 * h[i, j] * (ops[_DAG[i]] @ ops[j])
-    herm_defect = abs(ham - ham.conj().T).max()
+    """Ground-state (delta_n, n_photon, energy) at the given cutoffs, for a
+    real coefficient matrix h in the photon gauge."""
+    ham, occ = _sector_hamiltonian(h, cutoffs)
+    herm_defect = abs(ham - ham.T).max()
     if herm_defect > 1e-12 * max(1.0, abs(ham).max()):
         raise NumericalFailure(
             f"truncated Hamiltonian not Hermitian (defect {herm_defect:.3e})")
 
     # Deterministic start vector; eigsh would otherwise seed randomly.
+    dim = ham.shape[0]
     v0 = np.ones(dim) / np.sqrt(dim)
     energy, vec = spla.eigsh(ham, k=1, which="SA", v0=v0)
-    psi = vec[:, 0]
-    number_a = (a.conj().T @ a) @ psi
-    number_b = (b.conj().T @ b) @ psi
-    return (float(np.real(np.vdot(psi, number_b))),
-            float(np.real(np.vdot(psi, number_a))),
-            float(energy[0]))
+    weight = vec[:, 0] ** 2
+    return float(weight @ occ[1]), float(weight @ occ[0]), float(energy[0])
 
 
 def fock_ground_state(params: ModelParams, mf: MeanField | None = None,
@@ -127,26 +154,35 @@ def fock_ground_state(params: ModelParams, mf: MeanField | None = None,
     """Ground-state occupations on a truncated two-mode Fock space.
 
     The Hamiltonian is H = 1/2 sum_ij h[i,j] R_i^dag R_j with h = i eta M,
-    truncated at photon/atom occupations ``cutoffs``.  The run is repeated
-    at doubled cutoffs; the relative change of both occupations must stay
-    below 1e-3, otherwise CutoffTooSmall is raised.  The doubled-cutoff
-    values are returned.
+    truncated at photon/atom occupations ``cutoffs``.  A quadratic H conserves
+    the parity (-1)^(n_a + n_b), and its Gaussian ground state is even, so H
+    is diagonalized on the even sector only.  In the photon gauge a -> i a,
+    which leaves both occupations unchanged, h is real and H a real symmetric
+    matrix; its lowest eigenpair comes from ARPACK's symmetric Lanczos driver.
+    A coefficient matrix that is not real in that gauge raises
+    NumericalFailure.  The run is repeated at doubled cutoffs; the relative
+    change of both occupations must stay below 1e-3, otherwise CutoffTooSmall
+    is raised.  The doubled-cutoff values are returned.
     """
     if params.kappa != 0.0:
         raise ValueError("Fock oracle applies to the closed system (kappa = 0)")
     if min(cutoffs) < 20:
         raise ValueError(f"cutoffs {cutoffs!r} too small; need >= 20")
 
-    m = build_stability_matrix(params, mf).m
-    h = 1j * ETA @ m
-    defect = float(np.max(np.abs(h - h.conj().T)))
-    if defect > 1e-12 * max(1.0, float(np.max(np.abs(h)))):
+    h = 1j * ETA @ build_stability_matrix(params, mf).m
+    defect, bad = hermiticity_errors(h)
+    if bad:
+        raise hermiticity_failure(defect)
+    h = np.conj(_GAUGE)[:, None] * h * _GAUGE
+    imaginary = float(np.max(np.abs(h.imag)))
+    if imaginary > 1e-12 * float(np.max(np.abs(h))):
         raise NumericalFailure(
-            f"coefficient matrix not Hermitian (defect {defect:.3e})")
+            f"coefficient matrix not real in the photon gauge a -> i a "
+            f"(imaginary part {imaginary:.3e})")
 
-    coarse = _fock_occupations(h, cutoffs)
+    coarse = _fock_occupations(h.real, cutoffs)
     doubled = (2 * cutoffs[0], 2 * cutoffs[1])
-    fine = _fock_occupations(h, doubled)
+    fine = _fock_occupations(h.real, doubled)
     convergence = max(
         abs(fine[0] - coarse[0]) / max(abs(fine[0]), 1e-9),
         abs(fine[1] - coarse[1]) / max(abs(fine[1]), 1e-9))

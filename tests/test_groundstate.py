@@ -7,11 +7,13 @@ from conftest import at_ratio
 from opendicke.basis import ETA
 from opendicke.entanglement import quad_covariance
 from opendicke.errors import DynamicalInstability
-from opendicke.fluctuations import observables, steady_state_moments
-from opendicke.groundstate import (bogoliubov_modes, ground_state_curve,
-                                   ground_state_moments)
+from opendicke.fluctuations import (build_stability_matrix, observables,
+                                    steady_state_moments)
+from opendicke.analysis import ScanKind, figure_scan
+from opendicke.groundstate import bogoliubov_modes, ground_state_moments
 from opendicke.model import (MeanField, ModelParams, Phase, critical_pump,
                              solve_mean_field)
+from opendicke.oracle import fock_ground_state
 
 # Normal-mode frequencies at delta_c=-2, u=0, y = 0.5*y_c (frozen).
 FREQS_HALF = (0.834999618124467, 2.0743132930519415)
@@ -105,12 +107,34 @@ def test_commutators_preserved(closed_params):
 def test_ground_state_curve(closed_params):
     y_c = critical_pump(closed_params)
     grid = np.linspace(0.0, 0.9 * y_c, 7)
-    points = ground_state_curve(closed_params, grid)
-    assert len(points) == 7
-    assert points[0].delta_n == pytest.approx(0.0, abs=1e-12)
-    assert points[0].n_photon == pytest.approx(0.0, abs=1e-12)
-    values = [pt.delta_n for pt in points]
+    table = figure_scan(ScanKind.MEAN_AND_FLUCT, closed_params, grid)
+    assert len(table.rows) == 7
+    rows = [dict(zip(table.columns, row)) for row in table.rows]
+    assert all(row["status"] == "ok" for row in rows)
+    assert rows[0]["delta_N"] == pytest.approx(0.0, abs=1e-12)
+    assert rows[0]["n_photon"] == pytest.approx(0.0, abs=1e-12)
+    values = [row["delta_N"] for row in rows]
     assert values == sorted(values)
+
+
+def test_photon_atom_resonance_with_backreaction():
+    # At u = 0.5, y = 1.5 y_c the shifted photon frequency equals the atom
+    # frequency, the photon and atom components of the eigenvectors tie in
+    # modulus, and LAPACK fixes the phases of partner eigenvectors on
+    # different components.  H is positive definite there.
+    p = ModelParams(delta_c=-2.0, kappa=0.0, u=0.5, y=0.0)
+    p = p.with_pump(1.5 * critical_pump(p))
+    m = build_stability_matrix(p).m
+    assert np.all(np.linalg.eigvalsh(1j * ETA @ m) > 1.0)
+    delta_n, n_photon = observables(ground_state_moments(p))
+    fock = fock_ground_state(p, cutoffs=(40, 40))
+    assert delta_n == pytest.approx(fock.delta_n, rel=1e-6)
+    assert n_photon == pytest.approx(fock.n_photon, rel=1e-6)
+    modes = bogoliubov_modes(p)
+    s = modes.transform
+    assert np.max(np.abs(s @ ETA @ s.conj().T - ETA)) <= 1e-10
+    table = figure_scan(ScanKind.MEAN_AND_FLUCT, p, [p.y])
+    assert table.rows[0][-1] == "ok"
 
 
 def test_occupations_real_exactly(closed_params):

@@ -1,15 +1,21 @@
 """Independent numerical references: Lyapunov solver and truncated-Fock ground state."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import at_ratio
-from opendicke.errors import DivergentSteadyState, UnstableState
+from opendicke import oracle
+from opendicke.basis import ETA
+from opendicke.errors import (DivergentSteadyState, NumericalFailure,
+                              UnstableState)
 from opendicke.fluctuations import (NoiseSpec, build_stability_matrix,
                                     observables)
 from opendicke.groundstate import ground_state_moments
 from opendicke.model import MeanField, ModelParams, Phase, solve_mean_field
-from opendicke.oracle import fock_ground_state, lyapunov_moments
+from opendicke.oracle import (_fock_occupations, fock_ground_state,
+                              lyapunov_moments)
 
 
 def _stability(params):
@@ -112,3 +118,50 @@ def test_fock_deterministic(closed_params):
     assert a.delta_n == b.delta_n
     assert a.n_photon == b.n_photon
     assert a.energy == b.energy
+
+
+def _full_space_ground_state(h, cutoffs):
+    """Lowest eigenpair of the complex H = 1/2 sum_ij h[i,j] R_i^dag R_j on
+    the whole truncated two-mode space, built from Kronecker products of
+    truncated ladder matrices and diagonalized densely."""
+    ladders = [np.diag(np.sqrt(np.arange(1, n + 1)), 1) for n in cutoffs]
+    a = np.kron(ladders[0], np.eye(cutoffs[1] + 1))
+    b = np.kron(np.eye(cutoffs[0] + 1), ladders[1])
+    ops = (a, a.T, b, b.T)
+    adjoint = (1, 0, 3, 2)
+    ham = sum(0.5 * h[i, j] * (ops[adjoint[i]] @ ops[j])
+              for i in range(4) for j in range(4))
+    energies, vecs = np.linalg.eigh(ham)
+    psi = vecs[:, 0]
+    return (float(np.real(np.vdot(psi, b.T @ b @ psi))),
+            float(np.real(np.vdot(psi, a.T @ a @ psi))), float(energies[0]))
+
+
+@pytest.mark.parametrize("u, ratio", [(0.0, 0.5), (0.0, 1.5), (0.5, 0.6)])
+def test_even_sector_in_photon_gauge_matches_full_space(u, ratio):
+    p = at_ratio(ModelParams(delta_c=-2.0, kappa=0.0, u=u, y=0.0), ratio)
+    h = 1j * ETA @ _stability(p).m
+    gauge = np.array([1j, -1j, 1.0, 1.0])
+    rotated = np.conj(gauge)[:, None] * h * gauge
+    assert np.max(np.abs(rotated.imag)) == 0.0
+    got = _fock_occupations(rotated.real, (20, 20))
+    want = _full_space_ground_state(h, (20, 20))
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_fock_rejects_coefficients_not_real_in_photon_gauge(monkeypatch,
+                                                            closed_params):
+    # Hermitian, positive definite, but with a photon-atom coupling of phase
+    # e^{i pi/4} that no rotation of the photon alone makes real together
+    # with the a^dag b^dag coupling.
+    g = 0.3 * np.exp(1j * np.pi / 4)
+    h = np.array([[2.0, 0.0, g, 0.2],
+                  [0.0, 2.0, 0.2, np.conj(g)],
+                  [np.conj(g), 0.2, 1.0, 0.0],
+                  [0.2, g, 0.0, 1.0]])
+    np.testing.assert_array_equal(h, h.conj().T)
+    m = -1j * ETA @ h
+    monkeypatch.setattr(oracle, "build_stability_matrix",
+                        lambda params, mf=None: SimpleNamespace(m=m))
+    with pytest.raises(NumericalFailure, match="not real in the photon gauge"):
+        fock_ground_state(at_ratio(closed_params, 0.5), cutoffs=(20, 20))
