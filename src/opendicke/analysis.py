@@ -261,8 +261,8 @@ def _excitation_table(params: ModelParams, y_grid) -> Table:
 
 def _entanglement_rows(params: ModelParams, y, y_c: float) -> list[tuple]:
     mf, _, s = _moments(params, y)
-    c, nu_min = covariance_batch(s, mf.errors)
-    e_n = log_negativity_batch(c, mf.errors)
+    _, invariants, nu_min = covariance_batch(s, mf.errors)
+    e_n = log_negativity_batch(invariants, mf.errors)
     ok = mf.errors.alive
     return list(zip(y.tolist(), (y / y_c).tolist(),
                     np.where(ok, e_n, math.nan).tolist(),

@@ -273,6 +273,9 @@ def _verify_checks(args) -> list[tuple[str, bool, str]]:
     record("pt_cross_check",
            abs(entanglement.pt_nu_minus(cov) - entanglement.pt_symplectic_min(cov)),
            1e-10)
+    record("nu_min_cross_check",
+           abs(cov.nu_min - float(np.min(entanglement.symplectic_eigenvalues(cov.c)))),
+           1e-10)
 
     tmsv = entanglement.two_mode_squeezed_covariance(0.7)
     record("tmsv_closed_form",

@@ -45,6 +45,9 @@ from .model import (MeanField, MeanFieldBatch, ModelParams, abs_squared,
 # backward-stable eigensolver still returns four eigenvalues, but they are
 # only accurate to about sqrt(eps)*||M|| ~ 6e-8 and the eigenvector matrix
 # condition number saturates near 1e8, so tighter thresholds can never fire.
+# The steady-state route screens cond(V) with the bound 16 / |det V| of
+# unit-column V (see ``_ill_conditioned``), so only rows with
+# |det V| < 32 / DEFECT_COND_LIMIT pay for an SVD.
 DEFECT_COND_LIMIT = 1e7
 DEFECT_GAP_LIMIT = 1e-7
 DEFECT_OVERLAP_LIMIT = 1.0 - 1e-6
@@ -103,8 +106,12 @@ class QuasiNormalSystem:
     rights: np.ndarray
     lefts: np.ndarray
     pairing: np.ndarray
-    cond: float
     matrix: StabilityMatrix
+
+    @property
+    def cond(self) -> float:
+        """Condition number of ``rights`` (an SVD, taken when read)."""
+        return float(np.linalg.cond(self.rights))
 
 
 @dataclass(frozen=True)
@@ -208,19 +215,38 @@ def _scale(lam: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.abs(lam).max(axis=-1))
 
 
-def _defects(lam, vecs, cond, scale):
+def _ill_conditioned(vecs: np.ndarray) -> np.ndarray:
+    """cond(V) > DEFECT_COND_LIMIT for every row of a stack of unit-column
+    eigenvector matrices, with an SVD only where the bound cannot decide.
+
+    With unit columns sigma_max <= ||V||_F = 2, so |det V| = prod sigma_i
+    <= 8 sigma_min and cond(V) <= 16 / |det V|.  A row with
+    |det V| >= 32 / DEFECT_COND_LIMIT (the factor 2 absorbs the rounding of
+    det) therefore has cond(V) <= DEFECT_COND_LIMIT / 2, and only the other
+    rows get ``np.linalg.cond``.
+    """
+    bad = np.zeros(vecs.shape[0], dtype=bool)
+    suspect = np.abs(np.linalg.det(vecs)) < 32.0 / DEFECT_COND_LIMIT
+    if np.count_nonzero(suspect):
+        bad[suspect] = np.linalg.cond(vecs[suspect]) > DEFECT_COND_LIMIT
+    return bad
+
+
+def _defects(lam, vecs, ill_conditioned, scale):
     """Defect test of every row: (defective, |lambda_i - lambda_j|).
 
-    A row is defective when cond(V) exceeds DEFECT_COND_LIMIT, or when two
-    eigenvalues closer than DEFECT_GAP_LIMIT * scale have unit right
-    eigenvectors whose overlap |<v_i, v_j>| exceeds DEFECT_OVERLAP_LIMIT.
+    A row is defective when it is ``ill_conditioned`` (cond(V) above
+    DEFECT_COND_LIMIT), or when two eigenvalues closer than
+    DEFECT_GAP_LIMIT * scale have unit right eigenvectors whose overlap
+    |<v_i, v_j>| exceeds DEFECT_OVERLAP_LIMIT.
     """
     gaps = np.abs(lam[:, :, None] - lam[:, None, :])
-    defective = cond > DEFECT_COND_LIMIT
+    defective = ill_conditioned
     close = (gaps < DEFECT_GAP_LIMIT * scale[:, None, None]) & _PAIRS
     if np.count_nonzero(close):
         overlaps = np.abs(vecs.conj().transpose(0, 2, 1) @ vecs)
-        defective |= (close & (overlaps > DEFECT_OVERLAP_LIMIT)).any(axis=(1, 2))
+        near = (close & (overlaps > DEFECT_OVERLAP_LIMIT)).any(axis=(1, 2))
+        defective = defective | near
     return defective, gaps
 
 
@@ -250,30 +276,34 @@ def sort_modes(lam: np.ndarray, vecs: np.ndarray, order: np.ndarray):
 
 def _decompose_batch(m: np.ndarray, errors: RowErrors):
     """Biorthogonal decomposition of a stack:
-    (lam, rights, lefts, pairing, cond, scale).
+    (lam, rights, lefts, pairing, scale).
 
     Eigenvalues are sorted by (real part, imaginary part).  Rows fail, in
     this order, as defective (DefectiveMatrix), on the biorthonormality
     residual (DefectiveMatrix) and on the conjugate pairing
     (NumericalFailure).  ``scale`` is max(1, max |lambda|) of every row.
+    The eigen-solve is the only dense decomposition of a passing row:
+    cond(V) is screened by ``_ill_conditioned``, and the SVD value that a
+    DefectiveMatrix reports is computed for its row only.
     """
     lam, vecs = np.linalg.eig(m)
     # numpy orders complex numbers by (real part, imaginary part).
     lam, vecs = sort_modes(lam, vecs, np.argsort(lam, axis=-1, kind="stable"))
-    cond = np.linalg.cond(vecs)
     scale = _scale(lam)
-    defective, gaps = _defects(lam, vecs, cond, scale)
+    defective, gaps = _defects(lam, vecs, _ill_conditioned(vecs), scale)
 
     def defect(i: int, message: str) -> DefectiveMatrix:
-        # Reported: the closest pair, if it is closer than the gap limit.
+        # Reported: cond(V), and the closest pair if it is closer than the
+        # gap limit.
+        cond = float(np.linalg.cond(vecs[i]))
         gap, overlap = _closest_pair(gaps[i], vecs[i])
         if not gap < DEFECT_GAP_LIMIT * scale[i]:
             gap, overlap = math.inf, 0.0
-        return DefectiveMatrix(message.format(gap=gap, overlap=overlap),
-                               cond=float(cond[i]), gap=gap, overlap=overlap)
+        return DefectiveMatrix(message.format(cond=cond, gap=gap, overlap=overlap),
+                               cond=cond, gap=gap, overlap=overlap)
 
     errors.fail(defective, lambda i: defect(
-        i, f"(near-)defective stability matrix: cond(V) = {cond[i]:.3e}, "
+        i, "(near-)defective stability matrix: cond(V) = {cond:.3e}, "
            "closest eigenvalue gap {gap:.3e} with overlap {overlap:.10f}"))
     lefts = np.linalg.inv(blank_failed(vecs, errors))
     # max |L V - 1| and max |V L - 1| of every row
@@ -296,7 +326,7 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
 
     errors.fail((resid > BIORTHO_TOL) | (unpaired | not_involution).any(axis=1),
                 failure)
-    return lam, vecs, lefts, pairing, cond, scale
+    return lam, vecs, lefts, pairing, scale
 
 
 def decompose(stability: StabilityMatrix) -> QuasiNormalSystem:
@@ -308,11 +338,10 @@ def decompose(stability: StabilityMatrix) -> QuasiNormalSystem:
     sorted by (real part, imaginary part) for reproducibility.
     """
     errors = RowErrors(1)
-    lam, vecs, lefts, pairing, cond, _ = _decompose_batch(stability.m[None], errors)
+    lam, vecs, lefts, pairing, _ = _decompose_batch(stability.m[None], errors)
     errors.raise_first()
     return QuasiNormalSystem(lambdas=lam[0], rights=vecs[0], lefts=lefts[0],
-                             pairing=pairing[0], cond=float(cond[0]),
-                             matrix=stability)
+                             pairing=pairing[0], matrix=stability)
 
 
 def _correlation_batch(lam: np.ndarray, lefts: np.ndarray, kappa: float,
@@ -451,7 +480,7 @@ def steady_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     moments are then meaningless.
     """
     m = stability_batch(params, mf)
-    lam, rights, lefts, _, _, scale = _decompose_batch(m, mf.errors)
+    lam, rights, lefts, _, scale = _decompose_batch(m, mf.errors)
     corrs = _correlation_batch(lam, lefts, params.kappa, scale, mf.errors)
     return _moment_batch(rights, corrs, mf.errors)
 
@@ -551,7 +580,8 @@ def _spectra(m: np.ndarray):
     lam, vecs = np.linalg.eig(m)
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     cond = np.linalg.cond(vecs)
-    return (lam, vecs, cond) + _defects(lam, vecs, cond, _scale(lam))
+    return (lam, vecs, cond) + _defects(lam, vecs, cond > DEFECT_COND_LIMIT,
+                                        _scale(lam))
 
 
 def _has_real_pair(params: ModelParams, y: float) -> bool:

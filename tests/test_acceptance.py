@@ -166,7 +166,7 @@ def test_08_invariant_suite_all_green(capsys):
                     "--y=0.9yc"])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "12/12 checks passed" in out
+    assert "13/13 checks passed" in out
     for name in ("biorthonormality", "completeness", "m_conjugation_symmetry",
                  "commutator_preservation", "covariance_physicality",
                  "tmsv_closed_form", "exponent_fit_synthetic_inverse",

@@ -187,3 +187,26 @@ def test_pinned_rows(name):
                 assert cell == ref, f"row {index}: {got} vs {want}"
             else:
                 assert _close(float(cell), value, 1e-12), f"row {index}: {got} vs {want}"
+
+
+def test_entanglement_scan_makes_one_eigen_solve(monkeypatch):
+    """A 256-row entanglement scan is one batch whose only dense
+    decomposition is the eigen-solve of M: cond(V) is screened by a
+    determinant bound, and nu_min comes from the symplectic invariants."""
+    calls = dict.fromkeys(("eig", "svd", "cond", "eigvals"), 0)
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    base = ModelParams(delta_c=-2.0, kappa=2.0, u=0.0, y=0.0)
+    table = figure_scan(ScanKind.ENTANGLEMENT, base,
+                        np.linspace(0.0, 2.0 * critical_pump(base), 256))
+    assert len(table.rows) == 256
+    assert calls == {"eig": 1, "svd": 0, "cond": 0, "eigvals": 0}

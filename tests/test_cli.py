@@ -118,7 +118,7 @@ def test_verify_open_system(capsys):
     code, out, _ = run_cli(["verify", "--delta-c=-2", "--kappa=2",
                             "--y=0.9yc"], capsys)
     assert code == 0
-    assert "12/12 checks passed" in out
+    assert "13/13 checks passed" in out
     assert "FAIL" not in out
     for name in ("m_conjugation_symmetry", "eigenmode_vs_lyapunov",
                  "tmsv_closed_form", "covariance_physicality"):
@@ -129,7 +129,7 @@ def test_verify_closed_system(capsys):
     code, out, _ = run_cli(["verify", "--delta-c=-2", "--kappa=0",
                             "--y=0.9yc"], capsys)
     assert code == 0
-    assert "11/11 checks passed" in out
+    assert "12/12 checks passed" in out
     assert "bogoliubov_symplectic" in out
 
 

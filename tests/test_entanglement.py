@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import at_ratio
-from opendicke.entanglement import (log_negativity, pt_nu_minus,
-                                    pt_symplectic_min, quad_covariance,
-                                    symplectic_eigenvalues,
+from opendicke.basis import OMEGA_SYMPL, QUAD_MAP
+from opendicke.entanglement import (_symplectic_min, log_negativity,
+                                    pt_nu_minus, pt_symplectic_min,
+                                    quad_covariance, symplectic_eigenvalues,
                                     two_mode_squeezed_covariance)
-from opendicke.errors import NumericalFailure
+from opendicke.errors import NumericalFailure, RowErrors
 from opendicke.fluctuations import steady_state_moments
 from opendicke.groundstate import ground_state_moments
 from opendicke.model import ModelParams, solve_mean_field
@@ -143,3 +145,64 @@ def test_nu_minus_of_nearly_separable_state():
     assert pt_nu_minus(cov) == pytest.approx(0.4999999986, abs=1e-9)
     assert pt_nu_minus(cov) == pytest.approx(pt_symplectic_min(cov), abs=1e-8)
     assert log_negativity(cov) >= 0.0
+
+
+def _nu_min(c: np.ndarray) -> np.ndarray:
+    """Invariant-route smallest symplectic eigenvalue of a stack; every row
+    must pass the invariant checks."""
+    errors = RowErrors(c.shape[0])
+    _, nu = _symplectic_min(c, errors)
+    assert errors.failed == 0
+    return nu
+
+
+def _moments_of(c: np.ndarray) -> np.ndarray:
+    """Ladder-operator moments <R_i R_j> of a quadrature covariance:
+    <u u^T> = C + i Omega / 2 with u = QUAD_MAP R."""
+    back = np.linalg.inv(QUAD_MAP)
+    return back @ (c + 0.5j * OMEGA_SYMPL) @ back.T
+
+
+def _seeded_states(spread: float, n: int = 100):
+    """(pure, mixed) covariances S S^T / 2 and S diag(nu1, nu1, nu2, nu2) S^T
+    with S = exp(Omega H) symplectic, H symmetric of entries ~ ``spread``."""
+    rng = np.random.default_rng(20040823)
+    pure, mixed = [], []
+    for _ in range(n):
+        h = spread * rng.standard_normal((4, 4))
+        s = scipy.linalg.expm(OMEGA_SYMPL @ (h + h.T))
+        pure.append(0.5 * s @ s.T)
+        mixed.append(s @ np.diag(np.repeat(rng.uniform(0.5, 3.0, 2), 2)) @ s.T)
+    return np.array(pure), np.array(mixed)
+
+
+def test_invariant_nu_min_matches_brute_force_on_physical_states():
+    # Both routes lose about eps ||C||^2 relative; at ||C|| ~ 1e3 the two
+    # forms of the discriminant differ by up to 1e-7, and each row must
+    # take the one that keeps this precision.
+    for spread in (0.3, 1.0):
+        for c in _seeded_states(spread):
+            brute = symplectic_eigenvalues(c).min(axis=1)
+            tol = 1e-10 + 1e-15 * np.abs(c).max(axis=(1, 2)) ** 2
+            assert np.all(np.abs(_nu_min(c) - brute) <= tol * brute)
+    pure, _ = _seeded_states(0.3)
+    np.testing.assert_allclose(_nu_min(pure), 0.5, rtol=1e-12)
+
+
+def test_invariant_nu_min_of_vacuum_is_exactly_half():
+    assert _nu_min(0.5 * np.eye(4)[None])[0] == 0.5
+
+
+def test_invariant_nu_min_of_two_mode_squeezed_vacuum():
+    # A pure state: both symplectic eigenvalues are 1/2 at any squeezing.
+    # Delta = 1/2 is the sum of terms of size cosh(2 r)^2 / 4, so the
+    # rounding error grows as eps cosh(2 r)^2 (2e-13 relative at r = 2).
+    c = np.array([two_mode_squeezed_covariance(r) for r in (0.3, 0.7, 1.0, 2.0)])
+    np.testing.assert_allclose(_nu_min(c), 0.5, rtol=1e-12)
+
+
+def test_unphysical_covariance_fails_physicality():
+    with pytest.raises(NumericalFailure, match="unphysical covariance"):
+        quad_covariance(_moments_of(0.4 * np.eye(4)))
+    assert quad_covariance(_moments_of(0.5 * np.eye(4))).nu_min == pytest.approx(
+        0.5, abs=1e-15)

@@ -10,14 +10,17 @@ from opendicke.basis import CONJ_PERM, T_CONJ
 from opendicke.errors import (DefectiveMatrix, DegenerateBranch,
                               DivergentSteadyState, NumericalFailure,
                               UnstableState)
-from opendicke.fluctuations import (NoiseSpec, SecondMoments,
-                                    build_stability_matrix,
+from opendicke.errors import RowErrors
+from opendicke.fluctuations import (DEFECT_COND_LIMIT, NoiseSpec,
+                                    SecondMoments, _decompose_batch,
+                                    _ill_conditioned, build_stability_matrix,
                                     conjugation_defect, decompose,
                                     hermitize_moments, mode_correlations,
-                                    observables, spectrum_scan,
-                                    steady_state_moments, system_moments)
+                                    observables, sort_modes, spectrum_scan,
+                                    stability_batch, steady_state_moments,
+                                    system_moments)
 from opendicke.model import (MeanField, ModelParams, Phase, critical_pump,
-                             solve_mean_field)
+                             mean_field_batch, solve_mean_field)
 from opendicke.oracle import lyapunov_moments
 
 # Real-axis interval endpoints for delta_c=-2, kappa=2, u=0 (bisection-refined
@@ -253,3 +256,78 @@ def test_noise_spec_matrix():
     expected = np.zeros((4, 4))
     expected[0, 1] = 3.0
     np.testing.assert_allclose(d, expected, atol=0.0)
+
+
+def _near_exceptional_stack() -> np.ndarray:
+    """Stability matrices at and next to the exceptional points of
+    ``spectrum --delta-c=-2 --kappa=2 --u=0.7``: relative pump offsets from
+    0 to +-1e-4 on both refined endpoints."""
+    p = ModelParams(delta_c=-2.0, kappa=2.0, u=0.7, y=0.0)
+    scan = spectrum_scan(p, np.linspace(0.0, 1.2 * critical_pump(p), 241))
+    ends = [e.y for iv in scan.real_intervals for e in (iv.lower, iv.upper)
+            if e.refined]
+    assert len(ends) == 2
+    offsets = np.logspace(-16.0, -4.0, 49)
+    offsets = np.concatenate((-offsets, [0.0], offsets))
+    mf = mean_field_batch(p, np.concatenate([y * (1.0 + offsets) for y in ends]))
+    assert mf.errors.failed == 0
+    return stability_batch(p, mf)
+
+
+def _sorted_eigenvectors(m: np.ndarray) -> np.ndarray:
+    """Unit right eigenvectors of a stack in the decomposition's order."""
+    lam, vecs = np.linalg.eig(m)
+    return sort_modes(lam, vecs, np.argsort(lam, axis=-1, kind="stable"))[1]
+
+
+def _screen_stacks() -> list[np.ndarray]:
+    """Seeded random eigenvector stacks, random near-Jordan matrices and the
+    exceptional-point neighborhood."""
+    rng = np.random.default_rng(20261018)
+
+    def complex_stack(n):
+        return rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+
+    random = complex_stack(400)
+    jordan = np.diag(np.ones(3), 1) + np.diag([1.0, 1.0, 1.0, 2.0])
+    basis = complex_stack(200)
+    bumps = (np.logspace(-16.0, -2.0, 200)[:, None, None]
+             * rng.standard_normal((200, 4, 4)))
+    near_jordan = basis @ (jordan + bumps) @ np.linalg.inv(basis)
+    return [_sorted_eigenvectors(m) for m in (random, near_jordan,
+                                              _near_exceptional_stack())]
+
+
+def test_cond_bounded_by_determinant():
+    for vecs in _screen_stacks():
+        cond = np.linalg.cond(vecs)
+        bound = 16.0 / np.abs(np.linalg.det(vecs))
+        assert np.all(cond <= bound * (1.0 + 1e-9))
+
+
+def test_screened_defect_mask_equals_svd_mask():
+    for vecs in _screen_stacks():
+        svd_mask = np.linalg.cond(vecs) > DEFECT_COND_LIMIT
+        np.testing.assert_array_equal(_ill_conditioned(vecs), svd_mask)
+    # The exceptional-point stack holds rows on both sides of the limit.
+    assert 0 < np.count_nonzero(svd_mask) < svd_mask.size
+
+
+def test_reported_cond_is_the_svd_value():
+    m = _near_exceptional_stack()
+    errors = RowErrors(m.shape[0])
+    _decompose_batch(m.copy(), errors)
+    cond = np.linalg.cond(_sorted_eigenvectors(m))
+    messages = set()
+    for i, err in enumerate(errors.errors):
+        if isinstance(err, DefectiveMatrix):
+            assert err.cond == pytest.approx(cond[i], rel=1e-12)
+            messages.add(str(err).split()[0])
+    # Both the cond path and the biorthonormality path report.
+    assert messages == {"(near-)defective", "biorthonormalization"}
+    for ratio in (0.3, 0.9, 1.5):
+        stability = build_stability_matrix(at_ratio(
+            ModelParams(delta_c=-2.0, kappa=2.0, u=0.7, y=0.0), ratio))
+        q = decompose(stability)
+        expected = np.linalg.cond(_sorted_eigenvectors(stability.m[None]))[0]
+        assert q.cond == pytest.approx(expected, rel=1e-12)
