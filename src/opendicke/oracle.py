@@ -10,7 +10,9 @@ they take the same stability matrix as input, with the same input checks:
   on a truncated two-mode Fock space and must reproduce the Bogoliubov
   ground-state occupations once the cutoff has converged.  It works on the
   even sector of the parity (-1)^(n_a + n_b) in the photon gauge a -> i a,
-  where H is a real symmetric sparse matrix, by symmetric Lanczos.
+  where H is a real symmetric sparse matrix, by symmetric Lanczos.  The
+  coarse solve starts from the Fock vacuum, the doubled-cutoff solve from
+  the coarse ground state.
 """
 
 from __future__ import annotations
@@ -31,18 +33,42 @@ from .model import MeanField, ModelParams
 
 STABILITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
+# Backward-error limit of the dense solve: a residual up to this times
+# max|M| max|S| is rounding in M S + S M^T, whatever the scale of M and S.
+BACKWARD_TOL = 1e-12
 
 # Position of the adjoint of each slot of R = (da, da+, db, db+).
 _DAG = np.array([1, 0, 3, 2])
+
+
+def _kron_sum(m: np.ndarray) -> np.ndarray:
+    """M (x) I + I (x) M for a 4x4 M, the products of np.kron by broadcasting."""
+    eye = np.eye(4)
+    return (m[:, None, :, None] * eye[None, :, None, :]
+            + eye[:, None, :, None] * m[None, :, None, :]).reshape(16, 16)
 
 
 def lyapunov_moments(stability: StabilityMatrix,
                      noise: NoiseSpec | None = None) -> SecondMoments:
     """Steady second moments from the Lyapunov equation M S + S M^T + D = 0.
 
-    Solved by row-major vectorization, (M (x) I + I (x) M) vec(S) = -vec(D).
-    A singular but consistent system (undamped noise-free modes) falls back
-    to the minimum-norm solution; an inconsistent one diverges physically.
+    Solved by row-major vectorization, (M (x) I + I (x) M) vec(S) = -vec(D),
+    as a dense 16-unknown system.  The solve is rejected when its residual
+    max|M S + S M^T + D| exceeds both 1e-10 max(1, 2 kappa) and the
+    backward-error limit 1e-12 max|M| max|S|.
+
+    Valid box: every |lambda_k + lambda_l| above 1e-12 max|lambda|.  Below
+    that the system counts as singular: a consistent one returns the
+    minimum-norm least-squares solution, an inconsistent one diverges
+    physically.  The minimum-norm solution is right for undamped noise-free
+    modes (zero pump), but wrong for a weakly damped pair that the noise
+    drives: at delta_c = -916.62139, kappa = 1.6571e-4, u = -3.90154,
+    y = 0.05 y_c (Re lambda ~ -4.9e-13) it gives delta_N = -2.04e-6, where a
+    60-digit solve of the same M gives 228.943.  Inside the box the dense
+    solve is backward stable, but its forward error grows with the condition
+    number of M (x) I + I (x) M: at delta_c = -1.0056e-4, kappa = 3327.95,
+    u = 1.36203, y = 2.386e5 that is 2e16, and delta_N is off by 0.9 %
+    against a 50-digit solve.
     """
     if noise is None:
         noise = NoiseSpec(kappa=stability.params.kappa)
@@ -56,10 +82,9 @@ def lyapunov_moments(stability: StabilityMatrix,
         raise DivergentSteadyState("no damped mode at all; no steady state")
 
     d = noise.matrix()
-    a = np.kron(m, np.eye(4)) + np.kron(np.eye(4), m)
+    a = _kron_sum(m)
     rhs = -d.reshape(16).astype(complex)
     sums = lam[:, None] + lam[None, :]
-    resid_tol = max(RESIDUAL_TOL, RESIDUAL_TOL * 2.0 * noise.kappa)
     if np.min(np.abs(sums)) <= STABILITY_TOL * scale:
         s = np.linalg.lstsq(a, rhs, rcond=None)[0].reshape(4, 4)
         residual = float(np.max(np.abs(m @ s + s @ m.T + d)))
@@ -71,6 +96,9 @@ def lyapunov_moments(stability: StabilityMatrix,
 
     s = np.linalg.solve(a, rhs).reshape(4, 4)
     residual = float(np.max(np.abs(m @ s + s @ m.T + d)))
+    resid_tol = max(RESIDUAL_TOL, RESIDUAL_TOL * 2.0 * noise.kappa,
+                    BACKWARD_TOL * float(np.max(np.abs(m)))
+                    * float(np.max(np.abs(s))))
     if residual > resid_tol:
         raise NumericalFailure(
             f"Lyapunov residual {residual:.3e} exceeds {resid_tol:g}")
@@ -132,9 +160,15 @@ def _sector_hamiltonian(h: np.ndarray, cutoffs: tuple[int, int]):
     return sp.csr_matrix((values, (rows, cols)), shape=(dim, dim)), occ
 
 
-def _fock_occupations(h: np.ndarray, cutoffs: tuple[int, int]):
+def _fock_occupations(h: np.ndarray, cutoffs: tuple[int, int], start=None):
     """Ground-state (delta_n, n_photon, energy) at the given cutoffs, for a
-    real coefficient matrix h in the photon gauge."""
+    real coefficient matrix h in the photon gauge, and the ground state as
+    (occ, vec).
+
+    Lanczos starts from ``start``, a state (occ, vec) of a box inside this
+    one copied onto the same (n_a, n_b) states with zeros elsewhere, or, if
+    None, from the Fock vacuum |0, 0>, which is sector index 0.
+    """
     ham, occ = _sector_hamiltonian(h, cutoffs)
     herm_defect = abs(ham - ham.T).max()
     if herm_defect > 1e-12 * max(1.0, abs(ham).max()):
@@ -143,10 +177,17 @@ def _fock_occupations(h: np.ndarray, cutoffs: tuple[int, int]):
 
     # Deterministic start vector; eigsh would otherwise seed randomly.
     dim = ham.shape[0]
-    v0 = np.ones(dim) / np.sqrt(dim)
+    v0 = np.zeros(dim)
+    if start is None:
+        v0[0] = 1.0
+    else:
+        position = np.zeros((cutoffs[0] + 1, cutoffs[1] + 1), dtype=np.int32)
+        position[occ[0], occ[1]] = np.arange(dim)
+        v0[position[start[0][0], start[0][1]]] = start[1]
     energy, vec = spla.eigsh(ham, k=1, which="SA", v0=v0)
     weight = vec[:, 0] ** 2
-    return float(weight @ occ[1]), float(weight @ occ[0]), float(energy[0])
+    return ((float(weight @ occ[1]), float(weight @ occ[0]), float(energy[0])),
+            (occ, vec[:, 0]))
 
 
 def fock_ground_state(params: ModelParams, mf: MeanField | None = None,
@@ -158,11 +199,14 @@ def fock_ground_state(params: ModelParams, mf: MeanField | None = None,
     the parity (-1)^(n_a + n_b), and its Gaussian ground state is even, so H
     is diagonalized on the even sector only.  In the photon gauge a -> i a,
     which leaves both occupations unchanged, h is real and H a real symmetric
-    matrix; its lowest eigenpair comes from ARPACK's symmetric Lanczos driver.
-    A coefficient matrix that is not real in that gauge raises
-    NumericalFailure.  The run is repeated at doubled cutoffs; the relative
-    change of both occupations must stay below 1e-3, otherwise CutoffTooSmall
-    is raised.  The doubled-cutoff values are returned.
+    matrix; its lowest eigenpair comes from ARPACK's symmetric Lanczos solver,
+    started from the Fock vacuum.  A coefficient matrix that is not real in
+    that gauge raises NumericalFailure.  The run is repeated at doubled
+    cutoffs, started from the coarse ground state copied onto the same
+    (n_a, n_b) states; ARPACK stops on the Ritz residual, so the start changes
+    the cost of that run, not the state it converges to.  The relative change
+    of both occupations must stay below 1e-3, otherwise CutoffTooSmall is
+    raised.  The doubled-cutoff values are returned.
     """
     if params.kappa != 0.0:
         raise ValueError("Fock oracle applies to the closed system (kappa = 0)")
@@ -180,9 +224,9 @@ def fock_ground_state(params: ModelParams, mf: MeanField | None = None,
             f"coefficient matrix not real in the photon gauge a -> i a "
             f"(imaginary part {imaginary:.3e})")
 
-    coarse = _fock_occupations(h.real, cutoffs)
+    coarse, state = _fock_occupations(h.real, cutoffs)
     doubled = (2 * cutoffs[0], 2 * cutoffs[1])
-    fine = _fock_occupations(h.real, doubled)
+    fine, _ = _fock_occupations(h.real, doubled, start=state)
     convergence = max(
         abs(fine[0] - coarse[0]) / max(abs(fine[0]), 1e-9),
         abs(fine[1] - coarse[1]) / max(abs(fine[1]), 1e-9))

@@ -4,17 +4,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import at_ratio
 from opendicke import oracle
 from opendicke.basis import ETA
 from opendicke.errors import (DivergentSteadyState, NumericalFailure,
                               UnstableState)
-from opendicke.fluctuations import (NoiseSpec, build_stability_matrix,
-                                    observables)
+from opendicke.fluctuations import (NoiseSpec, SecondMoments,
+                                    build_stability_matrix, hermitize_moments,
+                                    observables, steady_state_moments)
 from opendicke.groundstate import ground_state_moments
 from opendicke.model import MeanField, ModelParams, Phase, solve_mean_field
-from opendicke.oracle import (_fock_occupations, fock_ground_state,
+from opendicke.oracle import (_fock_occupations, _kron_sum,
+                              _sector_hamiltonian, fock_ground_state,
                               lyapunov_moments)
 
 
@@ -70,6 +73,70 @@ def test_lyapunov_default_noise_from_params(open_params):
     s_default = lyapunov_moments(stability).s
     s_explicit = lyapunov_moments(stability, NoiseSpec(kappa=p.kappa)).s
     np.testing.assert_array_equal(s_default, s_explicit)
+
+
+# Large kappa and pump: max|M| ~ 8.6e3 and max|S| ~ 7.3e6, so rounding in
+# M S + S M^T (1.1e-5) alone exceeds the absolute bound 1e-10 max(1, 2 kappa).
+LARGE_SCALE = ModelParams(delta_c=-0.5678787341247107, kappa=8598.150873883307,
+                          u=0.6141315653044916, y=19485.103314442997)
+
+
+def test_lyapunov_accepts_rounding_residual_at_large_scale():
+    stability = _stability(LARGE_SCALE)
+    noise = NoiseSpec(kappa=LARGE_SCALE.kappa)
+    delta_n, n_photon = observables(lyapunov_moments(stability, noise))
+    # two routes that share nothing with the Kronecker solve
+    sylvester = sla.solve_sylvester(stability.m, stability.m.T, -noise.matrix())
+    for other in (observables(SecondMoments(s=hermitize_moments(sylvester))),
+                  observables(steady_state_moments(LARGE_SCALE))):
+        assert delta_n == pytest.approx(other[0], rel=1e-8)
+        assert n_photon == pytest.approx(other[1], rel=1e-8)
+
+
+@pytest.mark.parametrize("large", [False, True])
+def test_lyapunov_rejects_perturbed_solve(monkeypatch, open_params, large):
+    # An error of 1e-8 max|S| in every entry, in no special direction, is a
+    # backward error of about 1e-8, 1e4 times the limit.
+    p = LARGE_SCALE if large else at_ratio(open_params, 0.5)
+    stability = _stability(p)
+    solve = np.linalg.solve
+
+    def perturbed(a, b):
+        x = solve(a, b)
+        return x + 1e-8 * np.max(np.abs(x)) * np.linspace(1.0, 2.0, x.size)
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    with pytest.raises(NumericalFailure, match="Lyapunov residual"):
+        lyapunov_moments(stability)
+
+
+def _figure_scan_stability_matrices():
+    out = []
+    for kappa in (2.0, 0.0):
+        for u in (0.0, 0.7):
+            base = ModelParams(delta_c=-2.0, kappa=kappa, u=u, y=0.0)
+            out += [_stability(at_ratio(base, r)).m
+                    for r in (0.0, 0.5, 0.9, 1.2, 1.5)]
+    return out
+
+
+def test_kron_sum_is_byte_identical_to_np_kron():
+    rng = np.random.default_rng(20261018)
+    mats = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            for _ in range(50)]
+    signed = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    signed[0, :] = [complex(-0.0, 0.0), complex(0.0, -0.0),
+                    complex(-0.0, -0.0), 0.0]
+    signed[:, 1] = [complex(-0.0, 1.0), complex(2.0, -0.0),
+                    complex(-0.0, -0.0), complex(-3.0, 0.0)]
+    mats += [signed, -signed, np.zeros((4, 4), dtype=complex) * -1.0]
+    mats += _figure_scan_stability_matrices()
+    eye = np.eye(4)
+    for m in mats:
+        want = np.kron(m, eye) + np.kron(eye, m)
+        got = _kron_sum(m)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fock_requires_closed_system(open_params):
@@ -144,9 +211,40 @@ def test_even_sector_in_photon_gauge_matches_full_space(u, ratio):
     gauge = np.array([1j, -1j, 1.0, 1.0])
     rotated = np.conj(gauge)[:, None] * h * gauge
     assert np.max(np.abs(rotated.imag)) == 0.0
-    got = _fock_occupations(rotated.real, (20, 20))
+    got = _fock_occupations(rotated.real, (20, 20))[0]
     want = _full_space_ground_state(h, (20, 20))
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def _uniform_start(h, cutoffs):
+    """The uniform start vector on the even sector, as a state (occ, vec)."""
+    occ = _sector_hamiltonian(h, cutoffs)[1]
+    return occ, np.ones(occ.shape[1])
+
+
+@pytest.mark.parametrize("ratio, truncated", [(0.9, False),
+                                              (1.0 + np.exp(-5.0), True)])
+def test_warm_start_does_not_bias_the_doubling_check(closed_params, ratio,
+                                                     truncated):
+    # ARPACK stops on the Ritz residual, so the doubled-cutoff solve started
+    # from the coarse ground state must land on the state that a solve from
+    # the uniform vector finds, and the doubling drift must not move.
+    p = at_ratio(closed_params, ratio)
+    h = (np.conj(oracle._GAUGE)[:, None] * (1j * ETA @ _stability(p).m)
+         * oracle._GAUGE).real
+    coarse = _fock_occupations(h, (60, 60), _uniform_start(h, (60, 60)))[0]
+    fine = _fock_occupations(h, (120, 120), _uniform_start(h, (120, 120)))[0]
+    fock = fock_ground_state(p, cutoffs=(60, 60))
+    np.testing.assert_allclose((fock.delta_n, fock.n_photon, fock.energy),
+                               fine, rtol=1e-12, atol=0.0)
+    drift = max(abs(f - c) / max(abs(f), 1e-9)
+                for c, f in zip(coarse[:2], fine[:2]))
+    if truncated:
+        assert fock.convergence == pytest.approx(drift, rel=1e-6)
+    else:
+        # both cutoffs resolve the occupations to rounding, so the drift is
+        # rounding noise of either start and no relative comparison holds
+        assert max(fock.convergence, drift) <= 1e-12
 
 
 def test_fock_rejects_coefficients_not_real_in_photon_gauge(monkeypatch,
