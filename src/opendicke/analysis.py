@@ -13,8 +13,7 @@ the model fails (divergence at the critical point, defective matrices,
 instability) are reported, never dropped.  Every scan computes its grid as
 batches of arrays, BATCH_ROWS pump values at a time; a row's status is its
 first failing check, in the order mean field, defective, biorthonormality,
-pairing, unstable, divergent, moment structure, observables.  ``threads``
-arguments are accepted for compatibility and have no effect.
+pairing, unstable, divergent, moment structure, observables.
 """
 
 from __future__ import annotations
@@ -171,8 +170,7 @@ def _moments(params: ModelParams, y_grid):
 
 def depletion_curve(params: ModelParams, side: Side,
                     window: tuple[float, float] = DEFAULT_WINDOW,
-                    n: int = DEFAULT_POINTS_PER_SIDE,
-                    threads: int = 1) -> np.ndarray:
+                    n: int = DEFAULT_POINTS_PER_SIDE) -> np.ndarray:
     """(eps, delta_n, n_photon) rows approaching y_c from one side; raises
     the error of the first row that fails."""
     y_c = critical_pump(params)
@@ -186,10 +184,9 @@ def depletion_curve(params: ModelParams, side: Side,
 
 def critical_exponent(params: ModelParams, side: Side,
                       window: tuple[float, float] = DEFAULT_WINDOW,
-                      n: int = DEFAULT_POINTS_PER_SIDE,
-                      threads: int = 1) -> ExponentFit:
+                      n: int = DEFAULT_POINTS_PER_SIDE) -> ExponentFit:
     """Exponent of the singular part of the depletion on one side of y_c."""
-    curve = depletion_curve(params, side, window, n, threads)
+    curve = depletion_curve(params, side, window, n)
     return exponent_fit(curve[:, :2], window, side)
 
 
@@ -318,14 +315,12 @@ _GRID_TABLES = {
 def figure_scan(kind: ScanKind, params: ModelParams, y_grid=None,
                 window: tuple[float, float] = DEFAULT_WINDOW,
                 points_per_side: int = DEFAULT_POINTS_PER_SIDE,
-                sides: tuple[Side, ...] = (Side.BELOW, Side.ABOVE),
-                threads: int = 1) -> Table:
+                sides: tuple[Side, ...] = (Side.BELOW, Side.ABOVE)) -> Table:
     """Assemble the scan table behind one of the figure kinds.
 
     MEAN_FIELD, MEAN_AND_FLUCT, ENTANGLEMENT and SPECTRUM compute ``y_grid``
     as batches of arrays; EXPONENT builds its own log-centered grid from ``window``
-    and ``points_per_side`` on the requested ``sides``.  ``threads`` is
-    accepted for compatibility and has no effect.
+    and ``points_per_side`` on the requested ``sides``.
     """
     if kind is ScanKind.EXPONENT:
         return _exponent_table(params, window, points_per_side, sides)

@@ -67,6 +67,7 @@ def _parse_grid(spec: str, y_c: float | None) -> np.ndarray:
             f"grid spec {spec!r} must be 'start:stop:count' or a single value")
     start = _parse_scalar(parts[0], y_c)
     stop = _parse_scalar(parts[1], y_c)
+    model.pump_grid([start, stop])
     count = int(parts[2])
     if count < 2:
         raise ValueError(f"grid count must be >= 2, got {count}")
@@ -142,29 +143,14 @@ def _model_params(args, y: float = 0.0) -> model.ModelParams:
                              u=args.u, y=y)
 
 
-def _cmd_meanfield(args) -> int:
+def _grid_table(args) -> analysis.Table:
     params = _model_params(args)
     grid = _parse_grid(args.y_grid, model.critical_pump(params))
-    _emit_table(analysis.figure_scan(analysis.ScanKind.MEAN_FIELD, params,
-                                     y_grid=grid), args)
-    return 0
+    return analysis.figure_scan(args.kind, params, y_grid=grid)
 
 
-def _cmd_correlations(args) -> int:
-    params = _model_params(args)
-    grid = _parse_grid(args.y_grid, model.critical_pump(params))
-    table = analysis.figure_scan(analysis.ScanKind.MEAN_AND_FLUCT, params,
-                                 y_grid=grid)
-    _emit_table(table, args)
-    return 0
-
-
-def _cmd_entanglement(args) -> int:
-    params = _model_params(args)
-    grid = _parse_grid(args.y_grid, model.critical_pump(params))
-    table = analysis.figure_scan(analysis.ScanKind.ENTANGLEMENT, params,
-                                 y_grid=grid)
-    _emit_table(table, args)
+def _cmd_scan(args) -> int:
+    _emit_table(_grid_table(args), args)
     return 0
 
 
@@ -178,10 +164,7 @@ def _interval_json(interval: fluctuations.RealInterval) -> dict:
 
 
 def _cmd_spectrum(args) -> int:
-    params = _model_params(args)
-    grid = _parse_grid(args.y_grid, model.critical_pump(params))
-    table = analysis.figure_scan(analysis.ScanKind.SPECTRUM, params,
-                                 y_grid=grid)
+    table = _grid_table(args)
     intervals = table.meta["real_intervals"]
     if args.format == "json":
         _emit_table(table, args, extra_json={
@@ -324,22 +307,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility; no effect, grids "
                              "are computed as batches")
 
-    def add_grid_command(name: str, handler, default_grid: str, help_: str):
+    def add_grid_command(name: str, kind: analysis.ScanKind, default_grid: str,
+                         help_: str, handler=_cmd_scan):
         p = sub.add_parser(name, parents=[common], help=help_)
         p.add_argument("--y-grid", default=default_grid,
                        help="pump grid start:stop:count; endpoints may use "
                             "the 'yc' token (e.g. 0:2yc:200)")
-        p.set_defaults(handler=handler)
-        return p
+        p.set_defaults(handler=handler, kind=kind)
 
-    add_grid_command("meanfield", _cmd_meanfield, "0:2yc:200",
+    add_grid_command("meanfield", analysis.ScanKind.MEAN_FIELD, "0:2yc:200",
                      "mean-field amplitudes |alpha0|^2 and beta0^2")
-    add_grid_command("correlations", _cmd_correlations, "0:2yc:200",
+    add_grid_command("correlations", analysis.ScanKind.MEAN_AND_FLUCT, "0:2yc:200",
                      "depletion and photon fluctuations along a pump grid")
-    add_grid_command("entanglement", _cmd_entanglement, "0:2yc:200",
+    add_grid_command("entanglement", analysis.ScanKind.ENTANGLEMENT, "0:2yc:200",
                      "logarithmic negativity along a pump grid")
-    add_grid_command("spectrum", _cmd_spectrum, "0:1.2yc:241",
-                     "quasi-normal spectrum and real-axis interval report")
+    add_grid_command("spectrum", analysis.ScanKind.SPECTRUM, "0:1.2yc:241",
+                     "quasi-normal spectrum and real-axis interval report",
+                     _cmd_spectrum)
 
     p_exp = sub.add_parser("exponent", parents=[common],
                            help="critical-exponent fit of the depletion")

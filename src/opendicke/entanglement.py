@@ -60,18 +60,6 @@ class QuadCovariance:
     c: np.ndarray
     nu_min: float
 
-    @property
-    def photon_block(self) -> np.ndarray:
-        return self.c[:2, :2]
-
-    @property
-    def atom_block(self) -> np.ndarray:
-        return self.c[2:, 2:]
-
-    @property
-    def cross_block(self) -> np.ndarray:
-        return self.c[:2, 2:]
-
 
 def _invariants(c: np.ndarray) -> tuple[np.ndarray, ...]:
     """(det P, det A, det X, det K, det C) of every covariance in a stack,

@@ -38,15 +38,15 @@ from .basis import CONJ_PERM, J_COMM, OMEGA_R, T_CONJ
 from .errors import (DefectiveMatrix, DivergentSteadyState, NumericalFailure,
                      RowErrors, UnstableState)
 from .model import (MeanField, MeanFieldBatch, ModelParams, abs_squared,
-                    mean_field_batch, point_batch)
+                    mean_field_batch, point_batch, pump_grid)
 
 # Eigenvector-matrix condition number and eigenvalue-cluster thresholds above
 # which a matrix is treated as defective.  At an exactly defective point a
 # backward-stable eigensolver still returns four eigenvalues, but they are
 # only accurate to about sqrt(eps)*||M|| ~ 6e-8 and the eigenvector matrix
 # condition number saturates near 1e8, so tighter thresholds can never fire.
-# The steady-state route screens cond(V) with the bound 16 / |det V| of
-# unit-column V (see ``_ill_conditioned``), so only rows with
+# The steady-state route and the spectrum scan screen cond(V) with the bound
+# 16 / |det V| of unit-column V (see ``_ill_conditioned``), so only rows with
 # |det V| < 32 / DEFECT_COND_LIMIT pay for an SVD.
 DEFECT_COND_LIMIT = 1e7
 DEFECT_GAP_LIMIT = 1e-7
@@ -85,11 +85,10 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class StabilityMatrix:
-    """Linear stability matrix with the inputs that produced it."""
+    """Linear stability matrix with the parameters that produced it."""
 
     m: np.ndarray
     params: ModelParams
-    mean_field: MeanField
 
 
 @dataclass(frozen=True)
@@ -119,14 +118,6 @@ class SecondMoments:
     """Equal-time second moments s[i, j] = <R_i R_j>."""
 
     s: np.ndarray
-
-    @property
-    def delta_n(self) -> float:
-        return observables(self)[0]
-
-    @property
-    def n_photon(self) -> float:
-        return observables(self)[1]
 
 
 def blank_failed(stack: np.ndarray, errors: RowErrors, fill=_EYE) -> np.ndarray:
@@ -185,8 +176,7 @@ def build_stability_matrix(params: ModelParams,
     batch = point_batch(params, mf)
     m = stability_batch(params, batch)
     batch.errors.raise_first()
-    return StabilityMatrix(m=m[0], params=params,
-                           mean_field=batch.point(0) if mf is None else mf)
+    return StabilityMatrix(m=m[0], params=params)
 
 
 def conjugation_defect(m: np.ndarray) -> float:
@@ -545,10 +535,6 @@ class RealInterval:
     lower: EndpointReport
     upper: EndpointReport
 
-    @property
-    def width(self) -> float:
-        return self.upper.y - self.lower.y
-
 
 @dataclass(frozen=True)
 class SpectrumScan:
@@ -564,24 +550,15 @@ class SpectrumScan:
     y: np.ndarray
     branches: np.ndarray
     status: list[str]
-    cond: np.ndarray
     real_intervals: list[RealInterval] = field(default_factory=list)
-
-    @property
-    def real_interval(self) -> RealInterval | None:
-        if not self.real_intervals:
-            return None
-        return max(self.real_intervals, key=lambda r: r.width)
 
 
 def _spectra(m: np.ndarray):
-    """(lam, unit right eigenvectors, cond, defective, gaps) of a stack, in
-    the eigensolver's order."""
+    """(lam, unit right eigenvectors, defective, gaps) of a stack, in the
+    eigensolver's order; cond(V) is screened by ``_ill_conditioned``."""
     lam, vecs = np.linalg.eig(m)
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-    cond = np.linalg.cond(vecs)
-    return (lam, vecs, cond) + _defects(lam, vecs, cond > DEFECT_COND_LIMIT,
-                                        _scale(lam))
+    return (lam, vecs) + _defects(lam, vecs, _ill_conditioned(vecs), _scale(lam))
 
 
 def _has_real_pair(params: ModelParams, y: float) -> bool:
@@ -634,57 +611,51 @@ def _refine_endpoint(params: ModelParams, y_in: float, y_out: float) -> Endpoint
         else:
             y_out = mid
     m = build_stability_matrix(params.with_pump(y_in)).m
-    _, vecs, cond, defective, gaps = _spectra(m[None])
+    _, vecs, defective, gaps = _spectra(m[None])
     gap, overlap = _closest_pair(gaps[0], vecs[0])
     return EndpointReport(y=y_in, refined=True, defective=bool(defective[0]),
-                          cond=float(cond[0]), gap=gap, overlap=overlap)
+                          cond=float(np.linalg.cond(vecs[0])), gap=gap, overlap=overlap)
 
 
-def spectrum_scan(params: ModelParams, y_grid, threads: int = 1) -> SpectrumScan:
+def spectrum_scan(params: ModelParams, y_grid) -> SpectrumScan:
     """Track the quasi-normal spectrum along a sorted pump grid.
 
     Grid points where the matrix is (near-)defective are kept, flagged with
     status 'defective'; points where branch matching stays ambiguous after
     the eigenvector tie-break are flagged 'ambiguous'.  The grid is one
-    batch; ``threads`` is accepted for compatibility and has no effect.
+    batch.  An interval that reaches an edge of the grid ends there,
+    unrefined.
     """
-    y_grid = np.asarray(y_grid, dtype=float)
-    if y_grid.ndim != 1 or y_grid.size < 2:
+    if np.ndim(y_grid) != 1 or np.size(y_grid) < 2:
         raise ValueError("y grid must be a 1-d array with at least 2 points")
+    y_grid = pump_grid(y_grid)
     if np.any(np.diff(y_grid) <= 0):
         raise ValueError("y grid must be strictly increasing")
 
     mf = mean_field_batch(params, y_grid)
     m = stability_batch(params, mf)
     mf.errors.raise_first()
-    lam, vecs, cond, defective, _ = _spectra(m)
+    lam, vecs, defective, _ = _spectra(m)
     branches, ambiguous = _match_branches(lam, vecs)
     status = ["defective" if d else "ambiguous" if a else "ok"
               for d, a in zip(defective.tolist(), ambiguous)]
 
-    real_flags = np.sum(np.abs(branches.imag) <= REAL_AXIS_TOL, axis=1) >= 2
+    def grid_edge(i: int) -> EndpointReport:
+        return EndpointReport(y=y_grid[i], refined=False, defective=False,
+                              cond=float(np.linalg.cond(vecs[i])),
+                              gap=math.nan, overlap=math.nan)
+
+    # Maximal runs of rows with at least two real eigenvalues: start to end - 1.
+    real = np.sum(np.abs(branches.imag) <= REAL_AXIS_TOL, axis=1) >= 2
+    padded = np.concatenate(([False], real, [False]))
     intervals = []
-    i = 0
-    n = y_grid.size
-    while i < n:
-        if not real_flags[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and real_flags[j + 1]:
-            j += 1
-        if i > 0:
-            lower = _refine_endpoint(params, y_grid[i], y_grid[i - 1])
-        else:
-            lower = EndpointReport(y=y_grid[0], refined=False, defective=False,
-                                   cond=cond[0], gap=math.nan, overlap=math.nan)
-        if j + 1 < n:
-            upper = _refine_endpoint(params, y_grid[j], y_grid[j + 1])
-        else:
-            upper = EndpointReport(y=y_grid[-1], refined=False, defective=False,
-                                   cond=cond[-1], gap=math.nan, overlap=math.nan)
+    for start, end in zip(np.flatnonzero(padded[1:] > padded[:-1]).tolist(),
+                          np.flatnonzero(padded[1:] < padded[:-1]).tolist()):
+        lower = (_refine_endpoint(params, y_grid[start], y_grid[start - 1])
+                 if start > 0 else grid_edge(start))
+        upper = (_refine_endpoint(params, y_grid[end - 1], y_grid[end])
+                 if end < y_grid.size else grid_edge(end - 1))
         intervals.append(RealInterval(lower=lower, upper=upper))
-        i = j + 1
 
     return SpectrumScan(y=y_grid, branches=branches, status=status,
-                        cond=cond, real_intervals=intervals)
+                        real_intervals=intervals)

@@ -94,7 +94,7 @@ class MeanFieldBatch:
 
     One row per pump value: the fields are arrays for a grid
     (:func:`mean_field_batch`) and scalars for a single pump value
-    (:func:`mean_field_point`, :meth:`of`).
+    (:func:`point_batch`).
     ``superradiant`` marks the rows above the critical pump.  Rows whose mean
     field failed keep their error in ``errors``; their amplitudes are
     meaningless (NaN where the superradiant branch does not exist).
@@ -106,26 +106,6 @@ class MeanFieldBatch:
     mu: np.ndarray
     superradiant: np.ndarray
     errors: RowErrors
-
-    @classmethod
-    def of(cls, params: ModelParams, mf: MeanField) -> "MeanFieldBatch":
-        """A batch of one at ``params.y`` holding a given mean field; a
-        degenerate branch (1 - 2 beta0^2 ~ 0) fails its row."""
-        errors = RowErrors(1)
-        one_minus = 1.0 - 2.0 * (mf.beta0 * mf.beta0)
-        errors.fail(abs(one_minus) < 1e-12, lambda i: DegenerateBranch(
-            f"1 - 2 beta0^2 = {one_minus!r}; linearization singular"))
-        return cls(y=float(params.y), alpha0=complex(mf.alpha0), beta0=float(mf.beta0),
-                   mu=float(mf.mu), superradiant=mf.phase is Phase.SUPERRADIANT,
-                   errors=errors)
-
-    def point(self, i: int) -> MeanField:
-        def row(x):
-            return x[i] if getattr(x, "ndim", 0) else x
-        return MeanField(alpha0=complex(row(self.alpha0)), beta0=float(row(self.beta0)),
-                         mu=float(row(self.mu)),
-                         phase=(Phase.SUPERRADIANT if row(self.superradiant)
-                                else Phase.NORMAL))
 
 
 def critical_pump(params: ModelParams) -> float:
@@ -230,6 +210,16 @@ def _residual_failure(res_a, size_a, res_b, size_b) -> NumericalFailure:
         f"({max(1.0, size_a):.3e}, {max(1.0, size_b):.3e})")
 
 
+def pump_grid(y_grid) -> np.ndarray:
+    """``y_grid`` as a flat float array; raises ValueError naming the first
+    pump value that is not finite and >= 0."""
+    y = np.asarray(y_grid, dtype=float).reshape(-1)
+    good = (0.0 <= y) & (y < math.inf)
+    if not good.all():
+        raise ValueError(f"pump y must be finite and >= 0, got {float(y[~good][0])!r}")
+    return y
+
+
 def mean_field_batch(params: ModelParams, y_grid) -> MeanFieldBatch:
     """Stationary mean fields on the physical (stable) branch along a grid.
 
@@ -238,9 +228,10 @@ def mean_field_batch(params: ModelParams, y_grid) -> MeanFieldBatch:
     Superradiant rows fail when the branch does not exist (radicand < 0 or
     beta0^2 outside (0, 1)), when 1 - 2 beta0^2 ~ 0, and when a stationarity
     residual exceeds RESIDUAL_TOL times the larger of 1 and the size of its
-    terms.  The pump value stored in ``params`` is ignored.
+    terms.  The pump value stored in ``params`` is ignored; a pump value
+    that is not finite and >= 0 raises ValueError (:func:`pump_grid`).
     """
-    y = np.asarray(y_grid, dtype=float).reshape(-1)
+    y = pump_grid(y_grid)
     y_c = critical_pump(params)
     errors = RowErrors(y.size)
     # Rows off the superradiant branch may overflow or take a root of a
@@ -294,11 +285,18 @@ def mean_field_point(params: ModelParams) -> MeanFieldBatch:
 
 
 def point_batch(params: ModelParams, mf: MeanField | None = None) -> MeanFieldBatch:
-    """Batch of one at ``params.y``: the given mean field, or the solved one
-    with its errors not yet raised."""
+    """Batch of one at ``params.y``: the solved mean field with its errors
+    not yet raised, or the given one, whose row fails on a degenerate branch
+    (1 - 2 beta0^2 ~ 0)."""
     if mf is None:
         return mean_field_point(params)
-    return MeanFieldBatch.of(params, mf)
+    errors = RowErrors(1)
+    one_minus = 1.0 - 2.0 * (mf.beta0 * mf.beta0)
+    errors.fail(abs(one_minus) < 1e-12, lambda i: DegenerateBranch(
+        f"1 - 2 beta0^2 = {one_minus!r}; linearization singular"))
+    return MeanFieldBatch(y=float(params.y), alpha0=complex(mf.alpha0),
+                          beta0=float(mf.beta0), mu=float(mf.mu),
+                          superradiant=mf.phase is Phase.SUPERRADIANT, errors=errors)
 
 
 def solve_mean_field(params: ModelParams) -> MeanField:
@@ -310,7 +308,9 @@ def solve_mean_field(params: ModelParams) -> MeanField:
     """
     batch = mean_field_point(params)
     batch.errors.raise_first()
-    return batch.point(0)
+    return MeanField(alpha0=complex(batch.alpha0), beta0=float(batch.beta0),
+                     mu=float(batch.mu),
+                     phase=Phase.SUPERRADIANT if batch.superradiant else Phase.NORMAL)
 
 
 def mean_field_curve(params: ModelParams, y_grid) -> np.ndarray:

@@ -166,10 +166,15 @@ def test_depletion_curve_dispatch(open_params, closed_params):
     assert curve[4, 1] == pytest.approx(ref[0], rel=1e-12)
 
 
-def test_depletion_curve_threads_deterministic(open_params):
-    one = depletion_curve(open_params, Side.ABOVE, n=12, threads=1)
-    four = depletion_curve(open_params, Side.ABOVE, n=12, threads=4)
-    np.testing.assert_array_equal(one, four)
+def test_scans_reject_invalid_pumps(open_params):
+    for kind in (ScanKind.MEAN_FIELD, ScanKind.MEAN_AND_FLUCT,
+                 ScanKind.ENTANGLEMENT, ScanKind.SPECTRUM):
+        for grid in ([-1.0, 0.0, 1.0], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
+            with pytest.raises(ValueError, match="pump y must be finite and >= 0"):
+                figure_scan(kind, open_params, y_grid=grid)
+    # a window beyond eps = 1 puts the pumps below y_c under zero
+    with pytest.raises(ValueError, match="got -"):
+        depletion_curve(open_params, Side.BELOW, window=(0.5, 2.0), n=9)
 
 
 def test_status_mapping():

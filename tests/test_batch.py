@@ -26,9 +26,11 @@ from opendicke import cli
 from opendicke.analysis import ScanKind, figure_scan, status_of
 from opendicke.entanglement import log_negativity, quad_covariance
 from opendicke.errors import OpenDickeError
-from opendicke.fluctuations import observables, steady_state_moments
+from opendicke.fluctuations import (build_stability_matrix, observables,
+                                    steady_state_moments)
 from opendicke.groundstate import ground_state_moments
-from opendicke.model import ModelParams, critical_pump, solve_mean_field
+from opendicke.model import (ModelParams, Phase, critical_pump, mean_field_batch,
+                             solve_mean_field)
 
 RATIOS = np.linspace(0.05, 2.0, 25)
 
@@ -210,3 +212,28 @@ def test_entanglement_scan_makes_one_eigen_solve(monkeypatch):
                         np.linspace(0.0, 2.0 * critical_pump(base), 256))
     assert len(table.rows) == 256
     assert calls == {"eig": 1, "svd": 0, "cond": 0, "eigvals": 0}
+
+
+@pytest.mark.parametrize("u", [0.0, 0.7])
+@pytest.mark.parametrize("ratio", [0.6, 1.5])
+def test_injected_mean_field_is_the_solved_one(u, ratio):
+    """A given mean field and the solved one take the scalar chain to the
+    same bits, and ``solve_mean_field`` is the row of the grid's mean field,
+    in the normal and in the superradiant phase."""
+    for kappa in (2.0, 0.0):
+        p = ModelParams(delta_c=-2.0, kappa=kappa, u=u, y=0.0)
+        p = p.with_pump(ratio * critical_pump(p))
+        mf = solve_mean_field(p)
+        batch = mean_field_batch(p, [p.y])
+        assert batch.errors.failed == 0
+        assert (mf.alpha0, mf.beta0, mf.mu) == (batch.alpha0[0], batch.beta0[0],
+                                                batch.mu[0])
+        assert mf.phase is (Phase.SUPERRADIANT if ratio > 1.0 else Phase.NORMAL)
+        assert batch.superradiant[0] == (ratio > 1.0)
+        pairs = [(build_stability_matrix(p).m, build_stability_matrix(p, mf).m)]
+        if kappa > 0.0:
+            pairs.append((steady_state_moments(p).s, steady_state_moments(p, mf).s))
+        else:
+            pairs.append((ground_state_moments(p).s, ground_state_moments(p, mf).s))
+        for default, injected in pairs:
+            assert default.tobytes() == injected.tobytes()

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -152,6 +153,19 @@ def test_usage_errors(capsys):
     code, _, _ = run_cli(["meanfield", "--delta-c=-2", "--y-grid=2:0:5"],
                          capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("grid, bad", [("-1:1:3", "-1.0"), ("nan:1:3", "nan"),
+                                       ("0:inf:3", "inf")])
+@pytest.mark.parametrize("command", ["meanfield", "correlations", "spectrum"])
+def test_grid_rejects_invalid_pumps(command, grid, bad, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([command, "--delta-c=-2", "--kappa=2",
+                                  f"--y-grid={grid}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: pump y must be finite and >= 0, got {bad}\n"
 
 
 def test_config_file(tmp_path, capsys):

@@ -12,8 +12,9 @@ from opendicke.errors import (DefectiveMatrix, DegenerateBranch,
                               UnstableState)
 from opendicke.errors import RowErrors
 from opendicke.fluctuations import (DEFECT_COND_LIMIT, NoiseSpec,
-                                    SecondMoments, _decompose_batch,
-                                    _ill_conditioned, build_stability_matrix,
+                                    SecondMoments, _decompose_batch, _defects,
+                                    _ill_conditioned, _scale,
+                                    build_stability_matrix,
                                     conjugation_defect, decompose,
                                     hermitize_moments, mode_correlations,
                                     observables, sort_modes, spectrum_scan,
@@ -231,15 +232,6 @@ def test_scan_statuses_and_ambiguity(open_params):
             assert (abs(y - iv.lower.y) < 0.02 or abs(y - iv.upper.y) < 0.02)
 
 
-def test_scan_threads_deterministic(open_params):
-    y_c = critical_pump(open_params)
-    grid = np.linspace(0.0, 1.2 * y_c, 61)
-    one = spectrum_scan(open_params, grid, threads=1)
-    four = spectrum_scan(open_params, grid, threads=4)
-    np.testing.assert_array_equal(one.branches, four.branches)
-    assert one.status == four.status
-
-
 def test_depletion_monotone_near_threshold(open_params):
     y_c = critical_pump(open_params)
     eps = np.logspace(-2, -4, 7)
@@ -331,3 +323,43 @@ def test_reported_cond_is_the_svd_value():
         q = decompose(stability)
         expected = np.linalg.cond(_sorted_eigenvectors(stability.m[None]))[0]
         assert q.cond == pytest.approx(expected, rel=1e-12)
+
+
+# Upper refined endpoint of the u = 0.7 grid below.
+EXCEPTIONAL_PUMP = 2.03432461710045
+SPECTRUM_GRIDS = (
+    # the figure-scan spectrum grid, the u != 0 grid, a grid whose real-axis
+    # interval reaches both of its edges, and the 41 floats around an
+    # exceptional point, where cond(V) > DEFECT_COND_LIMIT decides the status
+    # of rows that the eigenvalue gap does not flag
+    (0.0, lambda y_c: np.linspace(0.0, 1.2 * y_c, 1201)),
+    (0.7, lambda y_c: np.linspace(0.0, 1.5 * y_c, 301)),
+    (0.0, lambda y_c: np.linspace(1.95, 2.0, 50)),
+    (0.7, lambda y_c: EXCEPTIONAL_PUMP + np.spacing(EXCEPTIONAL_PUMP)
+     * np.arange(-20.0, 21.0)),
+)
+
+
+def _svd_defects(m: np.ndarray):
+    """(defective, cond(V)) of a stack with the SVD of every row, the
+    unscreened test of the spectrum scan."""
+    lam, vecs = np.linalg.eig(m)
+    cond = np.linalg.cond(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
+    return _defects(lam, vecs, cond > DEFECT_COND_LIMIT, _scale(lam))[0], cond
+
+
+@pytest.mark.parametrize("u, grid", SPECTRUM_GRIDS)
+def test_spectrum_scan_screen_matches_svd_mask(u, grid):
+    """The determinant screen gives the statuses of an SVD of every row, and
+    every reported cond is the SVD value at the endpoint."""
+    p = ModelParams(delta_c=-2.0, kappa=2.0, u=u, y=0.0)
+    y = grid(critical_pump(p))
+    scan = spectrum_scan(p, y)
+    defective, _ = _svd_defects(stability_batch(p, mean_field_batch(p, y)))
+    np.testing.assert_array_equal(np.array(scan.status) == "defective", defective)
+    ends = [e for iv in scan.real_intervals for e in (iv.lower, iv.upper)]
+    assert ends
+    for e in ends:
+        defective, cond = _svd_defects(build_stability_matrix(p.with_pump(e.y)).m[None])
+        assert e.cond == pytest.approx(cond[0], rel=1e-12)
+        assert e.defective == (e.refined and defective[0])

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import at_ratio
 from opendicke.errors import NoThreshold
 from opendicke.model import (MeanField, ModelParams, Phase, critical_pump,
-                             mean_field_curve, mean_field_residuals,
-                             solve_mean_field)
+                             mean_field_batch, mean_field_curve,
+                             mean_field_residuals, solve_mean_field)
 
 
 def test_critical_pump_closed_form(open_params, closed_params):
@@ -149,3 +149,15 @@ def test_order_parameter_without_cancellation():
         ratio = u / dc * (y ** 2 - y_c ** 2) / (y ** 2 + u)
         exact = float(dc / u * (1 - (1 - ratio).sqrt()))
     assert mf.beta0 ** 2 == pytest.approx(exact, rel=1e-14)
+
+
+def test_mean_field_batch_rejects_what_model_params_rejects(open_params):
+    """Every grid enters through mean_field_batch, which names the first pump
+    value that ModelParams would reject."""
+    for grid, bad in (([1.0, -2.0, math.nan], "-2.0"), ([0.0, math.nan], "nan"),
+                      ([0.0, math.inf, -1.0], "inf")):
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {bad}$"):
+            mean_field_batch(open_params, grid)
+        with pytest.raises(ValueError):
+            open_params.with_pump(float(bad))
+    assert mean_field_batch(open_params, [0.0, 1.0]).errors.failed == 0
