@@ -34,6 +34,7 @@ from .model import ModelParams, critical_pump, mean_field_batch
 
 DEFAULT_WINDOW = (math.exp(-14.0), math.exp(-5.0))
 DEFAULT_POINTS_PER_SIDE = 40
+MIN_FIT_POINTS = 8
 GOOD_FIT_R_SQUARED = 0.999
 # Gauss-Newton stops once a step would move the fitted curve by less than
 # this, relative to the data; it gives up after FIT_MAX_ITER steps.
@@ -115,9 +116,9 @@ def exponent_fit(curve, window: tuple[float, float] = DEFAULT_WINDOW,
     lo, hi = window
     mask = (arr[:, 0] >= lo) & (arr[:, 0] <= hi)
     pts = arr[mask]
-    if pts.shape[0] < 8:
-        raise InvalidCurve(
-            f"only {pts.shape[0]} points inside window {window!r}; need >= 8")
+    if pts.shape[0] < MIN_FIT_POINTS:
+        raise InvalidCurve(f"only {pts.shape[0]} points inside window "
+                           f"{window!r}; need >= {MIN_FIT_POINTS}")
     if np.any(pts[:, 1] <= 0.0):
         raise InvalidCurve("non-positive values inside the fit window")
 
@@ -289,6 +290,9 @@ def _spectrum_table(params: ModelParams, y_grid) -> Table:
 
 def _exponent_table(params: ModelParams, window: tuple[float, float],
                     n: int, sides) -> Table:
+    if n < MIN_FIT_POINTS:
+        raise ValueError(f"points per side must be >= {MIN_FIT_POINTS} "
+                         f"for the fit, got {n}")
     rows = []
     curves = {}
     for side in sides:

@@ -29,23 +29,6 @@ from . import analysis, entanglement, fluctuations, groundstate, model, oracle
 from .basis import ETA
 from .errors import NoThreshold, OpenDickeError
 
-_CONFIG_TYPES = {
-    "delta_c": float,
-    "kappa": float,
-    "u": float,
-    "y": str,
-    "y_grid": str,
-    "side": str,
-    "window_min": float,
-    "window_max": float,
-    "points": int,
-    "threads": int,
-    "format": str,
-    "output": str,
-    "curve": lambda s: s.lower() in ("1", "true", "yes"),
-}
-
-
 def _parse_scalar(token: str, y_c: float | None) -> float:
     """Parse a pump value, resolving the literal token 'yc'."""
     text = token.strip()
@@ -76,33 +59,30 @@ def _parse_grid(spec: str, y_c: float | None) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _load_config(path: str) -> dict:
-    values = {}
-    with open(path, encoding="utf-8") as fh:
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The ``key=value`` lines of ``args.config`` as flags of the parsed
+    subcommand: a key of another subcommand is dropped, an unknown key raises
+    ValueError, and a switch (``curve``) is set by 1, true or yes."""
+    flags = []
+    with open(args.config, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
             if "=" not in text:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
+                raise ValueError(f"{args.config}:{lineno}: expected key=value")
             key, _, raw = text.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _CONFIG_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONFIG_TYPES[key](raw.strip())
-    return values
-
-
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    if not getattr(args, "config", None):
-        return
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    for key, value in _load_config(args.config).items():
-        if key not in explicit and hasattr(args, key):
-            setattr(args, key, value)
+            key, value = key.strip().replace("-", "_"), raw.strip()
+            action = args.config_keys.get(key)
+            if action is None:
+                raise ValueError(f"{args.config}:{lineno}: unknown key {key!r}")
+            if not hasattr(args, key):
+                continue
+            if action.nargs != 0:
+                flags.append(f"{action.option_strings[0]}={value}")
+            elif value.lower() in ("1", "true", "yes"):
+                flags.append(action.option_strings[0])
+    return flags
 
 
 def _emit_table(table: analysis.Table, args, extra_json: dict | None = None) -> None:
@@ -234,7 +214,7 @@ def _verify_checks(args) -> list[tuple[str, bool, str]]:
         reference = oracle.lyapunov_moments(stability)
         record("eigenmode_vs_lyapunov",
                float(np.max(np.abs(moments.s - reference.s))), 1e-8)
-        noise = fluctuations.NoiseSpec(kappa=params.kappa).matrix()
+        noise = fluctuations.noise_matrix(params.kappa)
         resid = float(np.max(np.abs(stability.m @ reference.s
                                     + reference.s @ stability.m.T + noise)))
         record("lyapunov_residual", resid, 1e-10)
@@ -250,14 +230,14 @@ def _verify_checks(args) -> list[tuple[str, bool, str]]:
     record("commutator_preservation", float(comm_err), 1e-8)
 
     cov = entanglement.quad_covariance(moments)
-    margin = 0.5 - cov.nu_min
-    checks.append(("covariance_physicality", margin <= 1e-8,
-                   f"min symplectic eigenvalue = {cov.nu_min!r}"))
+    nu_min = entanglement.symplectic_min(cov)
+    checks.append(("covariance_physicality", 0.5 - nu_min <= 1e-8,
+                   f"min symplectic eigenvalue = {nu_min!r}"))
     record("pt_cross_check",
            abs(entanglement.pt_nu_minus(cov) - entanglement.pt_symplectic_min(cov)),
            1e-10)
     record("nu_min_cross_check",
-           abs(cov.nu_min - float(np.min(entanglement.symplectic_eigenvalues(cov.c)))),
+           abs(nu_min - float(np.min(entanglement.symplectic_eigenvalues(cov)))),
            1e-10)
 
     tmsv = entanglement.two_mode_squeezed_covariance(0.7)
@@ -348,22 +328,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--y", default="0.9yc",
                        help="pump value for the point checks (yc token allowed)")
     p_ver.set_defaults(handler=_cmd_verify)
+    # The keys a config file may set: the options of every subcommand.
+    parser.set_defaults(config_keys={
+        a.dest: a for p in sub.choices.values() for a in p._actions
+        if a.option_strings and a.dest not in ("help", "config")})
     return parser
 
 
 def run(argv) -> int:
     parser = build_parser()
+    argv = list(argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _apply_config(args, list(argv))
+        if args.config:
+            # Config values pass the same parser ahead of the command line,
+            # so they get the flags' types and choices and every flag wins.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
         if args.delta_c is None:
             print(f"{parser.prog}: error: --delta-c is required "
                   "(flag or config file)", file=sys.stderr)
             return 2
         return args.handler(args)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except (ValueError, NoThreshold, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -25,18 +25,17 @@ brute-force route, an eigen-solve of i Omega C, kept as the cross-check of
 the invariants.  The natural logarithm is used throughout; the state is
 separable (E_N = 0) iff nu_minus~ >= 1/2.  The covariance and the
 negativity are computed for a stack of moment matrices at once; the scalar
-functions are batches of one.
+functions take one covariance array and are batches of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import OMEGA_SYMPL, QUAD_MAP
-from .errors import NumericalFailure, RowErrors
+from .errors import NumericalFailure, RowErrors, one_row
 from .fluctuations import SecondMoments, blank_failed
 
 PHYSICALITY_TOL = 1e-8
@@ -51,14 +50,6 @@ def symplectic_eigenvalues(c: np.ndarray) -> np.ndarray:
     """
     freqs = np.abs(np.linalg.eigvals(1j * OMEGA_SYMPL @ c))
     return np.sort(freqs, axis=-1)[..., ::2]
-
-
-@dataclass(frozen=True)
-class QuadCovariance:
-    """Symmetrized quadrature covariance with its symplectic floor."""
-
-    c: np.ndarray
-    nu_min: float
 
 
 def _invariants(c: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -151,22 +142,23 @@ def covariance_batch(s: np.ndarray, errors: RowErrors):
     return c, invariants, nu_min
 
 
-def quad_covariance(s: SecondMoments | np.ndarray) -> QuadCovariance:
-    """Quadrature covariance from ladder-operator second moments."""
-    mat = s.s if isinstance(s, SecondMoments) else s
-    errors = RowErrors(1)
-    c, _, nu_min = covariance_batch(np.asarray(mat)[None], errors)
-    errors.raise_first()
-    return QuadCovariance(c=c[0], nu_min=float(nu_min[0]))
+def quad_covariance(s: SecondMoments) -> np.ndarray:
+    """Checked quadrature covariance from ladder-operator second moments."""
+    return one_row(covariance_batch, s.s)[0]
 
 
-def pt_symplectic_min(cov: QuadCovariance | np.ndarray) -> float:
+def symplectic_min(c: np.ndarray) -> float:
+    """Smallest symplectic eigenvalue of a covariance from its invariants,
+    the value :func:`covariance_batch` checks."""
+    return float(one_row(_symplectic_min, c)[1])
+
+
+def pt_symplectic_min(c: np.ndarray) -> float:
     """Smallest symplectic eigenvalue of the partial transpose.
 
     Brute-force route (momentum-sign flip on the atom mode followed by an
     eigen-solve); serves as the cross-check of the invariant formula.
     """
-    c = cov.c if isinstance(cov, QuadCovariance) else cov
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     return float(np.min(symplectic_eigenvalues(flip @ c @ flip)))
 
@@ -182,25 +174,15 @@ def log_negativity_batch(invariants, errors: RowErrors) -> np.ndarray:
     return np.where(e_n > 0.0, e_n, 0.0)
 
 
-def _covariance_stack(cov: QuadCovariance | np.ndarray) -> np.ndarray:
-    c = cov.c if isinstance(cov, QuadCovariance) else cov
-    return np.asarray(c, dtype=float)[None]
-
-
-def pt_nu_minus(cov: QuadCovariance | np.ndarray) -> float:
+def pt_nu_minus(c: np.ndarray) -> float:
     """nu_minus via the symplectic invariants of the partial transpose."""
-    errors = RowErrors(1)
-    nu = _pt_nu_minus(_invariants(_covariance_stack(cov)), errors)
-    errors.raise_first()
-    return float(nu[0])
+    return float(one_row(lambda cs, errors: _pt_nu_minus(_invariants(cs), errors), c))
 
 
-def log_negativity(cov: QuadCovariance | np.ndarray) -> float:
+def log_negativity(c: np.ndarray) -> float:
     """Logarithmic negativity E_N = max(0, -ln(2 nu_minus))."""
-    errors = RowErrors(1)
-    e_n = log_negativity_batch(_invariants(_covariance_stack(cov)), errors)
-    errors.raise_first()
-    return float(e_n[0])
+    return float(one_row(
+        lambda cs, errors: log_negativity_batch(_invariants(cs), errors), c))
 
 
 def two_mode_squeezed_covariance(r: float) -> np.ndarray:

@@ -5,7 +5,7 @@ status (for example in a parameter scan) gets its own class.  All of them
 derive from :class:`OpenDickeError` so blanket handling stays easy.
 
 :class:`RowErrors` keeps the first error of every row of a batched pump
-scan; the scalar API raises the error of its single row.
+scan; the scalar API runs batches of one and raises their row's error.
 """
 
 from __future__ import annotations
@@ -97,3 +97,15 @@ class RowErrors:
         for err in self.errors:
             if err is not None:
                 raise err
+
+    def first_row(self, out):
+        """Row 0 of every array of a batch of one's result, its error raised first."""
+        self.raise_first()
+        return tuple(map(self.first_row, out)) if isinstance(out, tuple) else out[0]
+
+
+def one_row(batch, *rows):
+    """``batch(*stacks, errors)`` on a batch of one, each of ``rows`` a stack
+    of one: row 0 of the result, or the row's error raised."""
+    errors = RowErrors(1)
+    return errors.first_row(batch(*(np.asarray(row)[None] for row in rows), errors))

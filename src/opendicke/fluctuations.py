@@ -36,7 +36,7 @@ import numpy as np
 
 from .basis import CONJ_PERM, J_COMM, OMEGA_R, T_CONJ
 from .errors import (DefectiveMatrix, DivergentSteadyState, NumericalFailure,
-                     RowErrors, UnstableState)
+                     RowErrors, UnstableState, one_row)
 from .model import (MeanField, MeanFieldBatch, ModelParams, abs_squared,
                     mean_field_batch, point_batch, pump_grid)
 
@@ -70,17 +70,12 @@ _EYE2 = np.concatenate((_EYE, _EYE))
 _MODES = np.arange(4)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Vacuum input noise of the lossy cavity at T = 0."""
-
-    kappa: float
-
-    def matrix(self) -> np.ndarray:
-        """Diffusion matrix D with <xi_i(t) xi_j(t')> = D_ij delta(t-t')."""
-        d = np.zeros((4, 4))
-        d[0, 1] = 2.0 * self.kappa
-        return d
+def noise_matrix(kappa: float) -> np.ndarray:
+    """Diffusion matrix D with <xi_i(t) xi_j(t')> = D_ij delta(t-t') of the
+    vacuum input noise of the lossy cavity at T = 0."""
+    d = np.zeros((4, 4))
+    d[0, 1] = 2.0 * kappa
+    return d
 
 
 @dataclass(frozen=True)
@@ -174,9 +169,8 @@ def build_stability_matrix(params: ModelParams,
     """Stability matrix of the linearized equations of motion (batch of one
     of :func:`stability_batch`)."""
     batch = point_batch(params, mf)
-    m = stability_batch(params, batch)
-    batch.errors.raise_first()
-    return StabilityMatrix(m=m[0], params=params)
+    return StabilityMatrix(m=batch.errors.first_row(stability_batch(params, batch)),
+                           params=params)
 
 
 def conjugation_defect(m: np.ndarray) -> float:
@@ -327,11 +321,9 @@ def decompose(stability: StabilityMatrix) -> QuasiNormalSystem:
     construction up to roundoff; both are still verified.  Eigenvalues are
     sorted by (real part, imaginary part) for reproducibility.
     """
-    errors = RowErrors(1)
-    lam, vecs, lefts, pairing, _ = _decompose_batch(stability.m[None], errors)
-    errors.raise_first()
-    return QuasiNormalSystem(lambdas=lam[0], rights=vecs[0], lefts=lefts[0],
-                             pairing=pairing[0], matrix=stability)
+    lam, vecs, lefts, pairing, _ = one_row(_decompose_batch, stability.m)
+    return QuasiNormalSystem(lambdas=lam, rights=vecs, lefts=lefts,
+                             pairing=pairing, matrix=stability)
 
 
 def _correlation_batch(lam: np.ndarray, lefts: np.ndarray, kappa: float,
@@ -367,9 +359,9 @@ def _correlation_batch(lam: np.ndarray, lefts: np.ndarray, kappa: float,
     return np.where(vacuum, lefts @ J_COMM @ lefts.transpose(0, 2, 1), g)
 
 
-def mode_correlations(q: QuasiNormalSystem,
-                      noise: NoiseSpec | None = None) -> np.ndarray:
-    """Steady-state quasi-normal-mode correlations <rho_k rho_l>.
+def mode_correlations(q: QuasiNormalSystem) -> np.ndarray:
+    """Steady-state quasi-normal-mode correlations <rho_k rho_l>, with the
+    cavity noise of the matrix's own kappa.
 
     Damped entries follow -2 kappa L[k,0] L[l,1] / (lambda_k + lambda_l).
     An entry whose mode pair is undamped (lambda_k + lambda_l ~ 0) diverges
@@ -377,13 +369,9 @@ def mode_correlations(q: QuasiNormalSystem,
     normal mode left in its vacuum, for which <rho rho+> equals the
     commutator [rho_k, rho_l] and <rho+ rho> = 0.
     """
-    if noise is None:
-        noise = NoiseSpec(kappa=q.matrix.params.kappa)
-    errors = RowErrors(1)
-    lam = q.lambdas[None]
-    g = _correlation_batch(lam, q.lefts[None], noise.kappa, _scale(lam), errors)
-    errors.raise_first()
-    return g[0]
+    kappa = q.matrix.params.kappa
+    return one_row(lambda lam, lefts, errors: _correlation_batch(
+        lam, lefts, kappa, _scale(lam), errors), q.lambdas, q.lefts)
 
 
 # Flat index of T conj(s)^T T: entry (i, j) is conj(s[CONJ_PERM[j], CONJ_PERM[i]]).
@@ -456,10 +444,7 @@ def _moment_batch(rights: np.ndarray, mode_corrs: np.ndarray,
 
 def system_moments(q: QuasiNormalSystem, mode_corrs: np.ndarray) -> SecondMoments:
     """Reassemble <R_i R_j> from mode correlations, enforcing commutators."""
-    errors = RowErrors(1)
-    s = _moment_batch(q.rights[None], np.asarray(mode_corrs)[None], errors)
-    errors.raise_first()
-    return SecondMoments(s=s[0])
+    return SecondMoments(s=one_row(_moment_batch, q.rights, mode_corrs))
 
 
 def steady_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
@@ -479,9 +464,7 @@ def steady_state_moments(params: ModelParams,
                          mf: MeanField | None = None) -> SecondMoments:
     """Convenience chain: mean field, stability matrix, modes, moments."""
     batch = point_batch(params, mf)
-    s = steady_state_batch(params, batch)
-    batch.errors.raise_first()
-    return SecondMoments(s=s[0])
+    return SecondMoments(s=batch.errors.first_row(steady_state_batch(params, batch)))
 
 
 # Occupations <db+ db> = s[3, 2] and <da+ da> = s[1, 0].
@@ -509,13 +492,10 @@ def observables_batch(s: np.ndarray, errors: RowErrors) -> tuple[np.ndarray, np.
     return values[:, 0].real, values[:, 1].real
 
 
-def observables(s: SecondMoments | np.ndarray) -> tuple[float, float]:
+def observables(s: SecondMoments) -> tuple[float, float]:
     """(condensate depletion <db+ db>, incoherent photon number <da+ da>)."""
-    mat = s.s if isinstance(s, SecondMoments) else s
-    errors = RowErrors(1)
-    delta_n, n_photon = observables_batch(np.asarray(mat)[None], errors)
-    errors.raise_first()
-    return float(delta_n[0]), float(n_photon[0])
+    delta_n, n_photon = one_row(observables_batch, s.s)
+    return float(delta_n), float(n_photon)
 
 
 @dataclass(frozen=True)

@@ -130,9 +130,7 @@ def bogoliubov_modes(params: ModelParams,
                      mf: MeanField | None = None) -> BogoliubovModes:
     """Symplectically normalized normal modes of the closed system."""
     batch = point_batch(params, mf)
-    lam, _, lefts, _, _, norms = _eigenmodes(params, batch)
-    batch.errors.raise_first()
-    lam, lefts, norms = lam[0], lefts[0], norms[0]
+    lam, _, lefts, _, _, norms = batch.errors.first_row(_eigenmodes(params, batch))
 
     rows = []
     for k in (0, 1):
@@ -158,6 +156,4 @@ def ground_state_moments(params: ModelParams,
     if params.kappa != 0.0:
         raise ValueError("ground state is defined for kappa = 0 only")
     batch = point_batch(params, mf)
-    s = ground_state_batch(params, batch)
-    batch.errors.raise_first()
-    return SecondMoments(s=s[0])
+    return SecondMoments(s=batch.errors.first_row(ground_state_batch(params, batch)))

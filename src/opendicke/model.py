@@ -79,14 +79,6 @@ class MeanField:
     mu: float
     phase: Phase
 
-    @property
-    def photon_density(self) -> float:
-        return abs(self.alpha0) ** 2
-
-    @property
-    def order_parameter(self) -> float:
-        return self.beta0 ** 2
-
 
 @dataclass
 class MeanFieldBatch:
@@ -113,13 +105,20 @@ def critical_pump(params: ModelParams) -> float:
 
     y_c = sqrt(-omega_r (delta_c^2 + kappa^2) / delta_c), defined only for
     delta_c < 0; otherwise the pumped mode is never softened and there is no
-    transition.  The pump value stored in ``params`` plays no role.
+    transition.  The pump value stored in ``params`` plays no role.  Raises
+    ValueError where y_c^2 overflows (|delta_c| or kappa above about 1e154).
     """
     if not (params.delta_c < 0.0):
         raise NoThreshold(
             f"no critical pump for delta_c = {params.delta_c!r}; need delta_c < 0")
-    return math.sqrt(-OMEGA_R * (params.delta_c ** 2 + params.kappa ** 2)
-                     / params.delta_c)
+    try:
+        y_c_sq = -OMEGA_R * (params.delta_c ** 2 + params.kappa ** 2) / params.delta_c
+    except OverflowError:
+        y_c_sq = math.inf
+    if y_c_sq == math.inf:
+        raise ValueError(f"critical pump overflows for delta_c = {params.delta_c!r}, "
+                         f"kappa = {params.kappa!r}")
+    return math.sqrt(y_c_sq)
 
 
 def abs_squared(z):

@@ -26,9 +26,9 @@ import scipy.sparse.linalg as spla
 from .basis import ETA
 from .errors import (CutoffTooSmall, DivergentSteadyState, NumericalFailure,
                      UnstableState)
-from .fluctuations import (NoiseSpec, SecondMoments, StabilityMatrix,
+from .fluctuations import (SecondMoments, StabilityMatrix,
                            build_stability_matrix, hermiticity_errors,
-                           hermiticity_failure, hermitize_moments)
+                           hermiticity_failure, hermitize_moments, noise_matrix)
 from .model import MeanField, ModelParams
 
 STABILITY_TOL = 1e-12
@@ -48,9 +48,9 @@ def _kron_sum(m: np.ndarray) -> np.ndarray:
             + eye[:, None, :, None] * m[None, :, None, :]).reshape(16, 16)
 
 
-def lyapunov_moments(stability: StabilityMatrix,
-                     noise: NoiseSpec | None = None) -> SecondMoments:
-    """Steady second moments from the Lyapunov equation M S + S M^T + D = 0.
+def lyapunov_moments(stability: StabilityMatrix) -> SecondMoments:
+    """Steady second moments from the Lyapunov equation M S + S M^T + D = 0,
+    with D the cavity noise of the matrix's own kappa.
 
     Solved by row-major vectorization, (M (x) I + I (x) M) vec(S) = -vec(D),
     as a dense 16-unknown system.  The solve is rejected when its residual
@@ -70,8 +70,7 @@ def lyapunov_moments(stability: StabilityMatrix,
     u = 1.36203, y = 2.386e5 that is 2e16, and delta_N is off by 0.9 %
     against a 50-digit solve.
     """
-    if noise is None:
-        noise = NoiseSpec(kappa=stability.params.kappa)
+    kappa = stability.params.kappa
     m = stability.m
     lam = np.linalg.eigvals(m)
     scale = max(1.0, float(np.max(np.abs(lam))))
@@ -81,14 +80,14 @@ def lyapunov_moments(stability: StabilityMatrix,
     if np.max(np.abs(lam.real)) <= STABILITY_TOL * scale:
         raise DivergentSteadyState("no damped mode at all; no steady state")
 
-    d = noise.matrix()
+    d = noise_matrix(kappa)
     a = _kron_sum(m)
     rhs = -d.reshape(16).astype(complex)
     sums = lam[:, None] + lam[None, :]
     if np.min(np.abs(sums)) <= STABILITY_TOL * scale:
         s = np.linalg.lstsq(a, rhs, rcond=None)[0].reshape(4, 4)
         residual = float(np.max(np.abs(m @ s + s @ m.T + d)))
-        if residual > 1e-8 * max(1.0, 2.0 * noise.kappa):
+        if residual > 1e-8 * max(1.0, 2.0 * kappa):
             raise DivergentSteadyState(
                 f"singular Lyapunov system with inconsistent noise "
                 f"(residual {residual:.3e}); moments diverge")
@@ -96,7 +95,7 @@ def lyapunov_moments(stability: StabilityMatrix,
 
     s = np.linalg.solve(a, rhs).reshape(4, 4)
     residual = float(np.max(np.abs(m @ s + s @ m.T + d)))
-    resid_tol = max(RESIDUAL_TOL, RESIDUAL_TOL * 2.0 * noise.kappa,
+    resid_tol = max(RESIDUAL_TOL, RESIDUAL_TOL * 2.0 * kappa,
                     BACKWARD_TOL * float(np.max(np.abs(m)))
                     * float(np.max(np.abs(s))))
     if residual > resid_tol:

@@ -21,10 +21,10 @@ from opendicke.analysis import Side, critical_exponent
 from opendicke.entanglement import log_negativity, quad_covariance
 from opendicke.errors import (DefectiveMatrix, DivergentSteadyState,
                               DynamicalInstability, UnstableState)
-from opendicke.fluctuations import (NoiseSpec, build_stability_matrix,
-                                    decompose, mode_correlations,
-                                    observables, spectrum_scan,
-                                    steady_state_moments, system_moments)
+from opendicke.fluctuations import (build_stability_matrix, decompose,
+                                    mode_correlations, observables,
+                                    spectrum_scan, steady_state_moments,
+                                    system_moments)
 from opendicke.groundstate import ground_state_moments
 from opendicke.model import (ModelParams, critical_pump, mean_field_curve,
                              solve_mean_field)
@@ -91,9 +91,8 @@ def test_04_eigenmode_formula_matches_lyapunov_oracle():
             q = decompose(stability)
             if max(lam.real for lam in q.lambdas) >= -1e-9:
                 continue
-            noise = NoiseSpec(kappa=kappa)
-            s_modes = system_moments(q, mode_correlations(q, noise))
-            s_oracle = lyapunov_moments(stability, noise)
+            s_modes = system_moments(q, mode_correlations(q))
+            s_oracle = lyapunov_moments(stability)
         except (DefectiveMatrix, UnstableState, DivergentSteadyState,
                 DynamicalInstability):
             continue

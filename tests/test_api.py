@@ -1,10 +1,19 @@
-"""The public surface: the package's exported names and the README example."""
+"""The public surface: the package's exported names, the README example,
+and the names and scalar calls of the benchmark (``bench/``)."""
 
+import importlib
+import importlib.util
 from pathlib import Path
 
-import opendicke
+import numpy as np
+import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import opendicke
+from opendicke import (entanglement, fluctuations, groundstate, model,
+                       oracle)
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_all_names_resolve():
@@ -17,3 +26,32 @@ def test_readme_python_api_example_runs():
     section = README.read_text(encoding="utf-8").split("\n## Python API\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(code, f"{README} (Python API)", "exec"), {})
+
+
+def test_bench_traced_names_resolve():
+    spec = importlib.util.spec_from_file_location("bench_spans",
+                                                  ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name in spans.TRACED:
+        module, func = name.split(".")
+        module = importlib.import_module(f"opendicke.{module}")
+        assert callable(getattr(module, func)), name
+
+
+def test_bench_scalar_calls():
+    """The scalar calls of ``bench/workloads.py``, with the attributes it
+    reads."""
+    base = model.ModelParams(delta_c=-2.0, kappa=2.0, u=0.7, y=0.0)
+    p = base.with_pump(0.9 * model.critical_pump(base))
+    m = fluctuations.build_stability_matrix(p).m
+    assert m.shape == (4, 4)
+    moments = fluctuations.steady_state_moments(p)
+    reference = oracle.lyapunov_moments(fluctuations.build_stability_matrix(p))
+    assert np.max(np.abs(moments.s - reference.s)) <= 1e-10
+    delta_n, n_photon = fluctuations.observables(moments)
+    assert (delta_n, n_photon) == (moments.s[3, 2].real, moments.s[1, 0].real)
+    assert entanglement.log_negativity(entanglement.quad_covariance(moments)) > 0.0
+    closed = model.ModelParams(delta_c=-2.0, kappa=0.0, u=0.7, y=1.0)
+    s = groundstate.ground_state_moments(closed).s
+    assert s[0, 1] - s[1, 0] == pytest.approx(1.0, abs=1e-12)

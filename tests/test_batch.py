@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 
 from opendicke import cli
 from opendicke.analysis import ScanKind, figure_scan, status_of
-from opendicke.entanglement import log_negativity, quad_covariance
+from opendicke.entanglement import (log_negativity, quad_covariance,
+                                    symplectic_min)
 from opendicke.errors import OpenDickeError
 from opendicke.fluctuations import (build_stability_matrix, observables,
                                     steady_state_moments)
@@ -62,7 +63,7 @@ def _point_rows(p: ModelParams) -> tuple[tuple, tuple]:
         excitation = mean + (nan, nan, status_of(err))
     try:
         cov = quad_covariance(moments)
-        negativity = (log_negativity(cov), cov.nu_min, "ok")
+        negativity = (log_negativity(cov), symplectic_min(cov), "ok")
     except OpenDickeError as err:
         negativity = (nan, nan, status_of(err))
     return excitation, negativity

@@ -194,6 +194,58 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_values_pass_the_flag_parser(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    # side and curve belong to exponent; meanfield ignores them
+    cfg.write_text("kappa = 0\nside = below\ncurve = yes\n")
+    # an abbreviated flag wins over the config file
+    code, out, _ = run_cli(["meanfield", f"--config={cfg}", "--kap=2",
+                            "--delta-c=-2", "--y-grid=0:2yc:2"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert float(rows[-1][0]) == 4.0
+
+    code, out, _ = run_cli(["exponent", f"--config={cfg}", "--delta-c=-2",
+                            "--points=8"], capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header[:2] == ["side", "eps"]
+    assert {row[0] for row in rows} == {"below"} and len(rows) == 8
+
+
+@pytest.mark.parametrize("command, line, flag", [
+    ("exponent", "side = sideways", "--side"),
+    ("meanfield", "format = xml", "--format"),
+    ("meanfield", "kappa = two", "--kappa"),
+])
+def test_config_rejects_bad_values(command, line, flag, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"delta-c = -2\n{line}\n")
+    code, out, err = run_cli([command, f"--config={cfg}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: argument {flag}: invalid" in err
+
+
+def test_critical_pump_overflow_exits_2(capsys):
+    code, out, err = run_cli(["meanfield", "--delta-c=-1e300", "--kappa=1e300"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: critical pump overflows for delta_c = -1e+300, "
+                   "kappa = 1e+300\n")
+
+
+@pytest.mark.parametrize("points", ["7", "3", "0", "-1"])
+@pytest.mark.parametrize("curve", [[], ["--curve"]])
+def test_exponent_rejects_too_few_points(points, curve, capsys):
+    code, out, err = run_cli(["exponent", "--delta-c=-2", "--kappa=2",
+                              f"--points={points}"] + curve, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: points per side must be >= 8 for the fit, got {points}\n"
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "scan.csv"
     code, out, _ = run_cli(["meanfield", "--delta-c=-2", "--kappa=2",

@@ -11,13 +11,14 @@ from opendicke.errors import (DefectiveMatrix, DegenerateBranch,
                               DivergentSteadyState, NumericalFailure,
                               UnstableState)
 from opendicke.errors import RowErrors
-from opendicke.fluctuations import (DEFECT_COND_LIMIT, NoiseSpec,
-                                    SecondMoments, _decompose_batch, _defects,
+from opendicke.fluctuations import (DEFECT_COND_LIMIT, SecondMoments,
+                                    _decompose_batch, _defects,
                                     _ill_conditioned, _scale,
                                     build_stability_matrix,
                                     conjugation_defect, decompose,
                                     hermitize_moments, mode_correlations,
-                                    observables, sort_modes, spectrum_scan,
+                                    noise_matrix, observables, sort_modes,
+                                    spectrum_scan,
                                     stability_batch, steady_state_moments,
                                     system_moments)
 from opendicke.model import (MeanField, ModelParams, Phase, critical_pump,
@@ -131,8 +132,8 @@ def test_eigenmode_matches_lyapunov_oracle(open_params):
         p = at_ratio(base, ratio)
         stability = build_stability_matrix(p, solve_mean_field(p))
         q = decompose(stability)
-        s_modes = system_moments(q, mode_correlations(q, NoiseSpec(p.kappa)))
-        s_oracle = lyapunov_moments(stability, NoiseSpec(p.kappa))
+        s_modes = system_moments(q, mode_correlations(q))
+        s_oracle = lyapunov_moments(stability)
         assert np.max(np.abs(s_modes.s - s_oracle.s)) <= 1e-10
 
 
@@ -141,7 +142,7 @@ def test_unstable_normal_branch_above_threshold(open_params):
     stability = build_stability_matrix(p, _normal_mean_field())
     q = decompose(stability)
     with pytest.raises(UnstableState):
-        mode_correlations(q, NoiseSpec(p.kappa))
+        mode_correlations(q)
 
 
 def test_divergent_at_threshold(open_params):
@@ -244,7 +245,7 @@ def test_depletion_monotone_near_threshold(open_params):
 
 
 def test_noise_spec_matrix():
-    d = NoiseSpec(kappa=1.5).matrix()
+    d = noise_matrix(1.5)
     expected = np.zeros((4, 4))
     expected[0, 1] = 3.0
     np.testing.assert_allclose(d, expected, atol=0.0)

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import at_ratio
 from opendicke.errors import NoThreshold
-from opendicke.model import (MeanField, ModelParams, Phase, critical_pump,
+from opendicke.model import (ModelParams, Phase, critical_pump,
                              mean_field_batch, mean_field_curve,
                              mean_field_residuals, solve_mean_field)
 
@@ -36,6 +37,17 @@ def test_no_threshold_for_nonnegative_detuning():
             critical_pump(ModelParams(delta_c=delta_c, kappa=1.0, u=0.0, y=0.0))
 
 
+def test_critical_pump_overflow_is_a_value_error():
+    # delta_c^2 overflows (OverflowError), or the sum of squares does (inf)
+    for delta_c, kappa in ((-1e300, 1e300), (-1.5e154, 0.0), (-1e154, 1e154)):
+        p = ModelParams(delta_c=delta_c, kappa=kappa, u=0.0, y=0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"delta_c = {delta_c!r}, kappa = {kappa!r}")):
+            critical_pump(p)
+    p = ModelParams(delta_c=-1e150, kappa=1e150, u=0.0, y=0.0)
+    assert critical_pump(p) == math.sqrt(-(1e300 + 1e300) / -1e150)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(delta_c=-2.0, kappa=-0.1, u=0.0, y=0.0)
@@ -56,7 +68,6 @@ def test_normal_phase_below_threshold(open_params):
     assert mf.phase is Phase.NORMAL
     assert mf.alpha0 == 0.0 and mf.beta0 == 0.0
     assert mf.mu == pytest.approx(-0.5, abs=1e-15)
-    assert mf.photon_density == 0.0 and mf.order_parameter == 0.0
 
 
 def test_superradiant_closed_form_u_zero(open_params):
@@ -114,13 +125,6 @@ def test_residuals_vanish_at_any_solution(delta_c, kappa, u, ratio):
     r_alpha, r_beta = mean_field_residuals(p, mf.alpha0, mf.beta0)
     assert abs(r_alpha) < 1e-12
     assert abs(r_beta) < 1e-12
-
-
-def test_mean_field_dataclass_properties():
-    mf = MeanField(alpha0=0.3 - 0.4j, beta0=0.2, mu=-0.6,
-                   phase=Phase.SUPERRADIANT)
-    assert mf.photon_density == pytest.approx(0.25, abs=1e-15)
-    assert mf.order_parameter == pytest.approx(0.04, abs=1e-15)
 
 
 def test_residual_tolerance_scales_with_terms():

@@ -11,8 +11,8 @@ from opendicke import oracle
 from opendicke.basis import ETA
 from opendicke.errors import (DivergentSteadyState, NumericalFailure,
                               UnstableState)
-from opendicke.fluctuations import (NoiseSpec, SecondMoments,
-                                    build_stability_matrix, hermitize_moments,
+from opendicke.fluctuations import (SecondMoments, build_stability_matrix,
+                                    hermitize_moments, noise_matrix,
                                     observables, steady_state_moments)
 from opendicke.groundstate import ground_state_moments
 from opendicke.model import MeanField, ModelParams, Phase, solve_mean_field
@@ -29,9 +29,8 @@ def test_lyapunov_solves_equation(open_params):
     for ratio in (0.4, 0.9, 1.5):
         p = at_ratio(open_params, ratio)
         stability = _stability(p)
-        noise = NoiseSpec(kappa=p.kappa)
-        s = lyapunov_moments(stability, noise).s
-        residual = stability.m @ s + s @ stability.m.T + noise.matrix()
+        s = lyapunov_moments(stability).s
+        residual = stability.m @ s + s @ stability.m.T + noise_matrix(p.kappa)
         assert np.max(np.abs(residual)) <= 1e-10
 
 
@@ -45,8 +44,7 @@ def test_lyapunov_vacuum_at_zero_pump(open_params):
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 1] = 1.0
     np.testing.assert_allclose(s, expected, atol=1e-10)
-    noise = NoiseSpec(kappa=open_params.kappa)
-    residual = stability.m @ s + s @ stability.m.T + noise.matrix()
+    residual = stability.m @ s + s @ stability.m.T + noise_matrix(open_params.kappa)
     assert np.max(np.abs(residual)) <= 1e-8
 
 
@@ -67,14 +65,6 @@ def test_lyapunov_rejects_fully_undamped_system(closed_params):
         lyapunov_moments(_stability(at_ratio(closed_params, 0.5)))
 
 
-def test_lyapunov_default_noise_from_params(open_params):
-    p = at_ratio(open_params, 0.8)
-    stability = _stability(p)
-    s_default = lyapunov_moments(stability).s
-    s_explicit = lyapunov_moments(stability, NoiseSpec(kappa=p.kappa)).s
-    np.testing.assert_array_equal(s_default, s_explicit)
-
-
 # Large kappa and pump: max|M| ~ 8.6e3 and max|S| ~ 7.3e6, so rounding in
 # M S + S M^T (1.1e-5) alone exceeds the absolute bound 1e-10 max(1, 2 kappa).
 LARGE_SCALE = ModelParams(delta_c=-0.5678787341247107, kappa=8598.150873883307,
@@ -83,10 +73,10 @@ LARGE_SCALE = ModelParams(delta_c=-0.5678787341247107, kappa=8598.150873883307,
 
 def test_lyapunov_accepts_rounding_residual_at_large_scale():
     stability = _stability(LARGE_SCALE)
-    noise = NoiseSpec(kappa=LARGE_SCALE.kappa)
-    delta_n, n_photon = observables(lyapunov_moments(stability, noise))
+    delta_n, n_photon = observables(lyapunov_moments(stability))
     # two routes that share nothing with the Kronecker solve
-    sylvester = sla.solve_sylvester(stability.m, stability.m.T, -noise.matrix())
+    sylvester = sla.solve_sylvester(stability.m, stability.m.T,
+                                    -noise_matrix(LARGE_SCALE.kappa))
     for other in (observables(SecondMoments(s=hermitize_moments(sylvester))),
                   observables(steady_state_moments(LARGE_SCALE))):
         assert delta_n == pytest.approx(other[0], rel=1e-8)
