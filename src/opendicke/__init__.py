@@ -8,7 +8,7 @@ thermodynamic-limit linearized description.  Recoil units, omega_r = 1.
 
 from .analysis import (DEFAULT_WINDOW, ExponentFit, ScanKind, Side, Table,
                        critical_exponent, depletion_curve, exponent_fit,
-                       exponent_grid, figure_scan)
+                       exponent_grid, exponent_table, figure_scan)
 from .entanglement import (log_negativity, pt_nu_minus, pt_symplectic_min,
                            quad_covariance, symplectic_eigenvalues,
                            symplectic_min, two_mode_squeezed_covariance)
@@ -37,11 +37,11 @@ __all__ = [
     "ScanKind", "SecondMoments", "Side", "SpectrumScan", "StabilityMatrix",
     "Table", "UnstableState", "bogoliubov_modes", "build_stability_matrix",
     "critical_exponent", "critical_pump", "decompose", "depletion_curve",
-    "exponent_fit", "exponent_grid", "figure_scan", "fock_ground_state",
-    "ground_state_moments", "log_negativity", "lyapunov_moments",
-    "mean_field_curve", "mean_field_residuals", "mode_correlations",
-    "noise_matrix", "observables", "pt_nu_minus", "pt_symplectic_min",
-    "quad_covariance", "solve_mean_field", "spectrum_scan",
-    "steady_state_moments", "symplectic_eigenvalues", "symplectic_min",
-    "system_moments", "two_mode_squeezed_covariance",
+    "exponent_fit", "exponent_grid", "exponent_table", "figure_scan",
+    "fock_ground_state", "ground_state_moments", "log_negativity",
+    "lyapunov_moments", "mean_field_curve", "mean_field_residuals",
+    "mode_correlations", "noise_matrix", "observables", "pt_nu_minus",
+    "pt_symplectic_min", "quad_covariance", "solve_mean_field",
+    "spectrum_scan", "steady_state_moments", "symplectic_eigenvalues",
+    "symplectic_min", "system_moments", "two_mode_squeezed_covariance",
 ]

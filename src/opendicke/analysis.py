@@ -209,70 +209,57 @@ def status_of(err: Exception) -> str:
     raise err
 
 
-def _status_column(errors) -> list[str]:
-    return ["ok" if err is None else status_of(err) for err in errors.errors]
+def _masked(ok, *columns) -> tuple:
+    """The columns with NaN on the rows where ``ok`` is False."""
+    return tuple(np.where(ok, c, math.nan) for c in columns)
 
 
-def _mean_field_table(params: ModelParams, y_grid) -> Table:
-    mf = mean_field_batch(params, y_grid)
-    ok = mf.errors.alive
-    alpha0_sq = np.where(ok, np.abs(mf.alpha0) ** 2, math.nan)
-    beta0_sq = np.where(ok, mf.beta0 ** 2, math.nan)
-    rows = list(zip(mf.y.tolist(), (mf.y / critical_pump(params)).tolist(),
-                    alpha0_sq.tolist(), beta0_sq.tolist(),
-                    _status_column(mf.errors)))
-    return Table(kind=ScanKind.MEAN_FIELD,
-                 columns=("y", "y_over_yc", "alpha0_sq", "beta0_sq", "status"),
-                 rows=rows)
+def _mean_field_columns(params: ModelParams, y):
+    mf = mean_field_batch(params, y)
+    return mf.errors, _masked(mf.errors.alive, np.abs(mf.alpha0) ** 2,
+                              mf.beta0 ** 2)
 
 
-def _grid_rows(rows_of, params: ModelParams, y_grid) -> list[tuple]:
-    """Rows of a pump grid, computed in batches of at most BATCH_ROWS pumps."""
+def _excitation_columns(params: ModelParams, y):
+    mf, mean_ok, s = _moments(params, y)
+    delta_n, n_photon = observables_batch(s, mf.errors)
+    return mf.errors, (_masked(mean_ok, mf.alpha0.real, mf.alpha0.imag,
+                               mf.beta0 ** 2)
+                       + _masked(mf.errors.alive, delta_n, n_photon))
+
+
+def _entanglement_columns(params: ModelParams, y):
+    mf, _, s = _moments(params, y)
+    _, invariants, nu_min = covariance_batch(s, mf.errors)
+    e_n = log_negativity_batch(invariants, mf.errors)
+    return mf.errors, _masked(mf.errors.alive, e_n, nu_min)
+
+
+# The columns between (y, y_over_yc) and status of each grid scan, and the
+# function that computes them, with the rows' errors, for a batch of pumps.
+_GRID_SCANS = {
+    ScanKind.MEAN_FIELD: (("alpha0_sq", "beta0_sq"), _mean_field_columns),
+    ScanKind.MEAN_AND_FLUCT: (("alpha0_re", "alpha0_im", "beta0_sq", "delta_N",
+                               "n_photon"), _excitation_columns),
+    ScanKind.ENTANGLEMENT: (("log_negativity", "nu_min"), _entanglement_columns),
+}
+
+
+def _grid_table(kind: ScanKind, params: ModelParams, y_grid) -> Table:
+    """The table of a grid scan, computed in batches of at most BATCH_ROWS
+    pumps."""
+    names, columns_of = _GRID_SCANS[kind]
     y = np.asarray(y_grid, dtype=float).reshape(-1)
     y_c = critical_pump(params)
     rows = []
     for start in range(0, y.size, BATCH_ROWS):
-        rows += rows_of(params, y[start:start + BATCH_ROWS], y_c)
-    return rows
-
-
-def _excitation_rows(params: ModelParams, y, y_c: float) -> list[tuple]:
-    mf, mean_ok, s = _moments(params, y)
-    delta_n, n_photon = observables_batch(s, mf.errors)
-    ok = mf.errors.alive
-    nan = math.nan
-    return list(zip(y.tolist(), (y / y_c).tolist(),
-                    np.where(mean_ok, mf.alpha0.real, nan).tolist(),
-                    np.where(mean_ok, mf.alpha0.imag, nan).tolist(),
-                    np.where(mean_ok, mf.beta0 ** 2, nan).tolist(),
-                    np.where(ok, delta_n, nan).tolist(),
-                    np.where(ok, n_photon, nan).tolist(),
-                    _status_column(mf.errors)))
-
-
-def _excitation_table(params: ModelParams, y_grid) -> Table:
-    return Table(kind=ScanKind.MEAN_AND_FLUCT,
-                 columns=("y", "y_over_yc", "alpha0_re", "alpha0_im",
-                          "beta0_sq", "delta_N", "n_photon", "status"),
-                 rows=_grid_rows(_excitation_rows, params, y_grid))
-
-
-def _entanglement_rows(params: ModelParams, y, y_c: float) -> list[tuple]:
-    mf, _, s = _moments(params, y)
-    _, invariants, nu_min = covariance_batch(s, mf.errors)
-    e_n = log_negativity_batch(invariants, mf.errors)
-    ok = mf.errors.alive
-    return list(zip(y.tolist(), (y / y_c).tolist(),
-                    np.where(ok, e_n, math.nan).tolist(),
-                    np.where(ok, nu_min, math.nan).tolist(),
-                    _status_column(mf.errors)))
-
-
-def _entanglement_table(params: ModelParams, y_grid) -> Table:
-    return Table(kind=ScanKind.ENTANGLEMENT,
-                 columns=("y", "y_over_yc", "log_negativity", "nu_min",
-                          "status"),
-                 rows=_grid_rows(_entanglement_rows, params, y_grid))
+        batch = y[start:start + BATCH_ROWS]
+        errors, columns = columns_of(params, batch)
+        rows += zip(batch.tolist(), (batch / y_c).tolist(),
+                    *(c.tolist() for c in columns),
+                    ["ok" if e is None else status_of(e) for e in errors.errors])
+    return Table(kind=kind, columns=("y", "y_over_yc") + names + ("status",),
+                 rows=rows)
 
 
 def _spectrum_table(params: ModelParams, y_grid) -> Table:
@@ -288,48 +275,39 @@ def _spectrum_table(params: ModelParams, y_grid) -> Table:
                  meta={"real_intervals": scan.real_intervals})
 
 
-def _exponent_table(params: ModelParams, window: tuple[float, float],
-                    n: int, sides) -> Table:
-    if n < MIN_FIT_POINTS:
-        raise ValueError(f"points per side must be >= {MIN_FIT_POINTS} "
-                         f"for the fit, got {n}")
+def exponent_table(params: ModelParams,
+                   window: tuple[float, float] = DEFAULT_WINDOW,
+                   n: int = DEFAULT_POINTS_PER_SIDE,
+                   sides: tuple[Side, ...] = (Side.BELOW, Side.ABOVE)) -> Table:
+    """One :func:`critical_exponent` fit per side, with ``n`` points per side
+    on its log-spaced grid; raises ValueError when ``n`` is below the fit's
+    minimum before it computes anything."""
+    _check_fit_points(n)
     rows = []
-    curves = {}
     for side in sides:
-        curve = depletion_curve(params, side, window, n)
-        fit = exponent_fit(curve[:, :2], window, side)
-        curves[side.value] = curve
+        fit = critical_exponent(params, side, window, n)
         rows.append((side.value, fit.slope, fit.intercept, fit.r_squared,
                      fit.n_points, window[0], window[1],
                      "poor_fit" if fit.poor_fit else "ok"))
     return Table(kind=ScanKind.EXPONENT,
                  columns=("side", "slope", "intercept", "r_squared",
                           "n_points", "window_min", "window_max", "status"),
-                 rows=rows, meta={"curves": curves})
+                 rows=rows)
 
 
-_GRID_TABLES = {
-    ScanKind.MEAN_FIELD: _mean_field_table,
-    ScanKind.MEAN_AND_FLUCT: _excitation_table,
-    ScanKind.ENTANGLEMENT: _entanglement_table,
-    ScanKind.SPECTRUM: _spectrum_table,
-}
+def _check_fit_points(n: int) -> None:
+    if n < MIN_FIT_POINTS:
+        raise ValueError(f"points per side must be >= {MIN_FIT_POINTS} "
+                         f"for the fit, got {n}")
 
 
-def figure_scan(kind: ScanKind, params: ModelParams, y_grid=None,
-                window: tuple[float, float] = DEFAULT_WINDOW,
-                points_per_side: int = DEFAULT_POINTS_PER_SIDE,
-                sides: tuple[Side, ...] = (Side.BELOW, Side.ABOVE)) -> Table:
-    """Assemble the scan table behind one of the figure kinds.
-
-    MEAN_FIELD, MEAN_AND_FLUCT, ENTANGLEMENT and SPECTRUM compute ``y_grid``
-    as batches of arrays; EXPONENT builds its own log-centered grid from ``window``
-    and ``points_per_side`` on the requested ``sides``.
-    """
-    if kind is ScanKind.EXPONENT:
-        return _exponent_table(params, window, points_per_side, sides)
-    if y_grid is None:
-        raise ValueError(f"{kind.value} scan requires a y grid")
-    if kind not in _GRID_TABLES:
-        raise ValueError(f"unknown scan kind {kind!r}")
-    return _GRID_TABLES[kind](params, y_grid)
+def figure_scan(kind: ScanKind, params: ModelParams, y_grid) -> Table:
+    """The table of a scan along the pump grid ``y_grid``, computed as
+    batches of arrays: MEAN_FIELD, MEAN_AND_FLUCT, ENTANGLEMENT or SPECTRUM.
+    Exponent tables have their own grid (:func:`exponent_table`)."""
+    if kind is ScanKind.SPECTRUM:
+        return _spectrum_table(params, y_grid)
+    if kind not in _GRID_SCANS:
+        raise ValueError(f"{kind!r} is not a pump-grid scan; exponent tables "
+                         "come from exponent_table")
+    return _grid_table(kind, params, y_grid)

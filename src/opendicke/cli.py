@@ -61,39 +61,57 @@ def _parse_grid(spec: str, y_c: float | None) -> np.ndarray:
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
     """The ``key=value`` lines of ``args.config`` as flags of the parsed
-    subcommand: a key of another subcommand is dropped, an unknown key raises
-    ValueError, and a switch (``curve``) is set by 1, true or yes."""
+    subcommand: a key of another subcommand is dropped, an unknown key or a
+    bad value raises ValueError naming the file and line, and a switch
+    (``curve``) is set by 1, true or yes and left off by 0, false or no."""
     flags = []
     with open(args.config, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
+            where = f"{args.config}:{lineno}"
             if "=" not in text:
-                raise ValueError(f"{args.config}:{lineno}: expected key=value")
+                raise ValueError(f"{where}: expected key=value")
             key, _, raw = text.partition("=")
             key, value = key.strip().replace("-", "_"), raw.strip()
             action = args.config_keys.get(key)
             if action is None:
-                raise ValueError(f"{args.config}:{lineno}: unknown key {key!r}")
+                raise ValueError(f"{where}: unknown key {key!r}")
             if not hasattr(args, key):
                 continue
-            if action.nargs != 0:
-                flags.append(f"{action.option_strings[0]}={value}")
-            elif value.lower() in ("1", "true", "yes"):
-                flags.append(action.option_strings[0])
+            flag = action.option_strings[0]
+            if action.nargs == 0:
+                on = value.lower() in ("1", "true", "yes")
+                if not on and value.lower() not in ("0", "false", "no"):
+                    raise ValueError(f"{where}: {key} = {value!r}; a switch "
+                                     "takes 1, true, yes, 0, false or no")
+                flags += [flag] if on else []
+                continue
+            flag = f"{flag}={value}"
+            # A one-line parse checks the value with the flag's own type and
+            # choices, and raises instead of exiting.
+            one = argparse.ArgumentParser(exit_on_error=False)
+            one._add_action(action)
+            try:
+                one.parse_args([flag])
+            except argparse.ArgumentError as err:
+                raise ValueError(f"{err} ({where}, key {key!r})") from None
+            flags.append(flag)
     return flags
 
 
-def _emit_table(table: analysis.Table, args, extra_json: dict | None = None) -> None:
+def _emit_table(table: analysis.Table, args) -> None:
     out = sys.stdout if args.output is None else open(args.output, "w",
                                                       encoding="utf-8")
     try:
         if args.format == "json":
-            rows = [dict(zip(table.columns, _json_row(row))) for row in table.rows]
+            rows = [dict(zip(table.columns, map(_json_value, row)))
+                    for row in table.rows]
             payload: object = rows
-            if extra_json:
-                payload = {"rows": rows, **extra_json}
+            if "real_intervals" in table.meta:
+                payload = {"rows": rows, "real_intervals": [
+                    _interval_json(iv) for iv in table.meta["real_intervals"]]}
             out.write(json.dumps(payload, indent=2, allow_nan=False))
             out.write("\n")
         else:
@@ -106,16 +124,17 @@ def _emit_table(table: analysis.Table, args, extra_json: dict | None = None) -> 
             out.close()
 
 
-def _json_row(row) -> list:
-    clean = []
-    for v in row:
-        if isinstance(v, float):
-            clean.append(None if math.isnan(v) else float(v))
-        elif isinstance(v, (int, np.integer)):
-            clean.append(int(v))
-        else:
-            clean.append(v)
-    return clean
+def _json_value(v):
+    """A table cell or endpoint field for JSON, NaN as null."""
+    return None if isinstance(v, float) and math.isnan(v) else v
+
+
+def _interval_json(interval: fluctuations.RealInterval) -> dict:
+    def endpoint(e: fluctuations.EndpointReport) -> dict:
+        return {"y": e.y, "refined": e.refined, "defective": e.defective,
+                "cond": e.cond, "gap": _json_value(e.gap),
+                "overlap": _json_value(e.overlap)}
+    return {"lower": endpoint(interval.lower), "upper": endpoint(interval.upper)}
 
 
 def _model_params(args, y: float = 0.0) -> model.ModelParams:
@@ -123,35 +142,14 @@ def _model_params(args, y: float = 0.0) -> model.ModelParams:
                              u=args.u, y=y)
 
 
-def _grid_table(args) -> analysis.Table:
+def _cmd_scan(args) -> int:
     params = _model_params(args)
     grid = _parse_grid(args.y_grid, model.critical_pump(params))
-    return analysis.figure_scan(args.kind, params, y_grid=grid)
-
-
-def _cmd_scan(args) -> int:
-    _emit_table(_grid_table(args), args)
-    return 0
-
-
-def _interval_json(interval: fluctuations.RealInterval) -> dict:
-    def endpoint(e: fluctuations.EndpointReport) -> dict:
-        return {"y": e.y, "refined": e.refined, "defective": e.defective,
-                "cond": e.cond,
-                "gap": None if math.isnan(e.gap) else e.gap,
-                "overlap": None if math.isnan(e.overlap) else e.overlap}
-    return {"lower": endpoint(interval.lower), "upper": endpoint(interval.upper)}
-
-
-def _cmd_spectrum(args) -> int:
-    table = _grid_table(args)
-    intervals = table.meta["real_intervals"]
-    if args.format == "json":
-        _emit_table(table, args, extra_json={
-            "real_intervals": [_interval_json(iv) for iv in intervals]})
-    else:
-        _emit_table(table, args)
-        for iv in intervals:
+    table = analysis.figure_scan(args.kind, params, grid)
+    _emit_table(table, args)
+    if args.format == "csv":
+        # JSON carries the spectrum's intervals; CSV reports them here.
+        for iv in table.meta.get("real_intervals", ()):
             print("real-axis interval: y in "
                   f"[{float(iv.lower.y)!r}, {float(iv.upper.y)!r}]"
                   f" lower defective={iv.lower.defective}"
@@ -163,23 +161,20 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_exponent(args) -> int:
     params = _model_params(args)
-    sides = {"below": (analysis.Side.BELOW,),
-             "above": (analysis.Side.ABOVE,),
-             "both": (analysis.Side.BELOW, analysis.Side.ABOVE)}[args.side]
+    sides = tuple(analysis.Side) if args.side == "both" else \
+        (analysis.Side(args.side),)
     window = (args.window_min, args.window_max)
-    table = analysis.figure_scan(analysis.ScanKind.EXPONENT, params,
-                                 window=window, points_per_side=args.points,
-                                 sides=sides)
     if args.curve:
-        rows = []
-        for side in sides:
-            for eps, delta_n, n_photon in table.meta["curves"][side.value]:
-                rows.append((side.value, float(eps), float(delta_n),
-                             float(n_photon), "ok"))
-        table = analysis.Table(kind=analysis.ScanKind.EXPONENT,
-                               columns=("side", "eps", "delta_N", "n_photon",
-                                        "status"),
-                               rows=rows)
+        # The curve is held to the fit's rule on points, as exponent_table is.
+        analysis._check_fit_points(args.points)
+        table = analysis.Table(
+            kind=analysis.ScanKind.EXPONENT,
+            columns=("side", "eps", "delta_N", "n_photon", "status"),
+            rows=[(side.value, *point, "ok") for side in sides
+                  for point in analysis.depletion_curve(
+                      params, side, window, args.points).tolist()])
+    else:
+        table = analysis.exponent_table(params, window, args.points, sides)
     _emit_table(table, args)
     return 0
 
@@ -288,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "are computed as batches")
 
     def add_grid_command(name: str, kind: analysis.ScanKind, default_grid: str,
-                         help_: str, handler=_cmd_scan):
+                         help_: str):
         p = sub.add_parser(name, parents=[common], help=help_)
         p.add_argument("--y-grid", default=default_grid,
                        help="pump grid start:stop:count; endpoints may use "
                             "the 'yc' token (e.g. 0:2yc:200)")
-        p.set_defaults(handler=handler, kind=kind)
+        p.set_defaults(handler=_cmd_scan, kind=kind)
 
     add_grid_command("meanfield", analysis.ScanKind.MEAN_FIELD, "0:2yc:200",
                      "mean-field amplitudes |alpha0|^2 and beta0^2")
@@ -302,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_grid_command("entanglement", analysis.ScanKind.ENTANGLEMENT, "0:2yc:200",
                      "logarithmic negativity along a pump grid")
     add_grid_command("spectrum", analysis.ScanKind.SPECTRUM, "0:1.2yc:241",
-                     "quasi-normal spectrum and real-axis interval report",
-                     _cmd_spectrum)
+                     "quasi-normal spectrum and real-axis interval report")
 
     p_exp = sub.add_parser("exponent", parents=[common],
                            help="critical-exponent fit of the depletion")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,15 +107,21 @@ def critical_pump(params: ModelParams) -> float:
     y_c = sqrt(-omega_r (delta_c^2 + kappa^2) / delta_c), defined only for
     delta_c < 0; otherwise the pumped mode is never softened and there is no
     transition.  The pump value stored in ``params`` plays no role.  Raises
-    ValueError where y_c^2 overflows (|delta_c| or kappa above about 1e154).
+    ValueError where y_c^2 overflows (|delta_c| or kappa above about 1e154)
+    or delta_c^2 + kappa^2 is below the smallest normal double, where it has
+    lost precision (|delta_c| below about 1.49e-154 at kappa = 0).
     """
     if not (params.delta_c < 0.0):
         raise NoThreshold(
             f"no critical pump for delta_c = {params.delta_c!r}; need delta_c < 0")
     try:
-        y_c_sq = -OMEGA_R * (params.delta_c ** 2 + params.kappa ** 2) / params.delta_c
+        norm_sq = params.delta_c ** 2 + params.kappa ** 2
     except OverflowError:
-        y_c_sq = math.inf
+        norm_sq = math.inf
+    if norm_sq < sys.float_info.min:
+        raise ValueError(f"critical pump underflows for delta_c = {params.delta_c!r}, "
+                         f"kappa = {params.kappa!r}")
+    y_c_sq = -OMEGA_R * norm_sq / params.delta_c
     if y_c_sq == math.inf:
         raise ValueError(f"critical pump overflows for delta_c = {params.delta_c!r}, "
                          f"kappa = {params.kappa!r}")

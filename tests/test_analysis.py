@@ -6,8 +6,8 @@ import pytest
 from conftest import at_ratio
 from opendicke.analysis import (DEFAULT_WINDOW, ExponentFit, ScanKind, Side,
                                 critical_exponent, depletion_curve,
-                                exponent_fit, exponent_grid, figure_scan,
-                                status_of)
+                                exponent_fit, exponent_grid, exponent_table,
+                                figure_scan, status_of)
 from opendicke.errors import (DefectiveMatrix, DivergentSteadyState,
                               DynamicalInstability, InvalidCurve,
                               UnstableState)
@@ -221,13 +221,18 @@ def test_spectrum_table(open_params):
 
 
 def test_exponent_table(open_params):
-    table = figure_scan(ScanKind.EXPONENT, open_params)
+    table = exponent_table(open_params)
     assert table.columns == ("side", "slope", "intercept", "r_squared",
                              "n_points", "window_min", "window_max", "status")
     sides = [row[0] for row in table.rows]
     assert sides == ["below", "above"]
     for row in table.rows:
         assert abs(row[1] + 1.0) <= 0.02
+
+
+def test_figure_scan_takes_pump_grids_only(open_params):
+    with pytest.raises(ValueError, match="exponent_table"):
+        figure_scan(ScanKind.EXPONENT, open_params, [0.5, 1.0])
 
 
 def test_exponent_fit_dataclass_fields():

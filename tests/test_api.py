@@ -3,14 +3,16 @@ and the names and scalar calls of the benchmark (``bench/``)."""
 
 import importlib
 import importlib.util
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import opendicke
-from opendicke import (entanglement, fluctuations, groundstate, model,
-                       oracle)
+from opendicke import (cli, entanglement, fluctuations, groundstate,
+                       model, oracle)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -26,6 +28,25 @@ def test_readme_python_api_example_runs():
     section = README.read_text(encoding="utf-8").split("\n## Python API\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(code, f"{README} (Python API)", "exec"), {})
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    section = README.read_text(encoding="utf-8").split("\nExamples:\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(tmp_path)  # the spectrum example writes spec.json
+    totals = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "opendicke", line
+        assert cli.run(argv[1:]) == 0, line
+        out = capsys.readouterr().out
+        for passed, total in re.findall(r"(\d+)/(\d+)", comment):
+            assert f"{passed}/{total} checks passed" in out, line
+            totals.append(f"{passed}/{total}")
+    assert len(block.splitlines()) == 5
+    assert totals == ["13/13", "12/12"]
+    assert (tmp_path / "spec.json").exists()
 
 
 def test_bench_traced_names_resolve():

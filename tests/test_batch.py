@@ -22,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opendicke import cli
-from opendicke.analysis import ScanKind, figure_scan, status_of
+from opendicke import analysis, cli
+from opendicke.analysis import BATCH_ROWS, ScanKind, figure_scan, status_of
 from opendicke.entanglement import (log_negativity, quad_covariance,
                                     symplectic_min)
 from opendicke.errors import OpenDickeError
@@ -238,3 +238,30 @@ def test_injected_mean_field_is_the_solved_one(u, ratio):
             pairs.append((ground_state_moments(p).s, ground_state_moments(p, mf).s))
         for default, injected in pairs:
             assert default.tobytes() == injected.tobytes()
+
+
+def test_mean_field_table_joins_batches(monkeypatch):
+    """A 600-point mean-field table runs as three batches and equals, bit
+    for bit, the rows of one mean-field batch of the whole grid, its failed
+    rows included."""
+    base = ModelParams(delta_c=-0.0021305, kappa=28.73, u=-1.4257, y=0.0)
+    y_c = critical_pump(base)
+    grid = np.linspace(0.0, 2.0 * y_c, 600)
+    mf = mean_field_batch(base, grid)
+    ok = mf.errors.alive
+    want = list(zip(grid.tolist(), (grid / y_c).tolist(),
+                    np.where(ok, np.abs(mf.alpha0) ** 2, math.nan).tolist(),
+                    np.where(ok, mf.beta0 ** 2, math.nan).tolist(),
+                    ["ok" if e is None else status_of(e)
+                     for e in mf.errors.errors]))
+    sizes = []
+
+    def counted(params, y):
+        sizes.append(len(y))
+        return mean_field_batch(params, y)
+
+    monkeypatch.setattr(analysis, "mean_field_batch", counted)
+    rows = figure_scan(ScanKind.MEAN_FIELD, base, grid).rows
+    assert sizes == [BATCH_ROWS, BATCH_ROWS, 600 - 2 * BATCH_ROWS]
+    assert {row[-1] for row in rows} == {"ok", "failed"}
+    assert repr(rows) == repr(want)

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from opendicke import cli
+from opendicke import analysis, cli, model
 
 
 def run_cli(argv, capsys):
@@ -78,6 +78,31 @@ def test_exponent_curve_flag(capsys):
     header, rows = parse_csv(out)
     assert header == ["side", "eps", "delta_N", "n_photon", "status"]
     assert len(rows) == 40
+
+
+def test_exponent_summary_is_exponent_table(capsys):
+    code, out, _ = run_cli(["exponent", "--delta-c=-2", "--kappa=2"], capsys)
+    assert code == 0
+    table = analysis.exponent_table(
+        model.ModelParams(delta_c=-2.0, kappa=2.0, u=0.0, y=0.0))
+    header, rows = parse_csv(out)
+    assert header == list(table.columns)
+    assert rows == [[str(cell) for cell in row] for row in table.rows]
+
+
+def test_exponent_curve_fits_nothing(capsys):
+    # on this window the fit does not converge; the curve needs no fit
+    argv = ["exponent", "--delta-c=-2", "--kappa=2", "--u=-0.5",
+            "--window-min=0.3", "--window-max=0.95"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert err == "numerical failure: power-law fit did not converge in 50 steps\n"
+    code, out, err = run_cli(argv + ["--curve"], capsys)
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    assert header == ["side", "eps", "delta_N", "n_photon", "status"]
+    assert [row[0] for row in rows] == ["below"] * 40 + ["above"] * 40
+    assert float(rows[0][1]) == 0.3 and float(rows[39][1]) == 0.95
 
 
 def test_spectrum_interval_report(capsys):
@@ -225,6 +250,60 @@ def test_config_rejects_bad_values(command, line, flag, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert f"error: argument {flag}: invalid" in err
+
+
+@pytest.mark.parametrize("line, key", [("side = sideways", "side"),
+                                       ("kappa = two", "kappa")])
+def test_config_bad_value_names_file_and_line(line, key, tmp_path, capsys):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(f"# reference point\n{line}\n")
+    code, out, err = run_cli(["exponent", "--delta-c=-2", f"--config={cfg}"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: argument --{key}: invalid ")
+    assert err.endswith(f" ({cfg}:2, key {key!r})\n")
+
+
+@pytest.mark.parametrize("value, curve", [
+    ("1", True), ("true", True), ("Yes", True), ("TRUE", True),
+    ("0", False), ("false", False), ("no", False), ("No", False),
+    ("FALSE", False)])
+def test_config_switch_spellings(value, curve, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"curve = {value}\n")
+    code, out, _ = run_cli(["exponent", "--delta-c=-2", "--kappa=2",
+                            "--points=8", "--side=below", f"--config={cfg}"],
+                           capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header[1] == ("eps" if curve else "slope")
+    assert len(rows) == (8 if curve else 1)
+
+
+def test_config_switch_rejects_other_values(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("delta-c = -2\ncurve = maybe\n")
+    code, out, err = run_cli(["exponent", f"--config={cfg}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {cfg}:2: curve = 'maybe'; a switch takes 1, true, "
+                   "yes, 0, false or no\n")
+
+
+@pytest.mark.parametrize("argv, delta_c", [
+    (["meanfield", "--delta-c=-1e-300", "--y-grid=0:2:3"], "-1e-300"),
+    (["meanfield", "--delta-c=-1e-170", "--y-grid=0:2yc:3"], "-1e-170"),
+    (["correlations", "--delta-c=-1e-160", "--kappa=0", "--y-grid=0:2:3"],
+     "-1e-160")])
+def test_critical_pump_underflow_exits_2(argv, delta_c, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: critical pump underflows for delta_c = {delta_c}, "
+                   "kappa = 0.0\n")
 
 
 def test_critical_pump_overflow_exits_2(capsys):

@@ -48,6 +48,21 @@ def test_critical_pump_overflow_is_a_value_error():
     assert critical_pump(p) == math.sqrt(-(1e300 + 1e300) / -1e150)
 
 
+def test_critical_pump_underflow_is_a_value_error():
+    # delta_c^2 + kappa^2 below the smallest normal double
+    for delta_c in (-1e-300, -1e-160, -1e-155):
+        p = ModelParams(delta_c=delta_c, kappa=0.0, u=0.0, y=0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"critical pump underflows for delta_c = {delta_c!r}, "
+                "kappa = 0.0")):
+            critical_pump(p)
+    # a normal sum keeps its bits
+    p = ModelParams(delta_c=-1e-150, kappa=0.0, u=0.0, y=0.0)
+    assert critical_pump(p) == math.sqrt(-(1e-150 ** 2 + 0.0 ** 2) / -1e-150)
+    p = ModelParams(delta_c=-1e-200, kappa=1.0, u=0.0, y=0.0)
+    assert critical_pump(p) == 1e100
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(delta_c=-2.0, kappa=-0.1, u=0.0, y=0.0)
