@@ -164,6 +164,9 @@ def _cmd_exponent(args) -> int:
     sides = tuple(analysis.Side) if args.side == "both" else \
         (analysis.Side(args.side),)
     window = (args.window_min, args.window_max)
+    if analysis.Side.BELOW in sides and args.window_max > 1.0:
+        raise ValueError(f"--window-max = {args.window_max!r} puts the pump below 0 "
+                         "on the side below y_c; it must be <= 1 there")
     if args.curve:
         # The curve is held to the fit's rule on points, as exponent_table is.
         analysis._check_fit_points(args.points)

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .basis import ETA
 from .errors import (CutoffTooSmall, DivergentSteadyState, NumericalFailure,
@@ -132,6 +130,10 @@ def _sector_hamiltonian(h: np.ndarray, cutoffs: tuple[int, int]):
     arithmetic; a step out of the box has amplitude zero, exactly as in the
     product of two truncated ladder matrices.
     """
+    # scipy.sparse is imported by the Fock oracle alone: it takes most of
+    # the package's import time and memory.
+    import scipy.sparse as sp
+
     box = np.indices((cutoffs[0] + 1, cutoffs[1] + 1), dtype=np.int32)
     even = (box[0] + box[1]) % 2 == 0
     occ = box[:, even]
@@ -183,6 +185,8 @@ def _fock_occupations(h: np.ndarray, cutoffs: tuple[int, int], start=None):
         position = np.zeros((cutoffs[0] + 1, cutoffs[1] + 1), dtype=np.int32)
         position[occ[0], occ[1]] = np.arange(dim)
         v0[position[start[0][0], start[0][1]]] = start[1]
+    import scipy.sparse.linalg as spla
+
     energy, vec = spla.eigsh(ham, k=1, which="SA", v0=v0)
     weight = vec[:, 0] ** 2
     return ((float(weight @ occ[1]), float(weight @ occ[0]), float(energy[0])),

@@ -3,8 +3,11 @@ and the names and scalar calls of the benchmark (``bench/``)."""
 
 import importlib
 import importlib.util
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -76,3 +79,13 @@ def test_bench_scalar_calls():
     closed = model.ModelParams(delta_c=-2.0, kappa=0.0, u=0.7, y=1.0)
     s = groundstate.ground_state_moments(closed).s
     assert s[0, 1] - s[1, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    """scipy.sparse is the Fock oracle's alone and takes most of a cold
+    start, so importing the CLI must not load it."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, opendicke.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

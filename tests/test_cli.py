@@ -105,6 +105,28 @@ def test_exponent_curve_fits_nothing(capsys):
     assert float(rows[0][1]) == 0.3 and float(rows[39][1]) == 0.95
 
 
+@pytest.mark.parametrize("side", [[], ["--side=below"], ["--side=both"]])
+@pytest.mark.parametrize("curve", [[], ["--curve"]])
+def test_exponent_rejects_window_past_zero_pump(side, curve, capsys):
+    # eps = |1 - y/yc| > 1 below threshold is a negative pump
+    argv = ["exponent", "--delta-c=-2", "--kappa=2", "--window-min=0.5",
+            "--window-max=2"]
+    code, out, err = run_cli(argv + side + curve, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: --window-max = 2.0 puts the pump below 0 on the side "
+                   "below y_c; it must be <= 1 there\n")
+
+
+def test_exponent_window_past_one_above_threshold(capsys):
+    argv = ["exponent", "--delta-c=-2", "--kappa=2", "--window-min=0.5",
+            "--window-max=2", "--side=above", "--curve"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert len(rows) == 40 and float(rows[-1][1]) == 2.0
+
+
 def test_spectrum_interval_report(capsys):
     code, out, err = run_cli(["spectrum", "--delta-c=-2", "--kappa=2"], capsys)
     assert code == 0

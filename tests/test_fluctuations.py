@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import at_ratio
-from opendicke.basis import CONJ_PERM, T_CONJ
+from opendicke.basis import CONJ_PERM, QUAD_MAP, T_CONJ
 from opendicke.errors import (DefectiveMatrix, DegenerateBranch,
                               DivergentSteadyState, NumericalFailure,
                               UnstableState)
@@ -15,7 +15,7 @@ from opendicke.fluctuations import (DEFECT_COND_LIMIT, SecondMoments,
                                     _decompose_batch, _defects,
                                     _ill_conditioned, _scale,
                                     build_stability_matrix,
-                                    conjugation_defect, decompose,
+                                    conjugation_defect, decompose, drift_batch,
                                     hermitize_moments, mode_correlations,
                                     noise_matrix, observables, sort_modes,
                                     spectrum_scan,
@@ -252,7 +252,7 @@ def test_noise_spec_matrix():
 
 
 def _near_exceptional_stack() -> np.ndarray:
-    """Stability matrices at and next to the exceptional points of
+    """Drift matrices at and next to the exceptional points of
     ``spectrum --delta-c=-2 --kappa=2 --u=0.7``: relative pump offsets from
     0 to +-1e-4 on both refined endpoints."""
     p = ModelParams(delta_c=-2.0, kappa=2.0, u=0.7, y=0.0)
@@ -264,7 +264,7 @@ def _near_exceptional_stack() -> np.ndarray:
     offsets = np.concatenate((-offsets, [0.0], offsets))
     mf = mean_field_batch(p, np.concatenate([y * (1.0 + offsets) for y in ends]))
     assert mf.errors.failed == 0
-    return stability_batch(p, mf)
+    return drift_batch(p, mf)
 
 
 def _sorted_eigenvectors(m: np.ndarray) -> np.ndarray:
@@ -322,7 +322,9 @@ def test_reported_cond_is_the_svd_value():
         stability = build_stability_matrix(at_ratio(
             ModelParams(delta_c=-2.0, kappa=2.0, u=0.7, y=0.0), ratio))
         q = decompose(stability)
-        expected = np.linalg.cond(_sorted_eigenvectors(stability.m[None]))[0]
+        expected = np.linalg.cond(_sorted_eigenvectors(
+            drift_batch(stability.params, mean_field_batch(stability.params,
+                                                           [stability.params.y]))))[0]
         assert q.cond == pytest.approx(expected, rel=1e-12)
 
 
@@ -341,10 +343,10 @@ SPECTRUM_GRIDS = (
 )
 
 
-def _svd_defects(m: np.ndarray):
-    """(defective, cond(V)) of a stack with the SVD of every row, the
-    unscreened test of the spectrum scan."""
-    lam, vecs = np.linalg.eig(m)
+def _svd_defects(a: np.ndarray):
+    """(defective, cond(V)) of a stack of drift matrices with the SVD of
+    every row, the unscreened test of the spectrum scan."""
+    lam, vecs = np.linalg.eig(a)
     cond = np.linalg.cond(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
     return _defects(lam, vecs, cond > DEFECT_COND_LIMIT, _scale(lam))[0], cond
 
@@ -356,11 +358,57 @@ def test_spectrum_scan_screen_matches_svd_mask(u, grid):
     p = ModelParams(delta_c=-2.0, kappa=2.0, u=u, y=0.0)
     y = grid(critical_pump(p))
     scan = spectrum_scan(p, y)
-    defective, _ = _svd_defects(stability_batch(p, mean_field_batch(p, y)))
+    defective, _ = _svd_defects(drift_batch(p, mean_field_batch(p, y)))
     np.testing.assert_array_equal(np.array(scan.status) == "defective", defective)
     ends = [e for iv in scan.real_intervals for e in (iv.lower, iv.upper)]
     assert ends
     for e in ends:
-        defective, cond = _svd_defects(build_stability_matrix(p.with_pump(e.y)).m[None])
+        defective, cond = _svd_defects(drift_batch(p, mean_field_batch(p, [e.y])))
         assert e.cond == pytest.approx(cond[0], rel=1e-12)
         assert e.defective == (e.refined and defective[0])
+
+
+def _pairing_stacks():
+    """(params, pump grid) of the figure-scan sets (delta_c = -2.0047,
+    kappa = 2.1802, u = 0 and 0.3221, 2000 pumps on [0, 2 y_c]) and of the
+    first 20 sets of the benchmark's sweep-wide workload (seed 11074323,
+    25 pumps on [0.05, 2] y_c)."""
+    for u in (0.0, 0.3221):
+        p = ModelParams(delta_c=-2.0047, kappa=2.1802, u=u, y=0.0)
+        yield p, np.linspace(0.0, 2.0 * critical_pump(p), 2000)
+    rng = np.random.default_rng(11074323)
+    for _ in range(20):
+        p = ModelParams(delta_c=-10.0 ** rng.uniform(-4.0, 4.0),
+                        kappa=10.0 ** rng.uniform(-4.0, 4.0),
+                        u=rng.uniform(-5.0, 5.0), y=0.0)
+        yield p, np.linspace(0.05, 2.0, 25) * critical_pump(p)
+
+
+def test_real_eigen_solve_pairs_exactly():
+    """The drift matrix is real and built exactly: its eigen-solve returns
+    every complex eigenvalue next to its exact conjugate, with the exactly
+    conjugate eigenvector, so conjugate pairing needs no tolerance."""
+    pairs = 0
+    for p, y in _pairing_stacks():
+        mf = mean_field_batch(p, y)
+        m, a = stability_batch(p, mf), drift_batch(p, mf)
+        assert a.dtype == np.float64
+        ref = QUAD_MAP @ m @ QUAD_MAP.conj().T
+        assert np.all(np.abs(a - ref).max(axis=(1, 2))
+                      <= 1e-15 * np.abs(m).max(axis=(1, 2)))
+        lam, vecs = np.linalg.eig(a[mf.errors.alive])
+        lam = lam.astype(complex)
+        vecs = vecs.astype(complex)
+        real = lam.imag == 0.0
+        assert np.all(vecs.imag[np.broadcast_to(real[:, None, :], vecs.shape)] == 0.0)
+        # LAPACK puts the member with Im lambda > 0 first, its partner next.
+        rows, first = np.nonzero(lam.imag > 0.0)
+        assert np.all(lam.imag[rows, first + 1] < 0.0)
+        assert np.count_nonzero(lam.imag < 0.0) == first.size
+        partner = lam[rows, first + 1]
+        assert np.all(partner.real == lam[rows, first].real)
+        assert np.all(partner.imag == -lam[rows, first].imag)
+        left, right = vecs[rows, :, first], vecs[rows, :, first + 1]
+        assert np.all(right.real == left.real) and np.all(right.imag == -left.imag)
+        pairs += first.size
+    assert pairs > 4000
