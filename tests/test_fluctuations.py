@@ -405,10 +405,10 @@ def test_real_eigen_solve_pairs_exactly():
         rows, first = np.nonzero(lam.imag > 0.0)
         assert np.all(lam.imag[rows, first + 1] < 0.0)
         assert np.count_nonzero(lam.imag < 0.0) == first.size
-        partner = lam[rows, first + 1]
-        assert np.all(partner.real == lam[rows, first].real)
-        assert np.all(partner.imag == -lam[rows, first].imag)
-        left, right = vecs[rows, :, first], vecs[rows, :, first + 1]
-        assert np.all(right.real == left.real) and np.all(right.imag == -left.imag)
+        # Bit for bit, signed zeros included.
+        assert np.array_equal(lam[rows, first + 1].view(np.uint64),
+                              lam[rows, first].conj().view(np.uint64))
+        assert np.array_equal(vecs[rows, :, first + 1].view(np.uint64),
+                              vecs[rows, :, first].conj().view(np.uint64))
         pairs += first.size
     assert pairs > 4000
