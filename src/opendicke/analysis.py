@@ -13,7 +13,7 @@ the model fails (divergence at the critical point, defective matrices,
 instability) are reported, never dropped.  Every scan computes its grid as
 batches of arrays, BATCH_ROWS pump values at a time; a row's status is its
 first failing check, in the order mean field, defective, biorthonormality,
-unstable, divergent, moment structure, observables.
+pairing, unstable, divergent, moment structure, observables.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .entanglement import covariance_batch, log_negativity_batch
 from .errors import (DefectiveMatrix, DegenerateBranch, DivergentSteadyState,
                      DynamicalInstability, InvalidCurve, NumericalFailure,
                      UnstableState)
-from .fluctuations import (SecondMoments, observables_batch, spectrum_scan,
-                           steady_state_batch)
+from .fluctuations import observables_batch, spectrum_scan, steady_state_batch
 from .groundstate import ground_state_batch
 from .model import ModelParams, critical_pump, mean_field_batch
 
@@ -161,15 +160,13 @@ def exponent_fit(curve, window: tuple[float, float] = DEFAULT_WINDOW,
 
 
 def _moments(params: ModelParams, y_grid):
-    """(mean fields, rows whose mean field holds, fluctuation moments as a
-    stacked SecondMoments) of a pump grid, with the kappa = 0 (ground
-    state) / kappa > 0 (steady state) dispatch.  Failed rows keep their
-    error in the batch's ``errors``."""
+    """(mean fields, rows whose mean field holds, fluctuation moments) of a
+    pump grid, with the kappa = 0 (ground state) / kappa > 0 (steady state)
+    dispatch.  Failed rows keep their error in the batch's ``errors``."""
     mf = mean_field_batch(params, y_grid)
     mean_ok = mf.errors.alive.copy()
-    if params.kappa == 0.0:
-        return mf, mean_ok, SecondMoments(s=ground_state_batch(params, mf))
-    return mf, mean_ok, SecondMoments(*steady_state_batch(params, mf))
+    moments = ground_state_batch if params.kappa == 0.0 else steady_state_batch
+    return mf, mean_ok, moments(params, mf)
 
 
 def depletion_curve(params: ModelParams, side: Side,
@@ -180,8 +177,8 @@ def depletion_curve(params: ModelParams, side: Side,
     y_c = critical_pump(params)
     eps = exponent_grid(window, n)
     sign = -1.0 if side is Side.BELOW else 1.0
-    mf, _, moments = _moments(params, y_c * (1.0 + sign * eps))
-    delta_n, n_photon = observables_batch(moments.s, mf.errors)
+    mf, _, s = _moments(params, y_c * (1.0 + sign * eps))
+    delta_n, n_photon = observables_batch(s, mf.errors)
     mf.errors.raise_first()
     return np.column_stack([eps, delta_n, n_photon])
 
@@ -224,16 +221,16 @@ def _mean_field_columns(params: ModelParams, y):
 
 
 def _excitation_columns(params: ModelParams, y):
-    mf, mean_ok, moments = _moments(params, y)
-    delta_n, n_photon = observables_batch(moments.s, mf.errors)
+    mf, mean_ok, s = _moments(params, y)
+    delta_n, n_photon = observables_batch(s, mf.errors)
     return mf.errors, (_masked(mean_ok, mf.alpha0.real, mf.alpha0.imag,
                                mf.beta0 ** 2)
                        + _masked(mf.errors.alive, delta_n, n_photon))
 
 
 def _entanglement_columns(params: ModelParams, y):
-    mf, _, moments = _moments(params, y)
-    _, invariants, nu_min = covariance_batch(moments.quadratures.real, mf.errors)
+    mf, _, s = _moments(params, y)
+    _, invariants, nu_min = covariance_batch(s, mf.errors)
     e_n = log_negativity_batch(invariants, mf.errors)
     return mf.errors, _masked(mf.errors.alive, e_n, nu_min)
 

@@ -1,12 +1,9 @@
 """Gaussian entanglement between the cavity field and the atomic side mode.
 
-The quadrature covariance C = Re S_q over X = (x_c, p_c, x_a, p_a), with
-x = (a + a+)/sqrt(2) and p = -i (a - a+)/sqrt(2), fixes the Gaussian state
-of the fluctuations.  The steady state's Hermitian S_q[i, j] = <X_i X_j> is
-computed in the quadratures, so C is its real part; the ground state's
-ladder moments are converted once (``SecondMoments.quadratures``).  Both
-symplectic eigenvalues of a two-mode covariance follow from its invariants
-(Adesso, Serafini & Illuminati, PRA 70, 022318 (2004)),
+The symmetrized quadrature covariance C over u = (dx, dy, dX, dY), with
+dx = (da + da+)/sqrt(2) etc., fixes the Gaussian state of the fluctuations.
+Both symplectic eigenvalues of a two-mode covariance follow from its
+invariants (Adesso, Serafini & Illuminati, PRA 70, 022318 (2004)),
 
     nu_plus^2  = (Delta + sqrt(Delta^2 - 4 det C)) / 2
     nu_minus^2 = det C / nu_plus^2
@@ -37,7 +34,7 @@ import math
 
 import numpy as np
 
-from .basis import OMEGA_SYMPL
+from .basis import OMEGA_SYMPL, QUAD_MAP
 from .errors import NumericalFailure, RowErrors, one_row
 from .fluctuations import SecondMoments, blank_failed
 
@@ -124,15 +121,21 @@ def _symplectic_min(c: np.ndarray, errors: RowErrors):
                                  det_c, errors)
 
 
-def covariance_batch(sigma: np.ndarray, errors: RowErrors):
+def covariance_batch(s: np.ndarray, errors: RowErrors):
     """(covariances, their ``_invariants``, smallest symplectic eigenvalues)
-    of a stack of quadrature covariances sigma = Re S_q.
+    of a stack of moments.
 
-    Rows fail on the symplectic invariants (see ``_nu_minus``) and on a
-    symplectic eigenvalue below 1/2.
+    Rows fail on an imaginary residue of the symmetrized covariance, on the
+    symplectic invariants (see ``_nu_minus``) and on a symplectic eigenvalue
+    below 1/2.
     """
-    scale = np.maximum(1.0, np.abs(sigma).max(axis=(1, 2)))
-    c = blank_failed(sigma.copy(), errors, 0.5 * np.eye(4))
+    raw = QUAD_MAP @ s @ QUAD_MAP.T
+    sym = 0.5 * (raw + raw.transpose(0, 2, 1))
+    scale = np.maximum(1.0, np.abs(sym).max(axis=(1, 2)))
+    imag_resid = np.abs(sym.imag).max(axis=(1, 2))
+    errors.fail(imag_resid > 1e-10 * scale, lambda i: NumericalFailure(
+        f"covariance imaginary residue {imag_resid[i]:.3e} exceeds tolerance"))
+    c = blank_failed(sym.real.copy(), errors, 0.5 * np.eye(4))
     invariants, nu_min = _symplectic_min(c, errors)
     errors.fail(nu_min < 0.5 - PHYSICALITY_TOL * scale, lambda i: NumericalFailure(
         f"unphysical covariance: min symplectic eigenvalue {nu_min[i]!r} < 1/2"))
@@ -140,8 +143,8 @@ def covariance_batch(sigma: np.ndarray, errors: RowErrors):
 
 
 def quad_covariance(s: SecondMoments) -> np.ndarray:
-    """Checked quadrature covariance Re S_q of second moments."""
-    return one_row(covariance_batch, s.quadratures.real)[0]
+    """Checked quadrature covariance from ladder-operator second moments."""
+    return one_row(covariance_batch, s.s)[0]
 
 
 def symplectic_min(c: np.ndarray) -> float:

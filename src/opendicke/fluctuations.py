@@ -7,25 +7,29 @@ dropped).  The equations of motion are dR/dt = M R + xi with a non-normal
 4x4 matrix M and cavity noise entering only the photon slots,
 <xi(t) xi+(t')> = 2 kappa delta(t - t').
 
-The steady state is computed in the quadratures X = Q R = (x_c, p_c, x_a,
-p_a), where the drift matrix A = Q M Q^-1 is real and the noise is
-D_q = Q D Q^T.  A real eigen-solve returns conjugate eigenvalues and
-eigenvectors as exact conjugates.  With right eigenvectors as columns of V,
-left eigenvectors as rows of L = inv(V) and quasi-normal modes rho = L X,
+Steady-state second moments follow from the biorthogonal decomposition of M:
+with right eigenvectors r^(k) (columns of V), left eigenvectors l^(k) (rows
+of inv(V)) and quasi-normal modes rho_k = (l^(k), R),
 
-    <rho_k rho_l> = -(L D_q L^T)[k, l] / (lambda_k + lambda_l)
-    S_q[i, j] = <X_i X_j> = sum_kl <rho_k rho_l> V[i, k] V[j, l]
+    <rho_k rho_l> = -2 kappa L[k, 0] L[l, 1] / (lambda_k + lambda_l)
+    <R_i R_j>     = sum_kl <rho_k rho_l> V[i, k] V[j, l]
 
-solve A S_q + S_q A^T + D_q = 0 whenever all modes are damped.  S_q must be
-Hermitian (the adjoint symmetry of the ladder moments), and the commutators
-[x, p] = i fix its antisymmetric imaginary part to Omega/2; both are checked.
-Re S_q is the covariance of the Gaussian state.  The ladder basis is only the
-boundary: M, ``SecondMoments.s`` = Q^-1 S_q Q^-T and ``decompose``'s Q^-1 V.
+which is the unique solution of the Lyapunov equation M S + S M^T + D = 0
+whenever all modes are damped.
 
-Every stage runs on a stack of matrices, one per pump value, and each check
-turns into a mask; a row keeps its first failing check
-(:class:`~opendicke.errors.RowErrors`).  The scalar functions are batches of
-one and raise the error of their row.
+The spectrum scan decomposes the same dynamics in the quadratures
+X = Q R = (x_c, p_c, x_a, p_a) instead, where the drift matrix A = Q M Q^-1
+is real.  A real eigen-solve is cheaper than a complex one, returns
+conjugate eigenvalues and eigenvectors as exact conjugates and a real
+eigenvalue with imaginary part exactly 0, and has the eigenvalues of M.
+
+Every stage runs on a stack of matrices, one per pump value: M is an
+(N, 4, 4) array, and the eigen-solves, inversions, checks and moment
+reassembly act on the whole stack.  Each check turns into a mask, and a row
+keeps its first failing check (:class:`~opendicke.errors.RowErrors`).  The
+scalar functions (``build_stability_matrix``, ``decompose``,
+``mode_correlations``, ``system_moments``, ``steady_state_moments``) are
+batches of one and raise the error of their row.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import CONJ_PERM, OMEGA_R, OMEGA_SYMPL, QUAD_MAP, T_CONJ
+from .basis import CONJ_PERM, J_COMM, OMEGA_R, QUAD_MAP, T_CONJ
 from .errors import (DefectiveMatrix, DivergentSteadyState, NumericalFailure,
                      RowErrors, UnstableState, one_row)
 from .model import (MeanField, MeanFieldBatch, ModelParams, abs_squared,
@@ -55,6 +59,7 @@ DEFECT_GAP_LIMIT = 1e-7
 DEFECT_OVERLAP_LIMIT = 1.0 - 1e-6
 
 BIORTHO_TOL = 1e-10
+PAIRING_TOL = 1e-8
 STABILITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 DIVERGENT_TOL = 1e-12
@@ -69,10 +74,6 @@ _PERMS = np.array(list(itertools.permutations(range(4))))
 _EYE = np.eye(4)
 _EYE2 = np.concatenate((_EYE, _EYE))
 _MODES = np.arange(4)
-# Q^-1 = Q^dag, the commutators [X_i, X_j] = i Omega of the quadratures, and
-# the flat index of T conj(s)^T T: entry (i, j) is conj(s[jbar, ibar]).
-_QUAD_INV, _QUAD_COMM = QUAD_MAP.conj().T, 1j * OMEGA_SYMPL
-_MIRROR = (4 * CONJ_PERM[None, :] + CONJ_PERM[:, None]).ravel()
 
 
 def noise_matrix(kappa: float) -> np.ndarray:
@@ -115,19 +116,9 @@ class QuasiNormalSystem:
 
 @dataclass(frozen=True)
 class SecondMoments:
-    """Equal-time second moments s[i, j] = <R_i R_j>, one matrix or a stack,
-    with S_q[i, j] = <X_i X_j> when the route computed them."""
+    """Equal-time second moments s[i, j] = <R_i R_j>."""
 
     s: np.ndarray
-    s_q: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def quadratures(self) -> np.ndarray:
-        """S_q, or the Hermitian part of Q s Q^T."""
-        if self.s_q is not None:
-            return self.s_q
-        s_q = QUAD_MAP @ self.s @ QUAD_MAP.T
-        return 0.5 * (s_q + s_q.conj().swapaxes(-1, -2))
 
 
 def blank_failed(stack: np.ndarray, errors: RowErrors, fill=_EYE) -> np.ndarray:
@@ -143,8 +134,6 @@ def blank_failed(stack: np.ndarray, errors: RowErrors, fill=_EYE) -> np.ndarray:
 # row 0 is (M00, 0, M02, M02), row 2 is (M20, M02, M22, 0), and rows 1 and 3
 # are their conjugates with columns swapped.
 _ENTRY = np.array([0, 8, 1, 1, 8, 4, 5, 5, 2, 1, 3, 8, 5, 6, 8, 7])
-# Where (M00, M02, M20, M22) sit in M.
-_CORNERS = (0, 0, 2, 2), (0, 2, 0, 2)
 
 
 def _gather(entries: np.ndarray) -> np.ndarray:
@@ -194,17 +183,13 @@ def stability_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     return blank_failed(_gather(_entries(params, mf)), mf.errors)
 
 
-def drift_matrices(entries) -> np.ndarray:
-    """Real drift matrices A = Q M Q^-1 of the quadratures, (N, 4, 4), from
-    the entries (M00, M02, M20, M22) of each M, (4, N) or (4,).  An entry of
-    A is one sum of at most two of them times 1 or 2: the exact A, rounded."""
-    e = np.reshape(entries, (4, -1))
-    return (_DRIFT @ np.concatenate((e.real, e.imag))).T.reshape(-1, 4, 4)
-
-
 def drift_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
-    """Drift matrices of every row of a mean-field batch, (N, 4, 4)."""
-    return blank_failed(drift_matrices(_entries(params, mf)), mf.errors)
+    """Real drift matrices A = Q M Q^-1 of the quadratures X = Q R of every
+    row of a mean-field batch, (N, 4, 4).  An entry of A is one sum of at
+    most two entries of M times 1 or 2: the exact Q M Q^-1, rounded once."""
+    e = np.reshape(_entries(params, mf), (4, -1))
+    a = (_DRIFT @ np.concatenate((e.real, e.imag))).T.reshape(-1, 4, 4)
+    return blank_failed(a, mf.errors)
 
 
 def build_stability_matrix(params: ModelParams,
@@ -285,11 +270,14 @@ def _closest_pair(gaps: np.ndarray, vecs: np.ndarray) -> tuple[float, float]:
     return float(gaps[i, j]), float(abs(np.vdot(vecs[:, i], vecs[:, j])))
 
 
-def _eig(a: np.ndarray):
-    """Eigen-solve of a stack of real matrices, complex even where every
-    eigenvalue is real, so that no row's arithmetic depends on the others."""
-    lam, vecs = np.linalg.eig(a)
-    return lam.astype(complex, copy=False), vecs.astype(complex, copy=False)
+def conjugate_partners(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every eigenvalue the index of the closest conjugate, and the miss.
+
+    ``partner[n, k]`` minimizes |lambda_l - conj(lambda_k)| over l in row n
+    (the first on a tie); ``miss[n, k]`` is that distance.
+    """
+    dist = np.abs(lam[:, None, :] - lam.conj()[:, :, None])
+    return dist.argmin(axis=-1), dist.min(axis=-1)
 
 
 def sort_modes(lam: np.ndarray, vecs: np.ndarray, order: np.ndarray):
@@ -298,17 +286,19 @@ def sort_modes(lam: np.ndarray, vecs: np.ndarray, order: np.ndarray):
     return lam[rows, order], vecs.transpose(0, 2, 1)[rows, order].transpose(0, 2, 1)
 
 
-def _decompose_batch(a: np.ndarray, errors: RowErrors):
-    """Biorthogonal decomposition of a stack of real drift matrices:
-    (lam, rights, lefts, scale).
+def _decompose_batch(m: np.ndarray, errors: RowErrors):
+    """Biorthogonal decomposition of a stack:
+    (lam, rights, lefts, pairing, scale).
 
-    Eigenvalues are sorted by (real part, imaginary part).  Rows fail as
-    defective, then on the biorthonormality residual (both DefectiveMatrix).
-    ``scale`` is max(1, max |lambda|) of every row.  The eigen-solve is the
-    only dense decomposition of a passing row: cond(V) is screened by
-    ``_ill_conditioned``, and a DefectiveMatrix takes its row's SVD.
+    Eigenvalues are sorted by (real part, imaginary part).  Rows fail, in
+    this order, as defective (DefectiveMatrix), on the biorthonormality
+    residual (DefectiveMatrix) and on the conjugate pairing
+    (NumericalFailure).  ``scale`` is max(1, max |lambda|) of every row.
+    The eigen-solve is the only dense decomposition of a passing row:
+    cond(V) is screened by ``_ill_conditioned``, and the SVD value that a
+    DefectiveMatrix reports is computed for its row only.
     """
-    lam, vecs = _eig(a)
+    lam, vecs = np.linalg.eig(m)
     # numpy orders complex numbers by (real part, imaginary part).
     lam, vecs = sort_modes(lam, vecs, np.argsort(lam, axis=-1, kind="stable"))
     scale = _scale(lam)
@@ -331,41 +321,46 @@ def _decompose_batch(a: np.ndarray, errors: RowErrors):
     # max |L V - 1| and max |V L - 1| of every row
     resid = np.abs(np.concatenate((lefts @ vecs, vecs @ lefts), axis=1)
                    - _EYE2).max(axis=(1, 2))
-    errors.fail(resid > BIORTHO_TOL, lambda i: defect(
-        i, f"biorthonormalization residual {resid[i]:.3e} exceeds "
-           f"{BIORTHO_TOL:g}; matrix too close to defective"))
-    return lam, vecs, lefts, scale
+    pairing, miss = conjugate_partners(lam)
+    unpaired = miss > PAIRING_TOL * scale[:, None]
+    not_involution = pairing[np.arange(lam.shape[0])[:, None], pairing] != _MODES
+
+    def failure(i: int) -> DefectiveMatrix | NumericalFailure:
+        if resid[i] > BIORTHO_TOL:
+            return defect(i, f"biorthonormalization residual {resid[i]:.3e} "
+                             f"exceeds {BIORTHO_TOL:g}; matrix too close to defective")
+        if unpaired[i].any():
+            k = int(np.argmax(unpaired[i]))
+            return NumericalFailure(f"eigenvalue {lam[i, k]!r} has no conjugate "
+                                    f"partner (closest miss {miss[i, k]:.3e})")
+        return NumericalFailure(
+            f"conjugate pairing {pairing[i]!r} is not an involution")
+
+    errors.fail((resid > BIORTHO_TOL) | (unpaired | not_involution).any(axis=1),
+                failure)
+    return lam, vecs, lefts, pairing, scale
 
 
 def decompose(stability: StabilityMatrix) -> QuasiNormalSystem:
     """Biorthogonal quasi-normal decomposition of the stability matrix.
 
-    The drift matrix A = Q M Q^-1 is decomposed; its eigenvectors are given
-    in the ladder basis, Q^-1 V and L Q.  Left eigenvectors are rows of the
-    inverse of the right-eigenvector matrix, which makes biorthonormality
-    and completeness hold by construction up to roundoff; both are still
-    verified.  Eigenvalues are sorted by (real part, imaginary part).
+    Left eigenvectors are rows of the inverse of the right-eigenvector
+    matrix, which makes biorthonormality and completeness hold by
+    construction up to roundoff; both are still verified.  Eigenvalues are
+    sorted by (real part, imaginary part) for reproducibility.
     """
-    a = drift_matrices(stability.m[_CORNERS])[0]
-    lam, vecs, lefts, _ = one_row(_decompose_batch, a)
-    # Conjugates are exact, so a partner is an equal value.
-    pairing = np.where(lam.imag == 0.0, _MODES,
-                       np.argmax(lam[None, :] == lam.conj()[:, None], axis=1))
-    return QuasiNormalSystem(lambdas=lam, rights=_QUAD_INV @ vecs,
-                             lefts=lefts @ QUAD_MAP, pairing=pairing,
-                             matrix=stability)
+    lam, vecs, lefts, pairing, _ = one_row(_decompose_batch, stability.m)
+    return QuasiNormalSystem(lambdas=lam, rights=vecs, lefts=lefts,
+                             pairing=pairing, matrix=stability)
 
 
 def _correlation_batch(lam: np.ndarray, lefts: np.ndarray, kappa: float,
                        scale: np.ndarray, errors: RowErrors) -> np.ndarray:
-    """<rho_k rho_l> of every row from the left eigenvectors of A; growing
-    rows fail, then divergent ones.  D_q = 2 kappa q_0 q_1^T with q_i the
-    columns of Q, so L D_q L^T = 2 kappa (L q_0)(L q_1)^T."""
+    """<rho_k rho_l> of every row; growing rows fail, then divergent ones."""
     tol = STABILITY_TOL * scale[:, None]
     growing = lam.real > tol
     denom = lam[:, :, None] + lam[:, None, :]
-    photon = lefts @ QUAD_MAP[:, :2]
-    numer = (-2.0 * kappa * photon[:, :, 0])[:, :, None] * photon[:, None, :, 1]
+    numer = (-2.0 * kappa * lefts[:, :, 0])[:, :, None] * lefts[:, None, :, 1]
     damped = np.abs(denom) > DIVERGENT_TOL * scale[:, None, None]
     driven = np.abs(numer) > DIVERGENT_TOL * max(1.0, 2.0 * kappa)
     # (damped < driven) is ~damped & driven.
@@ -389,115 +384,115 @@ def _correlation_batch(lam: np.ndarray, lefts: np.ndarray, kappa: float,
     # then follows from lambda_k + lambda_l ~ 0.
     lowering = (lam.imag < 0.0) & (np.abs(lam.real) <= tol)
     vacuum = (damped | driven) < (lowering[:, :, None] & (lam.imag > 0.0)[:, None, :])
-    return np.where(vacuum, lefts @ _QUAD_COMM @ lefts.transpose(0, 2, 1), g)
+    return np.where(vacuum, lefts @ J_COMM @ lefts.transpose(0, 2, 1), g)
 
 
 def mode_correlations(q: QuasiNormalSystem) -> np.ndarray:
     """Steady-state quasi-normal-mode correlations <rho_k rho_l>, with the
     cavity noise of the matrix's own kappa.
 
-    Damped entries follow -2 kappa L[k,0] L[l,1] / (lambda_k + lambda_l)
-    with the ladder-basis left eigenvectors L.  An entry whose mode pair is
-    undamped (lambda_k + lambda_l ~ 0) diverges if the noise couples to it;
-    if it does not, the pair is a conservative normal mode left in its
-    vacuum, for which <rho rho+> equals the commutator [rho_k, rho_l] and
-    <rho+ rho> = 0.
+    Damped entries follow -2 kappa L[k,0] L[l,1] / (lambda_k + lambda_l).
+    An entry whose mode pair is undamped (lambda_k + lambda_l ~ 0) diverges
+    if the noise couples to it; if it does not, the pair is a conservative
+    normal mode left in its vacuum, for which <rho rho+> equals the
+    commutator [rho_k, rho_l] and <rho+ rho> = 0.
     """
     kappa = q.matrix.params.kappa
     return one_row(lambda lam, lefts, errors: _correlation_batch(
-        lam, lefts, kappa, _scale(lam), errors), q.lambdas, q.lefts @ _QUAD_INV)
+        lam, lefts, kappa, _scale(lam), errors), q.lambdas, q.lefts)
+
+
+# Flat index of T conj(s)^T T: entry (i, j) is conj(s[CONJ_PERM[j], CONJ_PERM[i]]).
+_MIRROR = (4 * CONJ_PERM[None, :] + CONJ_PERM[:, None]).ravel()
+
+
+def _mirror(s: np.ndarray) -> np.ndarray:
+    """T conj(s)^T T: the adjoint partner <R_jbar R_ibar>* of every moment,
+    for one matrix or a stack."""
+    return s.conj().reshape(s.shape[:-2] + (16,))[..., _MIRROR].reshape(s.shape)
 
 
 def hermitize_moments(s: np.ndarray) -> np.ndarray:
-    """Project ladder moments onto the exact adjoint symmetry s = T conj(s)^T T.
+    """Project onto the exact adjoint symmetry s = T conj(s)^T T.
 
     The symmetry holds because <R_i R_j>* = <R_jbar R_ibar>; projecting
     removes the numerical residue and makes the occupations exactly real.
     The raw violation must already be small, which the caller checks.
     Works on one matrix or a stack.
     """
-    mirror = s.conj().reshape(s.shape[:-2] + (16,))[..., _MIRROR].reshape(s.shape)
-    return 0.5 * (s + mirror)
+    return 0.5 * (s + _mirror(s))
 
 
-def commutator_errors(s: np.ndarray, scale: np.ndarray, unit: complex = 1.0):
-    """(commutators [a, a+] and [b, b+] of every row, tolerance, failing mask).
+def commutator_errors(s: np.ndarray, scale: np.ndarray):
+    """(commutators [R_0, R_1] and [R_2, R_3] of every row, failing mask).
 
-    They are s[0, 1] - s[1, 0] and s[2, 3] - s[3, 2] over ``unit``: 1 for
-    ladder moments, 1j for quadrature moments ([x, p] = i).  A commutator
-    fails when it is further than max(1e-8, 1e-12 * scale) from 1;
-    ``commutator_failure`` names the first that does.
+    A commutator fails when it is further than max(1e-8, 1e-12 * scale) from
+    1; ``commutator_failure`` names the first that does.
     """
     # Flat entries 1, 11 are (0, 1), (2, 3) and 4, 14 are (1, 0), (3, 2).
     flat = s.reshape(-1, 16)
-    comms = (flat[:, 1::10] - flat[:, 4::10]) / unit
+    comms = flat[:, 1::10] - flat[:, 4::10]
     tol = np.maximum(1e-8, 1e-12 * scale)
     return comms, tol, np.abs(comms - 1.0) > tol[:, None]
 
 
 def commutator_failure(comms, tol, bad, i: int) -> NumericalFailure:
     k = int(np.argmax(bad[i]))
-    mode = "ab"[k]
     return NumericalFailure(
-        f"commutator [{mode}, {mode}+] = {complex(comms[i, k])!r} "
+        f"commutator [R_{2 * k}, R_{2 * k + 1}] = {complex(comms[i, k])!r} "
         f"deviates from 1 beyond {tol[i]:g}")
 
 
 def _moment_batch(rights: np.ndarray, mode_corrs: np.ndarray,
-                  errors: RowErrors) -> tuple[np.ndarray, np.ndarray]:
-    """(s, S_q) of every row: S_q checked and then made Hermitian, and the
-    ladder moments s = Q^-1 S_q Q^-T made adjoint-symmetric.
+                  errors: RowErrors) -> np.ndarray:
+    """<R_i R_j> of every row, checked and then hermitized.
 
-    The raw Hermiticity and commutator checks come before the projection.
+    The raw adjoint-symmetry and commutator checks come before projection.
     Near the critical point the diverging entries carry a relative error of
-    order eps_machine * ||A|| / |lambda_k + lambda_l|, so the tolerances
-    scale with the magnitude of the moments.  s is reassembled from Q^-1 V,
-    so an occupation is never a difference of variances with their vacuum 1/2.
+    order eps_machine * ||M|| / |lambda_k + lambda_l|, so the tolerances
+    scale with the magnitude of the moments.
     """
     s = rights @ mode_corrs @ rights.transpose(0, 2, 1)
-    adjoint = s.conj().transpose(0, 2, 1)
+    mirror = _mirror(s)
     scale = np.abs(s).max(axis=(1, 2))
     sym_tol = np.maximum(1e-8, 1e-6 * scale)
-    asym = np.abs(s - adjoint).max(axis=(1, 2))
-    comms, tol, bad = commutator_errors(s, scale, 1j)
+    asym = np.abs(s - mirror).max(axis=(1, 2))
+    comms, tol, bad = commutator_errors(s, scale)
 
     def structure(i: int) -> NumericalFailure:
         if asym[i] > sym_tol[i]:
             return NumericalFailure(
-                f"moment matrix violates adjoint symmetry (S_q not Hermitian) "
-                f"by {asym[i]:.3e} (tolerance {sym_tol[i]:g})")
+                f"moment matrix violates adjoint symmetry by {asym[i]:.3e} "
+                f"(tolerance {sym_tol[i]:g})")
         return commutator_failure(comms, tol, bad, i)
 
     errors.fail((asym > sym_tol) | bad.any(axis=1), structure)
-    ladder = _QUAD_INV @ rights
-    return (hermitize_moments(ladder @ mode_corrs @ ladder.transpose(0, 2, 1)),
-            0.5 * (s + adjoint))
+    return 0.5 * (s + mirror)
 
 
 def system_moments(q: QuasiNormalSystem, mode_corrs: np.ndarray) -> SecondMoments:
-    """Reassemble the moments from mode correlations, enforcing
-    commutators."""
-    return SecondMoments(*one_row(_moment_batch, QUAD_MAP @ q.rights, mode_corrs))
+    """Reassemble <R_i R_j> from mode correlations, enforcing commutators."""
+    return SecondMoments(s=one_row(_moment_batch, q.rights, mode_corrs))
 
 
-def steady_state_batch(params: ModelParams, mf: MeanFieldBatch):
-    """Steady-state moments (s, S_q) of every row of a mean-field batch.
+def steady_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
+    """Hermitized steady-state moments of every row of a mean-field batch.
 
     Rows fail into ``mf.errors`` in the order degenerate branch, defective,
-    biorthonormality, unstable, divergent, moment structure; their moments
-    are then meaningless.
+    biorthonormality, pairing, unstable, divergent, moment structure; their
+    moments are then meaningless.
     """
-    a = drift_batch(params, mf)
-    lam, rights, lefts, scale = _decompose_batch(a, mf.errors)
+    m = stability_batch(params, mf)
+    lam, rights, lefts, _, scale = _decompose_batch(m, mf.errors)
     corrs = _correlation_batch(lam, lefts, params.kappa, scale, mf.errors)
     return _moment_batch(rights, corrs, mf.errors)
 
 
 def steady_state_moments(params: ModelParams,
                          mf: MeanField | None = None) -> SecondMoments:
-    """Convenience chain: mean field, drift matrix, modes, moments."""
+    """Convenience chain: mean field, stability matrix, modes, moments."""
     batch = point_batch(params, mf)
-    return SecondMoments(*batch.errors.first_row(steady_state_batch(params, batch)))
+    return SecondMoments(s=batch.errors.first_row(steady_state_batch(params, batch)))
 
 
 # Occupations <db+ db> = s[3, 2] and <da+ da> = s[1, 0].
@@ -570,15 +565,25 @@ def _spectra(a: np.ndarray):
     """(lam, unit right eigenvectors, defective, gaps) of a stack of drift
     matrices, in the eigensolver's order; cond(V) is screened by
     ``_ill_conditioned``.  Q is unitary, so cond(V) and the overlaps are
-    those of the ladder-basis eigenvectors."""
-    lam, vecs = _eig(a)
+    those of the eigenvectors of M.  The results are complex even where every
+    eigenvalue of the stack is real, so that no row depends on the others."""
+    lam, vecs = np.linalg.eig(a)
+    lam, vecs = lam.astype(complex, copy=False), vecs.astype(complex, copy=False)
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     return (lam, vecs) + _defects(lam, vecs, _ill_conditioned(vecs), _scale(lam))
 
 
-def _has_real_pair(params: ModelParams, y: float) -> bool:
-    lam = np.linalg.eigvals(build_stability_matrix(params.with_pump(y)).m)
-    return int(np.sum(np.abs(lam.imag) <= REAL_AXIS_TOL)) >= 2
+def _real_pairs(lam: np.ndarray) -> np.ndarray:
+    """At least two eigenvalues on the real axis, for every row."""
+    return np.sum(np.abs(lam.imag) <= REAL_AXIS_TOL, axis=-1) >= 2
+
+
+def _drift_at(params: ModelParams, y: float) -> np.ndarray:
+    """Drift matrix at one pump value, as a stack of one."""
+    p = params.with_pump(y)
+    batch = point_batch(p)
+    batch.errors.raise_first()
+    return drift_batch(p, batch)
 
 
 def _match_branches(lam: np.ndarray, vecs: np.ndarray):
@@ -590,14 +595,29 @@ def _match_branches(lam: np.ndarray, vecs: np.ndarray):
     row; permutations within 1e-12 of the least are told apart by their
     summed eigenvector overlaps, and a tie that remains marks the row
     ambiguous.
+
+    The least displacement does not depend on the order of the row before,
+    so it is found for every row at once against the raw order, and a row
+    whose runner-up is clear of the 1e-12 tie band by more than the rounding
+    of a reordered sum composes that permutation with the one before.  The
+    other rows compare the 24 permutations against the matched order.
     """
     n = lam.shape[0]
     # dist[i - 1, a, b] = |lambda_i[a] - lambda_{i-1}[b]|
     dist = np.abs(lam[1:, :, None] - lam[:-1, None, :])
+    raw = dist[:, _PERMS, _MODES]
+    raw = raw[..., 0] + raw[..., 1] + raw[..., 2] + raw[..., 3]
+    best, runner_up = np.sort(raw, axis=1)[:, :2].T
+    clear = (runner_up - best > 1e-12 + 1e-15 * (runner_up + best)).tolist()
+    moves = _PERMS[np.argmin(raw, axis=1)]
     perm = np.lexsort((lam[0].imag, lam[0].real))
     perms = [perm]
     ambiguous = [False] * n
     for i in range(1, n):
+        if clear[i - 1]:
+            perm = moves[i - 1][perm]
+            perms.append(perm)
+            continue
         d = dist[i - 1][_PERMS, perm]
         costs = d[:, 0] + d[:, 1] + d[:, 2] + d[:, 3]
         tied = np.flatnonzero(costs - costs.min() <= 1e-12)
@@ -621,12 +641,12 @@ def _refine_endpoint(params: ModelParams, y_in: float, y_out: float) -> Endpoint
         mid = 0.5 * (y_in + y_out)
         if mid == y_in or mid == y_out:
             break
-        if _has_real_pair(params, mid):
+        # The grid's eigen-solve and test, so that the two agree on a row.
+        if _real_pairs(np.linalg.eig(_drift_at(params, mid))[0])[0]:
             y_in = mid
         else:
             y_out = mid
-    m = build_stability_matrix(params.with_pump(y_in)).m
-    _, vecs, defective, gaps = _spectra(drift_matrices(m[_CORNERS]))
+    _, vecs, defective, gaps = _spectra(_drift_at(params, y_in))
     gap, overlap = _closest_pair(gaps[0], vecs[0])
     return EndpointReport(y=y_in, refined=True, defective=bool(defective[0]),
                           cond=float(np.linalg.cond(vecs[0])), gap=gap, overlap=overlap)
@@ -661,7 +681,7 @@ def spectrum_scan(params: ModelParams, y_grid) -> SpectrumScan:
                               gap=math.nan, overlap=math.nan)
 
     # Maximal runs of rows with at least two real eigenvalues: start to end - 1.
-    real = np.sum(np.abs(branches.imag) <= REAL_AXIS_TOL, axis=1) >= 2
+    real = _real_pairs(branches)
     padded = np.concatenate(([False], real, [False]))
     intervals = []
     for start, end in zip(np.flatnonzero(padded[1:] > padded[:-1]).tolist(),

@@ -25,14 +25,14 @@ import numpy as np
 
 from .basis import CONJ_PERM, ETA, J_COMM, T_CONJ
 from .errors import DynamicalInstability, NumericalFailure
-from .fluctuations import (SecondMoments, blank_failed, commutator_errors,
-                           commutator_failure, hermiticity_errors,
+from .fluctuations import (PAIRING_TOL, SecondMoments, blank_failed,
+                           commutator_errors, commutator_failure,
+                           conjugate_partners, hermiticity_errors,
                            hermiticity_failure, hermitize_moments, sort_modes,
                            stability_batch)
 from .model import MeanField, MeanFieldBatch, ModelParams, point_batch
 
 FREQUENCY_TOL = 1e-10
-PAIRING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,6 @@ class BogoliubovModes:
 
     frequencies: np.ndarray
     transform: np.ndarray
-
-
-def conjugate_partners(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For every eigenvalue the index of the closest conjugate, and the miss.
-
-    ``partner[n, k]`` minimizes |lambda_l - conj(lambda_k)| over l in row n
-    (the first on a tie); ``miss[n, k]`` is that distance.
-    """
-    dist = np.abs(lam[:, None, :] - lam.conj()[:, :, None])
-    return dist.argmin(axis=-1), dist.min(axis=-1)
 
 
 def _eigenmodes(params: ModelParams, mf: MeanFieldBatch):

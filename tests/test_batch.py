@@ -9,9 +9,8 @@ another through the masks of failed rows and the two mean-field drivers
 agree.
 The pinned rows are CLI output of the per-point implementation that the
 batched pipeline replaced; the batched arithmetic rounds differently in the
-last bits, so they are compared to 1e-12 relative.  Two rows were re-pinned
-when the steady state moved to the real quadrature basis; their comments
-say why.
+last bits, so they are compared to 1e-12 relative.  One row was re-pinned
+when the spectrum moved to the real eigen-solve; its comment says why.
 """
 
 import contextlib
@@ -157,19 +156,12 @@ PINNED = {
                  "-1.7071671643333062", "1.974573267677726", "-0.2928328356666932",
                  "1.0838963083223996", "-0.2928328356666919", "-1.0838963083223998",
                  "ok")}),
-    # Re-pinned with the real eigen-solve.  At eps = 8e-7 the depletion
-    # carries a forward error of ~3e-10 in either eigen-solver, so the fit
-    # moves by ~1e-11.  The fits of the 50-digit depletion (tests/
-    # mp_reference.py) read slopes -1.0000002250849054 and
-    # -0.9999940481731168: the pins below are 4.1e-12 and 9.9e-12 from them,
-    # the per-point implementation's (-1.0000002250725382 and
-    # -0.9999940481764035) 1.24e-11 and 3.3e-12.
     "exponent kappa > 0": (
         ["exponent", "--delta-c=-2", "--kappa=2"], {
-            0: ("below", "-1.0000002250889994", "-1.3862970470179121",
+            0: ("below", "-1.0000002250725382", "-1.3862970468683786",
                 "0.9999999999999551", "40", "8.315287191035679e-07",
                 "0.006737946999085467", "ok"),
-            1: ("above", "-0.9999940481830595", "-2.0793705100742903",
+            1: ("above", "-0.9999940481764035", "-2.079370510015999",
                 "0.9999999999689569", "40", "8.315287191035679e-07",
                 "0.006737946999085467", "ok")}),
     "exponent kappa = 0": (

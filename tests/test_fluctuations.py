@@ -11,9 +11,10 @@ from opendicke.errors import (DefectiveMatrix, DegenerateBranch,
                               DivergentSteadyState, NumericalFailure,
                               UnstableState)
 from opendicke.errors import RowErrors
-from opendicke.fluctuations import (DEFECT_COND_LIMIT, SecondMoments,
+from opendicke.fluctuations import (_PERMS, DEFECT_COND_LIMIT, SecondMoments,
                                     _decompose_batch, _defects,
-                                    _ill_conditioned, _scale,
+                                    _ill_conditioned, _match_branches,
+                                    _scale, _spectra,
                                     build_stability_matrix,
                                     conjugation_defect, decompose, drift_batch,
                                     hermitize_moments, mode_correlations,
@@ -252,7 +253,7 @@ def test_noise_spec_matrix():
 
 
 def _near_exceptional_stack() -> np.ndarray:
-    """Drift matrices at and next to the exceptional points of
+    """Stability matrices at and next to the exceptional points of
     ``spectrum --delta-c=-2 --kappa=2 --u=0.7``: relative pump offsets from
     0 to +-1e-4 on both refined endpoints."""
     p = ModelParams(delta_c=-2.0, kappa=2.0, u=0.7, y=0.0)
@@ -264,7 +265,7 @@ def _near_exceptional_stack() -> np.ndarray:
     offsets = np.concatenate((-offsets, [0.0], offsets))
     mf = mean_field_batch(p, np.concatenate([y * (1.0 + offsets) for y in ends]))
     assert mf.errors.failed == 0
-    return drift_batch(p, mf)
+    return stability_batch(p, mf)
 
 
 def _sorted_eigenvectors(m: np.ndarray) -> np.ndarray:
@@ -322,9 +323,7 @@ def test_reported_cond_is_the_svd_value():
         stability = build_stability_matrix(at_ratio(
             ModelParams(delta_c=-2.0, kappa=2.0, u=0.7, y=0.0), ratio))
         q = decompose(stability)
-        expected = np.linalg.cond(_sorted_eigenvectors(
-            drift_batch(stability.params, mean_field_batch(stability.params,
-                                                           [stability.params.y]))))[0]
+        expected = np.linalg.cond(_sorted_eigenvectors(stability.m[None]))[0]
         assert q.cond == pytest.approx(expected, rel=1e-12)
 
 
@@ -366,6 +365,59 @@ def test_spectrum_scan_screen_matches_svd_mask(u, grid):
         defective, cond = _svd_defects(drift_batch(p, mean_field_batch(p, [e.y])))
         assert e.cond == pytest.approx(cond[0], rel=1e-12)
         assert e.defective == (e.refined and defective[0])
+
+
+def _match_every_row(lam, vecs):
+    """Branch matching with all 24 permutations compared against the
+    matched order of the row before, one row at a time."""
+    dist = np.abs(lam[1:, :, None] - lam[:-1, None, :])
+    perm = np.lexsort((lam[0].imag, lam[0].real))
+    perms, ambiguous = [perm], [False] * lam.shape[0]
+    for i in range(1, lam.shape[0]):
+        d = dist[i - 1][_PERMS, perm]
+        costs = d[:, 0] + d[:, 1] + d[:, 2] + d[:, 3]
+        tied = np.flatnonzero(costs - costs.min() <= 1e-12)
+        if tied.size > 1:
+            gram = np.abs(vecs[i - 1][:, perm].conj().T @ vecs[i])
+            o = gram[np.arange(4), _PERMS[tied]]
+            overlaps = o[:, 0] + o[:, 1] + o[:, 2] + o[:, 3]
+            tied = tied[overlaps.max() - overlaps <= 1e-12]
+            ambiguous[i] = tied.size > 1
+        perm = _PERMS[tied[0]]
+        perms.append(perm)
+    return np.take_along_axis(lam, np.array(perms), 1), ambiguous
+
+
+def _branch_stacks():
+    """(eigenvalues, eigenvectors) of the spectrum grids, and seeded random
+    walks of four eigenvalues with exact degeneracies, exact conjugates and
+    coarse steps, shuffled within each row."""
+    for u, grid in SPECTRUM_GRIDS:
+        p = ModelParams(delta_c=-2.0, kappa=2.0, u=u, y=0.0)
+        yield _spectra(drift_batch(p, mean_field_batch(p, grid(critical_pump(p)))))[:2]
+    rng = np.random.default_rng(20261018)
+    for trial in range(60):
+        steps = rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))
+        lam = np.cumsum(steps * 10.0 ** rng.uniform(-14.0, 4.0), axis=0)
+        if trial % 3 == 0:
+            lam[:, 1] = lam[:, 0]
+        if trial % 4 == 0:
+            lam[:, 3] = lam[:, 2].conj()
+        if trial % 5 == 0:
+            lam = np.round(lam, 1)
+        lam = np.take_along_axis(lam, np.argsort(rng.random((200, 4)), axis=1), 1)
+        vecs = rng.standard_normal((200, 4, 4)) + 1j * rng.standard_normal((200, 4, 4))
+        if trial % 2 == 0:
+            vecs[:, :, 1] = vecs[:, :, 0]
+        yield lam, vecs
+
+
+def test_branch_matching_equals_row_by_row_comparison():
+    for lam, vecs in _branch_stacks():
+        expected, expected_ambiguous = _match_every_row(lam, vecs)
+        matched, ambiguous = _match_branches(lam, vecs)
+        assert np.array_equal(matched, expected)
+        assert ambiguous == expected_ambiguous
 
 
 def _pairing_stacks():

@@ -1,19 +1,17 @@
 """Low-pump cells against the 50-digit reference (``mp_reference``).
 
 At y/y_c <= 0.05 the atomic mode pair is damped at a rate Re lambda ~ y^2,
-and an eigen-solve in double precision resolves that rate, and with it
-delta_N and n_photon, only to about b = eps * max|lambda| / min|Re lambda|
-relative.  The complex eigen-solve of M that the steady state used before
-and the real eigen-solve of A = Q M Q^-1 both land inside that band, at
-different points of it; the pinned rows below are the complex route's CLI
-output, kept to show that.
+and a double-precision eigen-solve resolves that rate, and with it delta_N
+and n_photon, only to about eps * max|lambda| / min|Re lambda| relative, far
+above the 1e-12 of the output rule.  A change of the steady-state route may
+move these cells, but no cell may end up farther from the 50-digit solve of
+the same M than the pinned output below.
 """
 
 import contextlib
 import csv
 import io
 
-import numpy as np
 import pytest
 
 from mp_reference import reference_observables
@@ -23,8 +21,9 @@ from opendicke.model import ModelParams
 
 ARGV = ["correlations", "--delta-c=-2.0047", "--kappa=2.1802", "--u=0.3221",
         "--y-grid=0.001yc:0.05yc:6"]
-# (delta_N, n_photon) of ARGV's rows by the complex eigen-solve of M.
-COMPLEX_ROUTE = [
+# (delta_N, n_photon) of ARGV's rows, CLI output of the complex eigen-solve
+# of M.
+PINNED = [
     (0.7186484903191163, 2.728443404184584e-07),
     (0.7187117496644622, 3.1828244498670504e-05),
     (0.7188801545269136, 0.00011583326355738636),
@@ -34,23 +33,20 @@ COMPLEX_ROUTE = [
 ]
 
 
-def _rows():
+@pytest.fixture(scope="module")
+def rows():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.run(ARGV) == 0
     return list(csv.DictReader(io.StringIO(out.getvalue())))
 
 
-@pytest.mark.parametrize("index", range(len(COMPLEX_ROUTE)))
-def test_low_pump_cells_within_the_damping_rate_band(index):
-    row = _rows()[index]
+@pytest.mark.parametrize("index", range(len(PINNED)))
+def test_low_pump_cells_no_farther_from_reference(rows, index):
+    row = rows[index]
     assert row["status"] == "ok"
     p = ModelParams(delta_c=-2.0047, kappa=2.1802, u=0.3221, y=float(row["y"]))
-    m = build_stability_matrix(p).m
-    lam = np.linalg.eigvals(m)
-    band = np.finfo(float).eps * np.abs(lam).max() / np.abs(lam.real).min()
-    reference = reference_observables(m, p.kappa)
+    reference = reference_observables(build_stability_matrix(p).m, p.kappa)
     got = (float(row["delta_N"]), float(row["n_photon"]))
-    for value, before, ref in zip(got, COMPLEX_ROUTE[index], reference):
-        assert abs(value / ref - 1.0) <= band
-        assert abs(before / ref - 1.0) <= band
+    for value, pinned, ref in zip(got, PINNED[index], reference):
+        assert abs(value - ref) <= abs(pinned - ref)
