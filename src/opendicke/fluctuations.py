@@ -208,7 +208,7 @@ def conjugation_defect(m: np.ndarray) -> float:
 
 def hermiticity_errors(h: np.ndarray):
     """(max-norm violation of h = h^dag, failing mask) of every closed-system
-    coefficient matrix h = i eta M in a stack.
+    coefficient matrix in a stack: h = i eta M, or the real G = -Omega A.
 
     A matrix fails when its defect exceeds HERMITICITY_TOL * max(1, max|h|);
     ``hermiticity_failure`` words the error.
@@ -270,16 +270,6 @@ def _closest_pair(gaps: np.ndarray, vecs: np.ndarray) -> tuple[float, float]:
     return float(gaps[i, j]), float(abs(np.vdot(vecs[:, i], vecs[:, j])))
 
 
-def conjugate_partners(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For every eigenvalue the index of the closest conjugate, and the miss.
-
-    ``partner[n, k]`` minimizes |lambda_l - conj(lambda_k)| over l in row n
-    (the first on a tie); ``miss[n, k]`` is that distance.
-    """
-    dist = np.abs(lam[:, None, :] - lam.conj()[:, :, None])
-    return dist.argmin(axis=-1), dist.min(axis=-1)
-
-
 def sort_modes(lam: np.ndarray, vecs: np.ndarray, order: np.ndarray):
     """Eigenvalues and eigenvector columns of every row in ``order``."""
     rows = np.arange(lam.shape[0])[:, None]
@@ -321,7 +311,10 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     # max |L V - 1| and max |V L - 1| of every row
     resid = np.abs(np.concatenate((lefts @ vecs, vecs @ lefts), axis=1)
                    - _EYE2).max(axis=(1, 2))
-    pairing, miss = conjugate_partners(lam)
+    # pairing[n, k] minimizes |lambda_l - conj(lambda_k)| over l (the first
+    # on a tie), and miss[n, k] is that distance.
+    dist = np.abs(lam[:, None, :] - lam.conj()[:, :, None])
+    pairing, miss = dist.argmin(axis=-1), dist.min(axis=-1)
     unpaired = miss > PAIRING_TOL * scale[:, None]
     not_involution = pairing[np.arange(lam.shape[0])[:, None], pairing] != _MODES
 

@@ -1,35 +1,39 @@
-"""Closed-system (kappa = 0) ground-state fluctuations.
+"""Closed-system (kappa = 0) ground-state fluctuations by Williamson's theorem.
 
-Without photon loss the linearized dynamics is generated by a quadratic
-Hamiltonian: M = -i eta H with eta = diag(1, -1, 1, -1) and H Hermitian.
-H is recovered as H = i eta M from the shared stability-matrix builder, so
-the open and closed treatments cannot drift apart.  The Bogoliubov modes are
-the eigenmodes of M with symplectic normalization; the ground state is their
-joint vacuum, and its second moments are
+Without photon loss the fluctuations follow the quadratic Hamiltonian
+X^T G X / 2 of the quadratures X = Q R = (x_c, p_c, x_a, p_a): the drift
+matrix of the shared builder (``fluctuations.drift_batch``) is A = Omega G,
+so G = -Omega A is real symmetric, and a ground state exists when G is
+positive definite.  Williamson (Am. J. Math. 58, 141 (1936)) diagonalizes
+it with two Hermitian eigen-solves per row: eigh(G) gives G^(+-1/2), and
+eigh(i B) of the antisymmetric B = G^(1/2) Omega G^(1/2) the frequencies
++-omega_k.  The real and imaginary parts of the +omega_k eigenvectors v_k
+form an orthogonal O, and S^-1 = G^(-1/2) O D^(1/2), D = diag(omega_1,
+omega_1, omega_2, omega_2), is symplectic and takes G to D.  A degenerate
+pair needs nothing special: the real and imaginary parts of any orthonormal
+basis of its eigenspace are orthonormal.
 
-    <R_i R_j> = sum_k N_k V[i, k] V[j, pair(k)]
-
-summed over the annihilation-side modes k (Im lambda_k < 0), where
-N_k = [c_k, c_pair(k)] is the commutator of the mode pair; each term is
-independent of the phases of the two eigenvectors.  Like the open-system
-chain, the ground state is computed for a stack of matrices at once
-(:func:`ground_state_batch`); the scalar functions are batches of one.
+In the ladder basis T^-1 = Q^dag S^-1 Q maps the normal-mode ladders
+C = (c1, c1+, c2, c2+) to R.  O Q has the columns (-i v_k, i conj(v_k)), so
+up to a phase of each mode the columns of T^-1 are Q^dag z_k and
+Q^dag conj(z_k), z_k = sqrt(omega_k) G^(-1/2) v_k.  The ground state is the
+vacuum of C, <R R^T> = T^-1 V0 T^-T with V0[0, 1] = V0[2, 3] = 1: a sum of
+products of Bogoliubov coefficients, which does not cancel at low pump.
+As in the open-system chain, every stage runs on a stack of matrices
+(:func:`ground_state_batch`), and the scalar functions are batches of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CONJ_PERM, ETA, J_COMM, T_CONJ
+from .basis import ETA, OMEGA_SYMPL
 from .errors import DynamicalInstability, NumericalFailure
-from .fluctuations import (PAIRING_TOL, SecondMoments, blank_failed,
-                           commutator_errors, commutator_failure,
-                           conjugate_partners, hermiticity_errors,
-                           hermiticity_failure, hermitize_moments, sort_modes,
-                           stability_batch)
+from .fluctuations import (SecondMoments, blank_failed, commutator_errors,
+                           commutator_failure, drift_batch, hermiticity_errors,
+                           hermiticity_failure, hermitize_moments)
 from .model import MeanField, MeanFieldBatch, ModelParams, point_batch
 
 FREQUENCY_TOL = 1e-10
@@ -49,77 +53,45 @@ class BogoliubovModes:
     transform: np.ndarray
 
 
-def _eigenmodes(params: ModelParams, mf: MeanFieldBatch):
-    """Eigen-decomposition of M(kappa = 0) for every row, with its checks.
+def _williamson(params: ModelParams, mf: MeanFieldBatch):
+    """(frequencies, T^-1) of every row, frequencies in increasing order.
 
-    Returns eigenvalues sorted by imaginary part, right eigenvectors
-    (columns), left eigenvectors (rows), the right eigenvectors of the
-    conjugate partners of the two annihilation-side modes 0 and 1 (columns),
-    the commutators [c_k, c_kbar] of those two modes with their partners, and
-    their symplectic norms [c_k, c_k^dag].
-    Rows fail, in this order, on the Hermiticity of i eta M, a non-oscillatory
-    spectrum, a zero frequency, an unpaired eigenvalue, a pair count other
-    than two and a non-positive symplectic norm.
+    Rows fail, in this order, on the symmetry of G, on a non-positive
+    eigenvalue of G and on a zero frequency.
     """
     if params.kappa != 0.0:
         raise ValueError("ground state is defined for kappa = 0 only")
     errors = mf.errors
-    m = stability_batch(params, mf)
-    defect, bad = hermiticity_errors(1j * ETA @ m)
+    g = -OMEGA_SYMPL @ drift_batch(params, mf)
+    defect, bad = hermiticity_errors(g)
     errors.fail(bad, lambda i: hermiticity_failure(defect[i]))
 
-    lam, vecs = np.linalg.eig(m)
-    scale = np.maximum(1.0, np.abs(lam).max(axis=1))
-    damping = np.abs(lam.real).max(axis=1)
-    errors.fail(damping > FREQUENCY_TOL * scale, lambda i: DynamicalInstability(
-        f"spectrum not purely oscillatory, Re lambda up to {damping[i]:.3e}; "
-        "no stable ground state"))
-    errors.fail(np.abs(lam).min(axis=1) <= FREQUENCY_TOL * scale,
+    gamma, u = np.linalg.eigh(blank_failed(g, errors))
+    errors.fail(gamma[:, 0] <= 0.0, lambda i: DynamicalInstability(
+        f"quadrature Hamiltonian G has eigenvalue {gamma[i, 0]:.3e} <= 0: not "
+        "positive definite, no stable ground state"))
+    root = np.sqrt(blank_failed(gamma, errors, 1.0))
+    half = (u * root[:, None]) @ u.transpose(0, 2, 1)
+    omega, v = np.linalg.eigh(1j * (half @ OMEGA_SYMPL @ half))
+    freqs = omega[:, 2:]
+    errors.fail(freqs[:, 0] <= FREQUENCY_TOL * np.maximum(1.0, freqs[:, 1]),
                 lambda i: DynamicalInstability(
                     "zero-frequency mode: the system sits at the critical point"))
-
-    lam, vecs = sort_modes(lam, vecs, np.argsort(lam.imag, axis=1))
-    lefts = np.linalg.inv(blank_failed(vecs, errors))
-
-    partner, miss = conjugate_partners(lam)
-    lowering = lam.imag < 0.0
-    unpaired = lowering & (miss > PAIRING_TOL * scale[:, None])
-    errors.fail(unpaired.any(axis=1), lambda i: NumericalFailure(
-        f"eigenvalue {lam[i, int(np.argmax(unpaired[i]))]!r} has no conjugate partner"))
-    count = lowering.sum(axis=1)
-    errors.fail(count != 2, lambda i: DynamicalInstability(
-        f"expected two oscillatory mode pairs, found {int(count[i])}"))
-
-    # With two pairs the annihilation-side modes are 0 and 1.  LAPACK fixes
-    # the phase of each eigenvector on its own, so [c_k, c_kbar] carries the
-    # inverse of the phases of v_k and v_kbar, and v_k^T T v_kbar the phases
-    # themselves; their product is the symplectic norm [c_k, c_k^dag] for any
-    # phases (the two factors are that norm and 1 when v_kbar = T conj(v_k)).
-    comms = lefts @ J_COMM @ lefts.transpose(0, 2, 1)
-    norms = np.take_along_axis(comms[:, :2], partner[:, :2, None], 2)[..., 0]
-    pairs = np.take_along_axis(vecs, partner[:, None, :2], 2)
-    symplectic = norms * (vecs[:, :, :2] * pairs[:, CONJ_PERM]).sum(axis=1)
-    bad = ((np.abs(symplectic.imag)
-            > np.maximum(1e-10, 1e-8 * np.abs(symplectic)))
-           | (symplectic.real <= 0.0))
-
-    def non_positive(i: int) -> DynamicalInstability:
-        k = int(np.argmax(bad[i]))
-        return DynamicalInstability(
-            f"mode pair ({k}, {int(partner[i, k])}) has non-positive symplectic "
-            f"norm {symplectic[i, k]!r}; Hamiltonian not positive definite")
-
-    errors.fail(bad.any(axis=1), non_positive)
-    return lam, vecs, lefts, pairs, norms, symplectic.real
+    z = ((u / root[:, None]) @ (u.transpose(0, 2, 1) @ v[:, :, 2:])
+         * np.sqrt(0.5 * blank_failed(freqs, errors, 1.0))[:, None])
+    # Q^dag z = (x + i p, x - i p) per mode (1 / sqrt(2) is in z) and Q^dag
+    # conj(z) = conj(x - i p, x + i p), elementwise: a matrix product's fused
+    # multiply-adds leave a residue where the two terms cancel.
+    x, ip = z[:, 0::2], 1j * z[:, 1::2]
+    lower, upper = np.stack((x + ip, x - ip), 2), np.stack((x - ip, x + ip), 2)
+    return freqs, np.stack((lower, upper.conj()), axis=-1).reshape(-1, 4, 4)
 
 
 def ground_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     """Hermitized Bogoliubov-vacuum moments of every row of a mean-field
     batch; failures go to ``mf.errors``, then the commutator check."""
-    _, vecs, _, pairs, norms, _ = _eigenmodes(params, mf)
-    s = np.zeros(vecs.shape, dtype=complex)
-    for k in (0, 1):
-        s += norms[:, k, None, None] * (vecs[:, :, k, None] * pairs[:, None, :, k])
+    _, t_inv = _williamson(params, mf)
+    s = t_inv[:, :, 0::2] @ t_inv[:, :, 1::2].transpose(0, 2, 1)
     comms, tol, bad = commutator_errors(s, np.abs(s).max(axis=(1, 2)))
     mf.errors.fail(bad.any(axis=1),
                    lambda i: commutator_failure(comms, tol, bad, i))
@@ -130,30 +102,18 @@ def bogoliubov_modes(params: ModelParams,
                      mf: MeanField | None = None) -> BogoliubovModes:
     """Symplectically normalized normal modes of the closed system."""
     batch = point_batch(params, mf)
-    lam, _, lefts, _, _, norms = batch.errors.first_row(_eigenmodes(params, batch))
-
-    rows = []
-    for k in (0, 1):
-        lowering = lefts[k] / math.sqrt(norms[k])
-        raising = np.conj(lowering) @ T_CONJ
-        rows.extend([lowering, raising])
-    # Order mode pairs by increasing frequency.
-    frequencies = -lam.imag[:2]
-    if frequencies[0] > frequencies[1]:
-        rows = rows[2:] + rows[:2]
-    transform = np.array(rows)
-
+    frequencies, t_inv = batch.errors.first_row(_williamson(params, batch))
+    # T^-1 eta T^-dag = eta gives T = eta T^-dag eta.
+    transform = ETA @ t_inv.conj().T @ ETA
     defect = float(np.max(np.abs(transform @ ETA @ transform.conj().T - ETA)))
     if defect > 1e-10:
         raise NumericalFailure(
             f"Bogoliubov transform not symplectic (defect {defect:.3e})")
-    return BogoliubovModes(frequencies=np.sort(frequencies), transform=transform)
+    return BogoliubovModes(frequencies=frequencies, transform=transform)
 
 
 def ground_state_moments(params: ModelParams,
                          mf: MeanField | None = None) -> SecondMoments:
     """Second moments of the Bogoliubov vacuum in the lab basis."""
-    if params.kappa != 0.0:
-        raise ValueError("ground state is defined for kappa = 0 only")
     batch = point_batch(params, mf)
     return SecondMoments(s=batch.errors.first_row(ground_state_batch(params, batch)))

@@ -1,18 +1,24 @@
 """Closed-system Bogoliubov ground state: frequencies, moments, instabilities."""
 
+import contextlib
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from conftest import at_ratio
+from opendicke import cli
 from opendicke.basis import ETA
 from opendicke.entanglement import quad_covariance
 from opendicke.errors import DynamicalInstability
 from opendicke.fluctuations import (build_stability_matrix, observables,
-                                    steady_state_moments)
+                                    stability_batch, steady_state_moments)
 from opendicke.analysis import ScanKind, figure_scan
-from opendicke.groundstate import bogoliubov_modes, ground_state_moments
+from opendicke.groundstate import (bogoliubov_modes, ground_state_batch,
+                                   ground_state_moments)
 from opendicke.model import (MeanField, ModelParams, Phase, critical_pump,
-                             solve_mean_field)
+                             mean_field_batch, solve_mean_field)
 from opendicke.oracle import fock_ground_state
 
 # Normal-mode frequencies at delta_c=-2, u=0, y = 0.5*y_c (frozen).
@@ -142,3 +148,69 @@ def test_occupations_real_exactly(closed_params):
     s = ground_state_moments(at_ratio(closed_params, 1.0 - 1e-6)).s
     assert s[1, 0].imag == 0.0
     assert s[3, 2].imag == 0.0
+
+
+def _cli_rows(argv) -> list[dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(argv) == 0
+    return list(csv.DictReader(io.StringIO(out.getvalue())))
+
+
+def test_degenerate_frequencies_at_zero_pump():
+    # At delta_c = -1, y = 0 the photon and the atom both have frequency 1,
+    # and eigh(i B) returns some orthonormal basis of the 2-d eigenspace.
+    p = ModelParams(delta_c=-1.0, kappa=0.0, u=0.0, y=0.0)
+    expected = np.zeros((4, 4), dtype=complex)
+    expected[0, 1] = expected[2, 3] = 1.0
+    np.testing.assert_allclose(ground_state_moments(p).s, expected, atol=1e-12)
+    modes = bogoliubov_modes(p)
+    np.testing.assert_allclose(modes.frequencies, (1.0, 1.0), rtol=1e-12)
+    t = modes.transform
+    assert np.max(np.abs(t @ ETA @ t.conj().T - ETA)) <= 1e-10
+    grid = ["--delta-c=-1", "--kappa=0", "--y-grid=0:0.5yc:3"]
+    row = _cli_rows(["correlations", *grid])[0]
+    assert row["status"] == "ok"
+    assert float(row["delta_N"]) == 0.0 and float(row["n_photon"]) == 0.0
+    assert _cli_rows(["entanglement", *grid])[0]["status"] == "ok"
+
+
+# Symplectic eigenvalues of a pure state, and |M S + S M^T| / (|M| |S|) of a
+# stationary one (max-norms).
+PURITY_TOL = 1e-9
+STATIONARY_TOL = 1e-11
+_Q = np.array([[1, 1, 0, 0], [-1j, 1j, 0, 0],
+               [0, 0, 1, 1], [0, 0, -1j, 1j]]) / np.sqrt(2)
+_OMEGA = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def test_seeded_sweep_rows_pure_and_stationary():
+    """Over |delta_c| log-uniform in [1e-2, 1e2], u in [-5, 5] and
+    y in [0, 2] y_c, every ``ok`` row of ``ground_state_batch`` is a pure,
+    stationary Gaussian state, and every other row failed in its mean field
+    or has no stable ground state."""
+    rng = np.random.default_rng(20261018)
+    statuses = {"ok": 0, "mean field": 0, "unstable": 0}
+    for _ in range(200):
+        base = ModelParams(delta_c=-10.0 ** rng.uniform(-2.0, 2.0), kappa=0.0,
+                           u=rng.uniform(-5.0, 5.0), y=0.0)
+        mf = mean_field_batch(base, rng.uniform(0.0, 2.0, 20) * critical_pump(base))
+        mean_ok = mf.errors.alive.copy()
+        m = stability_batch(base, mf)
+        s = ground_state_batch(base, mf)
+        for i, err in enumerate(mf.errors.errors):
+            if not mean_ok[i]:
+                statuses["mean field"] += 1
+                continue
+            if err is not None:
+                assert isinstance(err, DynamicalInstability), err
+                statuses["unstable"] += 1
+                continue
+            statuses["ok"] += 1
+            raw = _Q @ s[i] @ _Q.T
+            cov = (0.5 * (raw + raw.T)).real
+            nus = np.sort(np.abs(np.linalg.eigvals(1j * _OMEGA @ cov)))[::2]
+            assert np.max(np.abs(nus - 0.5)) <= PURITY_TOL * max(1.0, nus.max())
+            residual = np.abs(m[i] @ s[i] + s[i] @ m[i].T).max()
+            assert residual <= STATIONARY_TOL * np.abs(m[i]).max() * np.abs(s[i]).max()
+    assert statuses == {"ok": 3380, "mean field": 620, "unstable": 0}
