@@ -3,8 +3,10 @@
 Subcommands: meanfield, spectrum, correlations, exponent, entanglement,
 verify.  All scans emit CSV (default) or JSON with a fixed column set and a
 status column per row; output is byte-deterministic for identical
-invocations (shortest round-trip float formatting, fixed row order).  Scans
-compute their pump grids as batches of arrays; ``--threads`` is accepted for
+invocations (shortest round-trip float formatting, fixed row order).  CSV
+rows are ``%s`` format strings written at once, as ``csv`` would write them:
+floats as their ``str``, and no cell or name needs quoting.  Scans compute
+their pump grids as batches of arrays; ``--threads`` is accepted for
 compatibility and has no effect.
 
 Pump values and grid endpoints accept the token ``yc`` scaled by an optional
@@ -18,7 +20,8 @@ per-row protection of scans, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -115,10 +118,8 @@ def _emit_table(table: analysis.Table, args) -> None:
             out.write(json.dumps(payload, indent=2, allow_nan=False))
             out.write("\n")
         else:
-            # csv writes floats in their shortest round-trip form, repr.
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(table.columns)
-            writer.writerows(table.rows)
+            fmt = ",".join(["%s"] * len(table.columns)) + "\n"
+            out.write(fmt % table.columns + "".join(fmt % row for row in table.rows))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -130,11 +131,9 @@ def _json_value(v):
 
 
 def _interval_json(interval: fluctuations.RealInterval) -> dict:
-    def endpoint(e: fluctuations.EndpointReport) -> dict:
-        return {"y": e.y, "refined": e.refined, "defective": e.defective,
-                "cond": e.cond, "gap": _json_value(e.gap),
-                "overlap": _json_value(e.overlap)}
-    return {"lower": endpoint(interval.lower), "upper": endpoint(interval.upper)}
+    """Both endpoints with every EndpointReport field, NaN as null."""
+    return {end: {key: _json_value(v) for key, v in fields.items()}
+            for end, fields in dataclasses.asdict(interval).items()}
 
 
 def _model_params(args, y: float = 0.0) -> model.ModelParams:
@@ -262,7 +261,9 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="opendicke",
         description="Critical behavior of the driven-damped Dicke model "

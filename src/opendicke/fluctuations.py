@@ -311,12 +311,17 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     # max |L V - 1| and max |V L - 1| of every row
     resid = np.abs(np.concatenate((lefts @ vecs, vecs @ lefts), axis=1)
                    - _EYE2).max(axis=(1, 2))
-    # pairing[n, k] minimizes |lambda_l - conj(lambda_k)| over l (the first
-    # on a tie), and miss[n, k] is that distance.
+    # pairing[n, k] minimizes |lambda_l - conj(lambda_k)| over l, miss[n, k] is that
+    # distance; a live row whose modes tie for a partner takes the closest permutation.
     dist = np.abs(lam[:, None, :] - lam.conj()[:, :, None])
-    pairing, miss = dist.argmin(axis=-1), dist.min(axis=-1)
+    pairing, rows = dist.argmin(axis=-1), np.arange(lam.shape[0])[:, None]
+    not_involution = pairing[rows, pairing] != _MODES
+    clash = not_involution.any(axis=1) & errors.alive
+    if clash.any():
+        pairing[clash] = _PERMS[dist[clash][:, _MODES, _PERMS].sum(-1).argmin(1)]
+        not_involution = pairing[rows, pairing] != _MODES
+    miss = dist[rows, _MODES, pairing]
     unpaired = miss > PAIRING_TOL * scale[:, None]
-    not_involution = pairing[np.arange(lam.shape[0])[:, None], pairing] != _MODES
 
     def failure(i: int) -> DefectiveMatrix | NumericalFailure:
         if resid[i] > BIORTHO_TOL:
@@ -544,7 +549,7 @@ class SpectrumScan:
     ``branches[i, k]`` is the eigenvalue of branch k at ``y[i]``; branches are
     matched between neighboring grid points by total eigenvalue displacement
     with an eigenvector-overlap tie-break.  ``real_intervals`` lists maximal
-    runs where at least two eigenvalues are real, with bisection-refined,
+    runs where at least two eigenvalues are real, with root-refined,
     defectiveness-classified endpoints.
     """
 
@@ -564,11 +569,6 @@ def _spectra(a: np.ndarray):
     lam, vecs = lam.astype(complex, copy=False), vecs.astype(complex, copy=False)
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     return (lam, vecs) + _defects(lam, vecs, _ill_conditioned(vecs), _scale(lam))
-
-
-def _real_pairs(lam: np.ndarray) -> np.ndarray:
-    """At least two eigenvalues on the real axis, for every row."""
-    return np.sum(np.abs(lam.imag) <= REAL_AXIS_TOL, axis=-1) >= 2
 
 
 def _drift_at(params: ModelParams, y: float) -> np.ndarray:
@@ -627,21 +627,35 @@ def _match_branches(lam: np.ndarray, vecs: np.ndarray):
     return np.take_along_axis(lam, np.array(perms), 1), ambiguous
 
 
-def _refine_endpoint(params: ModelParams, y_in: float, y_out: float) -> EndpointReport:
-    """Bisect the edge of the real-axis region between an inside and an
-    outside pump value, then classify the matrix there."""
-    for _ in range(200):
-        mid = 0.5 * (y_in + y_out)
-        if mid == y_in or mid == y_out:
-            break
-        # The grid's eigen-solve and test, so that the two agree on a row.
-        if _real_pairs(np.linalg.eig(_drift_at(params, mid))[0])[0]:
-            y_in = mid
+def _discriminant(params: ModelParams, y: float) -> float:
+    """Re prod_{i<j} (lambda_i - lambda_j)^2 of the drift matrix at y by its
+    real eigen-solve: < 0 with one real pair and one conjugate pair, > 0 with
+    two conjugate pairs, and through 0 with a slope where a real pair merges."""
+    lam = np.linalg.eig(_drift_at(params, y))[0][0].astype(complex)
+    return float(np.prod((lam[_PAIR_I] - lam[_PAIR_J]) ** 2).real)
+
+
+def _refine_endpoint(params: ModelParams, a: float, b: float) -> EndpointReport:
+    """The edge of the real-axis region between an inside pump a and an outside
+    pump b: the root of ``_discriminant`` by Illinois regula falsi down to adjacent
+    floats, classified on the inside; a itself, unrefined, without a sign change."""
+    fa, fb = _discriminant(params, a), _discriminant(params, b)
+    refined, moved = fa <= 0.0 < fb, 0
+    while refined:
+        c = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < c < max(a, b):  # a step below the float spacing
+            near, far = (a, b) if abs(c - a) <= abs(c - b) else (b, a)
+            if (c := math.nextafter(near, far)) == far:
+                break
+        fc = _discriminant(params, c)
+        # Illinois: an end kept twice in a row has its value halved.
+        if fc <= 0.0:
+            a, fa, fb, moved = c, fc, fb / (2.0 if moved > 0 else 1.0), 1
         else:
-            y_out = mid
-    _, vecs, defective, gaps = _spectra(_drift_at(params, y_in))
+            b, fb, fa, moved = c, fc, fa / (2.0 if moved < 0 else 1.0), -1
+    _, vecs, defective, gaps = _spectra(_drift_at(params, a))
     gap, overlap = _closest_pair(gaps[0], vecs[0])
-    return EndpointReport(y=y_in, refined=True, defective=bool(defective[0]),
+    return EndpointReport(y=a, refined=refined, defective=bool(defective[0]),
                           cond=float(np.linalg.cond(vecs[0])), gap=gap, overlap=overlap)
 
 
@@ -673,8 +687,8 @@ def spectrum_scan(params: ModelParams, y_grid) -> SpectrumScan:
                               cond=float(np.linalg.cond(vecs[i])),
                               gap=math.nan, overlap=math.nan)
 
-    # Maximal runs of rows with at least two real eigenvalues: start to end - 1.
-    real = _real_pairs(branches)
+    # Maximal runs of rows with two eigenvalues on the real axis: start to end - 1.
+    real = np.sum(np.abs(branches.imag) <= REAL_AXIS_TOL, axis=-1) >= 2
     padded = np.concatenate(([False], real, [False]))
     intervals = []
     for start, end in zip(np.flatnonzero(padded[1:] > padded[:-1]).tolist(),

@@ -89,3 +89,18 @@ def test_cli_import_leaves_scipy_sparse_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_spectrum_leaves_scipy_optimize_and_sparse_out():
+    """The spectrum's root refinement is written out: a run loads neither
+    scipy.optimize nor scipy.sparse."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import contextlib, io, sys\nfrom opendicke import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = cli.run(['spectrum', '--delta-c=-2', '--kappa=2', '--u=0.7'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'optimize'], ['scipy', 'sparse'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0 []"

@@ -369,3 +369,77 @@ def test_repeated_runs_identical(capsys):
     _, first, _ = run_cli(argv, capsys)
     _, second, _ = run_cli(argv, capsys)
     assert first == second
+
+
+# Every kind of table the CLI writes: failed rows with NaN cells, a divergent
+# row, the kappa = 0 route, the spectrum, the exponent fit and its curve.
+TABLE_COMMANDS = [
+    ["meanfield", "--delta-c=-2", "--kappa=2", "--y-grid=0:2yc:41"],
+    ["correlations", "--delta-c=-1", "--kappa=1", "--u=-3", "--y-grid=0:2yc:9"],
+    ["correlations", "--delta-c=-2", "--kappa=0", "--u=0.7", "--y-grid=0:2yc:41"],
+    ["entanglement", "--delta-c=-2", "--kappa=2", "--y-grid=0:2yc:41"],
+    ["spectrum", "--delta-c=-2", "--kappa=2", "--u=0.7"],
+    ["exponent", "--delta-c=-2", "--kappa=2"],
+    ["exponent", "--delta-c=-2", "--kappa=0", "--curve"],
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda a: " ".join(a[:2]))
+@pytest.mark.parametrize("to_file", [False, True])
+def test_csv_bytes_equal_the_csv_module(argv, to_file, tmp_path, capsys,
+                                        monkeypatch):
+    """The format-string rows are byte for byte what ``csv.writer`` makes of
+    the same table."""
+    tables = []
+    emit = cli._emit_table
+
+    def record(table, args):
+        tables.append(table)
+        emit(table, args)
+
+    monkeypatch.setattr(cli, "_emit_table", record)
+    target = tmp_path / "table.csv"
+    code, out, _ = run_cli(argv + [f"--output={target}"] * to_file, capsys)
+    assert code == 0
+    if to_file:
+        assert out == ""
+        out = target.read_text(encoding="utf-8")
+    (table,) = tables
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(table.columns)
+    writer.writerows(table.rows)
+    assert out == expected.getvalue()
+    assert len(table.rows) > 1
+    if argv[1:4] == ["--delta-c=-1", "--kappa=1", "--u=-3"]:
+        assert {"failed", "divergent"} <= {row[-1] for row in table.rows}
+        assert ",nan," in out
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    """A config call hands the parser's own actions to a one-line parser;
+    a usage error and a plain call after it read as they do first."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta-c = -2\nkappa = 2\ny-grid = 0:2yc:5\nside = below\n")
+    calls = [["correlations", f"--config={cfg}"],
+             ["correlations", "--delta-c=-2", "--kappa=two"],
+             ["exponent", "--delta-c=-2", "--kappa=2", "--side=sideways"],
+             ["correlations", "--delta-c=-2", "--y-grid=0:2yc:5"],
+             ["exponent", f"--config={cfg}", "--points=8"],
+             ["exponent", "--delta-c=-2", "--points=8"]]
+    first = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        first.append(run_cli(argv, capsys))
+    cli.build_parser.cache_clear()
+    assert cli.build_parser() is cli.build_parser()
+    assert [run_cli(argv, capsys) for argv in calls] == first
+    assert [code for code, _, _ in first] == [0, 2, 2, 0, 0, 0]
+
+
+def test_verify_degenerate_frequencies_at_zero_pump(capsys):
+    """At delta_c = -1, kappa = 0, y = 0 both mode pairs sit at +-i."""
+    code, out, err = run_cli(["verify", "--delta-c=-1", "--kappa=0", "--y=0"],
+                             capsys)
+    assert code == 0 and err == ""
+    assert "12/12 checks passed" in out

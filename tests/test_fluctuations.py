@@ -26,8 +26,8 @@ from opendicke.model import (MeanField, ModelParams, Phase, critical_pump,
                              mean_field_batch, solve_mean_field)
 from opendicke.oracle import lyapunov_moments
 
-# Real-axis interval endpoints for delta_c=-2, kappa=2, u=0 (bisection-refined
-# against the two-real-eigenvalue predicate; frozen from this implementation).
+# Real-axis interval endpoints for delta_c=-2, kappa=2, u=0 (frozen from an
+# earlier bisection of the two-real-eigenvalue predicate).
 INTERVAL_LOWER = 1.9368167091351347
 INTERVAL_UPPER = 2.0347390614027807
 
@@ -182,6 +182,16 @@ def test_observables_reject_imaginary_occupation():
 
 def test_conj_perm_is_involution():
     assert list(CONJ_PERM[CONJ_PERM]) == [0, 1, 2, 3]
+
+
+def test_pairing_of_equal_eigenvalues_is_an_involution():
+    """At delta_c = -1, kappa = 0, y = 0, M is diagonal with eigenvalues
+    -i, i, -i, i: each copy of -i takes its own copy of i."""
+    q = decompose(build_stability_matrix(ModelParams(delta_c=-1.0, kappa=0.0,
+                                                     u=0.0, y=0.0)))
+    assert np.count_nonzero(q.matrix.m - np.diag(np.diag(q.matrix.m))) == 0
+    assert list(q.pairing[q.pairing]) == [0, 1, 2, 3]
+    assert np.array_equal(q.lambdas[q.pairing], q.lambdas.conj())
 
 
 def test_spectrum_scan_start_and_interval(open_params):
