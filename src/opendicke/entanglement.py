@@ -93,12 +93,12 @@ def _nu_minus(sigma: np.ndarray, disc: np.ndarray, det_c: np.ndarray,
     """
     scale = np.maximum(1.0, sigma ** 2)
     errors.fail(disc < -1e-10 * scale, lambda i: NumericalFailure(
-        f"negative discriminant {disc[i]:.3e} in symplectic invariants"))
+        lambda: f"negative discriminant {disc[i]:.3e} in symplectic invariants"))
     nu_plus_sq = 0.5 * (sigma + np.sqrt(np.maximum(disc, 0.0)))
     arg = np.divide(det_c, nu_plus_sq, out=np.zeros_like(det_c),
                     where=nu_plus_sq > 0.0)
     errors.fail(arg < -1e-10 * scale, lambda i: NumericalFailure(
-        f"negative nu_minus^2 = {arg[i]:.3e}"))
+        lambda: f"negative nu_minus^2 = {arg[i]:.3e}"))
     return np.sqrt(np.maximum(arg, 0.0))
 
 
@@ -134,11 +134,11 @@ def covariance_batch(s: np.ndarray, errors: RowErrors):
     scale = np.maximum(1.0, np.abs(sym).max(axis=(1, 2)))
     imag_resid = np.abs(sym.imag).max(axis=(1, 2))
     errors.fail(imag_resid > 1e-10 * scale, lambda i: NumericalFailure(
-        f"covariance imaginary residue {imag_resid[i]:.3e} exceeds tolerance"))
+        lambda: f"covariance imaginary residue {imag_resid[i]:.3e} exceeds tolerance"))
     c = blank_failed(sym.real.copy(), errors, 0.5 * np.eye(4))
     invariants, nu_min = _symplectic_min(c, errors)
     errors.fail(nu_min < 0.5 - PHYSICALITY_TOL * scale, lambda i: NumericalFailure(
-        f"unphysical covariance: min symplectic eigenvalue {nu_min[i]!r} < 1/2"))
+        lambda: f"unphysical covariance: min symplectic eigenvalue {nu_min[i]!r} < 1/2"))
     return c, invariants, nu_min
 
 

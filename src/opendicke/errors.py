@@ -6,6 +6,8 @@ derive from :class:`OpenDickeError` so blanket handling stays easy.
 
 :class:`RowErrors` keeps the first error of every row of a batched pump
 scan; the scalar API runs batches of one and raises their row's error.
+Scans read only the class, so the batches hand in each message as a
+callable, formatted when ``str``, ``repr``, ``args`` or pickling reads it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,24 @@ import numpy as np
 
 class OpenDickeError(Exception):
     """Base class for all errors raised by this package."""
+
+    def _formatted(self) -> OpenDickeError:
+        args = BaseException.args.__get__(self)
+        if len(args) == 1 and callable(args[0]):
+            BaseException.args.__set__(self, (args[0](),))
+        return self
+
+    args = property(lambda self: BaseException.args.__get__(self._formatted()),
+                    BaseException.args.__set__)
+
+    def __str__(self):
+        return BaseException.__str__(self._formatted())
+
+    def __repr__(self):
+        return BaseException.__repr__(self._formatted())
+
+    def __reduce__(self):
+        return BaseException.__reduce__(self._formatted())
 
 
 class NoThreshold(OpenDickeError):
@@ -70,8 +90,8 @@ class RowErrors:
     ``alive`` marks the rows without an error and ``failed`` counts the
     others.  ``fail(mask, make)`` records ``make(i)`` for every still-alive
     row i in ``mask``, so a later check never overwrites an earlier one and
-    each row keeps its first failing check.  Messages are built only for the
-    rows that fail.
+    each row keeps its first failing check.  Errors are built only for the
+    rows that fail, and their messages only when read.
     """
 
     def __init__(self, n: int):
@@ -82,7 +102,7 @@ class RowErrors:
 
     def fail(self, mask: np.ndarray, make) -> None:
         # A single row may hand in a bool scalar.
-        if not (np.count_nonzero(mask) if np.ndim(mask) else mask):
+        if not (np.count_nonzero(mask) if isinstance(mask, np.ndarray) else mask):
             return
         hit = mask & self.alive
         for i in np.flatnonzero(hit):
@@ -92,11 +112,8 @@ class RowErrors:
 
     def raise_first(self) -> None:
         """Raise the error of the first failed row, if any."""
-        if not self.failed:
-            return
-        for err in self.errors:
-            if err is not None:
-                raise err
+        if self.failed:
+            raise next(err for err in self.errors if err is not None)
 
     def first_row(self, out):
         """Row 0 of every array of a batch of one's result, its error raised first."""

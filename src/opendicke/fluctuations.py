@@ -63,7 +63,6 @@ PAIRING_TOL = 1e-8
 STABILITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 DIVERGENT_TOL = 1e-12
-REAL_AXIS_TOL = 1e-8
 
 # Eigenvalue pairs (i, j), i < j, in itertools.combinations order, and the
 # same pairs as a mask of a 4x4 matrix.
@@ -219,7 +218,8 @@ def hermiticity_errors(h: np.ndarray):
 
 
 def hermiticity_failure(defect: float) -> NumericalFailure:
-    return NumericalFailure(f"coefficient matrix not Hermitian (defect {defect:.3e})")
+    return NumericalFailure(
+        lambda: f"coefficient matrix not Hermitian (defect {defect:.3e})")
 
 
 def _scale(lam: np.ndarray) -> np.ndarray:
@@ -237,11 +237,10 @@ def _ill_conditioned(vecs: np.ndarray) -> np.ndarray:
     det) therefore has cond(V) <= DEFECT_COND_LIMIT / 2, and only the other
     rows get ``np.linalg.cond``.
     """
-    bad = np.zeros(vecs.shape[0], dtype=bool)
     suspect = np.abs(np.linalg.det(vecs)) < 32.0 / DEFECT_COND_LIMIT
     if np.count_nonzero(suspect):
-        bad[suspect] = np.linalg.cond(vecs[suspect]) > DEFECT_COND_LIMIT
-    return bad
+        suspect[suspect] = np.linalg.cond(vecs[suspect]) > DEFECT_COND_LIMIT
+    return suspect
 
 
 def _defects(lam, vecs, ill_conditioned, scale):
@@ -294,15 +293,16 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     scale = _scale(lam)
     defective, gaps = _defects(lam, vecs, _ill_conditioned(vecs), scale)
 
-    def defect(i: int, message: str) -> DefectiveMatrix:
+    def defect(i: int, message: str, **values) -> DefectiveMatrix:
         # Reported: cond(V), and the closest pair if it is closer than the
         # gap limit.
         cond = float(np.linalg.cond(vecs[i]))
         gap, overlap = _closest_pair(gaps[i], vecs[i])
         if not gap < DEFECT_GAP_LIMIT * scale[i]:
             gap, overlap = math.inf, 0.0
-        return DefectiveMatrix(message.format(cond=cond, gap=gap, overlap=overlap),
-                               cond=cond, gap=gap, overlap=overlap)
+        return DefectiveMatrix(lambda: message.format(
+            cond=cond, gap=gap, overlap=overlap, **values), cond=cond, gap=gap,
+            overlap=overlap)
 
     errors.fail(defective, lambda i: defect(
         i, "(near-)defective stability matrix: cond(V) = {cond:.3e}, "
@@ -325,14 +325,15 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
 
     def failure(i: int) -> DefectiveMatrix | NumericalFailure:
         if resid[i] > BIORTHO_TOL:
-            return defect(i, f"biorthonormalization residual {resid[i]:.3e} "
-                             f"exceeds {BIORTHO_TOL:g}; matrix too close to defective")
+            return defect(i, "biorthonormalization residual {resid:.3e} exceeds "
+                             "{tol:g}; matrix too close to defective",
+                          resid=resid[i], tol=BIORTHO_TOL)
         if unpaired[i].any():
             k = int(np.argmax(unpaired[i]))
-            return NumericalFailure(f"eigenvalue {lam[i, k]!r} has no conjugate "
-                                    f"partner (closest miss {miss[i, k]:.3e})")
+            return NumericalFailure(lambda: f"eigenvalue {lam[i, k]!r} has no conjugate "
+                                            f"partner (closest miss {miss[i, k]:.3e})")
         return NumericalFailure(
-            f"conjugate pairing {pairing[i]!r} is not an involution")
+            lambda: f"conjugate pairing {pairing[i]!r} is not an involution")
 
     errors.fail((resid > BIORTHO_TOL) | (unpaired | not_involution).any(axis=1),
                 failure)
@@ -364,17 +365,15 @@ def _correlation_batch(lam: np.ndarray, lefts: np.ndarray, kappa: float,
     # (damped < driven) is ~damped & driven.
     divergent = damped < driven
 
-    def failure(i: int) -> UnstableState | DivergentSteadyState:
-        if growing[i].any():
-            return UnstableState(f"growing quasi-normal modes, Re lambda = "
-                                 f"{lam[i][growing[i]].real!r}")
-        return DivergentSteadyState(
-            f"undamped noise-driven mode pairs "
-            f"{[(int(k), int(l)) for k, l in np.argwhere(divergent[i])]!r}: "
-            "steady-state moments diverge")
-
-    errors.fail(growing.any(axis=1) | divergent.any(axis=(1, 2)), failure)
+    errors.fail(growing.any(axis=1), lambda i: UnstableState(
+        lambda: f"growing quasi-normal modes, Re lambda = {lam[i][growing[i]].real!r}"))
+    errors.fail(divergent.any(axis=(1, 2)), lambda i: DivergentSteadyState(lambda: (
+        f"undamped noise-driven mode pairs "
+        f"{[(int(k), int(l)) for k, l in np.argwhere(divergent[i])]!r}: "
+        "steady-state moments diverge")))
     g = np.divide(numer, denom, out=np.zeros_like(numer), where=damped)
+    if damped.all():
+        return g
     # A conservative mode pair left in its vacuum: <rho rho+> is the
     # commutator [rho_k, rho_l] and <rho+ rho> = 0.  The pair is undamped
     # and not driven, k lowers (Im lambda_k < 0, Re lambda_k ~ 0) and l
@@ -436,9 +435,9 @@ def commutator_errors(s: np.ndarray, scale: np.ndarray):
 
 def commutator_failure(comms, tol, bad, i: int) -> NumericalFailure:
     k = int(np.argmax(bad[i]))
-    return NumericalFailure(
+    return NumericalFailure(lambda: (
         f"commutator [R_{2 * k}, R_{2 * k + 1}] = {complex(comms[i, k])!r} "
-        f"deviates from 1 beyond {tol[i]:g}")
+        f"deviates from 1 beyond {tol[i]:g}"))
 
 
 def _moment_batch(rights: np.ndarray, mode_corrs: np.ndarray,
@@ -457,14 +456,10 @@ def _moment_batch(rights: np.ndarray, mode_corrs: np.ndarray,
     asym = np.abs(s - mirror).max(axis=(1, 2))
     comms, tol, bad = commutator_errors(s, scale)
 
-    def structure(i: int) -> NumericalFailure:
-        if asym[i] > sym_tol[i]:
-            return NumericalFailure(
-                f"moment matrix violates adjoint symmetry by {asym[i]:.3e} "
-                f"(tolerance {sym_tol[i]:g})")
-        return commutator_failure(comms, tol, bad, i)
-
-    errors.fail((asym > sym_tol) | bad.any(axis=1), structure)
+    errors.fail(asym > sym_tol, lambda i: NumericalFailure(lambda: (
+        f"moment matrix violates adjoint symmetry by {asym[i]:.3e} "
+        f"(tolerance {sym_tol[i]:g})")))
+    errors.fail(bad.any(axis=1), lambda i: commutator_failure(comms, tol, bad, i))
     return 0.5 * (s + mirror)
 
 
@@ -505,16 +500,17 @@ def observables_batch(s: np.ndarray, errors: RowErrors) -> tuple[np.ndarray, np.
     tol = 1e-10 * np.maximum(1.0, np.abs(values))
     bad = (np.abs(values.imag) > tol, values.real < -tol)
 
-    def failure(r: int) -> NumericalFailure:
+    def message(r: int) -> str:
         for k, (i, j) in enumerate(_OCCUPATIONS):
             value = complex(values[r, k])
             if bad[0][r, k]:
-                return NumericalFailure(f"<R_{i} R_{j}> = {value!r} has "
-                                        f"imaginary residue beyond {tol[r, k]:g}")
+                return (f"<R_{i} R_{j}> = {value!r} has "
+                        f"imaginary residue beyond {tol[r, k]:g}")
             if bad[1][r, k]:
-                return NumericalFailure(f"<R_{i} R_{j}> = {value!r} is negative")
+                return f"<R_{i} R_{j}> = {value!r} is negative"
 
-    errors.fail((bad[0] | bad[1]).any(axis=1), failure)
+    errors.fail((bad[0] | bad[1]).any(axis=1),
+                lambda r: NumericalFailure(lambda: message(r)))
     return values[:, 0].real, values[:, 1].real
 
 
@@ -687,8 +683,8 @@ def spectrum_scan(params: ModelParams, y_grid) -> SpectrumScan:
                               cond=float(np.linalg.cond(vecs[i])),
                               gap=math.nan, overlap=math.nan)
 
-    # Maximal runs of rows with two eigenvalues on the real axis: start to end - 1.
-    real = np.sum(np.abs(branches.imag) <= REAL_AXIS_TOL, axis=-1) >= 2
+    # Maximal runs of rows with two real eigenvalues (Im exactly 0): start to end - 1.
+    real = np.count_nonzero(branches.imag == 0.0, axis=-1) >= 2
     padded = np.concatenate(([False], real, [False]))
     intervals = []
     for start, end in zip(np.flatnonzero(padded[1:] > padded[:-1]).tolist(),

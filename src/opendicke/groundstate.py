@@ -67,9 +67,10 @@ def _williamson(params: ModelParams, mf: MeanFieldBatch):
     errors.fail(bad, lambda i: hermiticity_failure(defect[i]))
 
     gamma, u = np.linalg.eigh(blank_failed(g, errors))
-    errors.fail(gamma[:, 0] <= 0.0, lambda i: DynamicalInstability(
-        f"quadrature Hamiltonian G has eigenvalue {gamma[i, 0]:.3e} <= 0: not "
-        "positive definite, no stable ground state"))
+    lowest = gamma[:, 0].copy()  # blank_failed overwrites gamma
+    errors.fail(lowest <= 0.0, lambda i: DynamicalInstability(lambda: (
+        f"quadrature Hamiltonian G has eigenvalue {lowest[i]:.3e} <= 0: not "
+        "positive definite, no stable ground state")))
     root = np.sqrt(blank_failed(gamma, errors, 1.0))
     half = (u * root[:, None]) @ u.transpose(0, 2, 1)
     omega, v = np.linalg.eigh(1j * (half @ OMEGA_SYMPL @ half))

@@ -35,8 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import OMEGA_R
-from .errors import (DegenerateBranch, NoThreshold, NumericalFailure,
-                     OpenDickeError, RowErrors)
+from .errors import DegenerateBranch, NoThreshold, NumericalFailure, RowErrors
 
 # Residuals of the stationarity conditions must close to this level, relative
 # to the larger of 1 and the magnitude of their terms.
@@ -197,23 +196,22 @@ def _residuals_exceed(res_a, size_a, res_b, size_b):
 
 
 def _missing_branch(radicand, bsq, y) -> NumericalFailure:
-    if radicand < 0.0:
-        return NumericalFailure(f"superradiant branch undefined: radicand "
-                                f"{float(radicand)!r} < 0")
-    return NumericalFailure(f"beta0^2 = {float(bsq)!r} outside (0, 1) "
-                            f"for y = {float(y)!r}")
+    return NumericalFailure(lambda: (
+        f"superradiant branch undefined: radicand {float(radicand)!r} < 0"
+        if radicand < 0.0 else
+        f"beta0^2 = {float(bsq)!r} outside (0, 1) for y = {float(y)!r}"))
 
 
 def _degenerate_branch(one_minus) -> DegenerateBranch:
-    return DegenerateBranch(f"1 - 2 beta0^2 = {float(one_minus)!r}; "
-                            "chemical potential singular")
+    return DegenerateBranch(lambda: f"1 - 2 beta0^2 = {float(one_minus)!r}; "
+                                    "chemical potential singular")
 
 
 def _residual_failure(res_a, size_a, res_b, size_b) -> NumericalFailure:
-    return NumericalFailure(
+    return NumericalFailure(lambda: (
         f"mean-field residuals ({res_a:.3e}, {res_b:.3e}) exceed "
         f"{RESIDUAL_TOL:g} times max(1, size of their terms) "
-        f"({max(1.0, size_a):.3e}, {max(1.0, size_b):.3e})")
+        f"({max(1.0, size_a):.3e}, {max(1.0, size_b):.3e})"))
 
 
 def pump_grid(y_grid) -> np.ndarray:
@@ -251,15 +249,10 @@ def mean_field_batch(params: ModelParams, y_grid) -> MeanFieldBatch:
         degenerate = np.abs(one_minus) < 1e-12
         bad = _residuals_exceed(*residuals)
 
-    def failure(i: int) -> OpenDickeError:
-        if missing[i]:
-            return _missing_branch(radicand[i] if params.u else radicand,
-                                   branch[i], y[i])
-        if degenerate[i]:
-            return _degenerate_branch(one_minus[i])
-        return _residual_failure(*(r[i] for r in residuals))
-
-    errors.fail(missing | degenerate | bad, failure)
+    errors.fail(missing, lambda i: _missing_branch(
+        radicand[i] if params.u else radicand, branch[i], y[i]))
+    errors.fail(degenerate, lambda i: _degenerate_branch(one_minus[i]))
+    errors.fail(bad, lambda i: _residual_failure(*(r[i] for r in residuals)))
     return MeanFieldBatch(y, alpha0, beta0, mu, sr, errors)
 
 
@@ -299,7 +292,7 @@ def point_batch(params: ModelParams, mf: MeanField | None = None) -> MeanFieldBa
     errors = RowErrors(1)
     one_minus = 1.0 - 2.0 * (mf.beta0 * mf.beta0)
     errors.fail(abs(one_minus) < 1e-12, lambda i: DegenerateBranch(
-        f"1 - 2 beta0^2 = {one_minus!r}; linearization singular"))
+        lambda: f"1 - 2 beta0^2 = {one_minus!r}; linearization singular"))
     return MeanFieldBatch(y=float(params.y), alpha0=complex(mf.alpha0),
                           beta0=float(mf.beta0), mu=float(mf.mu),
                           superradiant=mf.phase is Phase.SUPERRADIANT, errors=errors)

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import at_ratio
-from opendicke.basis import CONJ_PERM, QUAD_MAP, T_CONJ
+from opendicke.basis import CONJ_PERM, J_COMM, QUAD_MAP, T_CONJ
 from opendicke.errors import (DefectiveMatrix, DegenerateBranch,
                               DivergentSteadyState, NumericalFailure,
                               UnstableState)
 from opendicke.errors import RowErrors
-from opendicke.fluctuations import (_PERMS, DEFECT_COND_LIMIT, SecondMoments,
-                                    _decompose_batch, _defects,
+from opendicke.fluctuations import (_PERMS, DEFECT_COND_LIMIT, DIVERGENT_TOL,
+                                    STABILITY_TOL, SecondMoments,
+                                    _correlation_batch, _decompose_batch, _defects,
                                     _ill_conditioned, _match_branches,
                                     _scale, _spectra,
                                     build_stability_matrix,
@@ -474,3 +475,50 @@ def test_real_eigen_solve_pairs_exactly():
                               vecs[rows, :, first].conj().view(np.uint64))
         pairs += first.size
     assert pairs > 4000
+
+
+def _correlations_with_vacuum_everywhere(lam, lefts, kappa, scale):
+    """<rho_k rho_l> with the vacuum commutator L J L^T merged in by
+    np.where on every batch, undamped pair or not."""
+    denom = lam[:, :, None] + lam[:, None, :]
+    numer = (-2.0 * kappa * lefts[:, :, 0])[:, :, None] * lefts[:, None, :, 1]
+    damped = np.abs(denom) > DIVERGENT_TOL * scale[:, None, None]
+    driven = np.abs(numer) > DIVERGENT_TOL * max(1.0, 2.0 * kappa)
+    g = np.divide(numer, denom, out=np.zeros_like(numer), where=damped)
+    lowering = (lam.imag < 0.0) & (np.abs(lam.real) <= STABILITY_TOL * scale[:, None])
+    vacuum = (damped | driven) < (lowering[:, :, None] & (lam.imag > 0.0)[:, None, :])
+    return np.where(vacuum, lefts @ J_COMM @ lefts.transpose(0, 2, 1), g), vacuum.any()
+
+
+@pytest.mark.parametrize("zero_pump", [False, True])
+def test_vacuum_commutator_only_where_a_pair_is_undamped(zero_pump):
+    """Skipping L J L^T on batches whose pairs are all damped changes no bit;
+    a y = 0 row leaves the atom undamped, and there the commutator enters."""
+    rng = np.random.default_rng(2011)
+    for _ in range(20):
+        p = ModelParams(delta_c=-10.0 ** rng.uniform(-2.0, 2.0),
+                        kappa=10.0 ** rng.uniform(-2.0, 2.0),
+                        u=rng.uniform(-1.0, 1.0), y=0.0)
+        y = np.sort(rng.uniform(0.01, 2.0, 12)) * critical_pump(p)
+        if zero_pump:
+            y[0] = 0.0
+        mf = mean_field_batch(p, y)
+        lam, _, lefts, _, scale = _decompose_batch(stability_batch(p, mf), mf.errors)
+        got = _correlation_batch(lam, lefts, p.kappa, scale, RowErrors(y.size))
+        want, vacuum = _correlations_with_vacuum_everywhere(lam, lefts, p.kappa, scale)
+        assert vacuum == zero_pump
+        assert got.tobytes() == want.tobytes()
+
+
+def test_slow_oscillation_is_not_a_real_axis_interval():
+    """At y = 29.0814 of this grid the soft pair is -7.0e-9 +- 3.3e-9 i, two
+    conjugate pairs with a positive discriminant on both sides: no real-axis
+    interval, which an absolute 1e-8 bound on Im lambda reported."""
+    p = ModelParams(delta_c=-845.72562775662, kappa=0.005018095366428384,
+                    u=-3.2319244086310395, y=0.0)
+    y = np.linspace(0.0, 2.0 * critical_pump(p), 241)
+    scan = spectrum_scan(p, y)
+    assert scan.real_intervals == []
+    i = int(np.argmin(np.abs(y - 29.0814)))
+    soft = scan.branches[i][np.argsort(np.abs(scan.branches[i]))[:2]]
+    assert np.all(np.abs(soft) < 1e-8) and np.all(soft.imag != 0.0)
