@@ -205,21 +205,14 @@ def conjugation_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - T_CONJ @ np.conj(m) @ T_CONJ)))
 
 
-def hermiticity_errors(h: np.ndarray):
-    """(max-norm violation of h = h^dag, failing mask) of every closed-system
-    coefficient matrix in a stack: h = i eta M, or the real G = -Omega A.
-
-    A matrix fails when its defect exceeds HERMITICITY_TOL * max(1, max|h|);
-    ``hermiticity_failure`` words the error.
-    """
+def check_hermitian(h: np.ndarray, errors: RowErrors) -> None:
+    """Fail every row of a stack of closed-system coefficient matrices,
+    h = i eta M or the real G = -Omega A, whose max-norm violation of
+    h = h^dag exceeds HERMITICITY_TOL * max(1, max|h|)."""
     defect = np.abs(h - np.conj(np.swapaxes(h, -1, -2))).max(axis=(-2, -1))
     scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
-    return defect, defect > HERMITICITY_TOL * scale
-
-
-def hermiticity_failure(defect: float) -> NumericalFailure:
-    return NumericalFailure(
-        lambda: f"coefficient matrix not Hermitian (defect {defect:.3e})")
+    errors.fail(defect > HERMITICITY_TOL * scale, lambda i: NumericalFailure(
+        lambda: f"coefficient matrix not Hermitian (defect {defect[i]:.3e})"))
 
 
 def _scale(lam: np.ndarray) -> np.ndarray:
@@ -323,20 +316,14 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     miss = dist[rows, _MODES, pairing]
     unpaired = miss > PAIRING_TOL * scale[:, None]
 
-    def failure(i: int) -> DefectiveMatrix | NumericalFailure:
-        if resid[i] > BIORTHO_TOL:
-            return defect(i, "biorthonormalization residual {resid:.3e} exceeds "
-                             "{tol:g}; matrix too close to defective",
-                          resid=resid[i], tol=BIORTHO_TOL)
-        if unpaired[i].any():
-            k = int(np.argmax(unpaired[i]))
-            return NumericalFailure(lambda: f"eigenvalue {lam[i, k]!r} has no conjugate "
-                                            f"partner (closest miss {miss[i, k]:.3e})")
-        return NumericalFailure(
-            lambda: f"conjugate pairing {pairing[i]!r} is not an involution")
-
-    errors.fail((resid > BIORTHO_TOL) | (unpaired | not_involution).any(axis=1),
-                failure)
+    errors.fail(resid > BIORTHO_TOL, lambda i: defect(
+        i, "biorthonormalization residual {resid:.3e} exceeds {tol:g}; "
+           "matrix too close to defective", resid=resid[i], tol=BIORTHO_TOL))
+    errors.fail(unpaired.any(axis=1), lambda i: NumericalFailure(lambda: (
+        f"eigenvalue {lam[i][unpaired[i]][0]!r} has no conjugate partner "
+        f"(closest miss {miss[i][unpaired[i]][0]:.3e})")))
+    errors.fail(not_involution.any(axis=1), lambda i: NumericalFailure(
+        lambda: f"conjugate pairing {pairing[i]!r} is not an involution"))
     return lam, vecs, lefts, pairing, scale
 
 
@@ -420,24 +407,18 @@ def hermitize_moments(s: np.ndarray) -> np.ndarray:
     return 0.5 * (s + _mirror(s))
 
 
-def commutator_errors(s: np.ndarray, scale: np.ndarray):
-    """(commutators [R_0, R_1] and [R_2, R_3] of every row, failing mask).
-
-    A commutator fails when it is further than max(1e-8, 1e-12 * scale) from
-    1; ``commutator_failure`` names the first that does.
-    """
+def check_commutators(s: np.ndarray, scale: np.ndarray, errors: RowErrors) -> None:
+    """Fail every row whose commutator [R_0, R_1] or [R_2, R_3] is further
+    than max(1e-8, 1e-12 * scale) from 1, naming the first that is."""
     # Flat entries 1, 11 are (0, 1), (2, 3) and 4, 14 are (1, 0), (3, 2).
     flat = s.reshape(-1, 16)
     comms = flat[:, 1::10] - flat[:, 4::10]
     tol = np.maximum(1e-8, 1e-12 * scale)
-    return comms, tol, np.abs(comms - 1.0) > tol[:, None]
-
-
-def commutator_failure(comms, tol, bad, i: int) -> NumericalFailure:
-    k = int(np.argmax(bad[i]))
-    return NumericalFailure(lambda: (
-        f"commutator [R_{2 * k}, R_{2 * k + 1}] = {complex(comms[i, k])!r} "
-        f"deviates from 1 beyond {tol[i]:g}"))
+    bad = np.abs(comms - 1.0) > tol[:, None]
+    for k in range(2):
+        errors.fail(bad[:, k], lambda i, k=k: NumericalFailure(lambda: (
+            f"commutator [R_{2 * k}, R_{2 * k + 1}] = {complex(comms[i, k])!r} "
+            f"deviates from 1 beyond {tol[i]:g}")))
 
 
 def _moment_batch(rights: np.ndarray, mode_corrs: np.ndarray,
@@ -454,12 +435,11 @@ def _moment_batch(rights: np.ndarray, mode_corrs: np.ndarray,
     scale = np.abs(s).max(axis=(1, 2))
     sym_tol = np.maximum(1e-8, 1e-6 * scale)
     asym = np.abs(s - mirror).max(axis=(1, 2))
-    comms, tol, bad = commutator_errors(s, scale)
 
     errors.fail(asym > sym_tol, lambda i: NumericalFailure(lambda: (
         f"moment matrix violates adjoint symmetry by {asym[i]:.3e} "
         f"(tolerance {sym_tol[i]:g})")))
-    errors.fail(bad.any(axis=1), lambda i: commutator_failure(comms, tol, bad, i))
+    check_commutators(s, scale, errors)
     return 0.5 * (s + mirror)
 
 
@@ -488,29 +468,20 @@ def steady_state_moments(params: ModelParams,
     return SecondMoments(s=batch.errors.first_row(steady_state_batch(params, batch)))
 
 
-# Occupations <db+ db> = s[3, 2] and <da+ da> = s[1, 0].
-_OCCUPATIONS = ((3, 2), (1, 0))
-
-
 def observables_batch(s: np.ndarray, errors: RowErrors) -> tuple[np.ndarray, np.ndarray]:
     """(<db+ db>, <da+ da>) of every row.  An imaginary residue beyond
     1e-10 * max(1, |value|) or a negative value fails the row."""
-    # Flat entries 14 and 4 are (3, 2) and (1, 0).
+    # Flat entries 14 and 4 are (3, 2) and (1, 0): column k is <R_3-2k R_2-2k>.
     values = s.reshape(-1, 16)[:, 14:3:-10]
     tol = 1e-10 * np.maximum(1.0, np.abs(values))
-    bad = (np.abs(values.imag) > tol, values.real < -tol)
-
-    def message(r: int) -> str:
-        for k, (i, j) in enumerate(_OCCUPATIONS):
-            value = complex(values[r, k])
-            if bad[0][r, k]:
-                return (f"<R_{i} R_{j}> = {value!r} has "
-                        f"imaginary residue beyond {tol[r, k]:g}")
-            if bad[1][r, k]:
-                return f"<R_{i} R_{j}> = {value!r} is negative"
-
-    errors.fail((bad[0] | bad[1]).any(axis=1),
-                lambda r: NumericalFailure(lambda: message(r)))
+    imaginary, negative = np.abs(values.imag) > tol, values.real < -tol
+    for k in range(2):
+        name = f"<R_{3 - 2 * k} R_{2 - 2 * k}>"
+        errors.fail(imaginary[:, k], lambda r, k=k, name=name: NumericalFailure(
+            lambda: f"{name} = {complex(values[r, k])!r} has "
+                    f"imaginary residue beyond {tol[r, k]:g}"))
+        errors.fail(negative[:, k], lambda r, k=k, name=name: NumericalFailure(
+            lambda: f"{name} = {complex(values[r, k])!r} is negative"))
     return values[:, 0].real, values[:, 1].real
 
 

@@ -31,9 +31,8 @@ import numpy as np
 
 from .basis import ETA, OMEGA_SYMPL
 from .errors import DynamicalInstability, NumericalFailure
-from .fluctuations import (SecondMoments, blank_failed, commutator_errors,
-                           commutator_failure, drift_batch, hermiticity_errors,
-                           hermiticity_failure, hermitize_moments)
+from .fluctuations import (SecondMoments, blank_failed, check_commutators,
+                           check_hermitian, drift_batch, hermitize_moments)
 from .model import MeanField, MeanFieldBatch, ModelParams, point_batch
 
 FREQUENCY_TOL = 1e-10
@@ -63,8 +62,7 @@ def _williamson(params: ModelParams, mf: MeanFieldBatch):
         raise ValueError("ground state is defined for kappa = 0 only")
     errors = mf.errors
     g = -OMEGA_SYMPL @ drift_batch(params, mf)
-    defect, bad = hermiticity_errors(g)
-    errors.fail(bad, lambda i: hermiticity_failure(defect[i]))
+    check_hermitian(g, errors)
 
     gamma, u = np.linalg.eigh(blank_failed(g, errors))
     lowest = gamma[:, 0].copy()  # blank_failed overwrites gamma
@@ -93,9 +91,7 @@ def ground_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     batch; failures go to ``mf.errors``, then the commutator check."""
     _, t_inv = _williamson(params, mf)
     s = t_inv[:, :, 0::2] @ t_inv[:, :, 1::2].transpose(0, 2, 1)
-    comms, tol, bad = commutator_errors(s, np.abs(s).max(axis=(1, 2)))
-    mf.errors.fail(bad.any(axis=1),
-                   lambda i: commutator_failure(comms, tol, bad, i))
+    check_commutators(s, np.abs(s).max(axis=(1, 2)), mf.errors)
     return hermitize_moments(s)
 
 

@@ -276,10 +276,8 @@ def mean_field_point(params: ModelParams) -> MeanFieldBatch:
             return MeanFieldBatch(y, 0j, 0.0, -0.5 * OMEGA_R, True, errors)
         beta0 = np.sqrt(branch)
         alpha0, mu, one_minus, residuals = _branch_fields(params, y, beta0)
-    if abs(one_minus) < 1e-12:
-        errors.fail(True, lambda i: _degenerate_branch(one_minus))
-    elif _residuals_exceed(*residuals):
-        errors.fail(True, lambda i: _residual_failure(*residuals))
+    errors.fail(abs(one_minus) < 1e-12, lambda i: _degenerate_branch(one_minus))
+    errors.fail(_residuals_exceed(*residuals), lambda i: _residual_failure(*residuals))
     return MeanFieldBatch(y, alpha0, beta0, mu, True, errors)
 
 

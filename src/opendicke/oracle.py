@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ETA
+from .basis import CONJ_PERM, ETA
 from .errors import (CutoffTooSmall, DivergentSteadyState, NumericalFailure,
-                     UnstableState)
+                     RowErrors, UnstableState)
 from .fluctuations import (SecondMoments, StabilityMatrix,
-                           build_stability_matrix, hermiticity_errors,
-                           hermiticity_failure, hermitize_moments, noise_matrix)
+                           build_stability_matrix, check_hermitian,
+                           hermitize_moments, noise_matrix)
 from .model import MeanField, ModelParams
 
 STABILITY_TOL = 1e-12
@@ -34,9 +34,6 @@ RESIDUAL_TOL = 1e-10
 # Backward-error limit of the dense solve: a residual up to this times
 # max|M| max|S| is rounding in M S + S M^T, whatever the scale of M and S.
 BACKWARD_TOL = 1e-12
-
-# Position of the adjoint of each slot of R = (da, da+, db, db+).
-_DAG = np.array([1, 0, 3, 2])
 
 
 def _kron_sum(m: np.ndarray) -> np.ndarray:
@@ -145,7 +142,7 @@ def _sector_hamiltonian(h: np.ndarray, cutoffs: tuple[int, int]):
     for i, j in zip(*np.nonzero(h)):
         n = occ.copy()
         amp = np.ones(dim)
-        for slot in (j, _DAG[i]):
+        for slot in (j, CONJ_PERM[i]):
             mode = _MODE[slot]
             after = n[mode] + _STEP[slot]
             amp *= np.sqrt(np.maximum(n[mode], after).clip(min=0))
@@ -217,9 +214,9 @@ def fock_ground_state(params: ModelParams, mf: MeanField | None = None,
         raise ValueError(f"cutoffs {cutoffs!r} too small; need >= 20")
 
     h = 1j * ETA @ build_stability_matrix(params, mf).m
-    defect, bad = hermiticity_errors(h)
-    if bad:
-        raise hermiticity_failure(defect)
+    errors = RowErrors(1)
+    check_hermitian(h[None], errors)
+    errors.raise_first()
     h = np.conj(_GAUGE)[:, None] * h * _GAUGE
     imaginary = float(np.max(np.abs(h.imag)))
     if imaginary > 1e-12 * float(np.max(np.abs(h))):
