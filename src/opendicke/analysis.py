@@ -119,7 +119,7 @@ def exponent_fit(curve, window: tuple[float, float] = DEFAULT_WINDOW,
     if pts.shape[0] < MIN_FIT_POINTS:
         raise InvalidCurve(f"only {pts.shape[0]} points inside window "
                            f"{window!r}; need >= {MIN_FIT_POINTS}")
-    if np.any(pts[:, 1] <= 0.0):
+    if (pts[:, 1] <= 0.0).any():
         raise InvalidCurve("non-positive values inside the fit window")
 
     lx = np.log(pts[:, 0])
@@ -134,12 +134,12 @@ def exponent_fit(curve, window: tuple[float, float] = DEFAULT_WINDOW,
             residual = (power + background - values) / values
             jac = np.column_stack([power * lx, power,
                                    np.ones_like(lx)]) / values[:, None]
-            if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(residual))):
+            if not (np.isfinite(jac).all() and np.isfinite(residual).all()):
                 raise InvalidCurve(
                     f"power-law fit diverged at slope {slope:.6g}, "
                     f"intercept {intercept:.6g}, background {background:.6g}")
             step = np.linalg.lstsq(jac, -residual, rcond=None)[0]
-            if np.max(np.abs(jac @ step)) <= FIT_STEP_TOL:
+            if np.abs(jac @ step).max() <= FIT_STEP_TOL:
                 break
             params = params + step
         else:
@@ -147,7 +147,7 @@ def exponent_fit(curve, window: tuple[float, float] = DEFAULT_WINDOW,
                 f"power-law fit did not converge in {FIT_MAX_ITER} steps")
 
     fitted = power + background
-    if np.any(fitted <= 0.0):
+    if (fitted <= 0.0).any():
         raise InvalidCurve("fitted curve is not positive inside the window")
     log_residual = ly - np.log(fitted)
     total = ly - np.mean(ly)

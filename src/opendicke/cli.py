@@ -199,9 +199,9 @@ def _verify_checks(args) -> list[tuple[str, bool, str]]:
     q = fluctuations.decompose(stability)
     eye = np.eye(4)
     record("biorthonormality",
-           float(np.max(np.abs(q.lefts @ q.rights - eye))), 1e-10)
+           float(np.abs(q.lefts @ q.rights - eye).max()), 1e-10)
     record("completeness",
-           float(np.max(np.abs(q.rights @ q.lefts - eye))), 1e-10)
+           float(np.abs(q.rights @ q.lefts - eye).max()), 1e-10)
     pair_err = max(abs(q.lambdas[k].real - q.lambdas[q.pairing[k]].real)
                    for k in range(4))
     record("conjugate_pair_real_parts", pair_err, 1e-10)
@@ -210,17 +210,17 @@ def _verify_checks(args) -> list[tuple[str, bool, str]]:
         moments = fluctuations.system_moments(q, fluctuations.mode_correlations(q))
         reference = oracle.lyapunov_moments(stability)
         record("eigenmode_vs_lyapunov",
-               float(np.max(np.abs(moments.s - reference.s))), 1e-8)
+               float(np.abs(moments.s - reference.s).max()), 1e-8)
         noise = fluctuations.noise_matrix(params.kappa)
-        resid = float(np.max(np.abs(stability.m @ reference.s
-                                    + reference.s @ stability.m.T + noise)))
+        resid = float(np.abs(stability.m @ reference.s
+                             + reference.s @ stability.m.T + noise).max())
         record("lyapunov_residual", resid, 1e-10)
     else:
         moments = groundstate.ground_state_moments(params)
         modes = groundstate.bogoliubov_modes(params)
         record("bogoliubov_symplectic",
-               float(np.max(np.abs(modes.transform @ ETA
-                                   @ modes.transform.conj().T - ETA))), 1e-10)
+               float(np.abs(modes.transform @ ETA
+                            @ modes.transform.conj().T - ETA).max()), 1e-10)
 
     comm_err = max(abs(moments.s[0, 1] - moments.s[1, 0] - 1.0),
                    abs(moments.s[2, 3] - moments.s[3, 2] - 1.0))
@@ -234,7 +234,7 @@ def _verify_checks(args) -> list[tuple[str, bool, str]]:
            abs(entanglement.pt_nu_minus(cov) - entanglement.pt_symplectic_min(cov)),
            1e-10)
     record("nu_min_cross_check",
-           abs(nu_min - float(np.min(entanglement.symplectic_eigenvalues(cov)))),
+           abs(nu_min - float(entanglement.symplectic_eigenvalues(cov).min())),
            1e-10)
 
     tmsv = entanglement.two_mode_squeezed_covariance(0.7)

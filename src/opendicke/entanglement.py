@@ -160,7 +160,7 @@ def pt_symplectic_min(c: np.ndarray) -> float:
     eigen-solve); serves as the cross-check of the invariant formula.
     """
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    return float(np.min(symplectic_eigenvalues(flip @ c @ flip)))
+    return float(symplectic_eigenvalues(flip @ c @ flip).min())
 
 
 def log_negativity_batch(invariants, errors: RowErrors) -> np.ndarray:

@@ -202,7 +202,7 @@ def build_stability_matrix(params: ModelParams,
 
 def conjugation_defect(m: np.ndarray) -> float:
     """Max-norm violation of M = T conj(M) T (zero for a valid matrix)."""
-    return float(np.max(np.abs(m - T_CONJ @ np.conj(m) @ T_CONJ)))
+    return float(np.abs(m - T_CONJ @ np.conj(m) @ T_CONJ).max())
 
 
 def check_hermitian(h: np.ndarray, errors: RowErrors) -> None:
@@ -308,11 +308,11 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     # distance; a live row whose modes tie for a partner takes the closest permutation.
     dist = np.abs(lam[:, None, :] - lam.conj()[:, :, None])
     pairing, rows = dist.argmin(axis=-1), np.arange(lam.shape[0])[:, None]
-    not_involution = pairing[rows, pairing] != _MODES
-    clash = not_involution.any(axis=1) & errors.alive
-    if clash.any():
+    not_involution = (pairing[rows, pairing] != _MODES).any(axis=1)
+    clash = not_involution & errors.alive
+    if np.count_nonzero(clash):
         pairing[clash] = _PERMS[dist[clash][:, _MODES, _PERMS].sum(-1).argmin(1)]
-        not_involution = pairing[rows, pairing] != _MODES
+        not_involution = (pairing[rows, pairing] != _MODES).any(axis=1)
     miss = dist[rows, _MODES, pairing]
     unpaired = miss > PAIRING_TOL * scale[:, None]
 
@@ -322,7 +322,7 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     errors.fail(unpaired.any(axis=1), lambda i: NumericalFailure(lambda: (
         f"eigenvalue {lam[i][unpaired[i]][0]!r} has no conjugate partner "
         f"(closest miss {miss[i][unpaired[i]][0]:.3e})")))
-    errors.fail(not_involution.any(axis=1), lambda i: NumericalFailure(
+    errors.fail(not_involution, lambda i: NumericalFailure(
         lambda: f"conjugate pairing {pairing[i]!r} is not an involution"))
     return lam, vecs, lefts, pairing, scale
 
@@ -348,9 +348,9 @@ def _correlation_batch(lam: np.ndarray, lefts: np.ndarray, kappa: float,
     denom = lam[:, :, None] + lam[:, None, :]
     numer = (-2.0 * kappa * lefts[:, :, 0])[:, :, None] * lefts[:, None, :, 1]
     damped = np.abs(denom) > DIVERGENT_TOL * scale[:, None, None]
-    driven = np.abs(numer) > DIVERGENT_TOL * max(1.0, 2.0 * kappa)
-    # (damped < driven) is ~damped & driven.
-    divergent = damped < driven
+    coupled = numer != 0.0
+    # (damped < coupled) is ~damped & coupled.
+    divergent = damped < coupled
 
     errors.fail(growing.any(axis=1), lambda i: UnstableState(
         lambda: f"growing quasi-normal modes, Re lambda = {lam[i][growing[i]].real!r}"))
@@ -358,16 +358,17 @@ def _correlation_batch(lam: np.ndarray, lefts: np.ndarray, kappa: float,
         f"undamped noise-driven mode pairs "
         f"{[(int(k), int(l)) for k, l in np.argwhere(divergent[i])]!r}: "
         "steady-state moments diverge")))
-    g = np.divide(numer, denom, out=np.zeros_like(numer), where=damped)
+    g = np.divide(numer, denom, out=np.zeros(numer.shape, numer.dtype), where=damped)
     if damped.all():
         return g
     # A conservative mode pair left in its vacuum: <rho rho+> is the
     # commutator [rho_k, rho_l] and <rho+ rho> = 0.  The pair is undamped
-    # and not driven, k lowers (Im lambda_k < 0, Re lambda_k ~ 0) and l
+    # and the noise does not couple to it at all (at zero pump the atom
+    # decouples exactly), k lowers (Im lambda_k < 0, Re lambda_k ~ 0) and l
     # raises (Im lambda_l > 0); lambda_l = conj(lambda_k) to 3e-12 max|lambda|
     # then follows from lambda_k + lambda_l ~ 0.
     lowering = (lam.imag < 0.0) & (np.abs(lam.real) <= tol)
-    vacuum = (damped | driven) < (lowering[:, :, None] & (lam.imag > 0.0)[:, None, :])
+    vacuum = (damped | coupled) < (lowering[:, :, None] & (lam.imag > 0.0)[:, None, :])
     return np.where(vacuum, lefts @ J_COMM @ lefts.transpose(0, 2, 1), g)
 
 
@@ -377,9 +378,9 @@ def mode_correlations(q: QuasiNormalSystem) -> np.ndarray:
 
     Damped entries follow -2 kappa L[k,0] L[l,1] / (lambda_k + lambda_l).
     An entry whose mode pair is undamped (lambda_k + lambda_l ~ 0) diverges
-    if the noise couples to it; if it does not, the pair is a conservative
-    normal mode left in its vacuum, for which <rho rho+> equals the
-    commutator [rho_k, rho_l] and <rho+ rho> = 0.
+    unless its noise coupling L[k,0] L[l,1] is exactly 0; then the pair is
+    a conservative normal mode left in its vacuum, for which <rho rho+>
+    equals the commutator [rho_k, rho_l] and <rho+ rho> = 0.
     """
     kappa = q.matrix.params.kappa
     return one_row(lambda lam, lefts, errors: _correlation_batch(
@@ -638,7 +639,7 @@ def spectrum_scan(params: ModelParams, y_grid) -> SpectrumScan:
     if np.ndim(y_grid) != 1 or np.size(y_grid) < 2:
         raise ValueError("y grid must be a 1-d array with at least 2 points")
     y_grid = pump_grid(y_grid)
-    if np.any(np.diff(y_grid) <= 0):
+    if (np.diff(y_grid) <= 0).any():
         raise ValueError("y grid must be strictly increasing")
 
     mf = mean_field_batch(params, y_grid)

@@ -102,7 +102,7 @@ def bogoliubov_modes(params: ModelParams,
     frequencies, t_inv = batch.errors.first_row(_williamson(params, batch))
     # T^-1 eta T^-dag = eta gives T = eta T^-dag eta.
     transform = ETA @ t_inv.conj().T @ ETA
-    defect = float(np.max(np.abs(transform @ ETA @ transform.conj().T - ETA)))
+    defect = float(np.abs(transform @ ETA @ transform.conj().T - ETA).max())
     if defect > 1e-10:
         raise NumericalFailure(
             f"Bogoliubov transform not symplectic (defect {defect:.3e})")

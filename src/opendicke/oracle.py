@@ -36,11 +36,18 @@ RESIDUAL_TOL = 1e-10
 BACKWARD_TOL = 1e-12
 
 
+# Entry (4i + k, 4j + l) of M (x) I + I (x) M is M[i, j] I[k, l] + I[i, j] M[k, l]:
+# flat indices into M and the 0/1 weights of both terms.
+_HI, _LO = np.divmod(np.arange(16), 4)
+_LEFT, _LEFT_W = 4 * _HI[:, None] + _HI, (_LO[:, None] == _LO).astype(float)
+_RIGHT, _RIGHT_W = 4 * _LO[:, None] + _LO, (_HI[:, None] == _HI).astype(float)
+
+
 def _kron_sum(m: np.ndarray) -> np.ndarray:
-    """M (x) I + I (x) M for a 4x4 M, the products of np.kron by broadcasting."""
-    eye = np.eye(4)
-    return (m[:, None, :, None] * eye[None, :, None, :]
-            + eye[:, None, :, None] * m[None, :, None, :]).reshape(16, 16)
+    """M (x) I + I (x) M for a 4x4 M, gathered from the flat M and weighted
+    in np.kron's operand order, so that its bytes are those of np.kron."""
+    flat = m.reshape(16)
+    return flat[_LEFT] * _LEFT_W + _RIGHT_W * flat[_RIGHT]
 
 
 def lyapunov_moments(stability: StabilityMatrix) -> SecondMoments:
@@ -68,20 +75,20 @@ def lyapunov_moments(stability: StabilityMatrix) -> SecondMoments:
     kappa = stability.params.kappa
     m = stability.m
     lam = np.linalg.eigvals(m)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if np.any(lam.real > STABILITY_TOL * scale):
+    scale = max(1.0, float(np.abs(lam).max()))
+    if (lam.real > STABILITY_TOL * scale).any():
         raise UnstableState(
-            f"unstable stability matrix, max Re lambda = {np.max(lam.real):.3e}")
-    if np.max(np.abs(lam.real)) <= STABILITY_TOL * scale:
+            f"unstable stability matrix, max Re lambda = {lam.real.max():.3e}")
+    if np.abs(lam.real).max() <= STABILITY_TOL * scale:
         raise DivergentSteadyState("no damped mode at all; no steady state")
 
     d = noise_matrix(kappa)
     a = _kron_sum(m)
     rhs = -d.reshape(16).astype(complex)
     sums = lam[:, None] + lam[None, :]
-    if np.min(np.abs(sums)) <= STABILITY_TOL * scale:
+    if np.abs(sums).min() <= STABILITY_TOL * scale:
         s = np.linalg.lstsq(a, rhs, rcond=None)[0].reshape(4, 4)
-        residual = float(np.max(np.abs(m @ s + s @ m.T + d)))
+        residual = float(np.abs(m @ s + s @ m.T + d).max())
         if residual > 1e-8 * max(1.0, 2.0 * kappa):
             raise DivergentSteadyState(
                 f"singular Lyapunov system with inconsistent noise "
@@ -89,13 +96,14 @@ def lyapunov_moments(stability: StabilityMatrix) -> SecondMoments:
         return SecondMoments(s=hermitize_moments(s))
 
     s = np.linalg.solve(a, rhs).reshape(4, 4)
-    residual = float(np.max(np.abs(m @ s + s @ m.T + d)))
-    resid_tol = max(RESIDUAL_TOL, RESIDUAL_TOL * 2.0 * kappa,
-                    BACKWARD_TOL * float(np.max(np.abs(m)))
-                    * float(np.max(np.abs(s))))
-    if residual > resid_tol:
-        raise NumericalFailure(
-            f"Lyapunov residual {residual:.3e} exceeds {resid_tol:g}")
+    residual = float(np.abs(m @ s + s @ m.T + d).max())
+    resid_tol = max(RESIDUAL_TOL, RESIDUAL_TOL * 2.0 * kappa)
+    if residual > resid_tol:  # only then can the backward-error limit decide
+        resid_tol = max(resid_tol, BACKWARD_TOL * float(np.abs(m).max())
+                        * float(np.abs(s).max()))
+        if residual > resid_tol:
+            raise NumericalFailure(
+                f"Lyapunov residual {residual:.3e} exceeds {resid_tol:g}")
     return SecondMoments(s=hermitize_moments(s))
 
 
@@ -218,8 +226,8 @@ def fock_ground_state(params: ModelParams, mf: MeanField | None = None,
     check_hermitian(h[None], errors)
     errors.raise_first()
     h = np.conj(_GAUGE)[:, None] * h * _GAUGE
-    imaginary = float(np.max(np.abs(h.imag)))
-    if imaginary > 1e-12 * float(np.max(np.abs(h))):
+    imaginary = float(np.abs(h.imag).max())
+    if imaginary > 1e-12 * float(np.abs(h).max()):
         raise NumericalFailure(
             f"coefficient matrix not real in the photon gauge a -> i a "
             f"(imaginary part {imaginary:.3e})")

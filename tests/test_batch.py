@@ -34,6 +34,7 @@ from opendicke.fluctuations import (build_stability_matrix, observables,
 from opendicke.groundstate import ground_state_moments
 from opendicke.model import (ModelParams, Phase, critical_pump, mean_field_batch,
                              solve_mean_field)
+from opendicke.oracle import lyapunov_moments
 
 RATIOS = np.linspace(0.05, 2.0, 25)
 
@@ -204,11 +205,9 @@ def test_pinned_rows(name):
                 assert _close(float(cell), value, 1e-12), f"row {index}: {got} vs {want}"
 
 
-def test_entanglement_scan_makes_one_eigen_solve(monkeypatch):
-    """A 256-row entanglement scan is one batch whose only dense
-    decomposition is the eigen-solve of M: cond(V) is screened by a
-    determinant bound, and nu_min comes from the symplectic invariants."""
-    calls = dict.fromkeys(("eig", "svd", "cond", "eigvals"), 0)
+def _count_linalg(monkeypatch, names) -> dict:
+    """Count the calls of each ``np.linalg`` function in ``names``."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         real = getattr(np.linalg, name)
@@ -220,11 +219,34 @@ def test_entanglement_scan_makes_one_eigen_solve(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
+    return calls
+
+
+def test_entanglement_scan_makes_one_eigen_solve(monkeypatch):
+    """A 256-row entanglement scan is one batch whose only dense
+    decomposition is the eigen-solve of M: cond(V) is screened by a
+    determinant bound, and nu_min comes from the symplectic invariants."""
+    calls = _count_linalg(monkeypatch, ("eig", "svd", "cond", "eigvals"))
     base = ModelParams(delta_c=-2.0, kappa=2.0, u=0.0, y=0.0)
     table = figure_scan(ScanKind.ENTANGLEMENT, base,
                         np.linspace(0.0, 2.0 * critical_pump(base), 256))
     assert len(table.rows) == 256
     assert calls == {"eig": 1, "svd": 0, "cond": 0, "eigvals": 0}
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.5])
+def test_scalar_steady_pair_linalg_calls(monkeypatch, ratio):
+    """One eigenmode-vs-Lyapunov comparison: the eigenmode route makes one
+    eig, det and inv, the Lyapunov oracle one eigvals and solve, and neither
+    takes an SVD, a condition number or a least-squares solve."""
+    names = ("eig", "det", "inv", "eigvals", "solve", "svd", "cond", "lstsq")
+    calls = _count_linalg(monkeypatch, names)
+    p = ModelParams(delta_c=-2.0, kappa=2.0, u=0.7, y=0.0)
+    p = p.with_pump(ratio * critical_pump(p))
+    steady_state_moments(p)
+    assert calls == dict(zip(names, (1, 1, 1, 0, 0, 0, 0, 0)))
+    lyapunov_moments(build_stability_matrix(p))
+    assert calls == dict(zip(names, (1, 1, 1, 1, 1, 0, 0, 0)))
 
 
 @pytest.mark.parametrize("u", [0.0, 0.7])

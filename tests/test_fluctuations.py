@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import at_ratio
+from opendicke.analysis import ScanKind, figure_scan
 from opendicke.basis import CONJ_PERM, J_COMM, QUAD_MAP, T_CONJ
 from opendicke.errors import (DefectiveMatrix, DegenerateBranch,
                               DivergentSteadyState, NumericalFailure,
@@ -483,10 +484,10 @@ def _correlations_with_vacuum_everywhere(lam, lefts, kappa, scale):
     denom = lam[:, :, None] + lam[:, None, :]
     numer = (-2.0 * kappa * lefts[:, :, 0])[:, :, None] * lefts[:, None, :, 1]
     damped = np.abs(denom) > DIVERGENT_TOL * scale[:, None, None]
-    driven = np.abs(numer) > DIVERGENT_TOL * max(1.0, 2.0 * kappa)
+    coupled = numer != 0.0
     g = np.divide(numer, denom, out=np.zeros_like(numer), where=damped)
     lowering = (lam.imag < 0.0) & (np.abs(lam.real) <= STABILITY_TOL * scale[:, None])
-    vacuum = (damped | driven) < (lowering[:, :, None] & (lam.imag > 0.0)[:, None, :])
+    vacuum = (damped | coupled) < (lowering[:, :, None] & (lam.imag > 0.0)[:, None, :])
     return np.where(vacuum, lefts @ J_COMM @ lefts.transpose(0, 2, 1), g), vacuum.any()
 
 
@@ -508,6 +509,18 @@ def test_vacuum_commutator_only_where_a_pair_is_undamped(zero_pump):
         want, vacuum = _correlations_with_vacuum_everywhere(lam, lefts, p.kappa, scale)
         assert vacuum == zero_pump
         assert got.tobytes() == want.tobytes()
+
+
+def test_undamped_pair_with_noise_coupling_diverges():
+    """Here one mode pair is undamped to 1e-12 max|lambda| while the noise
+    couples to it: the exact delta_N is 17,102.2 (the rational u = 0 steady
+    state), and the vacuum commutator taken for that pair printed 7.66e-8 as
+    an ok row.  Only a pair with zero noise coupling is left in its vacuum."""
+    base = ModelParams(delta_c=-1.0157e-4, kappa=3.762e-6, u=0.0, y=0.0)
+    p = base.with_pump(2.636 * critical_pump(base))
+    assert figure_scan(ScanKind.MEAN_AND_FLUCT, p, [p.y]).rows[0][-1] == "divergent"
+    with pytest.raises(DivergentSteadyState, match="undamped noise-driven"):
+        steady_state_moments(p)
 
 
 def test_slow_oscillation_is_not_a_real_axis_interval():

@@ -11,7 +11,8 @@ from opendicke import oracle
 from opendicke.basis import ETA
 from opendicke.errors import (DivergentSteadyState, NumericalFailure,
                               UnstableState)
-from opendicke.fluctuations import (SecondMoments, build_stability_matrix,
+from opendicke.fluctuations import (SecondMoments, StabilityMatrix,
+                                    build_stability_matrix,
                                     hermitize_moments, noise_matrix,
                                     observables, steady_state_moments)
 from opendicke.groundstate import ground_state_moments
@@ -127,6 +128,34 @@ def test_kron_sum_is_byte_identical_to_np_kron():
         got = _kron_sum(m)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_lyapunov_moments_is_the_kronecker_solve():
+    """The oracle's moments are, byte for byte, the hermitized dense solve of
+    (M (x) I + I (x) M) vec(S) = -vec(D) with np.kron's matrix: on the seeded
+    matrices of the Kronecker test, shifted to be stable, and on its
+    figure-scan matrices with kappa > 0 and the pump on."""
+    rng = np.random.default_rng(20261018)
+    mats = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            for _ in range(50)]
+    signed = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    signed[0, :] = [complex(-0.0, 0.0), complex(0.0, -0.0),
+                    complex(-0.0, -0.0), 0.0]
+    signed[:, 1] = [complex(-0.0, 1.0), complex(2.0, -0.0),
+                    complex(-0.0, -0.0), complex(-3.0, 0.0)]
+    mats += [signed, -signed, np.zeros((4, 4), dtype=complex) * -1.0]
+    eye = np.eye(4)
+    cases = [StabilityMatrix(m=m - (np.linalg.eigvals(m).real.max() + 1.0) * eye,
+                             params=ModelParams(delta_c=-2.0, kappa=2.0, u=0.0, y=0.0))
+             for m in mats]
+    for u in (0.0, 0.7):
+        base = ModelParams(delta_c=-2.0, kappa=2.0, u=u, y=0.0)
+        cases += [_stability(at_ratio(base, r)) for r in (0.5, 0.9, 1.2, 1.5)]
+    for st in cases:
+        rhs = -noise_matrix(st.params.kappa).reshape(16).astype(complex)
+        want = hermitize_moments(np.linalg.solve(
+            np.kron(st.m, eye) + np.kron(eye, st.m), rhs).reshape(4, 4))
+        assert lyapunov_moments(st).s.tobytes() == want.tobytes()
 
 
 def test_fock_requires_closed_system(open_params):
