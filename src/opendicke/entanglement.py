@@ -89,7 +89,8 @@ def _nu_minus(sigma: np.ndarray, disc: np.ndarray, det_c: np.ndarray,
 
     A row fails on a discriminant or a nu_minus^2 below -1e-10 of
     max(1, sigma^2); a physical covariance has neither, and rounding is
-    clamped at 0, so the vacuum gives exactly 1/2.
+    clamped at 0.  The vacuum gives 0.4999999999999999 (E_N 2.2e-16), not
+    1/2: its covariance takes QUAD_MAP's (1/sqrt(2))^2, which rounds down.
     """
     scale = np.maximum(1.0, sigma ** 2)
     errors.fail(disc < -1e-10 * scale, lambda i: NumericalFailure(

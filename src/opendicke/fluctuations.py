@@ -129,6 +129,26 @@ def blank_failed(stack: np.ndarray, errors: RowErrors, fill=_EYE) -> np.ndarray:
     return stack
 
 
+def live_rows(route, params: ModelParams, mf: MeanFieldBatch, *shapes):
+    """``route(params, mf)`` for a batch with failed rows, run on a batch of
+    its live rows: their results and first errors go back to their indices,
+    and each failed row gets zeros of ``shapes``, one shape per result.
+    Without a live row the route does not run."""
+    errors = mf.errors
+    live = np.flatnonzero(errors.alive)
+    outs = [np.zeros((errors.alive.size,) + shape, complex) for shape in shapes]
+    if live.size:
+        sub = RowErrors(live.size)
+        fields = (mf.y, mf.alpha0, mf.beta0, mf.mu, mf.superradiant)
+        parts = route(params, MeanFieldBatch(*(f[live] for f in fields), sub))
+        for out, part in zip(outs, parts if len(outs) > 1 else [parts]):
+            out[live] = part
+        hit = np.zeros_like(errors.alive)
+        hit[live] = ~sub.alive
+        errors.fail(hit, lambda i: sub.errors[np.searchsorted(live, i)])
+    return tuple(outs) if len(outs) > 1 else outs[0]
+
+
 # Index into (M00, M02, M20, M22, their conjugates, 0) of each entry of M:
 # row 0 is (M00, 0, M02, M02), row 2 is (M20, M02, M22, 0), and rows 1 and 3
 # are their conjugates with columns swapped.
@@ -152,8 +172,8 @@ def _entries(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     """(M[0, 0], M[0, 2], M[2, 0], M[2, 2]) of every row, (4, N), or (4,)
     for a batch of one with scalar fields."""
     alpha0, beta0, u = mf.alpha0, mf.beta0, params.u
-    # Rows whose mean field failed may hold NaN or infinite values; the
-    # matrix builders blank them.
+    # Rows whose mean field failed may hold infinite values; no route
+    # decomposes them (``live_rows``).
     with np.errstate(all="ignore"):
         bsq = beta0 * beta0
         one_minus = 1.0 - 2.0 * bsq
@@ -179,7 +199,7 @@ def stability_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     M = T conj(M) T.  The batch has already failed the rows with
     1 - 2 beta0^2 ~ 0, where the linearization is singular.
     """
-    return blank_failed(_gather(_entries(params, mf)), mf.errors)
+    return _gather(_entries(params, mf))
 
 
 def drift_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
@@ -187,8 +207,7 @@ def drift_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     row of a mean-field batch, (N, 4, 4).  An entry of A is one sum of at
     most two entries of M times 1 or 2: the exact Q M Q^-1, rounded once."""
     e = np.reshape(_entries(params, mf), (4, -1))
-    a = (_DRIFT @ np.concatenate((e.real, e.imag))).T.reshape(-1, 4, 4)
-    return blank_failed(a, mf.errors)
+    return (_DRIFT @ np.concatenate((e.real, e.imag))).T.reshape(-1, 4, 4)
 
 
 def build_stability_matrix(params: ModelParams,
@@ -450,12 +469,15 @@ def system_moments(q: QuasiNormalSystem, mode_corrs: np.ndarray) -> SecondMoment
 
 
 def steady_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
-    """Hermitized steady-state moments of every row of a mean-field batch.
+    """Hermitized steady-state moments of every row of a mean-field batch;
+    a batch with failed rows runs on its live rows (``live_rows``).
 
     Rows fail into ``mf.errors`` in the order degenerate branch, defective,
     biorthonormality, pairing, unstable, divergent, moment structure; their
     moments are then meaningless.
     """
+    if mf.errors.failed:
+        return live_rows(steady_state_batch, params, mf, (4, 4))
     m = stability_batch(params, mf)
     lam, rights, lefts, _, scale = _decompose_batch(m, mf.errors)
     corrs = _correlation_batch(lam, lefts, params.kappa, scale, mf.errors)
@@ -643,9 +665,8 @@ def spectrum_scan(params: ModelParams, y_grid) -> SpectrumScan:
         raise ValueError("y grid must be strictly increasing")
 
     mf = mean_field_batch(params, y_grid)
-    drift = drift_batch(params, mf)
     mf.errors.raise_first()
-    lam, vecs, defective, _ = _spectra(drift)
+    lam, vecs, defective, _ = _spectra(drift_batch(params, mf))
     branches, ambiguous = _match_branches(lam, vecs)
     status = ["defective" if d else "ambiguous" if a else "ok"
               for d, a in zip(defective.tolist(), ambiguous)]

@@ -32,7 +32,8 @@ import numpy as np
 from .basis import ETA, OMEGA_SYMPL
 from .errors import DynamicalInstability, NumericalFailure
 from .fluctuations import (SecondMoments, blank_failed, check_commutators,
-                           check_hermitian, drift_batch, hermitize_moments)
+                           check_hermitian, drift_batch, hermitize_moments,
+                           live_rows)
 from .model import MeanField, MeanFieldBatch, ModelParams, point_batch
 
 FREQUENCY_TOL = 1e-10
@@ -53,7 +54,8 @@ class BogoliubovModes:
 
 
 def _williamson(params: ModelParams, mf: MeanFieldBatch):
-    """(frequencies, T^-1) of every row, frequencies in increasing order.
+    """(frequencies, T^-1) of every row, frequencies in increasing order; a
+    batch with failed rows runs on its live rows (``live_rows``).
 
     Rows fail, in this order, on the symmetry of G, on a non-positive
     eigenvalue of G and on a zero frequency.
@@ -61,6 +63,8 @@ def _williamson(params: ModelParams, mf: MeanFieldBatch):
     if params.kappa != 0.0:
         raise ValueError("ground state is defined for kappa = 0 only")
     errors = mf.errors
+    if errors.failed:
+        return live_rows(_williamson, params, mf, (2,), (4, 4))
     g = -OMEGA_SYMPL @ drift_batch(params, mf)
     check_hermitian(g, errors)
 

@@ -89,7 +89,7 @@ class MeanFieldBatch:
     (:func:`point_batch`).
     ``superradiant`` marks the rows above the critical pump.  Rows whose mean
     field failed keep their error in ``errors``; their amplitudes are
-    meaningless (NaN where the superradiant branch does not exist).
+    meaningless (zero where the superradiant branch does not exist).
     """
 
     y: np.ndarray
@@ -244,7 +244,7 @@ def mean_field_batch(params: ModelParams, y_grid) -> MeanFieldBatch:
         branch, radicand = _order_parameter(params, y, y_c)
         sr = y > y_c
         missing = sr & ~((0.0 < branch) & (branch < 1.0))
-        beta0 = np.sqrt(np.where(sr, branch, 0.0))
+        beta0 = np.sqrt(np.where(sr & ~missing, branch, 0.0))
         alpha0, mu, one_minus, residuals = _branch_fields(params, y, beta0)
         degenerate = np.abs(one_minus) < 1e-12
         bad = _residuals_exceed(*residuals)

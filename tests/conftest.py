@@ -1,8 +1,20 @@
-"""Shared fixtures: canonical parameter points used across the test modules."""
+"""Shared fixtures: canonical parameter points used across the test modules.
+
+The package is imported from ``PYTHONPATH`` (or an installed copy) when one
+is found, and from this checkout's ``src/`` otherwise, so that
+``PYTHONPATH=<other checkout>/src python -m pytest`` tests that checkout.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
-from opendicke.model import ModelParams, critical_pump
+if importlib.util.find_spec("opendicke") is None:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from opendicke.model import ModelParams, critical_pump  # noqa: E402
 
 
 @pytest.fixture

@@ -19,6 +19,8 @@ from opendicke import (cli, entanglement, fluctuations, groundstate,
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+# The directory the package under test was imported from.
+SRC = str(Path(opendicke.__file__).resolve().parents[1])
 
 
 def test_all_names_resolve():
@@ -84,7 +86,7 @@ def test_bench_scalar_calls():
 def test_cli_import_leaves_scipy_sparse_out():
     """scipy.sparse is the Fock oracle's alone and takes most of a cold
     start, so importing the CLI must not load it."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=SRC)
     code = "import sys, opendicke.cli; print('scipy.sparse' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -94,7 +96,7 @@ def test_cli_import_leaves_scipy_sparse_out():
 def test_spectrum_leaves_scipy_optimize_and_sparse_out():
     """The spectrum's root refinement is written out: a run loads neither
     scipy.optimize nor scipy.sparse."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=SRC)
     code = ("import contextlib, io, sys\nfrom opendicke import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"

@@ -16,8 +16,10 @@ say why in their comments.
 
 import contextlib
 import csv
+import hashlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,10 +30,10 @@ from opendicke import analysis, cli
 from opendicke.analysis import BATCH_ROWS, ScanKind, figure_scan, status_of
 from opendicke.entanglement import (log_negativity, quad_covariance,
                                     symplectic_min)
-from opendicke.errors import OpenDickeError
+from opendicke.errors import NumericalFailure, OpenDickeError
 from opendicke.fluctuations import (build_stability_matrix, observables,
                                     steady_state_moments)
-from opendicke.groundstate import ground_state_moments
+from opendicke.groundstate import bogoliubov_modes, ground_state_moments
 from opendicke.model import (ModelParams, Phase, critical_pump, mean_field_batch,
                              solve_mean_field)
 from opendicke.oracle import lyapunov_moments
@@ -89,6 +91,22 @@ def test_scan_rows_equal_batch_of_one(delta_c, kappa, u):
         assert ent[-1] == want_ent[-1], f"y = {y!r}: {ent} vs {want_ent}"
         for got, value in zip(row[2:-1] + ent[2:-1], want[:-1] + want_ent[:-1]):
             assert _close(got, value, 1e-14), f"y = {y!r}: {row} vs {want}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(delta_c=log_uniform, kappa=st.one_of(st.just(0.0), log_uniform),
+       u=st.floats(-5.0, 5.0),
+       mask=st.lists(st.booleans(), min_size=RATIOS.size, max_size=RATIOS.size))
+def test_rows_do_not_depend_on_batch_mates(delta_c, kappa, u, mask):
+    """A scan of some pumps of a grid has, by repr, the rows of the whole
+    grid's scan at those pumps.  Batching a grid and running a route on the
+    rows whose mean field holds both rest on this."""
+    base = ModelParams(delta_c=-delta_c, kappa=kappa, u=u, y=0.0)
+    grid = RATIOS * critical_pump(base)
+    for kind in (ScanKind.MEAN_AND_FLUCT, ScanKind.ENTANGLEMENT):
+        rows = figure_scan(kind, base, grid).rows
+        want = [row for row, keep in zip(rows, mask) if keep]
+        assert repr(figure_scan(kind, base, grid[np.array(mask)]).rows) == repr(want)
 
 
 def _cli_rows(argv) -> list[list[str]]:
@@ -205,15 +223,21 @@ def test_pinned_rows(name):
                 assert _close(float(cell), value, 1e-12), f"row {index}: {got} vs {want}"
 
 
-def _count_linalg(monkeypatch, names) -> dict:
-    """Count the calls of each ``np.linalg`` function in ``names``."""
+def _count_linalg(monkeypatch, names, matrices: dict | None = None) -> dict:
+    """Count the calls of each ``np.linalg`` function in ``names``; with a
+    ``matrices`` dict, also sum there the matrices handed to each (the
+    leading dimension of a stack, 1 for a single matrix)."""
     calls = dict.fromkeys(names, 0)
+    if matrices is not None:
+        matrices.update(dict.fromkeys(names, 0))
 
     def counted(name):
         real = getattr(np.linalg, name)
 
         def call(*args, **kwargs):
             calls[name] += 1
+            if matrices is not None:
+                matrices[name] += np.shape(args[0])[0] if np.ndim(args[0]) > 2 else 1
             return real(*args, **kwargs)
         return call
 
@@ -299,3 +323,62 @@ def test_mean_field_table_joins_batches(monkeypatch):
     assert sizes == [BATCH_ROWS, BATCH_ROWS, 600 - 2 * BATCH_ROWS]
     assert {row[-1] for row in rows} == {"ok", "failed"}
     assert repr(rows) == repr(want)
+
+
+# A grid of 600 pumps on [0, 2 y_c] whose 300 superradiant rows have no
+# branch (u < 0), at kappa > 0 and at kappa = 0: sha256 of repr(rows) of its
+# correlations and entanglement tables, pinned before failed rows left the
+# stack, and the error of the point at 1.025 y_c.
+DEAD_ROWS = {
+    28.73: ("0fb1184a1766e976", "50f368d3156f93b8",
+            "superradiant branch undefined: radicand -31.245226928564698 < 0"),
+    0.0: ("be5ab4aa2c2ba4c6", "eb7f2516819cffaf",
+          "beta0^2 = -3.741686956964145e-05 outside (0, 1) for y = "
+          "0.047311273101661507"),
+}
+
+
+def _dead_row_params(kappa: float) -> ModelParams:
+    return ModelParams(delta_c=-0.0021305, kappa=kappa, u=-1.4257, y=0.0)
+
+
+@pytest.mark.parametrize("kappa", sorted(DEAD_ROWS))
+def test_failed_rows_skip_the_linear_algebra(monkeypatch, kappa):
+    """Rows whose mean field failed never reach an eigen-solve, determinant
+    or inverse: each stage of the correlations scan sees the 300 live rows
+    (two symmetric eigen-solves each at kappa = 0), and the tables keep
+    their pinned rows."""
+    base = _dead_row_params(kappa)
+    grid = np.linspace(0.0, 2.0 * critical_pump(base), 600)
+    names = ("eig", "det", "inv") if kappa else ("eigh",)
+    matrices = {}
+    _count_linalg(monkeypatch, names, matrices)
+    rows = figure_scan(ScanKind.MEAN_AND_FLUCT, base, grid).rows
+    assert matrices == dict.fromkeys(names, 300 if kappa else 600)
+    tables = (rows, figure_scan(ScanKind.ENTANGLEMENT, base, grid).rows)
+    for table, digest in zip(tables, DEAD_ROWS[kappa]):
+        assert sum(row[-1] == "failed" for row in table) == 300
+        assert hashlib.sha256(repr(table).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("kappa", sorted(DEAD_ROWS))
+def test_failed_point_raises_without_eigen_solve(monkeypatch, kappa):
+    """A point without a superradiant branch raises its mean-field error
+    from every scalar route (the ground state's routes first reject
+    kappa > 0), with no eigen-solve and no warning."""
+    calls = _count_linalg(monkeypatch, ("eig", "eigh"))
+    base = _dead_row_params(kappa)
+    p = base.with_pump(1.025 * critical_pump(base))
+    for route in (steady_state_moments, build_stability_matrix,
+                  ground_state_moments, bogoliubov_modes):
+        if kappa and route in (ground_state_moments, bogoliubov_modes):
+            cls, message = ValueError, "ground state is defined for kappa = 0 only"
+        else:
+            cls, message = NumericalFailure, DEAD_ROWS[kappa][2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(cls) as info:
+                route(p)
+        assert type(info.value) is cls
+        assert info.value.args == (message,) and str(info.value) == message
+    assert calls == {"eig": 0, "eigh": 0}
