@@ -23,7 +23,7 @@ from .fluctuations import (QuasiNormalSystem, SecondMoments, SpectrumScan,
 from .groundstate import (BogoliubovModes, bogoliubov_modes,
                           ground_state_moments)
 from .model import (MeanField, ModelParams, Phase, critical_pump,
-                    mean_field_curve, mean_field_residuals, solve_mean_field)
+                    mean_field_residuals, solve_mean_field)
 from .oracle import FockGroundState, fock_ground_state, lyapunov_moments
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "critical_exponent", "critical_pump", "decompose", "depletion_curve",
     "exponent_fit", "exponent_grid", "exponent_table", "figure_scan",
     "fock_ground_state", "ground_state_moments", "log_negativity",
-    "lyapunov_moments", "mean_field_curve", "mean_field_residuals",
+    "lyapunov_moments", "mean_field_residuals",
     "mode_correlations", "noise_matrix", "observables", "pt_nu_minus",
     "pt_symplectic_min", "quad_covariance", "solve_mean_field",
     "spectrum_scan", "steady_state_moments", "symplectic_eigenvalues",

@@ -32,19 +32,17 @@ from . import analysis, entanglement, fluctuations, groundstate, model, oracle
 from .basis import ETA
 from .errors import NoThreshold, OpenDickeError
 
-def _parse_scalar(token: str, y_c: float | None) -> float:
+def _parse_scalar(token: str, y_c: float) -> float:
     """Parse a pump value, resolving the literal token 'yc'."""
     text = token.strip()
     if text.endswith("yc"):
-        if y_c is None:
-            raise ValueError("'yc' token needs delta_c < 0 to resolve")
         head = text[:-2]
         factor = 1.0 if head == "" else float(head)
         return factor * y_c
     return float(text)
 
 
-def _parse_grid(spec: str, y_c: float | None) -> np.ndarray:
+def _parse_grid(spec: str, y_c: float) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) == 1:
         return np.array([_parse_scalar(parts[0], y_c)])

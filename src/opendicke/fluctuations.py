@@ -139,7 +139,7 @@ def live_rows(route, params: ModelParams, mf: MeanFieldBatch, *shapes):
     outs = [np.zeros((errors.alive.size,) + shape, complex) for shape in shapes]
     if live.size:
         sub = RowErrors(live.size)
-        fields = (mf.y, mf.alpha0, mf.beta0, mf.mu, mf.superradiant)
+        fields = (mf.y, mf.alpha0, mf.beta0, mf.mu)
         parts = route(params, MeanFieldBatch(*(f[live] for f in fields), sub))
         for out, part in zip(outs, parts if len(outs) > 1 else [parts]):
             out[live] = part
@@ -604,15 +604,12 @@ def _match_branches(lam: np.ndarray, vecs: np.ndarray):
         d = dist[i - 1][_PERMS, perm]
         costs = d[:, 0] + d[:, 1] + d[:, 2] + d[:, 3]
         tied = np.flatnonzero(costs - costs.min() <= 1e-12)
-        if tied.size == 1:
-            perm = _PERMS[tied[0]]
-        else:
-            gram = np.abs(vecs[i - 1][:, perm].conj().T @ vecs[i])
-            o = gram[np.arange(4), _PERMS[tied]]
-            overlaps = o[:, 0] + o[:, 1] + o[:, 2] + o[:, 3]
-            winners = tied[overlaps.max() - overlaps <= 1e-12]
-            perm = _PERMS[winners[0]]
-            ambiguous[i] = winners.size > 1
+        gram = np.abs(vecs[i - 1][:, perm].conj().T @ vecs[i])
+        o = gram[np.arange(4), _PERMS[tied]]
+        overlaps = o[:, 0] + o[:, 1] + o[:, 2] + o[:, 3]
+        winners = tied[overlaps.max() - overlaps <= 1e-12]
+        perm = _PERMS[winners[0]]
+        ambiguous[i] = winners.size > 1
         perms.append(perm)
     return np.take_along_axis(lam, np.array(perms), 1), ambiguous
 

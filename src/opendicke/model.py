@@ -87,16 +87,15 @@ class MeanFieldBatch:
     One row per pump value: the fields are arrays for a grid
     (:func:`mean_field_batch`) and scalars for a single pump value
     (:func:`point_batch`).
-    ``superradiant`` marks the rows above the critical pump.  Rows whose mean
-    field failed keep their error in ``errors``; their amplitudes are
-    meaningless (zero where the superradiant branch does not exist).
+    Rows whose mean field failed keep their error in ``errors``; their
+    amplitudes are meaningless (zero where the superradiant branch does not
+    exist).
     """
 
     y: np.ndarray
     alpha0: np.ndarray
     beta0: np.ndarray
     mu: np.ndarray
-    superradiant: np.ndarray
     errors: RowErrors
 
 
@@ -253,7 +252,7 @@ def mean_field_batch(params: ModelParams, y_grid) -> MeanFieldBatch:
         radicand[i] if params.u else radicand, branch[i], y[i]))
     errors.fail(degenerate, lambda i: _degenerate_branch(one_minus[i]))
     errors.fail(bad, lambda i: _residual_failure(*(r[i] for r in residuals)))
-    return MeanFieldBatch(y, alpha0, beta0, mu, sr, errors)
+    return MeanFieldBatch(y, alpha0, beta0, mu, errors)
 
 
 def mean_field_point(params: ModelParams) -> MeanFieldBatch:
@@ -268,17 +267,17 @@ def mean_field_point(params: ModelParams) -> MeanFieldBatch:
     y_c = critical_pump(params)
     errors = RowErrors(1)
     if not y > y_c:
-        return MeanFieldBatch(y, 0j, 0.0, -0.5 * OMEGA_R, False, errors)
+        return MeanFieldBatch(y, 0j, 0.0, -0.5 * OMEGA_R, errors)
     with np.errstate(all="ignore"):
         branch, radicand = _order_parameter(params, y, y_c)
         if not 0.0 < branch < 1.0:
             errors.fail(True, lambda i: _missing_branch(radicand, branch, y))
-            return MeanFieldBatch(y, 0j, 0.0, -0.5 * OMEGA_R, True, errors)
+            return MeanFieldBatch(y, 0j, 0.0, -0.5 * OMEGA_R, errors)
         beta0 = np.sqrt(branch)
         alpha0, mu, one_minus, residuals = _branch_fields(params, y, beta0)
     errors.fail(abs(one_minus) < 1e-12, lambda i: _degenerate_branch(one_minus))
     errors.fail(_residuals_exceed(*residuals), lambda i: _residual_failure(*residuals))
-    return MeanFieldBatch(y, alpha0, beta0, mu, True, errors)
+    return MeanFieldBatch(y, alpha0, beta0, mu, errors)
 
 
 def point_batch(params: ModelParams, mf: MeanField | None = None) -> MeanFieldBatch:
@@ -292,8 +291,7 @@ def point_batch(params: ModelParams, mf: MeanField | None = None) -> MeanFieldBa
     errors.fail(abs(one_minus) < 1e-12, lambda i: DegenerateBranch(
         lambda: f"1 - 2 beta0^2 = {one_minus!r}; linearization singular"))
     return MeanFieldBatch(y=float(params.y), alpha0=complex(mf.alpha0),
-                          beta0=float(mf.beta0), mu=float(mf.mu),
-                          superradiant=mf.phase is Phase.SUPERRADIANT, errors=errors)
+                          beta0=float(mf.beta0), mu=float(mf.mu), errors=errors)
 
 
 def solve_mean_field(params: ModelParams) -> MeanField:
@@ -307,22 +305,4 @@ def solve_mean_field(params: ModelParams) -> MeanField:
     batch.errors.raise_first()
     return MeanField(alpha0=complex(batch.alpha0), beta0=float(batch.beta0),
                      mu=float(batch.mu),
-                     phase=Phase.SUPERRADIANT if batch.superradiant else Phase.NORMAL)
-
-
-def mean_field_curve(params: ModelParams, y_grid) -> np.ndarray:
-    """Mean-field amplitudes along a pump grid at fixed (delta_c, kappa, u).
-
-    Returns a structured array with fields y, y_over_yc, alpha0_sq, beta0_sq
-    and raises the error of the first row whose mean field fails.  The pump
-    value stored in ``params`` is ignored.
-    """
-    batch = mean_field_batch(params, y_grid)
-    batch.errors.raise_first()
-    out = np.zeros(batch.y.size, dtype=[("y", float), ("y_over_yc", float),
-                                        ("alpha0_sq", float), ("beta0_sq", float)])
-    out["y"] = batch.y
-    out["y_over_yc"] = batch.y / critical_pump(params)
-    out["alpha0_sq"] = np.abs(batch.alpha0) ** 2
-    out["beta0_sq"] = batch.beta0 ** 2
-    return out
+                     phase=Phase.SUPERRADIANT if batch.beta0 > 0.0 else Phase.NORMAL)

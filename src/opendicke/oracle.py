@@ -129,7 +129,8 @@ _STEP = np.array([-1, 1, -1, 1])
 
 def _sector_hamiltonian(h: np.ndarray, cutoffs: tuple[int, int]):
     """H = 1/2 sum_ij h[i,j] R_i^dag R_j for real h on the states with
-    n_a + n_b even inside the cutoffs, and their occupations (n_a, n_b).
+    n_a + n_b even inside the cutoffs, their occupations (n_a, n_b), and the
+    map from (n_a, n_b) to sector index (-1 off the sector).
 
     Each term applies R_j, then R_i^dag, to every sector state by index
     arithmetic; a step out of the box has amplitude zero, exactly as in the
@@ -163,7 +164,7 @@ def _sector_hamiltonian(h: np.ndarray, cutoffs: tuple[int, int]):
     # Rebinding drops the per-term pieces before the sparse construction,
     # which with int32 indices keeps the call's peak memory near ARPACK's.
     rows, cols, values = map(np.concatenate, (rows, cols, values))
-    return sp.csr_matrix((values, (rows, cols)), shape=(dim, dim)), occ
+    return sp.csr_matrix((values, (rows, cols)), shape=(dim, dim)), occ, position
 
 
 def _fock_occupations(h: np.ndarray, cutoffs: tuple[int, int], start=None):
@@ -175,20 +176,17 @@ def _fock_occupations(h: np.ndarray, cutoffs: tuple[int, int], start=None):
     one copied onto the same (n_a, n_b) states with zeros elsewhere, or, if
     None, from the Fock vacuum |0, 0>, which is sector index 0.
     """
-    ham, occ = _sector_hamiltonian(h, cutoffs)
+    ham, occ, position = _sector_hamiltonian(h, cutoffs)
     herm_defect = abs(ham - ham.T).max()
     if herm_defect > 1e-12 * max(1.0, abs(ham).max()):
         raise NumericalFailure(
             f"truncated Hamiltonian not Hermitian (defect {herm_defect:.3e})")
 
     # Deterministic start vector; eigsh would otherwise seed randomly.
-    dim = ham.shape[0]
-    v0 = np.zeros(dim)
+    v0 = np.zeros(ham.shape[0])
     if start is None:
         v0[0] = 1.0
     else:
-        position = np.zeros((cutoffs[0] + 1, cutoffs[1] + 1), dtype=np.int32)
-        position[occ[0], occ[1]] = np.arange(dim)
         v0[position[start[0][0], start[0][1]]] = start[1]
     import scipy.sparse.linalg as spla
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from opendicke import cli
-from opendicke.analysis import Side, critical_exponent
+from opendicke.analysis import ScanKind, Side, critical_exponent, figure_scan
 from opendicke.entanglement import log_negativity, quad_covariance
 from opendicke.errors import (DefectiveMatrix, DivergentSteadyState,
                               DynamicalInstability, UnstableState)
@@ -26,8 +26,7 @@ from opendicke.fluctuations import (build_stability_matrix, decompose,
                                     spectrum_scan, steady_state_moments,
                                     system_moments)
 from opendicke.groundstate import ground_state_moments
-from opendicke.model import (ModelParams, critical_pump, mean_field_curve,
-                             solve_mean_field)
+from opendicke.model import ModelParams, critical_pump, solve_mean_field
 from opendicke.oracle import fock_ground_state, lyapunov_moments
 
 OPEN = ModelParams(delta_c=-2.0, kappa=2.0, u=0.0, y=0.0)
@@ -61,7 +60,10 @@ def test_03_mean_field_curves_coincide():
     for kappa in (0.0, 2.0):
         params = ModelParams(delta_c=-2.0, kappa=kappa, u=0.0, y=0.0)
         y_c = critical_pump(params)
-        curves[kappa] = mean_field_curve(params, ratios * y_c)
+        table = figure_scan(ScanKind.MEAN_FIELD, params, ratios * y_c)
+        assert all(row[-1] == "ok" for row in table.rows)
+        curves[kappa] = {name: np.array(column)
+                         for name, column in zip(table.columns, zip(*table.rows))}
     for column in ("beta0_sq", "alpha0_sq"):
         diff = np.max(np.abs(curves[0.0][column] - curves[2.0][column]))
         assert diff <= 1e-12, f"{column}: max pointwise diff {diff:.3e}"

@@ -1,5 +1,7 @@
 """Exponent fits, depletion curves, scan tables, status mapping."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,12 @@ def test_fit_rejects_nonpositive_values():
     values[5] = 0.0
     with pytest.raises(InvalidCurve):
         exponent_fit(np.column_stack([eps, values]))
+
+
+def test_fit_rejects_curve_that_is_not_pairs():
+    with pytest.raises(InvalidCurve, match=re.escape(
+            "curve must be pairs (eps, value), got shape (5, 3)")):
+        exponent_fit(np.ones((5, 3)))
 
 
 def test_fit_rejects_sparse_window():

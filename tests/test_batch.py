@@ -288,7 +288,6 @@ def test_injected_mean_field_is_the_solved_one(u, ratio):
         assert (mf.alpha0, mf.beta0, mf.mu) == (batch.alpha0[0], batch.beta0[0],
                                                 batch.mu[0])
         assert mf.phase is (Phase.SUPERRADIANT if ratio > 1.0 else Phase.NORMAL)
-        assert batch.superradiant[0] == (ratio > 1.0)
         pairs = [(build_stability_matrix(p).m, build_stability_matrix(p, mf).m)]
         if kappa > 0.0:
             pairs.append((steady_state_moments(p).s, steady_state_moments(p, mf).s))

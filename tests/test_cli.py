@@ -188,7 +188,7 @@ def test_verify_at_threshold_reports_numerical_error(capsys):
     assert err.strip() != ""
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     code, _, _ = run_cli(["meanfield", "--delta-c=-2", "--y-grid=bogus"],
                          capsys)
     assert code == 2
@@ -200,6 +200,18 @@ def test_usage_errors(capsys):
     code, _, _ = run_cli(["meanfield", "--delta-c=-2", "--y-grid=2:0:5"],
                          capsys)
     assert code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta-c = -2\nkappa\n")
+    for argv, message in [
+            (["--delta-c=-2", "--y-grid=0:1"],
+             "grid spec '0:1' must be 'start:stop:count' or a single value"),
+            (["--delta-c=-2", "--y-grid=0:2yc:1"], "grid count must be >= 2, got 1"),
+            # the threshold is checked before a 'yc' token is read
+            (["--delta-c=2", "--y-grid=0:2yc:5"],
+             "no critical pump for delta_c = 2.0; need delta_c < 0"),
+            ([f"--config={cfg}", "--y-grid=0:2:5"], f"{cfg}:2: expected key=value")]:
+        code, out, err = run_cli(["meanfield", *argv], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("grid, bad", [("-1:1:3", "-1.0"), ("nan:1:3", "nan"),

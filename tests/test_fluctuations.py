@@ -214,6 +214,16 @@ def test_spectrum_scan_start_and_interval(open_params):
     assert 0.0 < iv.lower.y < y_c
 
 
+@pytest.mark.parametrize("grid, message", [
+    ([1.0], "y grid must be a 1-d array with at least 2 points"),
+    ([[0.0, 1.0]], "y grid must be a 1-d array with at least 2 points"),
+    ([0.0, 1.0, 0.5], "y grid must be strictly increasing"),
+    ([0.0, 0.0], "y grid must be strictly increasing")])
+def test_spectrum_scan_rejects_bad_grid(open_params, grid, message):
+    with pytest.raises(ValueError, match=message):
+        spectrum_scan(open_params, grid)
+
+
 def test_decompose_defective_at_interval_endpoints(open_params):
     for y in (INTERVAL_LOWER, INTERVAL_UPPER):
         p = open_params.with_pump(y)

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import at_ratio
+from opendicke.analysis import ScanKind, figure_scan
 from opendicke.errors import NoThreshold
 from opendicke.model import (ModelParams, Phase, critical_pump,
-                             mean_field_batch, mean_field_curve,
-                             mean_field_residuals, solve_mean_field)
+                             mean_field_batch, mean_field_residuals,
+                             solve_mean_field)
 
 
 def test_critical_pump_closed_form(open_params, closed_params):
@@ -119,14 +120,14 @@ def test_order_parameter_continuous_at_threshold(open_params):
 def test_mean_field_curve_structure(open_params):
     y_c = critical_pump(open_params)
     grid = np.linspace(0.0, 2.0 * y_c, 41)
-    curve = mean_field_curve(open_params, grid)
-    assert curve.dtype.names == ("y", "y_over_yc", "alpha0_sq", "beta0_sq")
-    assert curve.shape == (41,)
-    below = curve[curve["y"] <= y_c]
-    assert np.all(below["beta0_sq"] == 0.0)
-    assert np.all(below["alpha0_sq"] == 0.0)
-    above = curve[curve["y"] > y_c]
-    assert np.all(above["beta0_sq"] > 0.0)
+    table = figure_scan(ScanKind.MEAN_FIELD, open_params, grid)
+    assert table.columns == ("y", "y_over_yc", "alpha0_sq", "beta0_sq", "status")
+    assert len(table.rows) == 41
+    y, _, alpha0_sq, beta0_sq, _ = map(np.array, zip(*table.rows))
+    below = y <= y_c
+    assert np.all(beta0_sq[below] == 0.0)
+    assert np.all(alpha0_sq[below] == 0.0)
+    assert np.all(beta0_sq[~below] > 0.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Independent numerical references: Lyapunov solver and truncated-Fock ground state."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,8 @@ import scipy.linalg as sla
 from conftest import at_ratio
 from opendicke import oracle
 from opendicke.basis import ETA
-from opendicke.errors import (DivergentSteadyState, NumericalFailure,
-                              UnstableState)
+from opendicke.errors import (CutoffTooSmall, DivergentSteadyState,
+                              NumericalFailure, UnstableState)
 from opendicke.fluctuations import (SecondMoments, StabilityMatrix,
                                     build_stability_matrix,
                                     hermitize_moments, noise_matrix,
@@ -173,6 +174,14 @@ def test_fock_reports_convergence(closed_params):
     assert fock.cutoffs == (40, 40)
     assert fock.convergence <= 1e-3
     assert np.isfinite(fock.energy)
+
+
+def test_fock_rejects_unconverged_cutoffs(closed_params):
+    # just below threshold the ground state spreads past 20 quanta per mode
+    with pytest.raises(CutoffTooSmall, match=re.escape(
+            "occupations changed by 3.109e-02 relative when doubling "
+            "cutoffs (20, 20)")):
+        fock_ground_state(at_ratio(closed_params, 0.99), cutoffs=(20, 20))
 
 
 def test_fock_agrees_with_bogoliubov(closed_params):
