@@ -43,8 +43,8 @@ import numpy as np
 from .basis import CONJ_PERM, J_COMM, OMEGA_R, QUAD_MAP, T_CONJ
 from .errors import (DefectiveMatrix, DivergentSteadyState, NumericalFailure,
                      RowErrors, UnstableState, one_row)
-from .model import (MeanField, MeanFieldBatch, ModelParams, abs_squared,
-                    mean_field_batch, point_batch, pump_grid)
+from .model import (MeanFieldBatch, ModelParams, abs_squared,
+                    mean_field_batch, mean_field_point, pump_grid)
 
 # Eigenvector-matrix condition number and eigenvalue-cluster thresholds above
 # which a matrix is treated as defective.  At an exactly defective point a
@@ -210,11 +210,10 @@ def drift_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     return (_DRIFT @ np.concatenate((e.real, e.imag))).T.reshape(-1, 4, 4)
 
 
-def build_stability_matrix(params: ModelParams,
-                           mf: MeanField | None = None) -> StabilityMatrix:
+def build_stability_matrix(params: ModelParams) -> StabilityMatrix:
     """Stability matrix of the linearized equations of motion (batch of one
     of :func:`stability_batch`)."""
-    batch = point_batch(params, mf)
+    batch = mean_field_point(params)
     return StabilityMatrix(m=batch.errors.first_row(stability_batch(params, batch)),
                            params=params)
 
@@ -484,10 +483,9 @@ def steady_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     return _moment_batch(rights, corrs, mf.errors)
 
 
-def steady_state_moments(params: ModelParams,
-                         mf: MeanField | None = None) -> SecondMoments:
+def steady_state_moments(params: ModelParams) -> SecondMoments:
     """Convenience chain: mean field, stability matrix, modes, moments."""
-    batch = point_batch(params, mf)
+    batch = mean_field_point(params)
     return SecondMoments(s=batch.errors.first_row(steady_state_batch(params, batch)))
 
 
@@ -562,11 +560,10 @@ def _spectra(a: np.ndarray):
 
 
 def _drift_at(params: ModelParams, y: float) -> np.ndarray:
-    """Drift matrix at one pump value, as a stack of one."""
+    """Drift matrix at one pump value."""
     p = params.with_pump(y)
-    batch = point_batch(p)
-    batch.errors.raise_first()
-    return drift_batch(p, batch)
+    batch = mean_field_point(p)
+    return batch.errors.first_row(drift_batch(p, batch))
 
 
 def _match_branches(lam: np.ndarray, vecs: np.ndarray):
@@ -618,7 +615,7 @@ def _discriminant(params: ModelParams, y: float) -> float:
     """Re prod_{i<j} (lambda_i - lambda_j)^2 of the drift matrix at y by its
     real eigen-solve: < 0 with one real pair and one conjugate pair, > 0 with
     two conjugate pairs, and through 0 with a slope where a real pair merges."""
-    lam = np.linalg.eig(_drift_at(params, y))[0][0].astype(complex)
+    lam = np.linalg.eig(_drift_at(params, y))[0].astype(complex)
     return float(np.prod((lam[_PAIR_I] - lam[_PAIR_J]) ** 2).real)
 
 
@@ -640,7 +637,7 @@ def _refine_endpoint(params: ModelParams, a: float, b: float) -> EndpointReport:
             a, fa, fb, moved = c, fc, fb / (2.0 if moved > 0 else 1.0), 1
         else:
             b, fb, fa, moved = c, fc, fa / (2.0 if moved < 0 else 1.0), -1
-    _, vecs, defective, gaps = _spectra(_drift_at(params, a))
+    _, vecs, defective, gaps = _spectra(_drift_at(params, a)[None])
     gap, overlap = _closest_pair(gaps[0], vecs[0])
     return EndpointReport(y=a, refined=refined, defective=bool(defective[0]),
                           cond=float(np.linalg.cond(vecs[0])), gap=gap, overlap=overlap)

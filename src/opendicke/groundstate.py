@@ -34,7 +34,7 @@ from .errors import DynamicalInstability, NumericalFailure
 from .fluctuations import (SecondMoments, blank_failed, check_commutators,
                            check_hermitian, drift_batch, hermitize_moments,
                            live_rows)
-from .model import MeanField, MeanFieldBatch, ModelParams, point_batch
+from .model import MeanFieldBatch, ModelParams, mean_field_point
 
 FREQUENCY_TOL = 1e-10
 
@@ -99,10 +99,9 @@ def ground_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     return hermitize_moments(s)
 
 
-def bogoliubov_modes(params: ModelParams,
-                     mf: MeanField | None = None) -> BogoliubovModes:
+def bogoliubov_modes(params: ModelParams) -> BogoliubovModes:
     """Symplectically normalized normal modes of the closed system."""
-    batch = point_batch(params, mf)
+    batch = mean_field_point(params)
     frequencies, t_inv = batch.errors.first_row(_williamson(params, batch))
     # T^-1 eta T^-dag = eta gives T = eta T^-dag eta.
     transform = ETA @ t_inv.conj().T @ ETA
@@ -113,8 +112,7 @@ def bogoliubov_modes(params: ModelParams,
     return BogoliubovModes(frequencies=frequencies, transform=transform)
 
 
-def ground_state_moments(params: ModelParams,
-                         mf: MeanField | None = None) -> SecondMoments:
+def ground_state_moments(params: ModelParams) -> SecondMoments:
     """Second moments of the Bogoliubov vacuum in the lab basis."""
-    batch = point_batch(params, mf)
+    batch = mean_field_point(params)
     return SecondMoments(s=batch.errors.first_row(ground_state_batch(params, batch)))

@@ -86,7 +86,7 @@ class MeanFieldBatch:
 
     One row per pump value: the fields are arrays for a grid
     (:func:`mean_field_batch`) and scalars for a single pump value
-    (:func:`point_batch`).
+    (:func:`mean_field_point`).
     Rows whose mean field failed keep their error in ``errors``; their
     amplitudes are meaningless (zero where the superradiant branch does not
     exist).
@@ -278,20 +278,6 @@ def mean_field_point(params: ModelParams) -> MeanFieldBatch:
     errors.fail(abs(one_minus) < 1e-12, lambda i: _degenerate_branch(one_minus))
     errors.fail(_residuals_exceed(*residuals), lambda i: _residual_failure(*residuals))
     return MeanFieldBatch(y, alpha0, beta0, mu, errors)
-
-
-def point_batch(params: ModelParams, mf: MeanField | None = None) -> MeanFieldBatch:
-    """Batch of one at ``params.y``: the solved mean field with its errors
-    not yet raised, or the given one, whose row fails on a degenerate branch
-    (1 - 2 beta0^2 ~ 0)."""
-    if mf is None:
-        return mean_field_point(params)
-    errors = RowErrors(1)
-    one_minus = 1.0 - 2.0 * (mf.beta0 * mf.beta0)
-    errors.fail(abs(one_minus) < 1e-12, lambda i: DegenerateBranch(
-        lambda: f"1 - 2 beta0^2 = {one_minus!r}; linearization singular"))
-    return MeanFieldBatch(y=float(params.y), alpha0=complex(mf.alpha0),
-                          beta0=float(mf.beta0), mu=float(mf.mu), errors=errors)
 
 
 def solve_mean_field(params: ModelParams) -> MeanField:

@@ -1,7 +1,7 @@
 """Independent brute-force verifiers for the analytic routes.
 
 Two oracles, deliberately sharing no formula with the routes they check;
-they take the same stability matrix as input, with the same input checks:
+they take the same solved-mean-field stability matrix and input checks:
 
 * ``lyapunov_moments`` solves M S + S M^T + D = 0 as a dense 16-unknown
   linear system; for a stable M this is the unique steady state of the
@@ -27,7 +27,7 @@ from .errors import (CutoffTooSmall, DivergentSteadyState, NumericalFailure,
 from .fluctuations import (SecondMoments, StabilityMatrix,
                            build_stability_matrix, check_hermitian,
                            hermitize_moments, noise_matrix)
-from .model import MeanField, ModelParams
+from .model import ModelParams
 
 STABILITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -196,11 +196,12 @@ def _fock_occupations(h: np.ndarray, cutoffs: tuple[int, int], start=None):
             (occ, vec[:, 0]))
 
 
-def fock_ground_state(params: ModelParams, mf: MeanField | None = None,
+def fock_ground_state(params: ModelParams,
                       cutoffs: tuple[int, int] = (60, 60)) -> FockGroundState:
     """Ground-state occupations on a truncated two-mode Fock space.
 
-    The Hamiltonian is H = 1/2 sum_ij h[i,j] R_i^dag R_j with h = i eta M,
+    The Hamiltonian is H = 1/2 sum_ij h[i,j] R_i^dag R_j with h = i eta M and
+    M = ``build_stability_matrix(params).m`` at the solved mean field,
     truncated at photon/atom occupations ``cutoffs``.  A quadratic H conserves
     the parity (-1)^(n_a + n_b), and its Gaussian ground state is even, so H
     is diagonalized on the even sector only.  In the photon gauge a -> i a,
@@ -219,7 +220,7 @@ def fock_ground_state(params: ModelParams, mf: MeanField | None = None,
     if min(cutoffs) < 20:
         raise ValueError(f"cutoffs {cutoffs!r} too small; need >= 20")
 
-    h = 1j * ETA @ build_stability_matrix(params, mf).m
+    h = 1j * ETA @ build_stability_matrix(params).m
     errors = RowErrors(1)
     check_hermitian(h[None], errors)
     errors.raise_first()

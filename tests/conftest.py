@@ -14,7 +14,8 @@ import pytest
 if importlib.util.find_spec("opendicke") is None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from opendicke.model import ModelParams, critical_pump  # noqa: E402
+from opendicke.errors import RowErrors  # noqa: E402
+from opendicke.model import MeanFieldBatch, ModelParams, critical_pump  # noqa: E402
 
 
 @pytest.fixture
@@ -32,3 +33,10 @@ def closed_params() -> ModelParams:
 def at_ratio(params: ModelParams, ratio: float) -> ModelParams:
     """Params with the pump set to ratio * y_c."""
     return params.with_pump(ratio * critical_pump(params))
+
+
+def normal_branch(params: ModelParams) -> MeanFieldBatch:
+    """The normal-phase mean field at ``params.y`` as a batch of one, also
+    above threshold, where the solver takes the superradiant branch."""
+    return MeanFieldBatch(y=params.y, alpha0=0j, beta0=0.0, mu=-0.5,
+                          errors=RowErrors(1))

@@ -26,7 +26,7 @@ from opendicke.fluctuations import (build_stability_matrix, decompose,
                                     spectrum_scan, steady_state_moments,
                                     system_moments)
 from opendicke.groundstate import ground_state_moments
-from opendicke.model import ModelParams, critical_pump, solve_mean_field
+from opendicke.model import ModelParams, critical_pump
 from opendicke.oracle import fock_ground_state, lyapunov_moments
 
 OPEN = ModelParams(delta_c=-2.0, kappa=2.0, u=0.0, y=0.0)
@@ -89,7 +89,7 @@ def test_04_eigenmode_formula_matches_lyapunov_oracle():
             y = rng.uniform(1.02, 2.0) * y_c
         p = base.with_pump(y)
         try:
-            stability = build_stability_matrix(p, solve_mean_field(p))
+            stability = build_stability_matrix(p)
             q = decompose(stability)
             if max(lam.real for lam in q.lambdas) >= -1e-9:
                 continue
@@ -122,7 +122,7 @@ def test_05_ground_state_matches_fock_oracle():
 
 
 def test_06_spectrum_start_and_defective_interval_endpoints():
-    q = decompose(build_stability_matrix(OPEN, solve_mean_field(OPEN)))
+    q = decompose(build_stability_matrix(OPEN))
     expected = sorted([-2.0 - 2.0j, -2.0 + 2.0j, -1.0j, 1.0j],
                       key=lambda z: (z.real, z.imag))
     got = sorted(q.lambdas, key=lambda z: (z.real, z.imag))
@@ -142,7 +142,7 @@ def test_06_spectrum_start_and_defective_interval_endpoints():
         assert endpoint.defective, f"endpoint y = {endpoint.y} not defective"
         p = OPEN.with_pump(endpoint.y)
         with pytest.raises(DefectiveMatrix):
-            decompose(build_stability_matrix(p, solve_mean_field(p)))
+            decompose(build_stability_matrix(p))
 
 
 def test_07_entanglement_regular_in_steady_state_growing_in_ground_state():
@@ -152,7 +152,7 @@ def test_07_entanglement_regular_in_steady_state_growing_in_ground_state():
     for eps in distances:
         p = OPEN.with_pump(critical_pump(OPEN) * (1.0 - eps))
         steady.append(log_negativity(quad_covariance(
-            steady_state_moments(p, solve_mean_field(p)))))
+            steady_state_moments(p))))
         p = CLOSED.with_pump(critical_pump(CLOSED) * (1.0 - eps))
         ground.append(log_negativity(quad_covariance(ground_state_moments(p))))
     spread = max(steady) - min(steady)

@@ -3,6 +3,7 @@ and the names and scalar calls of the benchmark (``bench/``)."""
 
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import shlex
@@ -81,6 +82,18 @@ def test_bench_scalar_calls():
     closed = model.ModelParams(delta_c=-2.0, kappa=0.0, u=0.7, y=1.0)
     s = groundstate.ground_state_moments(closed).s
     assert s[0, 1] - s[1, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_scalar_routes_take_a_point():
+    """Each scalar route linearizes around the solved mean field of its
+    point, so it takes the point and no mean field."""
+    routes = {fluctuations.build_stability_matrix: ("params",),
+              fluctuations.steady_state_moments: ("params",),
+              groundstate.bogoliubov_modes: ("params",),
+              groundstate.ground_state_moments: ("params",),
+              oracle.fock_ground_state: ("params", "cutoffs")}
+    for route, names in routes.items():
+        assert tuple(inspect.signature(route).parameters) == names, route.__name__
 
 
 def test_cli_import_leaves_scipy_sparse_out():

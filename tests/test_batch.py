@@ -276,9 +276,9 @@ def test_scalar_steady_pair_linalg_calls(monkeypatch, ratio):
 @pytest.mark.parametrize("u", [0.0, 0.7])
 @pytest.mark.parametrize("ratio", [0.6, 1.5])
 def test_injected_mean_field_is_the_solved_one(u, ratio):
-    """A given mean field and the solved one take the scalar chain to the
-    same bits, and ``solve_mean_field`` is the row of the grid's mean field,
-    in the normal and in the superradiant phase."""
+    """``solve_mean_field``, which every scalar route linearizes around, is
+    the row of the grid's mean field, in the normal and in the superradiant
+    phase."""
     for kappa in (2.0, 0.0):
         p = ModelParams(delta_c=-2.0, kappa=kappa, u=u, y=0.0)
         p = p.with_pump(ratio * critical_pump(p))
@@ -288,13 +288,6 @@ def test_injected_mean_field_is_the_solved_one(u, ratio):
         assert (mf.alpha0, mf.beta0, mf.mu) == (batch.alpha0[0], batch.beta0[0],
                                                 batch.mu[0])
         assert mf.phase is (Phase.SUPERRADIANT if ratio > 1.0 else Phase.NORMAL)
-        pairs = [(build_stability_matrix(p).m, build_stability_matrix(p, mf).m)]
-        if kappa > 0.0:
-            pairs.append((steady_state_moments(p).s, steady_state_moments(p, mf).s))
-        else:
-            pairs.append((ground_state_moments(p).s, ground_state_moments(p, mf).s))
-        for default, injected in pairs:
-            assert default.tobytes() == injected.tobytes()
 
 
 def test_mean_field_table_joins_batches(monkeypatch):

@@ -16,7 +16,7 @@ from opendicke.entanglement import (_symplectic_min, log_negativity,
 from opendicke.errors import NumericalFailure, RowErrors
 from opendicke.fluctuations import SecondMoments, steady_state_moments
 from opendicke.groundstate import ground_state_moments
-from opendicke.model import ModelParams, solve_mean_field
+from opendicke.model import ModelParams
 
 
 def _vacuum_moments() -> np.ndarray:
@@ -36,7 +36,7 @@ def test_vacuum_covariance_and_separability():
 
 def test_covariance_blocks_symmetric(open_params):
     p = at_ratio(open_params, 0.9)
-    cov = quad_covariance(steady_state_moments(p, solve_mean_field(p)))
+    cov = quad_covariance(steady_state_moments(p))
     np.testing.assert_allclose(cov, cov.T, atol=1e-12)
 
 
@@ -66,10 +66,8 @@ def test_tmsv_zero_squeezing_is_vacuum():
 
 def test_pt_cross_check(open_params, closed_params):
     cases = [
-        steady_state_moments(at_ratio(open_params, 0.9),
-                             solve_mean_field(at_ratio(open_params, 0.9))),
-        steady_state_moments(at_ratio(open_params, 1.5),
-                             solve_mean_field(at_ratio(open_params, 1.5))),
+        steady_state_moments(at_ratio(open_params, 0.9)),
+        steady_state_moments(at_ratio(open_params, 1.5)),
         ground_state_moments(at_ratio(closed_params, 0.5)),
     ]
     for s in cases:
@@ -81,13 +79,13 @@ def test_pt_cross_check(open_params, closed_params):
 def test_physicality_of_steady_states(open_params):
     for ratio in (0.0, 0.5, 0.9, 1.3, 1.9):
         p = at_ratio(open_params, ratio)
-        cov = quad_covariance(steady_state_moments(p, solve_mean_field(p)))
+        cov = quad_covariance(steady_state_moments(p))
         assert float(np.min(symplectic_eigenvalues(cov))) >= 0.5 - 1e-8
 
 
 def test_frozen_values(open_params, closed_params):
     p = at_ratio(open_params, 0.9)
-    cov = quad_covariance(steady_state_moments(p, solve_mean_field(p)))
+    cov = quad_covariance(steady_state_moments(p))
     assert log_negativity(cov) == pytest.approx(0.15243520574019814, abs=1e-10)
     cov = quad_covariance(ground_state_moments(at_ratio(closed_params, 0.5)))
     assert log_negativity(cov) == pytest.approx(0.2582920088921177, abs=1e-10)

@@ -12,7 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import at_ratio
+from conftest import at_ratio, normal_branch
 from opendicke import analysis, model
 from opendicke.analysis import ScanKind, figure_scan
 from opendicke.entanglement import log_negativity, quad_covariance
@@ -22,9 +22,9 @@ from opendicke.errors import (DefectiveMatrix, DegenerateBranch,
 from opendicke.fluctuations import (SecondMoments, StabilityMatrix,
                                     build_stability_matrix, decompose,
                                     mode_correlations, observables,
-                                    steady_state_moments)
-from opendicke.groundstate import bogoliubov_modes
-from opendicke.model import MeanField, ModelParams, Phase, solve_mean_field
+                                    stability_batch, steady_state_moments)
+from opendicke.groundstate import ground_state_batch
+from opendicke.model import ModelParams, solve_mean_field
 
 OPEN = ModelParams(delta_c=-2.0, kappa=2.0, u=0.0, y=0.0)
 CLOSED = ModelParams(delta_c=-2.0, kappa=0.0, u=0.0, y=0.0)
@@ -36,7 +36,6 @@ WEAK = ModelParams(delta_c=-0.00018100325654284057, kappa=0.0002609879594426574,
 NO_BRANCH = ModelParams(delta_c=-0.00213051866487697, kappa=28.731869544362862,
                         u=-1.4256638770845873, y=0.0)
 RATIOS = np.linspace(0.05, 2.0, 25)
-NORMAL = MeanField(alpha0=0j, beta0=0.0, mu=-0.5, phase=Phase.NORMAL)
 
 
 def _steady(params: ModelParams, ratio: float):
@@ -61,6 +60,20 @@ def _biorthonormality(monkeypatch):
     decompose(StabilityMatrix(m=v @ np.diag(lam) @ np.linalg.inv(v), params=OPEN))
 
 
+def _unstable(monkeypatch):
+    # The normal branch above threshold, where the solver takes the other.
+    p = at_ratio(OPEN, 1.2)
+    mode_correlations(decompose(StabilityMatrix(
+        m=stability_batch(p, normal_branch(p))[0], params=p)))
+
+
+def _ground_state_instability(monkeypatch):
+    p = at_ratio(CLOSED, 1.2)
+    mf = normal_branch(p)
+    ground_state_batch(p, mf)
+    mf.errors.raise_first()
+
+
 def _occupation():
     s = np.zeros((4, 4), dtype=complex)
     s[0, 1] = s[2, 3] = 1.0
@@ -79,11 +92,8 @@ CASES = {
         "beta0^2 = -0.0001293798154287114 outside (0, 1) for y = "
         "0.024197835593800655", {}),
     "degenerate branch": (
-        lambda mp: build_stability_matrix(OPEN.with_pump(1.0), MeanField(
-            alpha0=0.1j, beta0=np.sqrt(0.5), mu=-1.0, phase=Phase.SUPERRADIANT)),
-        DegenerateBranch,
-        "1 - 2 beta0^2 = np.float64(-2.220446049250313e-16); linearization "
-        "singular", {}),
+        lambda mp: build_stability_matrix(at_ratio(OPEN, 1e7)), DegenerateBranch,
+        "1 - 2 beta0^2 = 9.880984919163893e-15; chemical potential singular", {}),
     "mean-field residual": (
         _residual, NumericalFailure,
         "mean-field residuals (2.220e-16, 3.331e-16) exceed 1e-20 times "
@@ -107,10 +117,8 @@ CASES = {
         "eigenvalue np.complex128(1j) has no conjugate partner (closest miss "
         "2.000e+00)", {}),
     "unstable": (
-        lambda mp: mode_correlations(decompose(build_stability_matrix(
-            at_ratio(OPEN, 1.2), NORMAL))),
-        UnstableState, "growing quasi-normal modes, Re lambda = array([0.41459614])",
-        {}),
+        _unstable, UnstableState,
+        "growing quasi-normal modes, Re lambda = array([0.41459614])", {}),
     "divergent": (
         lambda mp: _steady(WEAK, RATIOS[0]), DivergentSteadyState,
         "undamped noise-driven mode pairs [(2, 3), (3, 2)]: steady-state "
@@ -135,8 +143,7 @@ CASES = {
         lambda mp: log_negativity(np.zeros((4, 4))), NumericalFailure,
         "nu_minus = 0; covariance is singular", {}),
     "ground-state instability": (
-        lambda mp: bogoliubov_modes(at_ratio(CLOSED, 1.2), NORMAL),
-        DynamicalInstability,
+        _ground_state_instability, DynamicalInstability,
         "quadrature Hamiltonian G has eigenvalue -2.692e-01 <= 0: not positive "
         "definite, no stable ground state", {}),
 }
@@ -168,7 +175,8 @@ def test_message_is_formatted_once_on_first_read():
 
 
 def test_scans_format_no_message(monkeypatch):
-    """Every row error of failing sweep sets is built, and none is read."""
+    """Every row error of failing sweep sets, and of the degenerate branch at
+    1e7 y_c, is built, and none is read."""
     made = []
 
     def record(self, *args):
@@ -184,3 +192,12 @@ def test_scans_format_no_message(monkeypatch):
     assert len(made) == 2 * (25 + 13)
     assert all(callable(BaseException.args.__get__(err)[0]) for err in made)
     assert {analysis.status_of(err) for err in made} == {"divergent", "failed"}
+    made.clear()
+    for params in (OPEN, CLOSED):
+        grid = np.array([0.5, 1e7]) * model.critical_pump(params)
+        for kind in (ScanKind.MEAN_FIELD, ScanKind.MEAN_AND_FLUCT,
+                     ScanKind.ENTANGLEMENT):
+            statuses = [row[-1] for row in figure_scan(kind, params, grid).rows]
+            assert statuses == ["ok", "degenerate"]
+    assert len(made) == 6
+    assert all(callable(BaseException.args.__get__(err)[0]) for err in made)

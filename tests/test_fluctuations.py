@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import at_ratio
+from conftest import at_ratio, normal_branch
 from opendicke.analysis import ScanKind, figure_scan
 from opendicke.basis import CONJ_PERM, J_COMM, QUAD_MAP, T_CONJ
 from opendicke.errors import (DefectiveMatrix, DegenerateBranch,
@@ -13,7 +13,7 @@ from opendicke.errors import (DefectiveMatrix, DegenerateBranch,
                               UnstableState)
 from opendicke.errors import RowErrors
 from opendicke.fluctuations import (_PERMS, DEFECT_COND_LIMIT, DIVERGENT_TOL,
-                                    STABILITY_TOL, SecondMoments,
+                                    STABILITY_TOL, SecondMoments, StabilityMatrix,
                                     _correlation_batch, _decompose_batch, _defects,
                                     _ill_conditioned, _match_branches,
                                     _scale, _spectra,
@@ -24,8 +24,9 @@ from opendicke.fluctuations import (_PERMS, DEFECT_COND_LIMIT, DIVERGENT_TOL,
                                     spectrum_scan,
                                     stability_batch, steady_state_moments,
                                     system_moments)
-from opendicke.model import (MeanField, ModelParams, Phase, critical_pump,
-                             mean_field_batch, solve_mean_field)
+from opendicke.groundstate import ground_state_moments
+from opendicke.model import (ModelParams, critical_pump, mean_field_batch,
+                             solve_mean_field)
 from opendicke.oracle import lyapunov_moments
 
 # Real-axis interval endpoints for delta_c=-2, kappa=2, u=0 (frozen from an
@@ -34,12 +35,8 @@ INTERVAL_LOWER = 1.9368167091351347
 INTERVAL_UPPER = 2.0347390614027807
 
 
-def _normal_mean_field() -> MeanField:
-    return MeanField(alpha0=0.0j, beta0=0.0, mu=-0.5, phase=Phase.NORMAL)
-
-
 def test_block_diagonal_at_zero_pump(open_params):
-    m = build_stability_matrix(open_params, solve_mean_field(open_params)).m
+    m = build_stability_matrix(open_params).m
     expected = np.diag([1j * -2.0 - 2.0, -1j * -2.0 - 2.0, -1j, 1j])
     np.testing.assert_allclose(m, expected, atol=1e-15)
 
@@ -47,7 +44,7 @@ def test_block_diagonal_at_zero_pump(open_params):
 def test_conjugation_symmetry_both_branches(open_params):
     for ratio in (0.0, 0.5, 0.9, 1.2, 1.8):
         p = at_ratio(open_params, ratio)
-        m = build_stability_matrix(p, solve_mean_field(p)).m
+        m = build_stability_matrix(p).m
         assert conjugation_defect(m) <= 1e-14
         np.testing.assert_allclose(m, T_CONJ @ np.conj(m) @ T_CONJ, atol=1e-14)
 
@@ -58,20 +55,25 @@ def test_conjugation_symmetry_both_branches(open_params):
        ratio=st.floats(0.0, 2.0).filter(lambda r: abs(r - 1.0) > 1e-3))
 def test_conjugation_symmetry_property(delta_c, kappa, u, ratio):
     p = at_ratio(ModelParams(delta_c=delta_c, kappa=kappa, u=u, y=0.0), ratio)
-    m = build_stability_matrix(p, solve_mean_field(p)).m
+    m = build_stability_matrix(p).m
     assert conjugation_defect(m) <= 1e-14
 
 
-def test_degenerate_branch_rejected(open_params):
-    mf = MeanField(alpha0=0.1j, beta0=np.sqrt(0.5), mu=-1.0,
-                   phase=Phase.SUPERRADIANT)
-    with pytest.raises(DegenerateBranch):
-        build_stability_matrix(open_params.with_pump(1.0), mf)
+def test_degenerate_branch_rejected():
+    """At 1e7 y_c the solved branch has 1 - 2 beta0^2 = 9.9e-15: the mean
+    field and every route from it raise, open or closed."""
+    for kappa in (2.0, 0.0):
+        p = at_ratio(ModelParams(delta_c=-2.0, kappa=kappa, u=0.0, y=0.0), 1e7)
+        moments = steady_state_moments if kappa else ground_state_moments
+        for route in (solve_mean_field, build_stability_matrix, moments):
+            with pytest.raises(DegenerateBranch) as info:
+                route(p)
+            assert str(info.value) == ("1 - 2 beta0^2 = 9.880984919163893e-15; "
+                                       "chemical potential singular")
 
 
 def test_zero_pump_eigenvalues(open_params):
-    q = decompose(build_stability_matrix(open_params,
-                                         solve_mean_field(open_params)))
+    q = decompose(build_stability_matrix(open_params))
     got = sorted(q.lambdas, key=lambda z: (round(z.real, 9), z.imag))
     expected = sorted([-2.0 - 2.0j, -2.0 + 2.0j, -1.0j, 1.0j],
                       key=lambda z: (round(z.real, 9), z.imag))
@@ -82,7 +84,7 @@ def test_zero_pump_eigenvalues(open_params):
 def test_biorthonormality_and_completeness(open_params):
     for ratio in (0.5, 0.9, 1.5):
         p = at_ratio(open_params, ratio)
-        q = decompose(build_stability_matrix(p, solve_mean_field(p)))
+        q = decompose(build_stability_matrix(p))
         eye = np.eye(4)
         assert np.max(np.abs(q.lefts @ q.rights - eye)) <= 1e-10
         assert np.max(np.abs(q.rights @ q.lefts - eye)) <= 1e-10
@@ -90,7 +92,7 @@ def test_biorthonormality_and_completeness(open_params):
 
 def test_conjugate_pairs_share_real_parts(open_params):
     p = at_ratio(open_params, 0.8)
-    q = decompose(build_stability_matrix(p, solve_mean_field(p)))
+    q = decompose(build_stability_matrix(p))
     for k in range(4):
         kbar = q.pairing[k]
         assert q.pairing[kbar] == k
@@ -99,7 +101,7 @@ def test_conjugate_pairs_share_real_parts(open_params):
 
 
 def test_vacuum_moments_at_zero_pump(open_params):
-    s = steady_state_moments(open_params, solve_mean_field(open_params)).s
+    s = steady_state_moments(open_params).s
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 1] = 1.0
     expected[2, 3] = 1.0
@@ -108,14 +110,14 @@ def test_vacuum_moments_at_zero_pump(open_params):
 
 def test_steady_observables_frozen(open_params):
     p = at_ratio(open_params, 0.9)
-    delta_n, n_photon = observables(steady_state_moments(p, solve_mean_field(p)))
+    delta_n, n_photon = observables(steady_state_moments(p))
     assert delta_n == pytest.approx(2.756578947368418, abs=1e-12)
     assert n_photon == pytest.approx(1.0657894736842097, abs=1e-12)
 
 
 def test_superradiant_observables_frozen(open_params):
     p = at_ratio(open_params, 1.5)
-    delta_n, n_photon = observables(steady_state_moments(p, solve_mean_field(p)))
+    delta_n, n_photon = observables(steady_state_moments(p))
     assert delta_n == pytest.approx(0.2803952991452995, abs=1e-12)
     assert n_photon == pytest.approx(0.06153846153846161, abs=1e-12)
 
@@ -123,7 +125,7 @@ def test_superradiant_observables_frozen(open_params):
 def test_commutator_preservation(open_params):
     for ratio in (0.3, 0.9, 1.4):
         p = at_ratio(open_params, ratio)
-        s = steady_state_moments(p, solve_mean_field(p)).s
+        s = steady_state_moments(p).s
         assert abs(s[0, 1] - s[1, 0] - 1.0) <= 1e-10
         assert abs(s[2, 3] - s[3, 2] - 1.0) <= 1e-10
 
@@ -133,7 +135,7 @@ def test_eigenmode_matches_lyapunov_oracle(open_params):
     points.append((ModelParams(delta_c=-1.0, kappa=0.5, u=0.5, y=0.0), 0.7))
     for base, ratio in points:
         p = at_ratio(base, ratio)
-        stability = build_stability_matrix(p, solve_mean_field(p))
+        stability = build_stability_matrix(p)
         q = decompose(stability)
         s_modes = system_moments(q, mode_correlations(q))
         s_oracle = lyapunov_moments(stability)
@@ -142,7 +144,8 @@ def test_eigenmode_matches_lyapunov_oracle(open_params):
 
 def test_unstable_normal_branch_above_threshold(open_params):
     p = at_ratio(open_params, 1.2)
-    stability = build_stability_matrix(p, _normal_mean_field())
+    stability = StabilityMatrix(m=stability_batch(p, normal_branch(p))[0],
+                                params=p)
     q = decompose(stability)
     with pytest.raises(UnstableState):
         mode_correlations(q)
@@ -151,7 +154,7 @@ def test_unstable_normal_branch_above_threshold(open_params):
 def test_divergent_at_threshold(open_params):
     p = at_ratio(open_params, 1.0)
     with pytest.raises(DivergentSteadyState):
-        steady_state_moments(p, solve_mean_field(p))
+        steady_state_moments(p)
 
 
 def test_hermitize_is_projection():
@@ -168,7 +171,7 @@ def test_hermitize_is_projection():
 def test_occupations_real_after_symmetrization(open_params):
     # the adjoint symmetry s = T conj(s)^T T forces real diagonal occupations
     p = at_ratio(open_params, 1.0 - np.exp(-14.0))
-    s = steady_state_moments(p, solve_mean_field(p)).s
+    s = steady_state_moments(p).s
     assert s[1, 0].imag == 0.0
     assert s[3, 2].imag == 0.0
 
@@ -228,13 +231,13 @@ def test_decompose_defective_at_interval_endpoints(open_params):
     for y in (INTERVAL_LOWER, INTERVAL_UPPER):
         p = open_params.with_pump(y)
         with pytest.raises(DefectiveMatrix) as exc:
-            decompose(build_stability_matrix(p, solve_mean_field(p)))
+            decompose(build_stability_matrix(p))
         assert exc.value.cond > 1e7 or exc.value.gap < 1e-7
 
 
 def test_two_real_eigenvalues_inside_interval(open_params):
     p = open_params.with_pump(1.99)
-    q = decompose(build_stability_matrix(p, solve_mean_field(p)))
+    q = decompose(build_stability_matrix(p))
     n_real = sum(1 for lam in q.lambdas if abs(lam.imag) <= 1e-8)
     assert n_real >= 2
 
@@ -242,7 +245,7 @@ def test_two_real_eigenvalues_inside_interval(open_params):
 def test_not_defective_away_from_endpoints(open_params):
     for ratio in (0.5, 0.9, 1.5):
         p = at_ratio(open_params, ratio)
-        decompose(build_stability_matrix(p, solve_mean_field(p)))
+        decompose(build_stability_matrix(p))
 
 
 def test_scan_statuses_and_ambiguity(open_params):
@@ -262,7 +265,7 @@ def test_depletion_monotone_near_threshold(open_params):
     values = []
     for e in eps:
         p = open_params.with_pump(y_c * (1.0 - e))
-        values.append(observables(steady_state_moments(p, solve_mean_field(p)))[0])
+        values.append(observables(steady_state_moments(p))[0])
     diffs = np.diff(values)
     assert np.all(diffs > 0.0)
 

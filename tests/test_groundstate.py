@@ -7,7 +7,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import at_ratio
+from conftest import at_ratio, normal_branch
 from opendicke import cli
 from opendicke.basis import ETA
 from opendicke.entanglement import quad_covariance
@@ -17,8 +17,7 @@ from opendicke.fluctuations import (build_stability_matrix, observables,
 from opendicke.analysis import ScanKind, figure_scan
 from opendicke.groundstate import (bogoliubov_modes, ground_state_batch,
                                    ground_state_moments)
-from opendicke.model import (MeanField, ModelParams, Phase, critical_pump,
-                             mean_field_batch, solve_mean_field)
+from opendicke.model import ModelParams, critical_pump, mean_field_batch
 from opendicke.oracle import fock_ground_state
 
 # Normal-mode frequencies at delta_c=-2, u=0, y = 0.5*y_c (frozen).
@@ -40,7 +39,7 @@ def test_vacuum_at_zero_pump(closed_params):
 
 def test_matches_open_system_vacuum(open_params, closed_params):
     # at y=0 the damped steady state and the ground state are both vacuum
-    s_open = steady_state_moments(open_params, solve_mean_field(open_params)).s
+    s_open = steady_state_moments(open_params).s
     s_closed = ground_state_moments(closed_params).s
     np.testing.assert_allclose(s_open, s_closed, atol=1e-12)
 
@@ -82,9 +81,10 @@ def test_instability_at_threshold(closed_params):
 
 def test_instability_on_normal_branch_above_threshold(closed_params):
     p = at_ratio(closed_params, 1.2)
-    mf = MeanField(alpha0=0.0j, beta0=0.0, mu=-0.5, phase=Phase.NORMAL)
+    mf = normal_branch(p)
+    ground_state_batch(p, mf)
     with pytest.raises(DynamicalInstability):
-        ground_state_moments(p, mf)
+        mf.errors.raise_first()
 
 
 def test_superradiant_ground_state(closed_params):

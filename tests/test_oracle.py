@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import at_ratio
+from conftest import at_ratio, normal_branch
 from opendicke import oracle
 from opendicke.basis import ETA
 from opendicke.errors import (CutoffTooSmall, DivergentSteadyState,
@@ -15,22 +15,19 @@ from opendicke.errors import (CutoffTooSmall, DivergentSteadyState,
 from opendicke.fluctuations import (SecondMoments, StabilityMatrix,
                                     build_stability_matrix,
                                     hermitize_moments, noise_matrix,
-                                    observables, steady_state_moments)
+                                    observables, stability_batch,
+                                    steady_state_moments)
 from opendicke.groundstate import ground_state_moments
-from opendicke.model import MeanField, ModelParams, Phase, solve_mean_field
+from opendicke.model import ModelParams
 from opendicke.oracle import (_fock_occupations, _kron_sum,
                               _sector_hamiltonian, fock_ground_state,
                               lyapunov_moments)
 
 
-def _stability(params):
-    return build_stability_matrix(params, solve_mean_field(params))
-
-
 def test_lyapunov_solves_equation(open_params):
     for ratio in (0.4, 0.9, 1.5):
         p = at_ratio(open_params, ratio)
-        stability = _stability(p)
+        stability = build_stability_matrix(p)
         s = lyapunov_moments(stability).s
         residual = stability.m @ s + s @ stability.m.T + noise_matrix(p.kappa)
         assert np.max(np.abs(residual)) <= 1e-10
@@ -41,7 +38,7 @@ def test_lyapunov_vacuum_at_zero_pump(open_params):
     # consistent.  The damped photon sector is pinned to vacuum; the atom
     # sector is undetermined and the solver returns its minimum-norm value
     # (zeros).  Only the eigenmode route carries the physical vacuum there.
-    stability = _stability(open_params)
+    stability = build_stability_matrix(open_params)
     s = lyapunov_moments(stability).s
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 1] = 1.0
@@ -52,19 +49,19 @@ def test_lyapunov_vacuum_at_zero_pump(open_params):
 
 def test_lyapunov_unstable_branch(open_params):
     p = at_ratio(open_params, 1.3)
-    mf = MeanField(alpha0=0.0j, beta0=0.0, mu=-0.5, phase=Phase.NORMAL)
     with pytest.raises(UnstableState):
-        lyapunov_moments(build_stability_matrix(p, mf))
+        lyapunov_moments(StabilityMatrix(m=stability_batch(p, normal_branch(p))[0],
+                                         params=p))
 
 
 def test_lyapunov_divergent_at_threshold(open_params):
     with pytest.raises(DivergentSteadyState):
-        lyapunov_moments(_stability(at_ratio(open_params, 1.0)))
+        lyapunov_moments(build_stability_matrix(at_ratio(open_params, 1.0)))
 
 
 def test_lyapunov_rejects_fully_undamped_system(closed_params):
     with pytest.raises(DivergentSteadyState):
-        lyapunov_moments(_stability(at_ratio(closed_params, 0.5)))
+        lyapunov_moments(build_stability_matrix(at_ratio(closed_params, 0.5)))
 
 
 # Large kappa and pump: max|M| ~ 8.6e3 and max|S| ~ 7.3e6, so rounding in
@@ -74,7 +71,7 @@ LARGE_SCALE = ModelParams(delta_c=-0.5678787341247107, kappa=8598.150873883307,
 
 
 def test_lyapunov_accepts_rounding_residual_at_large_scale():
-    stability = _stability(LARGE_SCALE)
+    stability = build_stability_matrix(LARGE_SCALE)
     delta_n, n_photon = observables(lyapunov_moments(stability))
     # two routes that share nothing with the Kronecker solve
     sylvester = sla.solve_sylvester(stability.m, stability.m.T,
@@ -90,7 +87,7 @@ def test_lyapunov_rejects_perturbed_solve(monkeypatch, open_params, large):
     # An error of 1e-8 max|S| in every entry, in no special direction, is a
     # backward error of about 1e-8, 1e4 times the limit.
     p = LARGE_SCALE if large else at_ratio(open_params, 0.5)
-    stability = _stability(p)
+    stability = build_stability_matrix(p)
     solve = np.linalg.solve
 
     def perturbed(a, b):
@@ -107,7 +104,7 @@ def _figure_scan_stability_matrices():
     for kappa in (2.0, 0.0):
         for u in (0.0, 0.7):
             base = ModelParams(delta_c=-2.0, kappa=kappa, u=u, y=0.0)
-            out += [_stability(at_ratio(base, r)).m
+            out += [build_stability_matrix(at_ratio(base, r)).m
                     for r in (0.0, 0.5, 0.9, 1.2, 1.5)]
     return out
 
@@ -151,7 +148,8 @@ def test_lyapunov_moments_is_the_kronecker_solve():
              for m in mats]
     for u in (0.0, 0.7):
         base = ModelParams(delta_c=-2.0, kappa=2.0, u=u, y=0.0)
-        cases += [_stability(at_ratio(base, r)) for r in (0.5, 0.9, 1.2, 1.5)]
+        cases += [build_stability_matrix(at_ratio(base, r))
+                  for r in (0.5, 0.9, 1.2, 1.5)]
     for st in cases:
         rhs = -noise_matrix(st.params.kappa).reshape(16).astype(complex)
         want = hermitize_moments(np.linalg.solve(
@@ -235,7 +233,7 @@ def _full_space_ground_state(h, cutoffs):
 @pytest.mark.parametrize("u, ratio", [(0.0, 0.5), (0.0, 1.5), (0.5, 0.6)])
 def test_even_sector_in_photon_gauge_matches_full_space(u, ratio):
     p = at_ratio(ModelParams(delta_c=-2.0, kappa=0.0, u=u, y=0.0), ratio)
-    h = 1j * ETA @ _stability(p).m
+    h = 1j * ETA @ build_stability_matrix(p).m
     gauge = np.array([1j, -1j, 1.0, 1.0])
     rotated = np.conj(gauge)[:, None] * h * gauge
     assert np.max(np.abs(rotated.imag)) == 0.0
@@ -258,7 +256,7 @@ def test_warm_start_does_not_bias_the_doubling_check(closed_params, ratio,
     # from the coarse ground state must land on the state that a solve from
     # the uniform vector finds, and the doubling drift must not move.
     p = at_ratio(closed_params, ratio)
-    h = (np.conj(oracle._GAUGE)[:, None] * (1j * ETA @ _stability(p).m)
+    h = (np.conj(oracle._GAUGE)[:, None] * (1j * ETA @ build_stability_matrix(p).m)
          * oracle._GAUGE).real
     coarse = _fock_occupations(h, (60, 60), _uniform_start(h, (60, 60)))[0]
     fine = _fock_occupations(h, (120, 120), _uniform_start(h, (120, 120)))[0]
@@ -288,6 +286,6 @@ def test_fock_rejects_coefficients_not_real_in_photon_gauge(monkeypatch,
     np.testing.assert_array_equal(h, h.conj().T)
     m = -1j * ETA @ h
     monkeypatch.setattr(oracle, "build_stability_matrix",
-                        lambda params, mf=None: SimpleNamespace(m=m))
+                        lambda params: SimpleNamespace(m=m))
     with pytest.raises(NumericalFailure, match="not real in the photon gauge"):
         fock_ground_state(at_ratio(closed_params, 0.5), cutoffs=(20, 20))
