@@ -13,13 +13,17 @@ the model fails (divergence at the critical point, defective matrices,
 instability) are reported, never dropped.  Every scan computes its grid as
 batches of arrays, BATCH_ROWS pump values at a time; a row's status is its
 first failing check, in the order mean field, defective, biorthonormality,
-pairing, unstable, divergent, moment structure, observables.
+pairing, unstable, divergent, moment structure, observables.  A grid scan of
+more than one batch runs its batches on one thread per CPU the process may
+use, the calling thread included, and joins the rows in grid order, so its
+table does not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +34,7 @@ from .errors import (DefectiveMatrix, DegenerateBranch, DivergentSteadyState,
                      UnstableState)
 from .fluctuations import observables_batch, spectrum_scan, steady_state_batch
 from .groundstate import ground_state_batch
-from .model import ModelParams, critical_pump, mean_field_batch
+from .model import ModelParams, critical_pump, mean_field_batch, pump_grid
 
 DEFAULT_WINDOW = (math.exp(-14.0), math.exp(-5.0))
 DEFAULT_POINTS_PER_SIDE = 40
@@ -41,8 +45,9 @@ GOOD_FIT_R_SQUARED = 0.999
 FIT_STEP_TOL = 1e-10
 FIT_MAX_ITER = 50
 # Pump values per batch of a grid scan.  It bounds the (N, 4, 4)
-# temporaries of a long grid to about a megabyte; a batch adds a fixed cost
-# of a few hundred microseconds.
+# temporaries of a long grid to about a megabyte per thread; a batch adds a
+# fixed cost of a few hundred microseconds.  A batch is also the unit of work
+# of a scan's threads: a grid of fewer than two batches runs on one thread.
 BATCH_ROWS = 256
 
 
@@ -245,21 +250,80 @@ _GRID_SCANS = {
 }
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_batches(compute, batches: list) -> list:
+    """``[compute(b) for b in batches]``, on one thread per usable CPU when
+    there are at least two batches and two CPUs.
+
+    numpy's LAPACK calls release the GIL, so the eigen-solves of different
+    batches overlap.  The calling thread takes batches too, and every helper
+    thread is joined before this returns.  The exception of the first
+    failing batch in grid order is raised, as a serial loop would raise it.
+    """
+    workers = min(len(batches), _usable_cpus())
+    if workers < 2:
+        return [compute(b) for b in batches]
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    results = [None] * len(batches)
+    pending = iter(range(len(batches)))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = (compute(batches[i]), None)
+            except BaseException as err:
+                results[i] = (None, err)
+                # No batch after this one is taken; every earlier one was.
+                with lock:
+                    for _ in pending:
+                        pass
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+    out = []
+    for value, err in results:
+        if err is not None:
+            raise err
+        out.append(value)
+    return out
+
+
 def _grid_table(kind: ScanKind, params: ModelParams, y_grid) -> Table:
     """The table of a grid scan, computed in batches of at most BATCH_ROWS
-    pumps."""
+    pumps (:func:`_map_batches`); raises ValueError naming the first bad
+    pump of the grid before any batch runs."""
     names, columns_of = _GRID_SCANS[kind]
-    y = np.asarray(y_grid, dtype=float).reshape(-1)
+    y = pump_grid(y_grid)
     y_c = critical_pump(params)
-    rows = []
-    for start in range(0, y.size, BATCH_ROWS):
-        batch = y[start:start + BATCH_ROWS]
+
+    def batch_rows(batch):
         errors, columns = columns_of(params, batch)
-        rows += zip(batch.tolist(), (batch / y_c).tolist(),
-                    *(c.tolist() for c in columns),
-                    ["ok" if e is None else status_of(e) for e in errors.errors])
+        return list(zip(batch.tolist(), (batch / y_c).tolist(),
+                        *(c.tolist() for c in columns),
+                        ["ok" if e is None else status_of(e)
+                         for e in errors.errors]))
+
+    batches = [y[start:start + BATCH_ROWS] for start in range(0, y.size, BATCH_ROWS)]
     return Table(kind=kind, columns=("y", "y_over_yc") + names + ("status",),
-                 rows=rows)
+                 rows=[row for part in _map_batches(batch_rows, batches)
+                       for row in part])
 
 
 def _spectrum_table(params: ModelParams, y_grid) -> Table:

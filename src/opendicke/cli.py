@@ -6,8 +6,9 @@ status column per row; output is byte-deterministic for identical
 invocations (shortest round-trip float formatting, fixed row order).  CSV
 rows are ``%s`` format strings written at once, as ``csv`` would write them:
 floats as their ``str``, and no cell or name needs quoting.  Scans compute
-their pump grids as batches of arrays; ``--threads`` is accepted for
-compatibility and has no effect.
+their pump grids as batches of arrays, a grid of more than one batch on one
+thread per CPU the process may use; ``--threads`` is accepted for
+compatibility and ignored.
 
 Pump values and grid endpoints accept the token ``yc`` scaled by an optional
 prefix, e.g. ``--y=0.9yc`` or ``--y-grid=0:2yc:200``; the analytic critical
@@ -281,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; no effect, grids "
-                             "are computed as batches")
+                        help="accepted for compatibility and ignored; the "
+                             "number of worker threads follows the CPUs the "
+                             "process may use")
 
     def add_grid_command(name: str, kind: analysis.ScanKind, default_grid: str,
                          help_: str):

@@ -19,6 +19,7 @@ import csv
 import hashlib
 import io
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -230,14 +231,17 @@ def _count_linalg(monkeypatch, names, matrices: dict | None = None) -> dict:
     calls = dict.fromkeys(names, 0)
     if matrices is not None:
         matrices.update(dict.fromkeys(names, 0))
+    # The batches of a long grid call numpy.linalg from several threads.
+    lock = threading.Lock()
 
     def counted(name):
         real = getattr(np.linalg, name)
 
         def call(*args, **kwargs):
-            calls[name] += 1
-            if matrices is not None:
-                matrices[name] += np.shape(args[0])[0] if np.ndim(args[0]) > 2 else 1
+            with lock:
+                calls[name] += 1
+                if matrices is not None:
+                    matrices[name] += np.shape(args[0])[0] if np.ndim(args[0]) > 2 else 1
             return real(*args, **kwargs)
         return call
 
@@ -293,7 +297,7 @@ def test_injected_mean_field_is_the_solved_one(u, ratio):
 def test_mean_field_table_joins_batches(monkeypatch):
     """A 600-point mean-field table runs as three batches and equals, bit
     for bit, the rows of one mean-field batch of the whole grid, its failed
-    rows included."""
+    rows included.  The batches may run on several threads, in any order."""
     base = ModelParams(delta_c=-0.0021305, kappa=28.73, u=-1.4257, y=0.0)
     y_c = critical_pump(base)
     grid = np.linspace(0.0, 2.0 * y_c, 600)
@@ -312,7 +316,7 @@ def test_mean_field_table_joins_batches(monkeypatch):
 
     monkeypatch.setattr(analysis, "mean_field_batch", counted)
     rows = figure_scan(ScanKind.MEAN_FIELD, base, grid).rows
-    assert sizes == [BATCH_ROWS, BATCH_ROWS, 600 - 2 * BATCH_ROWS]
+    assert sorted(sizes) == [600 - 2 * BATCH_ROWS, BATCH_ROWS, BATCH_ROWS]
     assert {row[-1] for row in rows} == {"ok", "failed"}
     assert repr(rows) == repr(want)
 
@@ -374,3 +378,104 @@ def test_failed_point_raises_without_eigen_solve(monkeypatch, kappa):
         assert type(info.value) is cls
         assert info.value.args == (message,) and str(info.value) == message
     assert calls == {"eig": 0, "eigh": 0}
+
+
+# A grid of more than one batch runs its batches on one thread per usable CPU
+# (analysis._map_batches); these tests pin the CPU count so that they run
+# the same on any machine.
+
+def _pin_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _count_thread_starts(monkeypatch) -> list:
+    started = []
+    real = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        real(self)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+@pytest.mark.parametrize("kind", [ScanKind.MEAN_AND_FLUCT, ScanKind.ENTANGLEMENT])
+@pytest.mark.parametrize("kappa", sorted(DEAD_ROWS))
+def test_threaded_scan_joins_single_batch_scans(monkeypatch, kind, kappa):
+    """A 600-pump scan on three threads equals, by repr, its three
+    single-batch scans end to end.  Its failed rows fill the second batch in
+    part and the third wholly, so both failed rows and their live-row
+    re-entry run off the calling thread.  Every thread is joined on return."""
+    base = _dead_row_params(kappa)
+    grid = np.linspace(0.0, 2.0 * critical_pump(base), 600)
+    want = []
+    for start in range(0, grid.size, BATCH_ROWS):
+        want += figure_scan(kind, base, grid[start:start + BATCH_ROWS]).rows
+    _pin_cpus(monkeypatch, 3)
+    started = _count_thread_starts(monkeypatch)
+    rows = figure_scan(kind, base, grid).rows
+    assert started and not any(thread.is_alive() for thread in started)
+    assert repr(rows) == repr(want)
+
+
+@pytest.mark.parametrize("cpus, points", [(1, 600), (4, BATCH_ROWS)])
+def test_serial_scan_starts_no_thread(monkeypatch, cpus, points):
+    """A one-CPU process, and a grid of one batch, compute the scan on the
+    calling thread, with the rows of a threaded scan."""
+    base = _dead_row_params(28.73)
+    grid = np.linspace(0.0, 2.0 * critical_pump(base), points)
+    _pin_cpus(monkeypatch, 2)
+    want = figure_scan(ScanKind.MEAN_AND_FLUCT, base, grid).rows
+    _pin_cpus(monkeypatch, cpus)
+
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert repr(figure_scan(ScanKind.MEAN_AND_FLUCT, base, grid).rows) == repr(want)
+
+
+def test_no_thread_outlives_a_scan(monkeypatch, open_params):
+    _pin_cpus(monkeypatch, 2)
+    before = threading.active_count()
+    grid = np.linspace(0.0, 2.0 * critical_pump(open_params), 600)
+    figure_scan(ScanKind.ENTANGLEMENT, open_params, grid)
+    assert threading.active_count() == before
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    _pin_cpus(monkeypatch, 3)
+    assert analysis._usable_cpus() == 3
+    monkeypatch.delattr(analysis.os, "sched_getaffinity")
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)
+    assert analysis._usable_cpus() == 1
+
+
+def test_threaded_batches_raise_the_first_failing_batch(monkeypatch):
+    """Batches 2 to 5 raise: the error is batch 2's, whichever thread ran
+    it, as in a serial loop."""
+    _pin_cpus(monkeypatch, 3)
+
+    def square(b):
+        if b >= 2:
+            raise ValueError(f"batch {b}")
+        return b * b
+    with pytest.raises(ValueError, match="^batch 2$"):
+        analysis._map_batches(square, list(range(6)))
+    assert analysis._map_batches(square, [0, 1]) == [0, 1]
+
+
+def test_bad_pump_raises_before_any_batch(monkeypatch, open_params):
+    """A grid checks all of its pumps before it splits: the first bad one is
+    named, and no batch and no thread starts."""
+    grid = np.linspace(0.0, 1.0, 600)
+    grid[300], grid[500] = -1.0, math.nan
+    names, _ = analysis._GRID_SCANS[ScanKind.MEAN_AND_FLUCT]
+
+    def never(params, y):
+        raise AssertionError("a batch ran")
+    monkeypatch.setitem(analysis._GRID_SCANS, ScanKind.MEAN_AND_FLUCT, (names, never))
+    _pin_cpus(monkeypatch, 2)
+    started = _count_thread_starts(monkeypatch)
+    with pytest.raises(ValueError, match=r"^pump y must be finite and >= 0, got -1\.0$"):
+        figure_scan(ScanKind.MEAN_AND_FLUCT, open_params, grid)
+    assert started == []

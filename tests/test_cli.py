@@ -370,7 +370,9 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_threads_deterministic(capsys):
-    argv = ["correlations", "--delta-c=-2", "--kappa=2", "--y-grid=0:2yc:40"]
+    """--threads is ignored: a grid of three batches prints the same table
+    whatever it says."""
+    argv = ["correlations", "--delta-c=-2", "--kappa=2", "--y-grid=0:2yc:600"]
     _, single, _ = run_cli(argv + ["--threads=1"], capsys)
     _, multi, _ = run_cli(argv + ["--threads=4"], capsys)
     assert single == multi
