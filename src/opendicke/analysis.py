@@ -15,15 +15,16 @@ batches of arrays, BATCH_ROWS pump values at a time; a row's status is its
 first failing check, in the order mean field, defective, biorthonormality,
 pairing, unstable, divergent, moment structure, observables.  A grid scan of
 more than one batch runs its batches on one thread per CPU the process may
-use, the calling thread included, and joins the rows in grid order, so its
-table does not depend on the number of threads.
+use, the calling thread included (``fluctuations._map_batches``), and joins
+the rows in grid order, so its table does not depend on the number of
+threads.  A caller that writes rows as text passes ``render``, and each batch
+renders its rows on the thread that computed it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,8 @@ from .entanglement import covariance_batch, log_negativity_batch
 from .errors import (DefectiveMatrix, DegenerateBranch, DivergentSteadyState,
                      DynamicalInstability, InvalidCurve, NumericalFailure,
                      UnstableState)
-from .fluctuations import observables_batch, spectrum_scan, steady_state_batch
+from .fluctuations import (_batches, _map_batches, observables_batch,
+                           spectrum_scan, steady_state_batch)
 from .groundstate import ground_state_batch
 from .model import ModelParams, critical_pump, mean_field_batch, pump_grid
 
@@ -44,11 +46,6 @@ GOOD_FIT_R_SQUARED = 0.999
 # this, relative to the data; it gives up after FIT_MAX_ITER steps.
 FIT_STEP_TOL = 1e-10
 FIT_MAX_ITER = 50
-# Pump values per batch of a grid scan.  It bounds the (N, 4, 4)
-# temporaries of a long grid to about a megabyte per thread; a batch adds a
-# fixed cost of a few hundred microseconds.  A batch is also the unit of work
-# of a scan's threads: a grid of fewer than two batches runs on one thread.
-BATCH_ROWS = 256
 
 
 class Side(enum.Enum):
@@ -250,92 +247,50 @@ _GRID_SCANS = {
 }
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+# The spectrum's columns between (y, y_over_yc) and status.
+_SPECTRUM_COLUMNS = tuple(f"lambda{k}_{part}" for k in range(1, 5)
+                          for part in ("re", "im"))
 
 
-def _map_batches(compute, batches: list) -> list:
-    """``[compute(b) for b in batches]``, on one thread per usable CPU when
-    there are at least two batches and two CPUs.
-
-    numpy's LAPACK calls release the GIL, so the eigen-solves of different
-    batches overlap.  The calling thread takes batches too, and every helper
-    thread is joined before this returns.  The exception of the first
-    failing batch in grid order is raised, as a serial loop would raise it.
-    """
-    workers = min(len(batches), _usable_cpus())
-    if workers < 2:
-        return [compute(b) for b in batches]
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
-    results = [None] * len(batches)
-    pending = iter(range(len(batches)))
-    lock = threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            try:
-                results[i] = (compute(batches[i]), None)
-            except BaseException as err:
-                results[i] = (None, err)
-                # No batch after this one is taken; every earlier one was.
-                with lock:
-                    for _ in pending:
-                        pass
-
-    with ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [pool.submit(drain) for _ in range(workers - 1)]
-        drain()
-        for helper in helpers:
-            helper.result()
-    out = []
-    for value, err in results:
-        if err is not None:
-            raise err
-        out.append(value)
-    return out
+def scan_columns(kind: ScanKind) -> tuple[str, ...]:
+    """The columns of the :func:`figure_scan` table of a pump-grid ``kind``."""
+    names = _SPECTRUM_COLUMNS if kind is ScanKind.SPECTRUM else _GRID_SCANS[kind][0]
+    return ("y", "y_over_yc") + names + ("status",)
 
 
-def _grid_table(kind: ScanKind, params: ModelParams, y_grid) -> Table:
-    """The table of a grid scan, computed in batches of at most BATCH_ROWS
-    pumps (:func:`_map_batches`); raises ValueError naming the first bad
-    pump of the grid before any batch runs."""
-    names, columns_of = _GRID_SCANS[kind]
+def _rows(rows, render) -> list:
+    """The row tuples, or ``render`` of each."""
+    return list(rows if render is None else map(render, rows))
+
+
+def _grid_table(kind: ScanKind, params: ModelParams, y_grid, render) -> Table:
+    """The table of a grid scan, computed and rendered in batches of at most
+    BATCH_ROWS pumps (:func:`_map_batches`); raises ValueError naming the
+    first bad pump of the grid before any batch runs."""
+    columns_of = _GRID_SCANS[kind][1]
     y = pump_grid(y_grid)
     y_c = critical_pump(params)
 
     def batch_rows(batch):
         errors, columns = columns_of(params, batch)
-        return list(zip(batch.tolist(), (batch / y_c).tolist(),
-                        *(c.tolist() for c in columns),
-                        ["ok" if e is None else status_of(e)
-                         for e in errors.errors]))
+        return _rows(zip(batch.tolist(), (batch / y_c).tolist(),
+                         *(c.tolist() for c in columns),
+                         ["ok" if e is None else status_of(e)
+                          for e in errors.errors]), render)
 
-    batches = [y[start:start + BATCH_ROWS] for start in range(0, y.size, BATCH_ROWS)]
-    return Table(kind=kind, columns=("y", "y_over_yc") + names + ("status",),
-                 rows=[row for part in _map_batches(batch_rows, batches)
+    return Table(kind=kind, columns=scan_columns(kind),
+                 rows=[row for part in _map_batches(batch_rows, _batches(y))
                        for row in part])
 
 
-def _spectrum_table(params: ModelParams, y_grid) -> Table:
+def _spectrum_table(params: ModelParams, y_grid, render) -> Table:
     scan = spectrum_scan(params, y_grid)
     columns = [scan.y.tolist(), (scan.y / critical_pump(params)).tolist()]
-    names = ("y", "y_over_yc")
     for k in range(4):
         columns += [scan.branches[:, k].real.tolist(),
                     scan.branches[:, k].imag.tolist()]
-        names += (f"lambda{k + 1}_re", f"lambda{k + 1}_im")
-    return Table(kind=ScanKind.SPECTRUM, columns=names + ("status",),
-                 rows=list(zip(*columns, scan.status)),
+    return Table(kind=ScanKind.SPECTRUM, columns=scan_columns(ScanKind.SPECTRUM),
+                 rows=_rows(zip(*columns, scan.status), render),
                  meta={"real_intervals": scan.real_intervals})
 
 
@@ -365,13 +320,20 @@ def _check_fit_points(n: int) -> None:
                          f"for the fit, got {n}")
 
 
-def figure_scan(kind: ScanKind, params: ModelParams, y_grid) -> Table:
+def figure_scan(kind: ScanKind, params: ModelParams, y_grid, *,
+                render=None) -> Table:
     """The table of a scan along the pump grid ``y_grid``, computed as
     batches of arrays: MEAN_FIELD, MEAN_AND_FLUCT, ENTANGLEMENT or SPECTRUM.
-    Exponent tables have their own grid (:func:`exponent_table`)."""
+    Exponent tables have their own grid (:func:`exponent_table`).
+
+    With ``render``, a function of a row tuple, the table's rows are
+    ``render(row)`` in place of the tuples.  A grid scan renders each batch's
+    rows on the thread that computed the batch, while other batches are
+    still computing; the spectrum renders after its branches are matched.
+    """
     if kind is ScanKind.SPECTRUM:
-        return _spectrum_table(params, y_grid)
+        return _spectrum_table(params, y_grid, render)
     if kind not in _GRID_SCANS:
         raise ValueError(f"{kind!r} is not a pump-grid scan; exponent tables "
                          "come from exponent_table")
-    return _grid_table(kind, params, y_grid)
+    return _grid_table(kind, params, y_grid, render)

@@ -8,7 +8,9 @@ rows are ``%s`` format strings written at once, as ``csv`` would write them:
 floats as their ``str``, and no cell or name needs quoting.  Scans compute
 their pump grids as batches of arrays, a grid of more than one batch on one
 thread per CPU the process may use; ``--threads`` is accepted for
-compatibility and ignored.
+compatibility and ignored.  A grid scan's CSV lines are rendered per batch,
+on the thread that computed the batch, and a spectrum's after its branches
+are matched; JSON and exponent tables are written from the row tuples.
 
 Pump values and grid endpoints accept the token ``yc`` scaled by an optional
 prefix, e.g. ``--y=0.9yc`` or ``--y-grid=0:2yc:200``; the analytic critical
@@ -103,7 +105,14 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     return flags
 
 
-def _emit_table(table: analysis.Table, args) -> None:
+def _csv_format(columns: tuple[str, ...]) -> str:
+    """The CSV line of a row of ``columns``: one ``%s`` per cell."""
+    return ",".join(["%s"] * len(columns)) + "\n"
+
+
+def _emit_table(table: analysis.Table, args, rendered: bool = False) -> None:
+    """Write the table as ``args.format``; ``rendered`` rows are CSV lines
+    already."""
     out = sys.stdout if args.output is None else open(args.output, "w",
                                                       encoding="utf-8")
     try:
@@ -117,8 +126,9 @@ def _emit_table(table: analysis.Table, args) -> None:
             out.write(json.dumps(payload, indent=2, allow_nan=False))
             out.write("\n")
         else:
-            fmt = ",".join(["%s"] * len(table.columns)) + "\n"
-            out.write(fmt % table.columns + "".join(fmt % row for row in table.rows))
+            fmt = _csv_format(table.columns)
+            lines = table.rows if rendered else map(fmt.__mod__, table.rows)
+            out.write(fmt % table.columns + "".join(lines))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -143,9 +153,11 @@ def _model_params(args, y: float = 0.0) -> model.ModelParams:
 def _cmd_scan(args) -> int:
     params = _model_params(args)
     grid = _parse_grid(args.y_grid, model.critical_pump(params))
-    table = analysis.figure_scan(args.kind, params, grid)
-    _emit_table(table, args)
-    if args.format == "csv":
+    csv = args.format == "csv"
+    render = _csv_format(analysis.scan_columns(args.kind)).__mod__ if csv else None
+    table = analysis.figure_scan(args.kind, params, grid, render=render)
+    _emit_table(table, args, rendered=csv)
+    if csv:
         # JSON carries the spectrum's intervals; CSV reports them here.
         for iv in table.meta.get("real_intervals", ()):
             print("real-axis interval: y in "

@@ -1,4 +1,5 @@
-"""Shared fixtures: canonical parameter points used across the test modules.
+"""Shared fixtures: canonical parameter points used across the test modules,
+and the CPU-count pin and thread counter of the threaded-scan tests.
 
 The package is imported from ``PYTHONPATH`` (or an installed copy) when one
 is found, and from this checkout's ``src/`` otherwise, so that
@@ -7,6 +8,7 @@ is found, and from this checkout's ``src/`` otherwise, so that
 
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 if importlib.util.find_spec("opendicke") is None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from opendicke import fluctuations  # noqa: E402
 from opendicke.errors import RowErrors  # noqa: E402
 from opendicke.model import MeanFieldBatch, ModelParams, critical_pump  # noqa: E402
 
@@ -40,3 +43,30 @@ def normal_branch(params: ModelParams) -> MeanFieldBatch:
     above threshold, where the solver takes the superradiant branch."""
     return MeanFieldBatch(y=params.y, alpha0=0j, beta0=0.0, mu=-0.5,
                           errors=RowErrors(1))
+
+
+def dead_row_params(kappa: float) -> ModelParams:
+    """A point whose superradiant rows have no branch (u < 0): on a grid
+    over [0, 2 y_c] the rows above y_c fail in the mean field."""
+    return ModelParams(delta_c=-0.0021305, kappa=kappa, u=-1.4257, y=0.0)
+
+
+# A grid of more than one batch runs its batches on one thread per usable CPU
+# (fluctuations._map_batches); tests pin the CPU count so that they run the
+# same on any machine.
+
+def pin_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(fluctuations.os, "sched_getaffinity",
+                        lambda pid: set(range(n)))
+
+
+def count_thread_starts(monkeypatch) -> list:
+    """The threads started from now on, in a list that fills as they start."""
+    started = []
+    real = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        real(self)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started

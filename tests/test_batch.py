@@ -27,13 +27,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opendicke import analysis, cli
-from opendicke.analysis import BATCH_ROWS, ScanKind, figure_scan, status_of
+from conftest import count_thread_starts, dead_row_params, pin_cpus
+from opendicke import analysis, cli, fluctuations
+from opendicke.analysis import ScanKind, figure_scan, status_of
 from opendicke.entanglement import (log_negativity, quad_covariance,
                                     symplectic_min)
 from opendicke.errors import NumericalFailure, OpenDickeError
-from opendicke.fluctuations import (build_stability_matrix, observables,
-                                    steady_state_moments)
+from opendicke.fluctuations import (BATCH_ROWS, build_stability_matrix,
+                                    observables, steady_state_moments)
 from opendicke.groundstate import bogoliubov_modes, ground_state_moments
 from opendicke.model import (ModelParams, Phase, critical_pump, mean_field_batch,
                              solve_mean_field)
@@ -262,6 +263,21 @@ def test_entanglement_scan_makes_one_eigen_solve(monkeypatch):
     assert calls == {"eig": 1, "svd": 0, "cond": 0, "eigvals": 0}
 
 
+@pytest.mark.parametrize("points", [1201, 241])
+def test_spectrum_solves_each_row_once(monkeypatch, open_params, points):
+    """A spectrum grid makes one eig per batch of BATCH_ROWS pumps and hands
+    it one matrix per row; the endpoint refinement, stubbed here, makes its
+    own."""
+    matrices = {}
+    calls = _count_linalg(monkeypatch, ("eig",), matrices)
+    monkeypatch.setattr(fluctuations, "_refine_endpoint", lambda params, a, b: None)
+    pin_cpus(monkeypatch, 3)
+    grid = np.linspace(0.0, 1.2 * critical_pump(open_params), points)
+    assert len(fluctuations.spectrum_scan(open_params, grid).real_intervals) == 1
+    assert matrices == {"eig": points}
+    assert calls == {"eig": -(-points // BATCH_ROWS)}
+
+
 @pytest.mark.parametrize("ratio", [0.5, 1.5])
 def test_scalar_steady_pair_linalg_calls(monkeypatch, ratio):
     """One eigenmode-vs-Lyapunov comparison: the eigenmode route makes one
@@ -334,17 +350,13 @@ DEAD_ROWS = {
 }
 
 
-def _dead_row_params(kappa: float) -> ModelParams:
-    return ModelParams(delta_c=-0.0021305, kappa=kappa, u=-1.4257, y=0.0)
-
-
 @pytest.mark.parametrize("kappa", sorted(DEAD_ROWS))
 def test_failed_rows_skip_the_linear_algebra(monkeypatch, kappa):
     """Rows whose mean field failed never reach an eigen-solve, determinant
     or inverse: each stage of the correlations scan sees the 300 live rows
     (two symmetric eigen-solves each at kappa = 0), and the tables keep
     their pinned rows."""
-    base = _dead_row_params(kappa)
+    base = dead_row_params(kappa)
     grid = np.linspace(0.0, 2.0 * critical_pump(base), 600)
     names = ("eig", "det", "inv") if kappa else ("eigh",)
     matrices = {}
@@ -363,7 +375,7 @@ def test_failed_point_raises_without_eigen_solve(monkeypatch, kappa):
     from every scalar route (the ground state's routes first reject
     kappa > 0), with no eigen-solve and no warning."""
     calls = _count_linalg(monkeypatch, ("eig", "eigh"))
-    base = _dead_row_params(kappa)
+    base = dead_row_params(kappa)
     p = base.with_pump(1.025 * critical_pump(base))
     for route in (steady_state_moments, build_stability_matrix,
                   ground_state_moments, bogoliubov_modes):
@@ -380,24 +392,7 @@ def test_failed_point_raises_without_eigen_solve(monkeypatch, kappa):
     assert calls == {"eig": 0, "eigh": 0}
 
 
-# A grid of more than one batch runs its batches on one thread per usable CPU
-# (analysis._map_batches); these tests pin the CPU count so that they run
-# the same on any machine.
-
-def _pin_cpus(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def _count_thread_starts(monkeypatch) -> list:
-    started = []
-    real = threading.Thread.start
-
-    def start(self):
-        started.append(self)
-        real(self)
-    monkeypatch.setattr(threading.Thread, "start", start)
-    return started
-
+# Threaded grid scans; ``pin_cpus`` fixes the CPU count they see.
 
 @pytest.mark.parametrize("kind", [ScanKind.MEAN_AND_FLUCT, ScanKind.ENTANGLEMENT])
 @pytest.mark.parametrize("kappa", sorted(DEAD_ROWS))
@@ -406,13 +401,13 @@ def test_threaded_scan_joins_single_batch_scans(monkeypatch, kind, kappa):
     single-batch scans end to end.  Its failed rows fill the second batch in
     part and the third wholly, so both failed rows and their live-row
     re-entry run off the calling thread.  Every thread is joined on return."""
-    base = _dead_row_params(kappa)
+    base = dead_row_params(kappa)
     grid = np.linspace(0.0, 2.0 * critical_pump(base), 600)
     want = []
     for start in range(0, grid.size, BATCH_ROWS):
         want += figure_scan(kind, base, grid[start:start + BATCH_ROWS]).rows
-    _pin_cpus(monkeypatch, 3)
-    started = _count_thread_starts(monkeypatch)
+    pin_cpus(monkeypatch, 3)
+    started = count_thread_starts(monkeypatch)
     rows = figure_scan(kind, base, grid).rows
     assert started and not any(thread.is_alive() for thread in started)
     assert repr(rows) == repr(want)
@@ -422,11 +417,11 @@ def test_threaded_scan_joins_single_batch_scans(monkeypatch, kind, kappa):
 def test_serial_scan_starts_no_thread(monkeypatch, cpus, points):
     """A one-CPU process, and a grid of one batch, compute the scan on the
     calling thread, with the rows of a threaded scan."""
-    base = _dead_row_params(28.73)
+    base = dead_row_params(28.73)
     grid = np.linspace(0.0, 2.0 * critical_pump(base), points)
-    _pin_cpus(monkeypatch, 2)
+    pin_cpus(monkeypatch, 2)
     want = figure_scan(ScanKind.MEAN_AND_FLUCT, base, grid).rows
-    _pin_cpus(monkeypatch, cpus)
+    pin_cpus(monkeypatch, cpus)
 
     def refuse(self):
         raise AssertionError(f"thread {self.name} started")
@@ -435,7 +430,7 @@ def test_serial_scan_starts_no_thread(monkeypatch, cpus, points):
 
 
 def test_no_thread_outlives_a_scan(monkeypatch, open_params):
-    _pin_cpus(monkeypatch, 2)
+    pin_cpus(monkeypatch, 2)
     before = threading.active_count()
     grid = np.linspace(0.0, 2.0 * critical_pump(open_params), 600)
     figure_scan(ScanKind.ENTANGLEMENT, open_params, grid)
@@ -443,25 +438,25 @@ def test_no_thread_outlives_a_scan(monkeypatch, open_params):
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
-    _pin_cpus(monkeypatch, 3)
-    assert analysis._usable_cpus() == 3
-    monkeypatch.delattr(analysis.os, "sched_getaffinity")
-    monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)
-    assert analysis._usable_cpus() == 1
+    pin_cpus(monkeypatch, 3)
+    assert fluctuations._usable_cpus() == 3
+    monkeypatch.delattr(fluctuations.os, "sched_getaffinity")
+    monkeypatch.setattr(fluctuations.os, "cpu_count", lambda: None)
+    assert fluctuations._usable_cpus() == 1
 
 
 def test_threaded_batches_raise_the_first_failing_batch(monkeypatch):
     """Batches 2 to 5 raise: the error is batch 2's, whichever thread ran
     it, as in a serial loop."""
-    _pin_cpus(monkeypatch, 3)
+    pin_cpus(monkeypatch, 3)
 
     def square(b):
         if b >= 2:
             raise ValueError(f"batch {b}")
         return b * b
     with pytest.raises(ValueError, match="^batch 2$"):
-        analysis._map_batches(square, list(range(6)))
-    assert analysis._map_batches(square, [0, 1]) == [0, 1]
+        fluctuations._map_batches(square, list(range(6)))
+    assert fluctuations._map_batches(square, [0, 1]) == [0, 1]
 
 
 def test_bad_pump_raises_before_any_batch(monkeypatch, open_params):
@@ -474,8 +469,8 @@ def test_bad_pump_raises_before_any_batch(monkeypatch, open_params):
     def never(params, y):
         raise AssertionError("a batch ran")
     monkeypatch.setitem(analysis._GRID_SCANS, ScanKind.MEAN_AND_FLUCT, (names, never))
-    _pin_cpus(monkeypatch, 2)
-    started = _count_thread_starts(monkeypatch)
+    pin_cpus(monkeypatch, 2)
+    started = count_thread_starts(monkeypatch)
     with pytest.raises(ValueError, match=r"^pump y must be finite and >= 0, got -1\.0$"):
         figure_scan(ScanKind.MEAN_AND_FLUCT, open_params, grid)
     assert started == []

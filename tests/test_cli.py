@@ -6,8 +6,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
+from conftest import count_thread_starts, dead_row_params, pin_cpus
 from opendicke import analysis, cli, model
 
 
@@ -403,14 +405,21 @@ TABLE_COMMANDS = [
 def test_csv_bytes_equal_the_csv_module(argv, to_file, tmp_path, capsys,
                                         monkeypatch):
     """The format-string rows are byte for byte what ``csv.writer`` makes of
-    the same table."""
+    the same table.  A scan renders its CSV lines itself; the ``csv`` module
+    gets the row tuples of the same scan."""
     tables = []
-    emit = cli._emit_table
+    scan, emit = analysis.figure_scan, cli._emit_table
 
-    def record(table, args):
-        tables.append(table)
-        emit(table, args)
+    def record_scan(kind, params, y_grid, *, render=None):
+        tables.append(scan(kind, params, y_grid))
+        return scan(kind, params, y_grid, render=render)
 
+    def record(table, args, rendered=False):
+        if not rendered:
+            tables.append(table)
+        emit(table, args, rendered)
+
+    monkeypatch.setattr(analysis, "figure_scan", record_scan)
     monkeypatch.setattr(cli, "_emit_table", record)
     target = tmp_path / "table.csv"
     code, out, _ = run_cli(argv + [f"--output={target}"] * to_file, capsys)
@@ -428,6 +437,50 @@ def test_csv_bytes_equal_the_csv_module(argv, to_file, tmp_path, capsys,
     if argv[1:4] == ["--delta-c=-1", "--kappa=1", "--u=-3"]:
         assert {"failed", "divergent"} <= {row[-1] for row in table.rows}
         assert ",nan," in out
+
+
+# 600-pump grids, three batches each, of every grid kind: at kappa > 0 and
+# kappa = 0, and at a point whose failed rows fill part of the second batch
+# and all of the third, so that failed rows and live-row re-entry are
+# rendered off the calling thread.
+_OPEN = model.ModelParams(delta_c=-2.0, kappa=2.18, u=0.0, y=0.0)
+RENDERED_SCANS = [("meanfield", _OPEN)] + [
+    (command, params) for command in ("correlations", "entanglement")
+    for params in (_OPEN, model.ModelParams(delta_c=-2.0, kappa=0.0, u=0.0, y=0.0),
+                   dead_row_params(28.73), dead_row_params(0.0))]
+
+
+@pytest.mark.parametrize("command, params", RENDERED_SCANS, ids=lambda v: v if
+                         isinstance(v, str) else f"kappa={v.kappa!r},u={v.u!r}")
+def test_rendered_csv_lines_equal_the_row_tuples(command, params, monkeypatch,
+                                                 capsys):
+    """A scan renders its CSV lines per batch on the scan threads: its
+    output is the same bytes on one and on three CPUs, and is ``fmt % row``
+    over the row tuples of ``figure_scan`` without ``render``.  JSON is
+    written from those tuples."""
+    argv = [command, f"--delta-c={params.delta_c!r}", f"--kappa={params.kappa!r}",
+            f"--u={params.u!r}", "--y-grid=0:2yc:600"]
+    started = count_thread_starts(monkeypatch)
+    outputs = []
+    for cpus in (1, 3):
+        pin_cpus(monkeypatch, cpus)
+        outputs.append([run_cli(argv + [f"--format={fmt}"], capsys)
+                        for fmt in ("csv", "json")])
+        assert bool(started) is (cpus > 1)
+    assert outputs[0] == outputs[1]
+    (code, out, err), (json_code, json_out, json_err) = outputs[0]
+    assert code == json_code == 0 and err == json_err == ""
+
+    grid = np.linspace(0.0, 2.0 * model.critical_pump(params), 600)
+    kind = cli.build_parser().parse_args(argv).kind
+    table = analysis.figure_scan(kind, params, grid)
+    assert all(type(row) is tuple for row in table.rows)
+    fmt = ",".join(["%s"] * len(table.columns)) + "\n"
+    assert out == fmt % table.columns + "".join(fmt % row for row in table.rows)
+    rows = [dict(zip(table.columns, map(cli._json_value, row))) for row in table.rows]
+    assert json_out == json.dumps(rows, indent=2, allow_nan=False) + "\n"
+    if params.u < 0.0:
+        assert sum(row[-1] == "failed" for row in table.rows) == 300
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Stability matrix, quasi-normal decomposition, steady moments, spectrum scan."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import at_ratio, normal_branch
+from conftest import at_ratio, count_thread_starts, normal_branch, pin_cpus
+from opendicke import fluctuations
 from opendicke.analysis import ScanKind, figure_scan
 from opendicke.basis import CONJ_PERM, J_COMM, QUAD_MAP, T_CONJ
 from opendicke.errors import (DefectiveMatrix, DegenerateBranch,
@@ -257,6 +260,51 @@ def test_scan_statuses_and_ambiguity(open_params):
         if status == "ambiguous":
             # ambiguity may only happen right after an eigenvalue collision
             assert (abs(y - iv.lower.y) < 0.02 or abs(y - iv.upper.y) < 0.02)
+
+
+def _spectrum_grid(params: ModelParams, points: int) -> np.ndarray:
+    return np.linspace(0.0, 1.2 * critical_pump(params), points)
+
+
+@pytest.mark.parametrize("points", [1201, 241])
+def test_batched_spectrum_does_not_depend_on_cpus(monkeypatch, open_params, points):
+    """The spectrum's eigen-solves run in batches of BATCH_ROWS pumps: on one
+    and on three CPUs the branches, statuses and intervals (every endpoint
+    field) are those of one eigen-solve of the whole grid, bit for bit."""
+    grid = _spectrum_grid(open_params, points)
+    monkeypatch.setattr(fluctuations, "BATCH_ROWS", grid.size)
+    scans = [spectrum_scan(open_params, grid)]
+    monkeypatch.undo()
+    for cpus in (1, 3):
+        pin_cpus(monkeypatch, cpus)
+        scans.append(spectrum_scan(open_params, grid))
+    whole = scans[0]
+    assert len(whole.real_intervals) == 1 and "ambiguous" in whole.status
+    for scan in scans[1:]:
+        assert scan.branches.tobytes() == whole.branches.tobytes()
+        assert scan.status == whole.status
+        assert repr(scan.real_intervals) == repr(whole.real_intervals)
+
+
+@pytest.mark.parametrize("cpus, points", [(1, 1201), (3, 241)])
+def test_serial_spectrum_starts_no_thread(monkeypatch, open_params, cpus, points):
+    """A one-CPU process, and a spectrum grid of one batch, run every
+    eigen-solve on the calling thread."""
+    pin_cpus(monkeypatch, cpus)
+
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    scan = spectrum_scan(open_params, _spectrum_grid(open_params, points))
+    assert len(scan.status) == points
+
+
+def test_no_thread_outlives_a_spectrum_scan(monkeypatch, open_params):
+    pin_cpus(monkeypatch, 3)
+    started = count_thread_starts(monkeypatch)
+    before = threading.active_count()
+    spectrum_scan(open_params, _spectrum_grid(open_params, 1201))
+    assert started and threading.active_count() == before
 
 
 def test_depletion_monotone_near_threshold(open_params):
