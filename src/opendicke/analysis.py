@@ -33,8 +33,8 @@ from .entanglement import covariance_batch, log_negativity_batch
 from .errors import (DefectiveMatrix, DegenerateBranch, DivergentSteadyState,
                      DynamicalInstability, InvalidCurve, NumericalFailure,
                      UnstableState)
-from .fluctuations import (_batches, _map_batches, observables_batch,
-                           spectrum_scan, steady_state_batch)
+from .fluctuations import (_map_batches, observables_batch, spectrum_scan,
+                           steady_state_batch)
 from .groundstate import ground_state_batch
 from .model import ModelParams, critical_pump, mean_field_batch, pump_grid
 
@@ -279,7 +279,7 @@ def _grid_table(kind: ScanKind, params: ModelParams, y_grid, render) -> Table:
                           for e in errors.errors]), render)
 
     return Table(kind=kind, columns=scan_columns(kind),
-                 rows=[row for part in _map_batches(batch_rows, _batches(y))
+                 rows=[row for part in _map_batches(batch_rows, y)
                        for row in part])
 
 

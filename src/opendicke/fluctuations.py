@@ -29,9 +29,9 @@ reassembly act on the whole stack.  Each check turns into a mask, and a row
 keeps its first failing check (:class:`~opendicke.errors.RowErrors`).  The
 scalar functions (``build_stability_matrix``, ``decompose``,
 ``mode_correlations``, ``system_moments``, ``steady_state_moments``) are
-batches of one and raise the error of their row.  Long grids are cut into
-batches of BATCH_ROWS pumps, which ``_map_batches`` runs on one thread per
-usable CPU; the grid scans of ``analysis`` and the spectrum scan share it.
+batches of one and raise the error of their row.  ``_map_batches`` runs a
+long grid in batches of BATCH_ROWS pumps on one thread per usable CPU, the
+calling thread included, for the grid scans of ``analysis`` and the spectrum.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ DIVERGENT_TOL = 1e-12
 # Pump values per batch of a grid scan and per eigen-solve of the spectrum
 # scan.  It bounds the (N, 4, 4) temporaries of a long grid to about a
 # megabyte per thread; a batch adds a fixed cost of a few hundred
-# microseconds.  A batch is also the unit of work of a scan's threads
-# (``_map_batches``): a grid of fewer than two batches runs on one thread.
+# microseconds.  A batch is the unit of work of every scan thread, the calling
+# one included (``_map_batches``): a grid of one batch runs on the caller.
 BATCH_ROWS = 256
 
 # Eigenvalue pairs (i, j), i < j, in itertools.combinations order, and the
@@ -166,57 +166,36 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _batches(stack) -> list:
-    """The consecutive slices of at most BATCH_ROWS rows of a grid's stack."""
-    return [stack[start:start + BATCH_ROWS]
-            for start in range(0, len(stack), BATCH_ROWS)]
-
-
-def _map_batches(compute, batches: list) -> list:
-    """``[compute(b) for b in batches]``, on one thread per usable CPU when
-    there are at least two batches and two CPUs.
+def _map_batches(compute, stack) -> list:
+    """``compute`` of each slice of at most BATCH_ROWS rows of ``stack``, in
+    grid order, on one thread per usable CPU.
 
     numpy's LAPACK calls release the GIL, so the eigen-solves of different
-    batches overlap.  The calling thread takes batches too, and every helper
-    thread is joined before this returns.  The exception of the first
-    failing batch in grid order is raised, as a serial loop would raise it.
+    batches overlap.  Helper threads take batches from the front and the
+    calling thread from the back, up to the first one a helper has started:
+    helpers start them in order, so every earlier batch is theirs.  Every
+    helper is joined before this returns.  The first failing batch's
+    exception in grid order is raised, as in a serial loop; a later batch
+    may still have run, and its result is discarded.
     """
+    batches = [stack[start:start + BATCH_ROWS]
+               for start in range(0, len(stack), BATCH_ROWS)]
     workers = min(len(batches), _usable_cpus())
     if workers < 2:
         return [compute(b) for b in batches]
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
-    results = [None] * len(batches)
-    pending = iter(range(len(batches)))
-    lock = threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            try:
-                results[i] = (compute(batches[i]), None)
-            except BaseException as err:
-                results[i] = (None, err)
-                # No batch after this one is taken; every earlier one was.
-                with lock:
-                    for _ in pending:
-                        pass
+    from concurrent.futures import Future, ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [pool.submit(drain) for _ in range(workers - 1)]
-        drain()
-        for helper in helpers:
-            helper.result()
-    out = []
-    for value, err in results:
-        if err is not None:
-            raise err
-        out.append(value)
-    return out
+        futures = [pool.submit(compute, b) for b in batches]
+        for i in reversed(range(len(batches))):
+            if not futures[i].cancel():
+                break
+            futures[i] = Future()
+            try:
+                futures[i].set_result(compute(batches[i]))
+            except Exception as err:
+                futures[i].set_exception(err)
+    return [future.result() for future in futures]
 
 
 # Index into (M00, M02, M20, M22, their conjugates, 0) of each entry of M:
@@ -719,9 +698,9 @@ def spectrum_scan(params: ModelParams, y_grid) -> SpectrumScan:
     Grid points where the matrix is (near-)defective are kept, flagged with
     status 'defective'; points where branch matching stays ambiguous after
     the eigenvector tie-break are flagged 'ambiguous'.  The eigen-solves run
-    in batches of BATCH_ROWS pumps (:func:`_map_batches`); branch matching
-    and the endpoint refinement run on the calling thread.  An interval that
-    reaches an edge of the grid ends there, unrefined.
+    in batches of BATCH_ROWS pumps on every scan thread (:func:`_map_batches`);
+    branch matching and endpoint refinement run on the calling thread alone.
+    An interval that reaches an edge of the grid ends there, unrefined.
     """
     if np.ndim(y_grid) != 1 or np.size(y_grid) < 2:
         raise ValueError("y grid must be a 1-d array with at least 2 points")
@@ -731,7 +710,7 @@ def spectrum_scan(params: ModelParams, y_grid) -> SpectrumScan:
 
     mf = mean_field_batch(params, y_grid)
     mf.errors.raise_first()
-    parts = _map_batches(_spectra, _batches(drift_batch(params, mf)))
+    parts = _map_batches(_spectra, drift_batch(params, mf))
     lam, vecs, defective, _ = map(np.concatenate, zip(*parts))
     branches, ambiguous = _match_branches(lam, vecs)
     status = ["defective" if d else "ambiguous" if a else "ok"

@@ -19,7 +19,9 @@ import csv
 import hashlib
 import io
 import math
+import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -445,18 +447,74 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
     assert fluctuations._usable_cpus() == 1
 
 
+def _batch_index(batch) -> int:
+    """The index of a batch of ``np.arange(n * BATCH_ROWS)``."""
+    return int(batch[0]) // BATCH_ROWS
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+@pytest.mark.parametrize("batches", [2, 5, 8, 9])
+def test_threaded_batches_run_once_and_the_caller_takes_a_share(monkeypatch, cpus,
+                                                               batches):
+    """Every batch runs exactly once and the results come back in grid
+    order; the calling thread runs batches beside the helpers, and no helper
+    outlives the call."""
+    pin_cpus(monkeypatch, cpus)
+    lock = threading.Lock()
+    ran = []
+
+    def index(b):
+        time.sleep(0.002)  # long enough for every thread to take a batch
+        with lock:
+            ran.append((_batch_index(b), threading.get_ident()))
+        return _batch_index(b)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = fluctuations._map_batches(index, np.arange(batches * BATCH_ROWS))
+    finally:
+        sys.setswitchinterval(interval)
+    assert result == list(range(batches))
+    assert threading.active_count() == before
+    assert sorted(i for i, _ in ran) == list(range(batches))
+    callers = [thread == threading.get_ident() for _, thread in ran]
+    assert any(callers) and not all(callers)
+
+
 def test_threaded_batches_raise_the_first_failing_batch(monkeypatch):
     """Batches 2 to 5 raise: the error is batch 2's, whichever thread ran
     it, as in a serial loop."""
     pin_cpus(monkeypatch, 3)
 
     def square(b):
-        if b >= 2:
-            raise ValueError(f"batch {b}")
-        return b * b
+        i = _batch_index(b)
+        if i >= 2:
+            raise ValueError(f"batch {i}")
+        return i * i
     with pytest.raises(ValueError, match="^batch 2$"):
-        fluctuations._map_batches(square, list(range(6)))
-    assert fluctuations._map_batches(square, [0, 1]) == [0, 1]
+        fluctuations._map_batches(square, np.arange(6 * BATCH_ROWS))
+    assert fluctuations._map_batches(square, np.arange(2 * BATCH_ROWS)) == [0, 1]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_threaded_batches_raise_in_grid_order_not_in_time(monkeypatch, cpus):
+    """Batch 3 fails first in time and batch 0 after it, on another thread:
+    the error raised is batch 0's."""
+    pin_cpus(monkeypatch, cpus)
+    failed = threading.Event()
+
+    def compute(b):
+        i = _batch_index(b)
+        if i == 3:
+            failed.set()
+            raise ValueError("batch 3")
+        if i == 0:
+            failed.wait(timeout=10)
+            raise ValueError("batch 0")
+        return i
+    with pytest.raises(ValueError, match="^batch 0$"):
+        fluctuations._map_batches(compute, np.arange(4 * BATCH_ROWS))
 
 
 def test_bad_pump_raises_before_any_batch(monkeypatch, open_params):
