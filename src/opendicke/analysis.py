@@ -10,7 +10,8 @@ the analytic critical pump is used for centering.
 
 Scan tables carry one row per grid point with a status column; points where
 the model fails (divergence at the critical point, defective matrices,
-instability) are reported, never dropped.  Every scan computes its grid as
+instability) are reported, never dropped, with the ``status`` of their
+error's class (:mod:`opendicke.errors`).  Every scan computes its grid as
 batches of arrays, BATCH_ROWS pump values at a time; a row's status is its
 first failing check, in the order mean field, defective, biorthonormality,
 pairing, unstable, divergent, moment structure, observables.  A grid scan of
@@ -30,9 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entanglement import covariance_batch, log_negativity_batch
-from .errors import (DefectiveMatrix, DegenerateBranch, DivergentSteadyState,
-                     DynamicalInstability, InvalidCurve, NumericalFailure,
-                     UnstableState)
+from .errors import InvalidCurve, OpenDickeError
 from .fluctuations import (_map_batches, observables_batch, spectrum_scan,
                            steady_state_batch)
 from .groundstate import ground_state_batch
@@ -193,21 +192,10 @@ def critical_exponent(params: ModelParams, side: Side,
     return exponent_fit(curve[:, :2], window, side)
 
 
-_STATUS_BY_ERROR = (
-    (DivergentSteadyState, "divergent"),
-    (DefectiveMatrix, "defective"),
-    (UnstableState, "unstable"),
-    (DynamicalInstability, "unstable"),
-    (DegenerateBranch, "degenerate"),
-    (NumericalFailure, "failed"),
-)
-
-
 def status_of(err: Exception) -> str:
-    """Status-column label for a scan-protected error."""
-    for cls, label in _STATUS_BY_ERROR:
-        if isinstance(err, cls):
-            return label
+    """Status-column label of a row's error, its class's ``status``, or raises it."""
+    if isinstance(err, OpenDickeError) and err.status is not None:
+        return err.status
     raise err
 
 

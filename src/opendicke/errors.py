@@ -1,8 +1,10 @@
 """Exception types for the open Dicke model calculations.
 
-Every failure mode that a caller may reasonably want to catch and map to a
-status (for example in a parameter scan) gets its own class.  All of them
-derive from :class:`OpenDickeError` so blanket handling stays easy.
+Every failure mode that a caller may reasonably want to catch gets its own
+class.  All of them derive from :class:`OpenDickeError` so blanket handling
+stays easy.  A class whose errors a scan records per row carries the row's
+status-column label as its class attribute ``status``; the others have none
+and propagate out of a scan.
 
 :class:`RowErrors` keeps the first error of every row of a batched pump
 scan; the scalar API runs batches of one and raises their row's error.
@@ -17,6 +19,8 @@ import numpy as np
 
 class OpenDickeError(Exception):
     """Base class for all errors raised by this package."""
+
+    status: str | None = None
 
     def _formatted(self) -> OpenDickeError:
         args = BaseException.args.__get__(self)
@@ -43,10 +47,12 @@ class NoThreshold(OpenDickeError):
 
 class DegenerateBranch(OpenDickeError):
     """Mean-field branch with 1 - 2*beta0**2 ~ 0; the expansion is singular."""
+    status = "degenerate"
 
 
 class NumericalFailure(OpenDickeError):
     """A numerical self-check failed beyond its tolerance."""
+    status = "failed"
 
 
 class DefectiveMatrix(OpenDickeError):
@@ -55,6 +61,7 @@ class DefectiveMatrix(OpenDickeError):
     Carries diagnostics so scans can report how close to defectiveness the
     point is.
     """
+    status = "defective"
 
     def __init__(self, message: str, cond: float = float("nan"),
                  gap: float = float("nan"), overlap: float = float("nan")):
@@ -66,14 +73,17 @@ class DefectiveMatrix(OpenDickeError):
 
 class UnstableState(OpenDickeError):
     """A quasi-normal mode grows in time; no stationary state exists."""
+    status = "unstable"
 
 
 class DivergentSteadyState(OpenDickeError):
     """The noise drives an undamped mode combination; moments diverge."""
+    status = "divergent"
 
 
 class DynamicalInstability(OpenDickeError):
     """The closed-system spectrum is not purely oscillatory; no ground state."""
+    status = "unstable"
 
 
 class CutoffTooSmall(OpenDickeError):

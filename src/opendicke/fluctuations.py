@@ -73,10 +73,8 @@ DIVERGENT_TOL = 1e-12
 # one included (``_map_batches``): a grid of one batch runs on the caller.
 BATCH_ROWS = 256
 
-# Eigenvalue pairs (i, j), i < j, in itertools.combinations order, and the
-# same pairs as a mask of a 4x4 matrix.
+# Eigenvalue pairs (i, j), i < j, in itertools.combinations order.
 _PAIR_I, _PAIR_J = np.array(list(itertools.combinations(range(4), 2))).T
-_PAIRS = np.triu(np.ones((4, 4), dtype=bool), 1)
 # The 24 orderings of four branches, in itertools.permutations order.
 _PERMS = np.array(list(itertools.permutations(range(4))))
 _EYE = np.eye(4)
@@ -116,11 +114,6 @@ class QuasiNormalSystem:
     pairing: np.ndarray
     matrix: StabilityMatrix
 
-    @property
-    def cond(self) -> float:
-        """Condition number of ``rights`` (an SVD, taken when read)."""
-        return float(np.linalg.cond(self.rights))
-
 
 @dataclass(frozen=True)
 class SecondMoments:
@@ -148,7 +141,7 @@ def live_rows(route, params: ModelParams, mf: MeanFieldBatch, *shapes):
     outs = [np.zeros((errors.alive.size,) + shape, complex) for shape in shapes]
     if live.size:
         sub = RowErrors(live.size)
-        fields = (mf.y, mf.alpha0, mf.beta0, mf.mu)
+        fields = (mf.y, mf.alpha0, mf.beta0)
         parts = route(params, MeanFieldBatch(*(f[live] for f in fields), sub))
         for out, part in zip(outs, parts if len(outs) > 1 else [parts]):
             out[live] = part
@@ -313,11 +306,10 @@ def _defects(lam, vecs, ill_conditioned, scale):
     """
     gaps = np.abs(lam[:, :, None] - lam[:, None, :])
     defective = ill_conditioned
-    close = (gaps < DEFECT_GAP_LIMIT * scale[:, None, None]) & _PAIRS
+    close = gaps[:, _PAIR_I, _PAIR_J] < DEFECT_GAP_LIMIT * scale[:, None]
     if np.count_nonzero(close):
-        overlaps = np.abs(vecs.conj().transpose(0, 2, 1) @ vecs)
-        near = (close & (overlaps > DEFECT_OVERLAP_LIMIT)).any(axis=(1, 2))
-        defective = defective | near
+        overlaps = np.abs(vecs.conj().transpose(0, 2, 1) @ vecs)[:, _PAIR_I, _PAIR_J]
+        defective = defective | (close & (overlaps > DEFECT_OVERLAP_LIMIT)).any(axis=1)
     return defective, gaps
 
 

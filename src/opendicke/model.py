@@ -86,16 +86,15 @@ class MeanFieldBatch:
 
     One row per pump value: the fields are arrays for a grid
     (:func:`mean_field_batch`) and scalars for a single pump value
-    (:func:`mean_field_point`).
-    Rows whose mean field failed keep their error in ``errors``; their
-    amplitudes are meaningless (zero where the superradiant branch does not
-    exist).
+    (:func:`mean_field_point`).  The chemical potential is not kept; it
+    follows from alpha0 and beta0.  Rows whose mean field failed keep their
+    error in ``errors``; their amplitudes are meaningless (zero where the
+    superradiant branch does not exist).
     """
 
     y: np.ndarray
     alpha0: np.ndarray
     beta0: np.ndarray
-    mu: np.ndarray
     errors: RowErrors
 
 
@@ -162,7 +161,7 @@ def _order_parameter(params: ModelParams, y, y_c: float):
 
 
 def _branch_fields(params: ModelParams, y, beta0):
-    """(alpha0, mu, 1 - 2 beta0^2, stationarity residuals) at a given beta0.
+    """(alpha0, 1 - 2 beta0^2, stationarity residuals) at a given beta0.
 
     The residuals are (|t1 + t2|, |t1| + |t2|, |t3 + t4|, |t3| + |t4|) for
     the conditions t1 + t2 = 0 and t3 + t4 = 0.  Scalars or arrays, in real
@@ -179,12 +178,11 @@ def _branch_fields(params: ModelParams, y, beta0):
     # times a numpy scalar stays a fast Python complex.
     alpha0 = (params.kappa + 1j * c) * (t2 / (params.kappa ** 2 + c * c))
     gain = OMEGA_R + params.u * abs_squared(alpha0)
-    mu = -0.5 * gain / one_minus
     t1 = (1j * c - params.kappa) * alpha0
     t3 = gain * beta0
     t4 = y * alpha0.imag * one_minus / root
-    return alpha0, mu, one_minus, (abs(t1 + t2), abs(t1) + abs(t2),
-                                   abs(t3 + t4), abs(t3) + abs(t4))
+    return alpha0, one_minus, (abs(t1 + t2), abs(t1) + abs(t2),
+                               abs(t3 + t4), abs(t3) + abs(t4))
 
 
 def _residuals_exceed(res_a, size_a, res_b, size_b):
@@ -244,7 +242,7 @@ def mean_field_batch(params: ModelParams, y_grid) -> MeanFieldBatch:
         sr = y > y_c
         missing = sr & ~((0.0 < branch) & (branch < 1.0))
         beta0 = np.sqrt(np.where(sr & ~missing, branch, 0.0))
-        alpha0, mu, one_minus, residuals = _branch_fields(params, y, beta0)
+        alpha0, one_minus, residuals = _branch_fields(params, y, beta0)
         degenerate = np.abs(one_minus) < 1e-12
         bad = _residuals_exceed(*residuals)
 
@@ -252,7 +250,7 @@ def mean_field_batch(params: ModelParams, y_grid) -> MeanFieldBatch:
         radicand[i] if params.u else radicand, branch[i], y[i]))
     errors.fail(degenerate, lambda i: _degenerate_branch(one_minus[i]))
     errors.fail(bad, lambda i: _residual_failure(*(r[i] for r in residuals)))
-    return MeanFieldBatch(y, alpha0, beta0, mu, errors)
+    return MeanFieldBatch(y, alpha0, beta0, errors)
 
 
 def mean_field_point(params: ModelParams) -> MeanFieldBatch:
@@ -267,17 +265,17 @@ def mean_field_point(params: ModelParams) -> MeanFieldBatch:
     y_c = critical_pump(params)
     errors = RowErrors(1)
     if not y > y_c:
-        return MeanFieldBatch(y, 0j, 0.0, -0.5 * OMEGA_R, errors)
+        return MeanFieldBatch(y, 0j, 0.0, errors)
     with np.errstate(all="ignore"):
         branch, radicand = _order_parameter(params, y, y_c)
         if not 0.0 < branch < 1.0:
             errors.fail(True, lambda i: _missing_branch(radicand, branch, y))
-            return MeanFieldBatch(y, 0j, 0.0, -0.5 * OMEGA_R, errors)
+            return MeanFieldBatch(y, 0j, 0.0, errors)
         beta0 = np.sqrt(branch)
-        alpha0, mu, one_minus, residuals = _branch_fields(params, y, beta0)
+        alpha0, one_minus, residuals = _branch_fields(params, y, beta0)
     errors.fail(abs(one_minus) < 1e-12, lambda i: _degenerate_branch(one_minus))
     errors.fail(_residuals_exceed(*residuals), lambda i: _residual_failure(*residuals))
-    return MeanFieldBatch(y, alpha0, beta0, mu, errors)
+    return MeanFieldBatch(y, alpha0, beta0, errors)
 
 
 def solve_mean_field(params: ModelParams) -> MeanField:
@@ -289,6 +287,7 @@ def solve_mean_field(params: ModelParams) -> MeanField:
     """
     batch = mean_field_point(params)
     batch.errors.raise_first()
+    gain = OMEGA_R + params.u * abs_squared(batch.alpha0)
     return MeanField(alpha0=complex(batch.alpha0), beta0=float(batch.beta0),
-                     mu=float(batch.mu),
+                     mu=float(-0.5 * gain / (1.0 - 2.0 * (batch.beta0 * batch.beta0))),
                      phase=Phase.SUPERRADIANT if batch.beta0 > 0.0 else Phase.NORMAL)

@@ -41,8 +41,7 @@ def at_ratio(params: ModelParams, ratio: float) -> ModelParams:
 def normal_branch(params: ModelParams) -> MeanFieldBatch:
     """The normal-phase mean field at ``params.y`` as a batch of one, also
     above threshold, where the solver takes the superradiant branch."""
-    return MeanFieldBatch(y=params.y, alpha0=0j, beta0=0.0, mu=-0.5,
-                          errors=RowErrors(1))
+    return MeanFieldBatch(y=params.y, alpha0=0j, beta0=0.0, errors=RowErrors(1))
 
 
 def dead_row_params(kappa: float) -> ModelParams:

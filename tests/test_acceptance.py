@@ -9,8 +9,13 @@ assert on nu, the exponent of the singular part.  For the closed system b
 is about -0.34 below and -0.32 above threshold; a straight line through
 (ln eps, ln delta_N) absorbs it into the slope and gives -0.5237 above
 threshold over the required window [e^-14, e^-5].
+
+Test 09 extends test 01 towards kappa -> 0+: nu = -1 holds at every
+kappa > 0, and the fitted amplitude and background meet the Laurent
+coefficients of delta_N = a / eps + b at u = 0.
 """
 
+import math
 import time
 
 import numpy as np
@@ -173,3 +178,34 @@ def test_08_invariant_suite_all_green(capsys):
                  "tmsv_closed_form", "exponent_fit_synthetic_inverse",
                  "exponent_fit_synthetic_power"):
         assert f"PASS  {name}" in out, f"missing PASS line for {name}"
+
+
+# kappa / |delta_c| of test 09.  Below 1e-6 the steady state still fails
+# its commutator and adjoint-symmetry checks near threshold.
+OPEN_KAPPA_RATIOS = (1.0, 1e-3, 1e-6)
+
+
+@pytest.mark.parametrize("ratio", OPEN_KAPPA_RATIOS)
+def test_09_open_exponent_and_amplitudes(ratio):
+    """nu = -1 on both sides at every kappa > 0, with the Laurent
+    coefficients of delta_N = a / eps + b at u = 0, y_c^2 = (delta_c^2 +
+    kappa^2) / |delta_c|: below threshold a = y_c^2 / 16 and
+    b = (5 delta_c^2 + 16 delta_c + 5 kappa^2 + 8) / (32 |delta_c|), above
+    it a = y_c^2 / 32 and b = (9 delta_c^2 + 32 delta_c + 9 kappa^2 + 16)
+    / (64 |delta_c|).  The fit absorbs the next term, O(eps) with
+    eps <= e^-5, so the background meets b to about 1e-2."""
+    d, kappa = OPEN.delta_c, ratio * abs(OPEN.delta_c)
+    params = ModelParams(delta_c=d, kappa=kappa, u=0.0, y=0.0)
+    y_c_sq = critical_pump(params) ** 2
+    k_sq = kappa * kappa
+    laurent = {
+        Side.BELOW: (y_c_sq / 16, (5 * d * d + 16 * d + 5 * k_sq + 8) / (32 * -d)),
+        Side.ABOVE: (y_c_sq / 32, (9 * d * d + 32 * d + 9 * k_sq + 16) / (64 * -d)),
+    }
+    for side, (a, b) in laurent.items():
+        fit = critical_exponent(params, side)
+        assert abs(fit.slope - (-1.0)) <= 0.02, f"{side.value}: {fit.slope}"
+        assert abs(fit.intercept - math.log(a)) <= 2e-4, \
+            f"{side.value}: intercept {fit.intercept} vs ln a = {math.log(a)}"
+        assert abs(fit.background - b) <= 1e-2, \
+            f"{side.value}: background {fit.background} vs b = {b}"

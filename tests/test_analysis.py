@@ -10,8 +10,9 @@ from opendicke.analysis import (DEFAULT_WINDOW, ExponentFit, ScanKind, Side,
                                 critical_exponent, depletion_curve,
                                 exponent_fit, exponent_grid, exponent_table,
                                 figure_scan, status_of)
-from opendicke.errors import (DefectiveMatrix, DivergentSteadyState,
-                              DynamicalInstability, InvalidCurve,
+from opendicke.errors import (CutoffTooSmall, DefectiveMatrix, DegenerateBranch,
+                              DivergentSteadyState, DynamicalInstability,
+                              InvalidCurve, NoThreshold, NumericalFailure,
                               UnstableState)
 from opendicke.fluctuations import observables, steady_state_moments
 from opendicke.groundstate import ground_state_moments
@@ -186,12 +187,20 @@ def test_scans_reject_invalid_pumps(open_params):
 
 
 def test_status_mapping():
-    assert status_of(DivergentSteadyState("x")) == "divergent"
-    assert status_of(DefectiveMatrix("x")) == "defective"
-    assert status_of(UnstableState("x")) == "unstable"
-    assert status_of(DynamicalInstability("x")) == "unstable"
-    with pytest.raises(KeyError):
-        status_of(KeyError("not a scan error"))
+    labels = {NumericalFailure: "failed", DegenerateBranch: "degenerate",
+              DefectiveMatrix: "defective", UnstableState: "unstable",
+              DivergentSteadyState: "divergent", DynamicalInstability: "unstable"}
+    for cls, label in labels.items():
+        assert cls.status == label
+        assert status_of(cls("x")) == label
+        # A lazily formatted message is not formatted to read the status.
+        assert status_of(cls(lambda: 1 / 0)) == label
+    # Errors that no scan records per row propagate.
+    for err in (NoThreshold("x"), CutoffTooSmall("x"), InvalidCurve("x"),
+                KeyError("not a scan error")):
+        with pytest.raises(type(err)) as raised:
+            status_of(err)
+        assert raised.value is err
 
 
 def test_excitation_table_keeps_divergent_rows(open_params):

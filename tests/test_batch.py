@@ -300,15 +300,17 @@ def test_scalar_steady_pair_linalg_calls(monkeypatch, ratio):
 def test_injected_mean_field_is_the_solved_one(u, ratio):
     """``solve_mean_field``, which every scalar route linearizes around, is
     the row of the grid's mean field, in the normal and in the superradiant
-    phase."""
+    phase, and its mu is the model's formula on that row's fields."""
     for kappa in (2.0, 0.0):
         p = ModelParams(delta_c=-2.0, kappa=kappa, u=u, y=0.0)
         p = p.with_pump(ratio * critical_pump(p))
         mf = solve_mean_field(p)
         batch = mean_field_batch(p, [p.y])
         assert batch.errors.failed == 0
-        assert (mf.alpha0, mf.beta0, mf.mu) == (batch.alpha0[0], batch.beta0[0],
-                                                batch.mu[0])
+        alpha0, beta0 = batch.alpha0[0], batch.beta0[0]
+        gain = 1.0 + u * (alpha0.real ** 2 + alpha0.imag ** 2)
+        mu = -0.5 * gain / (1.0 - 2.0 * beta0 ** 2)
+        assert (mf.alpha0, mf.beta0, mf.mu) == (alpha0, beta0, mu)
         assert mf.phase is (Phase.SUPERRADIANT if ratio > 1.0 else Phase.NORMAL)
 
 

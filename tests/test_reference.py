@@ -18,15 +18,21 @@ Exceptional points: a refined real-axis endpoint of ``spectrum_scan`` is the
 root of the eigenvalue discriminant of the double drift matrix A(y), and lies
 within 1e-13 relative of the double y where the 60-digit discriminant of the
 same A changes sign.
+
+Entries of M: on a seeded box, ``build_stability_matrix`` meets the exact
+(Delta, omega, g) of ``exact_reference``, derived from the model's physics
+in the normal phase at every u and in the superradiant phase at u = 0.
 """
 
 import contextlib
 import csv
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from exact_reference import critical_pump_squared, entries
 from mp_reference import (reference_endpoint, reference_ground_observables,
                           reference_observables)
 from opendicke import cli
@@ -124,3 +130,28 @@ def test_refined_endpoints_at_the_discriminant_root(delta_c, kappa, u, grid):
             inside, outside = y[y <= end.y][-1], y[y > end.y][0]
         ref = reference_endpoint(drift, float(inside), float(outside))
         assert abs(end.y - ref) <= 1e-13 * ref
+
+
+def test_stability_entries_meet_the_exact_reference():
+    """Re M00 = -kappa, Im M00 = Delta, M20 = -conj(M02) and Re M22 = 0
+    exactly; -Im M22 = omega and |2 M02| = g within 4 eps relative, times
+    y^2 / y_c^2 above threshold, where 1 - 2 beta0^2 = y_c^2 / y^2 is the
+    difference of two numbers near 1."""
+    eps = Fraction(np.finfo(float).eps)
+    rng = np.random.default_rng(20111014)
+    for _ in range(2000):
+        delta_c = -10.0 ** rng.uniform(-3.0, 3.0)
+        kappa = 0.0 if rng.uniform() < 0.2 else 10.0 ** rng.uniform(-3.0, 3.0)
+        above = rng.uniform() < 0.5
+        u = 0.0 if above else rng.uniform(-5.0, 5.0)
+        p = ModelParams(delta_c=delta_c, kappa=kappa, u=u, y=0.0)
+        p = p.with_pump((rng.uniform(1.01, 3.0) if above else rng.uniform(0.0, 0.99))
+                        * critical_pump(p))
+        m = build_stability_matrix(p).m
+        delta, omega, g = entries(p.delta_c, p.kappa, p.u, p.y)
+        assert (m[0, 0].real, m[0, 0].imag) == (-kappa, delta), p
+        assert m[2, 0] == -np.conj(m[0, 2]) and m[2, 2].real == 0.0, p
+        y_sq = Fraction(p.y) ** 2
+        tol = 4 * eps * max(1, y_sq / critical_pump_squared(delta_c, kappa))
+        assert abs(Fraction(-m[2, 2].imag) - omega) <= tol * omega, p
+        assert abs(Fraction(float(abs(2 * m[0, 2]))) - g) <= tol * g, p
