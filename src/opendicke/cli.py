@@ -110,9 +110,8 @@ def _csv_format(columns: tuple[str, ...]) -> str:
     return ",".join(["%s"] * len(columns)) + "\n"
 
 
-def _emit_table(table: analysis.Table, args, rendered: bool = False) -> None:
-    """Write the table as ``args.format``; ``rendered`` rows are CSV lines
-    already."""
+def _emit_table(table: analysis.Table, args) -> None:
+    """Write the table as ``args.format``; ``str`` rows are CSV lines already."""
     out = sys.stdout if args.output is None else open(args.output, "w",
                                                       encoding="utf-8")
     try:
@@ -127,7 +126,7 @@ def _emit_table(table: analysis.Table, args, rendered: bool = False) -> None:
             out.write("\n")
         else:
             fmt = _csv_format(table.columns)
-            lines = table.rows if rendered else map(fmt.__mod__, table.rows)
+            lines = (r if isinstance(r, str) else fmt % r for r in table.rows)
             out.write(fmt % table.columns + "".join(lines))
     finally:
         if out is not sys.stdout:
@@ -156,7 +155,7 @@ def _cmd_scan(args) -> int:
     csv = args.format == "csv"
     render = _csv_format(analysis.scan_columns(args.kind)).__mod__ if csv else None
     table = analysis.figure_scan(args.kind, params, grid, render=render)
-    _emit_table(table, args, rendered=csv)
+    _emit_table(table, args)
     if csv:
         # JSON carries the spectrum's intervals; CSV reports them here.
         for iv in table.meta.get("real_intervals", ()):

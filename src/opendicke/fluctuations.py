@@ -75,11 +75,13 @@ BATCH_ROWS = 256
 
 # Eigenvalue pairs (i, j), i < j, in itertools.combinations order.
 _PAIR_I, _PAIR_J = np.array(list(itertools.combinations(range(4), 2))).T
-# The 24 orderings of four branches, in itertools.permutations order.
-_PERMS = np.array(list(itertools.permutations(range(4))))
+# The 24 orderings of four branches in itertools.permutations order, and the
+# ten involutions among them, the candidate conjugate pairings.
+_MODES = np.arange(4)
+_PERMS = np.array(list(itertools.permutations(_MODES)))
+_INVOLUTIONS = _PERMS[(np.take_along_axis(_PERMS, _PERMS, 1) == _MODES).all(1)]
 _EYE = np.eye(4)
 _EYE2 = np.concatenate((_EYE, _EYE))
-_MODES = np.arange(4)
 
 
 def noise_matrix(kappa: float) -> np.ndarray:
@@ -104,8 +106,8 @@ class QuasiNormalSystem:
 
     ``rights`` holds the right eigenvectors as columns, ``lefts`` the left
     eigenvectors as rows (the inverse of ``rights``), so that
-    lefts @ rights = identity.  ``pairing[k]`` is the index of the mode with
-    the conjugate eigenvalue (a real eigenvalue pairs with itself).
+    lefts @ rights = identity.  ``pairing`` is an involution: ``pairing[k]``
+    is the mode with the conjugate eigenvalue (a real one pairs with itself).
     """
 
     lambdas: np.ndarray
@@ -331,10 +333,12 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     """Biorthogonal decomposition of a stack:
     (lam, rights, lefts, pairing, scale).
 
-    Eigenvalues are sorted by (real part, imaginary part).  Rows fail, in
-    this order, as defective (DefectiveMatrix), on the biorthonormality
-    residual (DefectiveMatrix) and on the conjugate pairing
-    (NumericalFailure).  ``scale`` is max(1, max |lambda|) of every row.
+    Eigenvalues are sorted by (real part, imaginary part), and ``pairing`` is
+    the involution p of least sum_k |lambda_p(k) - conj(lambda_k)| (the first
+    of ``_INVOLUTIONS`` on a tie).  Rows fail, in this order, as defective
+    (DefectiveMatrix), on the biorthonormality residual (DefectiveMatrix)
+    and on a term of that sum above PAIRING_TOL * scale (NumericalFailure).
+    ``scale`` is max(1, max |lambda|) of every row.
     The eigen-solve is the only dense decomposition of a passing row:
     cond(V) is screened by ``_ill_conditioned``, and the SVD value that a
     DefectiveMatrix reports is computed for its row only.
@@ -363,16 +367,10 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     # max |L V - 1| and max |V L - 1| of every row
     resid = np.abs(np.concatenate((lefts @ vecs, vecs @ lefts), axis=1)
                    - _EYE2).max(axis=(1, 2))
-    # pairing[n, k] minimizes |lambda_l - conj(lambda_k)| over l, miss[n, k] is that
-    # distance; a live row whose modes tie for a partner takes the closest permutation.
+    # dist[n, k, l] = |lambda_l - conj(lambda_k)|, miss[n, k] = dist[n, k, p(k)]
     dist = np.abs(lam[:, None, :] - lam.conj()[:, :, None])
-    pairing, rows = dist.argmin(axis=-1), np.arange(lam.shape[0])[:, None]
-    not_involution = (pairing[rows, pairing] != _MODES).any(axis=1)
-    clash = not_involution & errors.alive
-    if np.count_nonzero(clash):
-        pairing[clash] = _PERMS[dist[clash][:, _MODES, _PERMS].sum(-1).argmin(1)]
-        not_involution = (pairing[rows, pairing] != _MODES).any(axis=1)
-    miss = dist[rows, _MODES, pairing]
+    pairing = _INVOLUTIONS[dist[:, _MODES, _INVOLUTIONS].sum(-1).argmin(1)]
+    miss = dist[np.arange(lam.shape[0])[:, None], _MODES, pairing]
     unpaired = miss > PAIRING_TOL * scale[:, None]
 
     errors.fail(resid > BIORTHO_TOL, lambda i: defect(
@@ -381,18 +379,16 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     errors.fail(unpaired.any(axis=1), lambda i: NumericalFailure(lambda: (
         f"eigenvalue {lam[i][unpaired[i]][0]!r} has no conjugate partner "
         f"(closest miss {miss[i][unpaired[i]][0]:.3e})")))
-    errors.fail(not_involution, lambda i: NumericalFailure(
-        lambda: f"conjugate pairing {pairing[i]!r} is not an involution"))
     return lam, vecs, lefts, pairing, scale
 
 
 def decompose(stability: StabilityMatrix) -> QuasiNormalSystem:
     """Biorthogonal quasi-normal decomposition of the stability matrix.
 
-    Left eigenvectors are rows of the inverse of the right-eigenvector
-    matrix, which makes biorthonormality and completeness hold by
-    construction up to roundoff; both are still verified.  Eigenvalues are
-    sorted by (real part, imaginary part) for reproducibility.
+    Left eigenvectors are the rows of the inverse of the right-eigenvector
+    matrix, so biorthonormality and completeness hold up to roundoff; both
+    are still verified.  Eigenvalues are sorted by (real part, imaginary
+    part) and paired with their conjugates by the least-distance involution.
     """
     lam, vecs, lefts, pairing, _ = one_row(_decompose_batch, stability.m)
     return QuasiNormalSystem(lambdas=lam, rights=vecs, lefts=lefts,

@@ -12,7 +12,8 @@ with the package:
   Hamiltonian matrix G, from symmetric mpmath eigen-solves;
 * an exceptional point of the spectrum is the double pump where the sign of
   the discriminant of A's characteristic polynomial, both at ``dps`` digits,
-  changes.
+  changes (``discriminant_root`` takes the polynomial itself, so that a test
+  can build it from exact entries in place of a double matrix).
 
 The package never imports this module.
 """
@@ -111,17 +112,29 @@ def _quartic_discriminant(coeffs):
 def reference_endpoint(drift, y_in: float, y_out: float, dps: int = 60) -> float:
     """The exceptional point between the pumps y_in and y_out, in double y.
 
-    ``drift(y)`` is the real 4x4 double matrix whose eigenvalues are tracked.
-    The sign of the discriminant of its characteristic polynomial, both
-    evaluated at ``dps`` digits, is bisected down to two adjacent doubles;
-    the one on y_in's side is returned.
+    ``drift(y)`` is the real 4x4 double matrix whose eigenvalues are tracked;
+    its characteristic polynomial is evaluated at ``dps`` digits
+    (``discriminant_root``).
+    """
+    def charpoly(y: float):
+        a = drift(y)
+        return _charpoly(mp.matrix([[mp.mpf(float(a[i][j])) for j in range(4)]
+                                    for i in range(4)]))
+
+    return discriminant_root(charpoly, y_in, y_out, dps)
+
+
+def discriminant_root(charpoly, y_in: float, y_out: float, dps: int = 60) -> float:
+    """The double pump between y_in and y_out where the discriminant of the
+    quartic ``charpoly(y)``, (1, c3, c2, c1, c0) at the working precision,
+    changes sign.
+
+    Both are evaluated at ``dps`` digits, and the sign is bisected down to
+    two adjacent doubles; the one on y_in's side is returned.
     """
     def sign(y: float) -> int:
-        a = drift(y)
         with mp.workdps(dps):
-            am = mp.matrix([[mp.mpf(float(a[i][j])) for j in range(4)]
-                            for i in range(4)])
-            return int(mp.sign(_quartic_discriminant(_charpoly(am))))
+            return int(mp.sign(_quartic_discriminant(charpoly(y))))
 
     inside = sign(y_in)
     if inside == 0 or sign(y_out) != -inside:

@@ -193,13 +193,59 @@ def test_conj_perm_is_involution():
 
 
 def test_pairing_of_equal_eigenvalues_is_an_involution():
-    """At delta_c = -1, kappa = 0, y = 0, M is diagonal with eigenvalues
-    -i, i, -i, i: each copy of -i takes its own copy of i."""
-    q = decompose(build_stability_matrix(ModelParams(delta_c=-1.0, kappa=0.0,
-                                                     u=0.0, y=0.0)))
-    assert np.count_nonzero(q.matrix.m - np.diag(np.diag(q.matrix.m))) == 0
-    assert list(q.pairing[q.pairing]) == [0, 1, 2, 3]
-    assert np.array_equal(q.lambdas[q.pairing], q.lambdas.conj())
+    """At delta_c = -1 or +1, kappa = 0, y = 0, M is diagonal with
+    eigenvalues -i, i, -i, i or i, -i, -i, i: each copy of -i takes its own
+    copy of i, where the nearest conjugate of both copies is the first i.
+    delta_c = +1 has no threshold; its M is the normal branch's."""
+    red, blue = (ModelParams(delta_c=d, kappa=0.0, u=0.0, y=0.0) for d in (-1.0, 1.0))
+    for q in (decompose(build_stability_matrix(red)), decompose(StabilityMatrix(
+            m=stability_batch(blue, normal_branch(blue))[0], params=blue))):
+        assert np.count_nonzero(q.matrix.m - np.diag(np.diag(q.matrix.m))) == 0
+        nearest = np.abs(q.lambdas[None, :] - q.lambdas.conj()[:, None]).argmin(-1)
+        assert list(nearest[nearest]) != [0, 1, 2, 3]
+        assert list(q.pairing[q.pairing]) == [0, 1, 2, 3]
+        assert np.array_equal(q.lambdas[q.pairing], q.lambdas.conj())
+
+
+def _pairing_box(sets: int):
+    """M of the rows whose mean field exists, on a seeded box: |delta_c| and
+    kappa log-uniform in [1e-4, 1e4], a fifth of the sets at kappa = 0,
+    u in [-5, 5], 25 pumps on [0, 2] y_c; with kappa and the superradiant
+    rows of each set."""
+    rng = np.random.default_rng(24)
+    for _ in range(sets):
+        kappa = 0.0 if rng.uniform() < 0.2 else 10.0 ** rng.uniform(-4.0, 4.0)
+        p = ModelParams(delta_c=-10.0 ** rng.uniform(-4.0, 4.0), kappa=kappa,
+                        u=rng.uniform(-5.0, 5.0), y=0.0)
+        ratio = np.linspace(0.0, 2.0, 25)
+        mf = mean_field_batch(p, ratio * critical_pump(p))
+        live = mf.errors.alive
+        yield p.kappa, ratio[live] > 1.0, stability_batch(p, mf)[live]
+
+
+def test_pairing_is_the_nearest_conjugate_where_that_is_an_involution():
+    """The pairing is the map to each eigenvalue's nearest conjugate on every
+    row where that map is an involution, and an involution on every row,
+    also where no eigenvalue has a conjugate (random complex matrices, which
+    fail as unpaired)."""
+    box = list(_pairing_box(100))
+    rng = np.random.default_rng(2011)
+    noise = rng.standard_normal((200, 4, 4)) + 1j * rng.standard_normal((200, 4, 4))
+    m = np.concatenate([rows for *_, rows in box] + [noise])
+    errors = RowErrors(m.shape[0])
+    lam, _, _, pairing, _ = _decompose_batch(m, errors)
+    rows = np.arange(m.shape[0])[:, None]
+    assert np.all(pairing[rows, pairing] == np.arange(4))
+    nearest = np.abs(lam[:, None, :] - lam.conj()[:, :, None]).argmin(-1)
+    involution = (nearest[rows, nearest] == np.arange(4)).all(axis=1)
+    assert np.array_equal(pairing[involution], nearest[involution])
+    box_rows = m.shape[0] - noise.shape[0]
+    assert np.count_nonzero(errors.alive[:box_rows]) >= 2000
+    assert not errors.alive[box_rows:].any()
+    assert all("no conjugate partner" in str(e) for e in errors.errors[box_rows:])
+    above = np.concatenate([above for _, above, _ in box])
+    assert 0 < np.count_nonzero(above) < box_rows
+    assert any(kappa == 0.0 for kappa, *_ in box)
 
 
 def test_spectrum_scan_start_and_interval(open_params):

@@ -17,7 +17,9 @@ those of the complex eigen-solve that the symmetric route replaced.
 Exceptional points: a refined real-axis endpoint of ``spectrum_scan`` is the
 root of the eigenvalue discriminant of the double drift matrix A(y), and lies
 within 1e-13 relative of the double y where the 60-digit discriminant of the
-same A changes sign.
+same A changes sign.  At u = 0 the same holds for the characteristic
+polynomial written from the exact (Delta, omega, g) of ``exact_reference``,
+with no matrix of the program.
 
 Entries of M: on a seeded box, ``build_stability_matrix`` meets the exact
 (Delta, omega, g) of ``exact_reference``, derived from the model's physics
@@ -29,12 +31,13 @@ import csv
 import io
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from exact_reference import critical_pump_squared, entries
-from mp_reference import (reference_endpoint, reference_ground_observables,
-                          reference_observables)
+from mp_reference import (discriminant_root, reference_endpoint,
+                          reference_ground_observables, reference_observables)
 from opendicke import cli
 from opendicke.analysis import Side, depletion_curve
 from opendicke.fluctuations import build_stability_matrix, drift_batch, spectrum_scan
@@ -129,6 +132,42 @@ def test_refined_endpoints_at_the_discriminant_root(delta_c, kappa, u, grid):
         else:
             inside, outside = y[y <= end.y][-1], y[y > end.y][0]
         ref = reference_endpoint(drift, float(inside), float(outside))
+        assert abs(end.y - ref) <= 1e-13 * ref
+
+
+# (delta_c, kappa) at u = 0: the figure-scan workload's seed-1 spectrum set
+# and two more.
+U0_SETS = [(-1.8342596668574498, 1.8947242026384399), (-2.0, 2.0), (-0.5, 3.0)]
+
+
+@pytest.mark.parametrize("delta_c, kappa", U0_SETS,
+                         ids=["figure-scan", "-2,2", "-0.5,3"])
+def test_u0_endpoints_from_the_inputs_alone(delta_c, kappa):
+    """Every refined endpoint meets the sign change of the 60-digit
+    discriminant of A_c's characteristic polynomial x^4 + 2 kappa x^3
+    + (Delta^2 + kappa^2 + omega^2) x^2 + 2 kappa omega^2 x
+    + omega (Delta^2 omega + Delta g^2 + kappa^2 omega), its coefficients
+    exact from the inputs: the reference takes no M from the program."""
+    p = ModelParams(delta_c=delta_c, kappa=kappa, u=0.0, y=0.0)
+    y = np.linspace(0.0, 1.2 * critical_pump(p), 1201)
+    scan = spectrum_scan(p, y)
+    k = Fraction(kappa)
+
+    def charpoly(pump):
+        d, w, g = entries(delta_c, kappa, 0.0, pump)
+        exact = (1, 2 * k, d * d + k * k + w * w, 2 * k * w * w,
+                 w * (d * d * w + d * g * g + k * k * w))
+        return [mp.mpf(c.numerator) / c.denominator for c in map(Fraction, exact)]
+
+    ends = [(iv.lower, True) for iv in scan.real_intervals if iv.lower.refined]
+    ends += [(iv.upper, False) for iv in scan.real_intervals if iv.upper.refined]
+    assert ends
+    for end, lower in ends:
+        if lower:
+            inside, outside = y[y >= end.y][0], y[y < end.y][-1]
+        else:
+            inside, outside = y[y <= end.y][-1], y[y > end.y][0]
+        ref = discriminant_root(charpoly, float(inside), float(outside))
         assert abs(end.y - ref) <= 1e-13 * ref
 
 
