@@ -75,11 +75,13 @@ BATCH_ROWS = 256
 
 # Eigenvalue pairs (i, j), i < j, in itertools.combinations order.
 _PAIR_I, _PAIR_J = np.array(list(itertools.combinations(range(4), 2))).T
-# The 24 orderings of four branches in itertools.permutations order, and the
-# ten involutions among them, the candidate conjugate pairings.
+# The 24 orderings of four branches in itertools.permutations order;
+# _THEN[a, b] is the index of their composition _PERMS[a][_PERMS[b]], and the
+# ten involutions, the candidate conjugate pairings, are its diagonal's zeros.
 _MODES = np.arange(4)
 _PERMS = np.array(list(itertools.permutations(_MODES)))
-_INVOLUTIONS = _PERMS[(np.take_along_axis(_PERMS, _PERMS, 1) == _MODES).all(1)]
+_THEN = (_PERMS[:, _PERMS][:, :, None] == _PERMS).all(-1).argmax(-1)
+_INVOLUTIONS = _PERMS[_THEN.diagonal() == 0]
 _EYE = np.eye(4)
 _EYE2 = np.concatenate((_EYE, _EYE))
 
@@ -607,45 +609,32 @@ def _match_branches(lam: np.ndarray, vecs: np.ndarray):
     """Order every row's eigenvalues to continue the branches of the row
     before: (matched eigenvalues, ambiguous flags).
 
-    Row 0 is sorted by (real part, imaginary part).  Each later row takes the
-    permutation with the least total displacement from the previous matched
-    row; permutations within 1e-12 of the least are told apart by their
-    summed eigenvector overlaps, and a tie that remains marks the row
-    ambiguous.
-
-    The least displacement does not depend on the order of the row before,
-    so it is found for every row at once against the raw order, and a row
-    whose runner-up is clear of the 1e-12 tie band by more than the rounding
-    of a reordered sum composes that permutation with the one before.  The
-    other rows compare the 24 permutations against the matched order.
+    Row 0 is sorted by (real part, imaginary part).  Each later row keeps the
+    permutations within 1e-12 of the least total displacement from the row
+    before; where that keeps more than one, it keeps those within 1e-12 of
+    the greatest summed eigenvector overlap, and more than one left marks the
+    row ambiguous.  Neither sum depends on the order of the row before, so
+    both are taken for every row at once against the raw order.  The branches
+    go on with the survivor that comes first in matched order, which
+    ``_THEN`` reads off the matched order of the row before.
     """
-    n = lam.shape[0]
-    # dist[i - 1, a, b] = |lambda_i[a] - lambda_{i-1}[b]|
-    dist = np.abs(lam[1:, :, None] - lam[:-1, None, :])
-    raw = dist[:, _PERMS, _MODES]
-    raw = raw[..., 0] + raw[..., 1] + raw[..., 2] + raw[..., 3]
-    best, runner_up = np.sort(raw, axis=1)[:, :2].T
-    clear = (runner_up - best > 1e-12 + 1e-15 * (runner_up + best)).tolist()
-    moves = _PERMS[np.argmin(raw, axis=1)]
-    perm = np.lexsort((lam[0].imag, lam[0].real))
-    perms = [perm]
-    ambiguous = [False] * n
-    for i in range(1, n):
-        if clear[i - 1]:
-            perm = moves[i - 1][perm]
-            perms.append(perm)
-            continue
-        d = dist[i - 1][_PERMS, perm]
-        costs = d[:, 0] + d[:, 1] + d[:, 2] + d[:, 3]
-        tied = np.flatnonzero(costs - costs.min() <= 1e-12)
-        gram = np.abs(vecs[i - 1][:, perm].conj().T @ vecs[i])
-        o = gram[np.arange(4), _PERMS[tied]]
-        overlaps = o[:, 0] + o[:, 1] + o[:, 2] + o[:, 3]
-        winners = tied[overlaps.max() - overlaps <= 1e-12]
-        perm = _PERMS[winners[0]]
-        ambiguous[i] = winners.size > 1
-        perms.append(perm)
-    return np.take_along_axis(lam, np.array(perms), 1), ambiguous
+    # d[i - 1, p, k] = |lambda_i[_PERMS[p, k]] - lambda_{i-1}[k]|
+    d = np.abs(lam[1:, :, None] - lam[:-1, None, :])[:, _PERMS, _MODES]
+    costs = d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]
+    keep = costs - costs.min(1, keepdims=True) <= 1e-12
+    rows = np.flatnonzero(keep.sum(1) > 1)
+    # gram[r, a, b] = |<v_{i-1}[a], v_i[b]>| for row i = rows[r] + 1
+    gram = np.abs(vecs[rows].conj().swapaxes(1, 2) @ vecs[rows + 1])
+    o = gram[:, _MODES, _PERMS]
+    o = np.where(keep[rows], o[..., 0] + o[..., 1] + o[..., 2] + o[..., 3], -np.inf)
+    keep[rows] = o.max(1, keepdims=True) - o <= 1e-12
+    tied = keep.sum(1) > 1
+    # then[i - 1, b]: row i's matched permutation after b on row i - 1
+    then = _THEN[keep.argmax(1)]
+    then[tied] = np.where(keep[tied, :, None], _THEN, 24).min(1)
+    first = _PERMS.tolist().index(np.lexsort((lam[0].imag, lam[0].real)).tolist())
+    perms = itertools.accumulate(then.tolist(), lambda b, row: row[b], initial=first)
+    return np.take_along_axis(lam, _PERMS[list(perms)], 1), [False] + tied.tolist()
 
 
 def _discriminant(params: ModelParams, y: float) -> float:

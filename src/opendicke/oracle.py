@@ -60,17 +60,17 @@ def lyapunov_moments(stability: StabilityMatrix) -> SecondMoments:
     backward-error limit 1e-12 max|M| max|S|.
 
     Valid box: every |lambda_k + lambda_l| above 1e-12 max|lambda|.  Below
-    that the system counts as singular: a consistent one returns the
-    minimum-norm least-squares solution, an inconsistent one diverges
-    physically.  The minimum-norm solution is right for undamped noise-free
-    modes (zero pump), but wrong for a weakly damped pair that the noise
-    drives: at delta_c = -916.62139, kappa = 1.6571e-4, u = -3.90154,
-    y = 0.05 y_c (Re lambda ~ -4.9e-13) it gives delta_N = -2.04e-6, where a
-    60-digit solve of the same M gives 228.943.  Inside the box the dense
-    solve is backward stable, but its forward error grows with the condition
-    number of M (x) I + I (x) M: at delta_c = -1.0056e-4, kappa = 3327.95,
-    u = 1.36203, y = 2.386e5 that is 2e16, and delta_N is off by 0.9 %
-    against a 50-digit solve.
+    that the system counts as singular, and a least-squares solve only tells
+    an inconsistent one, which diverges physically, from a consistent one,
+    whose undamped pair it leaves undetermined (NumericalFailure).  Its
+    minimum-norm solution is not returned: at zero pump it makes the atom
+    pair's <b b^dag> - <b^dag b> 0, not 1, and at delta_c = -916.62139,
+    kappa = 1.6571e-4, u = -3.90154, y = 0.05 y_c (Re lambda ~ -4.9e-13) it
+    gave delta_N = -2.04e-6, where a 60-digit solve of the same M gives 228.943.
+    Inside the box the dense solve is backward stable, but its forward error
+    grows with the condition number of M (x) I + I (x) M: at
+    delta_c = -1.0056e-4, kappa = 3327.95, u = 1.36203, y = 2.386e5 that is
+    2e16, and delta_N is off by 0.9 % against a 50-digit solve.
     """
     kappa = stability.params.kappa
     m = stability.m
@@ -93,7 +93,9 @@ def lyapunov_moments(stability: StabilityMatrix) -> SecondMoments:
             raise DivergentSteadyState(
                 f"singular Lyapunov system with inconsistent noise "
                 f"(residual {residual:.3e}); moments diverge")
-        return SecondMoments(s=hermitize_moments(s))
+        i, j = divmod(int(np.abs(sums).argmin()), 4)
+        raise NumericalFailure(f"singular Lyapunov system with consistent noise: "
+                               f"undamped pair {lam[i]:.6g}, {lam[j]:.6g} undetermined")
 
     s = np.linalg.solve(a, rhs).reshape(4, 4)
     residual = float(np.abs(m @ s + s @ m.T + d).max())

@@ -1,4 +1,5 @@
-"""Test-only exact reference for the entries of the stability matrix M.
+"""Test-only exact reference for the entries of the stability matrix M and
+for the kappa > 0 steady state they fix.
 
 Every row's M has the shape fixed by three real numbers (Delta, omega, g):
 the cavity entry M00 = i Delta - kappa, the side-mode entry M22 = -i omega,
@@ -43,6 +44,25 @@ the orthogonal (excited) state of h, so
 
     (Delta, omega, g) = (delta_c, y^2 / y_c^2, y_c^2 / y).
 
+Steady state, kappa > 0.  Every row's drift matrix is a rotation of the
+cavity quadratures of
+
+    A_c = [[-kappa, -Delta,  g,      0],
+           [ Delta, -kappa,  0,      0],
+           [ 0,      0,      0,  omega],
+           [ 0,     -g,     -omega,  0]]
+
+in the quadrature order (x_a, p_a, x_b, p_b), with the vacuum at 1/2 I.  Its
+symmetric covariance sigma solves the Lyapunov equation
+
+    A_c sigma + sigma A_c^T + kappa diag(1, 1, 0, 0) = 0,
+
+ten linear equations in the ten entries of sigma, solved here by exact
+elimination.  delta_N = (sigma22 + sigma33 - 1) / 2 and
+n_photon = (sigma00 + sigma11 - 1) / 2 are traces of the two diagonal
+blocks, so the cavity rotation, whose phase the inputs leave open, does not
+change them.
+
 The package never imports this module.
 """
 
@@ -67,3 +87,36 @@ def entries(delta_c: float, kappa: float, u: float,
     if u != 0:
         raise ValueError("the superradiant reference holds at u = 0 only")
     return Fraction(delta_c), y * y / y_c_sq, y_c_sq / y
+
+
+def steady_state(delta_c: float, kappa: float, u: float,
+                 y: float) -> tuple[Fraction, Fraction]:
+    """(delta_N, n_photon) of the kappa > 0 steady state of the double inputs,
+    exactly, from the Lyapunov equation of A_c (module docstring); raises
+    ValueError where it has no unique solution, as at zero pump."""
+    delta, omega, g = entries(delta_c, kappa, u, y)
+    k = Fraction(kappa)
+    a = [[-k, -delta, g, 0], [delta, -k, 0, 0], [0, 0, 0, omega], [0, -g, -omega, 0]]
+    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+    col = {pair: n for n, pair in enumerate(pairs)}
+    # One equation per (i, j), i <= j: sum_m a[i][m] sigma[m][j]
+    # + sigma[i][m] a[j][m] = -kappa [i == j < 2], with sigma symmetric.
+    rows = []
+    for i, j in pairs:
+        row = [Fraction(0)] * 10 + [-k if i == j < 2 else Fraction(0)]
+        for m in range(4):
+            row[col[min(m, j), max(m, j)]] += a[i][m]
+            row[col[min(i, m), max(i, m)]] += a[j][m]
+        rows.append(row)
+    for c in range(10):
+        pivot = next((r for r in range(c, 10) if rows[r][c]), None)
+        if pivot is None:
+            raise ValueError(f"no unique steady state at {(delta_c, kappa, u, y)!r}")
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(10):
+            if r != c and rows[r][c]:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * z if z else x for x, z in zip(rows[r], rows[c])]
+    sigma = {pair: rows[n][10] / rows[n][n] for pair, n in col.items()}
+    return ((sigma[2, 2] + sigma[3, 3] - 1) / 2,
+            (sigma[0, 0] + sigma[1, 1] - 1) / 2)

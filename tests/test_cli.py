@@ -510,3 +510,12 @@ def test_verify_degenerate_frequencies_at_zero_pump(capsys):
                              capsys)
     assert code == 0 and err == ""
     assert "12/12 checks passed" in out
+
+
+def test_verify_names_the_undetermined_pair_at_zero_pump(capsys):
+    """At kappa > 0 and y = 0 the noise-free atom pair leaves the Lyapunov
+    oracle's solution open: verify exits 3 naming it, prints no check."""
+    code, out, err = run_cli(["verify", "--delta-c=-2", "--kappa=2", "--y=0"],
+                             capsys)
+    assert (code, out) == (3, "")
+    assert "consistent noise: undamped pair" in err and "undetermined" in err

@@ -15,7 +15,8 @@ from opendicke.errors import (DefectiveMatrix, DegenerateBranch,
                               DivergentSteadyState, NumericalFailure,
                               UnstableState)
 from opendicke.errors import RowErrors
-from opendicke.fluctuations import (_PERMS, DEFECT_COND_LIMIT, DIVERGENT_TOL,
+from opendicke.fluctuations import (_INVOLUTIONS, _PERMS, _THEN,
+                                    DEFECT_COND_LIMIT, DIVERGENT_TOL,
                                     STABILITY_TOL, SecondMoments, StabilityMatrix,
                                     _correlation_batch, _decompose_batch, _defects,
                                     _ill_conditioned, _match_branches,
@@ -523,6 +524,24 @@ def _branch_stacks():
         if trial % 2 == 0:
             vecs[:, :, 1] = vecs[:, :, 0]
         yield lam, vecs
+    # A single eigenvalue with a single eigenvector on every row: all 24
+    # permutations tie on both sums, so the matched-order choice decides
+    # every row after the first, and each of them is ambiguous.
+    lam = rng.standard_normal((300, 1)) + 1j * rng.standard_normal((300, 1))
+    vecs = rng.standard_normal((300, 4, 1)) + 1j * rng.standard_normal((300, 4, 1))
+    lam, vecs = np.repeat(lam, 4, 1), np.repeat(vecs, 4, 2)
+    yield np.take_along_axis(lam, np.argsort(rng.random((300, 4)), axis=1), 1), vecs
+
+
+def test_composition_table_indexes_the_composed_permutation():
+    for a in range(24):
+        for b in range(24):
+            assert np.array_equal(_PERMS[_THEN[a, b]], _PERMS[a][_PERMS[b]])
+
+
+def test_involutions_square_to_the_identity():
+    square = np.take_along_axis(_PERMS, _PERMS, 1)
+    assert np.array_equal(_INVOLUTIONS, _PERMS[(square == np.arange(4)).all(1)])
 
 
 def test_branch_matching_equals_row_by_row_comparison():

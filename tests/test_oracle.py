@@ -35,16 +35,14 @@ def test_lyapunov_solves_equation(open_params):
 
 def test_lyapunov_vacuum_at_zero_pump(open_params):
     # undamped atom modes are noise-free at y=0: the system is singular but
-    # consistent.  The damped photon sector is pinned to vacuum; the atom
-    # sector is undetermined and the solver returns its minimum-norm value
-    # (zeros).  Only the eigenmode route carries the physical vacuum there.
-    stability = build_stability_matrix(open_params)
-    s = lyapunov_moments(stability).s
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 1] = 1.0
-    np.testing.assert_allclose(s, expected, atol=1e-10)
-    residual = stability.m @ s + s @ stability.m.T + noise_matrix(open_params.kappa)
-    assert np.max(np.abs(residual)) <= 1e-8
+    # consistent, and the atom block is undetermined.  Its minimum-norm value
+    # (zeros) breaks the atom commutator, so the oracle raises and names the
+    # pair; only the eigenmode route carries the physical vacuum there.
+    with pytest.raises(NumericalFailure, match="consistent noise") as info:
+        lyapunov_moments(build_stability_matrix(open_params))
+    omega = abs(build_stability_matrix(open_params).m[2, 2])
+    for lam in (complex(0.0, omega), complex(0.0, -omega)):
+        assert f"{lam:.6g}" in str(info.value)
 
 
 def test_lyapunov_unstable_branch(open_params):
