@@ -10,9 +10,10 @@ they take the same solved-mean-field stability matrix and input checks:
   on a truncated two-mode Fock space and must reproduce the Bogoliubov
   ground-state occupations once the cutoff has converged.  It works on the
   even sector of the parity (-1)^(n_a + n_b) in the photon gauge a -> i a,
-  where H is a real symmetric sparse matrix, by symmetric Lanczos.  The
-  coarse solve starts from the Fock vacuum, the doubled-cutoff solve from
-  the coarse ground state.
+  where H is real symmetric and is applied as a stencil of at most nine
+  occupation shifts; its lowest eigenpair comes from LOBPCG with the diagonal
+  of H as preconditioner, in numpy alone.  The coarse solve starts from the
+  Fock vacuum, the doubled-cutoff solve from the coarse ground state.
 """
 
 from __future__ import annotations
@@ -129,44 +130,138 @@ _MODE = np.array([0, 0, 1, 1])
 _STEP = np.array([-1, 1, -1, 1])
 
 
-def _sector_hamiltonian(h: np.ndarray, cutoffs: tuple[int, int]):
+# The Fock solve stops when ||H x - theta x|| <= FOCK_RESIDUAL_TOL ||A x|| for
+# the unit Ritz vector x, with A the diagonal of the absolute row sums of H:
+# each entry of H x sums terms of about A x in size, and rounding alone left
+# residuals of 3e-16 to 1.5e-15 ||A x|| at the points tried, near threshold
+# included.  The solve gives up after FOCK_MAX_ITER iterations.
+FOCK_RESIDUAL_TOL = 1e-14
+FOCK_MAX_ITER = 5000
+
+
+class _SectorHamiltonian:
     """H = 1/2 sum_ij h[i,j] R_i^dag R_j for real h on the states with
-    n_a + n_b even inside the cutoffs, their occupations (n_a, n_b), and the
-    map from (n_a, n_b) to sector index (-1 off the sector).
+    n_a + n_b even inside the cutoffs, applied as a stencil.
 
-    Each term applies R_j, then R_i^dag, to every sector state by index
-    arithmetic; a step out of the box has amplitude zero, exactly as in the
-    product of two truncated ladder matrices.
+    State (n_a, n_b) has index k = (n_a w + n_b) / 2, with the odd row length
+    w = cutoffs[1] + 1 | 1: the parity of n_a w + n_b is that of n_a + n_b,
+    so the even sector is every other flat index of the box.  For odd
+    cutoffs[1] the column n_b = cutoffs[1] + 1 pads the rows, and no term
+    reaches it.  A term R_i^dag R_j moves every state by the same
+    (dn_a, dn_b), that is by the index offset (dn_a w + dn_b) / 2, with an
+    amplitude that is zero where a step leaves the box, exactly as in the
+    product of two truncated ladder matrices.  The terms give at most nine
+    offsets; the amplitudes of each offset are summed over its terms and
+    indexed by the source state: (H x)[k + offset] holds amp[k] x[k].
+
+    ``occ`` holds (n_a, n_b) of every index, ``diagonal`` the diagonal of H
+    and ``row_sums`` its absolute row sums.
     """
-    # scipy.sparse is imported by the Fock oracle alone: it takes most of
-    # the package's import time and memory.
-    import scipy.sparse as sp
 
-    box = np.indices((cutoffs[0] + 1, cutoffs[1] + 1), dtype=np.int32)
-    even = (box[0] + box[1]) % 2 == 0
-    occ = box[:, even]
-    dim = occ.shape[1]
-    index = np.arange(dim, dtype=np.int32)
-    position = np.full(even.shape, -1, dtype=np.int32)
-    position[even] = index
-    rows, cols, values = [], [], []
-    for i, j in zip(*np.nonzero(h)):
-        n = occ.copy()
-        amp = np.ones(dim)
-        for slot in (j, CONJ_PERM[i]):
-            mode = _MODE[slot]
-            after = n[mode] + _STEP[slot]
-            amp *= np.sqrt(np.maximum(n[mode], after).clip(min=0))
-            amp *= (after >= 0) & (after <= cutoffs[mode])
-            n[mode] = after
-        keep = amp != 0.0
-        rows.append(position[n[0, keep], n[1, keep]])
-        cols.append(index[keep])
-        values.append(0.5 * h[i, j] * amp[keep])
-    # Rebinding drops the per-term pieces before the sparse construction,
-    # which with int32 indices keeps the call's peak memory near ARPACK's.
-    rows, cols, values = map(np.concatenate, (rows, cols, values))
-    return sp.csr_matrix((values, (rows, cols)), shape=(dim, dim)), occ, position
+    def __init__(self, h: np.ndarray, cutoffs: tuple[int, int]):
+        width = cutoffs[1] + 1 | 1
+        self.occ = np.stack(np.divmod(
+            np.arange(0, (cutoffs[0] + 1) * width, 2), width))
+        shifts: dict[int, np.ndarray] = {}
+        for i, j in zip(*np.nonzero(h)):
+            n = self.occ.copy()
+            amp = 0.5 * h[i, j] * (n[1] <= cutoffs[1])
+            for slot in (j, CONJ_PERM[i]):
+                mode = _MODE[slot]
+                after = n[mode] + _STEP[slot]
+                amp = amp * np.sqrt(np.maximum(n[mode], after).clip(min=0))
+                amp *= (after >= 0) & (after <= cutoffs[mode])
+                n[mode] = after
+            offset = int((n[0, 0] - self.occ[0, 0]) * width
+                         + n[1, 0] - self.occ[1, 0]) // 2
+            shifts[offset] = shifts.get(offset, 0.0) + amp
+        self.diagonal = shifts.get(0, np.zeros(self.occ.shape[1]))
+        self.row_sums = sum(np.abs(amp) for amp in shifts.values())
+
+        dim = self.occ.shape[1]
+        # H[k + offset, k] against H[k, k + offset] for every k and offset.
+        herm_defect = max(
+            (float(np.abs(amp[:dim - offset] - shifts.get(
+                -offset, np.zeros(dim))[offset:]).max())
+             for offset, amp in shifts.items() if offset > 0),
+            default=0.0)
+        scale = max(float(np.abs(amp).max()) for amp in shifts.values())
+        if herm_defect > 1e-12 * max(1.0, scale):
+            raise NumericalFailure(
+                f"truncated Hamiltonian not Hermitian (defect {herm_defect:.3e})")
+        # (target slice, amplitudes, source slice) of every off-diagonal term
+        self._terms = [
+            (slice(offset, None), amp[:dim - offset], slice(None, dim - offset))
+            if offset > 0 else
+            (slice(None, dim + offset), amp[-offset:], slice(-offset, None))
+            for offset, amp in sorted(shifts.items()) if offset != 0]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        y = self.diagonal * x
+        for target, amp, source in self._terms:
+            y[target] += amp * x[source]
+        return y
+
+
+def _lowest_eigenpair(ham: _SectorHamiltonian, x: np.ndarray):
+    """Lowest eigenvalue of ``ham`` and its unit eigenvector, by LOBPCG with
+    block size one (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) from x.
+
+    Each step takes the lowest Ritz pair of H on span(x, w, p): the Ritz
+    vector x, the residual r = H x - theta x preconditioned by the diagonal
+    of H, w = r / diag(H), and the previous step p.  The three are kept
+    orthonormal.  w is made orthogonal to x and p before H is applied to it,
+    so H w is exact and no small difference of carried vectors is ever
+    rescaled; H x and H p follow x and p by the same linear combinations.  A
+    Ritz vector that meets the stopping rule (FOCK_RESIDUAL_TOL) is tested
+    again with H x recomputed.
+    """
+    inverse_diagonal = np.divide(1.0, ham.diagonal, out=np.zeros_like(x),
+                                 where=ham.diagonal > 0)  # 0 on the padding
+    x = x / np.linalg.norm(x)
+    hx = ham(x)
+    theta = x @ hx
+    p = hp = None
+    for iteration in range(FOCK_MAX_ITER + 1):
+        residual = hx - theta * x
+        norm = np.linalg.norm(residual)
+        if norm <= FOCK_RESIDUAL_TOL * np.linalg.norm(ham.row_sums * x):
+            hx = ham(x)
+            theta = x @ hx
+            residual = hx - theta * x
+            norm = np.linalg.norm(residual)
+            if norm <= FOCK_RESIDUAL_TOL * np.linalg.norm(ham.row_sums * x):
+                return float(theta), x
+        if iteration == FOCK_MAX_ITER:
+            raise NumericalFailure(
+                f"Fock ground state not converged in {FOCK_MAX_ITER} LOBPCG "
+                f"iterations (residual {norm:.3e})")
+        w = residual * inverse_diagonal
+        basis, images = ([x], [hx]) if p is None else ([x, p], [hx, hp])
+        for _ in range(2):
+            for b in basis:
+                w -= (b @ w) * b
+        w /= np.linalg.norm(w)
+        basis.append(w)
+        images.append(ham(w))
+        basis, images = np.array(basis), np.array(images)
+        projected = basis @ images.T
+        values, vectors = np.linalg.eigh(0.5 * (projected + projected.T))
+        theta, c = values[0], vectors[:, 0]
+        p, hp = c[1:] @ basis[1:], c[1:] @ images[1:]
+        x, hx = c[0] * x + p, c[0] * hx + hp
+        length = np.linalg.norm(x)
+        x, hx = x / length, hx / length
+        # p is orthogonal to the old x, not to the new one
+        length = np.linalg.norm(p)
+        if length == 0.0:
+            p = hp = None
+            continue
+        p, hp = p / length, hp / length
+        overlap = x @ p
+        p, hp = p - overlap * x, hp - overlap * hx
+        length = np.linalg.norm(p)
+        p, hp = p / length, hp / length
 
 
 def _fock_occupations(h: np.ndarray, cutoffs: tuple[int, int], start=None):
@@ -174,28 +269,21 @@ def _fock_occupations(h: np.ndarray, cutoffs: tuple[int, int], start=None):
     real coefficient matrix h in the photon gauge, and the ground state as
     (occ, vec).
 
-    Lanczos starts from ``start``, a state (occ, vec) of a box inside this
+    The solve starts from ``start``, a state (occ, vec) of a box inside this
     one copied onto the same (n_a, n_b) states with zeros elsewhere, or, if
     None, from the Fock vacuum |0, 0>, which is sector index 0.
     """
-    ham, occ, position = _sector_hamiltonian(h, cutoffs)
-    herm_defect = abs(ham - ham.T).max()
-    if herm_defect > 1e-12 * max(1.0, abs(ham).max()):
-        raise NumericalFailure(
-            f"truncated Hamiltonian not Hermitian (defect {herm_defect:.3e})")
-
-    # Deterministic start vector; eigsh would otherwise seed randomly.
-    v0 = np.zeros(ham.shape[0])
+    ham = _SectorHamiltonian(h, cutoffs)
+    v0 = np.zeros(ham.occ.shape[1])
     if start is None:
         v0[0] = 1.0
     else:
-        v0[position[start[0][0], start[0][1]]] = start[1]
-    import scipy.sparse.linalg as spla
-
-    energy, vec = spla.eigsh(ham, k=1, which="SA", v0=v0)
-    weight = vec[:, 0] ** 2
-    return ((float(weight @ occ[1]), float(weight @ occ[0]), float(energy[0])),
-            (occ, vec[:, 0]))
+        width = cutoffs[1] + 1 | 1
+        v0[(start[0][0] * width + start[0][1]) // 2] = start[1]
+    energy, vec = _lowest_eigenpair(ham, v0)
+    weight = vec ** 2
+    return ((float(weight @ ham.occ[1]), float(weight @ ham.occ[0]), energy),
+            (ham.occ, vec))
 
 
 def fock_ground_state(params: ModelParams,
@@ -208,14 +296,17 @@ def fock_ground_state(params: ModelParams,
     the parity (-1)^(n_a + n_b), and its Gaussian ground state is even, so H
     is diagonalized on the even sector only.  In the photon gauge a -> i a,
     which leaves both occupations unchanged, h is real and H a real symmetric
-    matrix; its lowest eigenpair comes from ARPACK's symmetric Lanczos solver,
-    started from the Fock vacuum.  A coefficient matrix that is not real in
-    that gauge raises NumericalFailure.  The run is repeated at doubled
-    cutoffs, started from the coarse ground state copied onto the same
-    (n_a, n_b) states; ARPACK stops on the Ritz residual, so the start changes
-    the cost of that run, not the state it converges to.  The relative change
-    of both occupations must stay below 1e-3, otherwise CutoffTooSmall is
-    raised.  The doubled-cutoff values are returned.
+    matrix; its lowest eigenpair comes from block-size-one LOBPCG with the
+    diagonal of H as preconditioner, started from the Fock vacuum.  A
+    coefficient matrix that is not real in that gauge, a truncated H that is
+    not symmetric, or a solve that reaches FOCK_MAX_ITER iterations raises
+    NumericalFailure.  The run is repeated at doubled cutoffs, started from
+    the coarse ground state copied onto the same (n_a, n_b) states; the solve
+    stops on the Ritz residual ||H x - theta x||, relative to the size of the
+    terms of H x (FOCK_RESIDUAL_TOL), so the start changes the cost of that
+    run, not the state it converges to.  The relative change of both
+    occupations must stay below 1e-3, otherwise CutoffTooSmall is raised.
+    The doubled-cutoff values are returned.
     """
     if params.kappa != 0.0:
         raise ValueError("Fock oracle applies to the closed system (kappa = 0)")

@@ -106,6 +106,32 @@ def test_cli_import_leaves_scipy_sparse_out():
     assert out.strip() == "False"
 
 
+
+def test_package_runs_without_scipy():
+    """scipy is a test dependency only: with it unimportable, the Fock
+    oracle, both verify sets, every scan kind and the exponent fit run."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = """\
+import contextlib, io, sys
+sys.modules["scipy"] = None
+from opendicke import cli, model, oracle
+closed = model.ModelParams(delta_c=-2.0, kappa=0.0, u=0.0, y=0.0)
+oracle.fock_ground_state(closed.with_pump(0.5 * model.critical_pump(closed)),
+                         cutoffs=(20, 20))
+runs = [["verify", "--delta-c=-2", f"--kappa={kappa}"] for kappa in (0, 2)]
+runs += [[kind, "--delta-c=-2", "--kappa=2", "--y-grid=0:1.5yc:5"]
+         for kind in ("meanfield", "correlations", "entanglement", "spectrum")]
+runs.append(["exponent", "--delta-c=-2", "--kappa=2", "--points=8"])
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.run(argv))
+print(codes)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == str([0] * 7)
+
 def test_spectrum_leaves_scipy_optimize_and_sparse_out():
     """The spectrum's root refinement is written out: a run loads neither
     scipy.optimize nor scipy.sparse."""

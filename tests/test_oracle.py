@@ -20,7 +20,7 @@ from opendicke.fluctuations import (SecondMoments, StabilityMatrix,
 from opendicke.groundstate import ground_state_moments
 from opendicke.model import ModelParams
 from opendicke.oracle import (_fock_occupations, _kron_sum,
-                              _sector_hamiltonian, fock_ground_state,
+                              _SectorHamiltonian, fock_ground_state,
                               lyapunov_moments)
 
 
@@ -211,10 +211,61 @@ def test_fock_deterministic(closed_params):
     assert a.energy == b.energy
 
 
-def _full_space_ground_state(h, cutoffs):
-    """Lowest eigenpair of the complex H = 1/2 sum_ij h[i,j] R_i^dag R_j on
-    the whole truncated two-mode space, built from Kronecker products of
-    truncated ladder matrices and diagonalized densely."""
+
+def _gauged(params):
+    """The real coefficient matrix of ``params`` in the photon gauge."""
+    h = 1j * ETA @ build_stability_matrix(params).m
+    return (np.conj(oracle._GAUGE)[:, None] * h * oracle._GAUGE).real
+
+
+def test_truncated_hamiltonian_rejects_non_symmetric_coefficients():
+    # a^dag b without its partner b^dag a: H[k + offset, k] != H[k, k + offset]
+    h = np.diag([2.0, 2.0, 1.0, 1.0])
+    h[0, 2] = 0.3
+    with pytest.raises(NumericalFailure, match="truncated Hamiltonian not Hermitian"):
+        _SectorHamiltonian(h, (20, 20))
+
+
+def test_fock_names_the_residual_at_the_iteration_cap(monkeypatch, closed_params):
+    monkeypatch.setattr(oracle, "FOCK_MAX_ITER", 1)
+    with pytest.raises(NumericalFailure, match=r"not converged in 1 LOBPCG "
+                       r"iterations \(residual \d\.\d{3}e-\d\d\)") as info:
+        fock_ground_state(at_ratio(closed_params, 1.0 + np.exp(-5.0)),
+                          cutoffs=(20, 20))
+    residual = float(re.search(r"residual (\S+)\)", str(info.value)).group(1))
+    assert 1e-12 < residual < 1.0
+
+
+
+def test_lowest_eigenpair_meets_the_stopping_rule_with_h_x_recomputed(
+        closed_params):
+    # H x is carried along the iteration, and its rounding drift grows with
+    # the number of steps; the returned pair must hold with H x recomputed.
+    ham = _SectorHamiltonian(_gauged(at_ratio(closed_params, 0.999)), (200, 200))
+    start = np.zeros(ham.occ.shape[1])
+    start[0] = 1.0
+    theta, x = oracle._lowest_eigenpair(ham, start)
+    hx = ham(x)
+    assert theta == x @ hx
+    assert (np.linalg.norm(hx - theta * x)
+            <= oracle.FOCK_RESIDUAL_TOL * np.linalg.norm(ham.row_sums * x))
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0 + np.exp(-5.0)])
+def test_fock_stopping_rule_is_relative(closed_params, ratio):
+    # Scaling h by 2^k scales H and its eigenvalues exactly; the occupations
+    # must not move.  An absolute residual bound would stop at the vacuum for
+    # k = -40 and never stop for k = 40.
+    h = _gauged(at_ratio(closed_params, ratio))
+    base = _fock_occupations(h, (20, 20))[0]
+    for k in (-40, 40):
+        got = _fock_occupations(h * 2.0 ** k, (20, 20))[0]
+        assert got[:2] == pytest.approx(base[:2], rel=1e-12)
+        assert got[2] == pytest.approx(base[2] * 2.0 ** k, rel=1e-12)
+
+def _full_space_hamiltonian(h, cutoffs):
+    """H = 1/2 sum_ij h[i,j] R_i^dag R_j on the whole truncated two-mode
+    space, state (n_a, n_b) at n_a (cutoffs[1] + 1) + n_b, built from
+    Kronecker products of truncated ladder matrices, with a and b."""
     ladders = [np.diag(np.sqrt(np.arange(1, n + 1)), 1) for n in cutoffs]
     a = np.kron(ladders[0], np.eye(cutoffs[1] + 1))
     b = np.kron(np.eye(cutoffs[0] + 1), ladders[1])
@@ -222,6 +273,34 @@ def _full_space_ground_state(h, cutoffs):
     adjoint = (1, 0, 3, 2)
     ham = sum(0.5 * h[i, j] * (ops[adjoint[i]] @ ops[j])
               for i in range(4) for j in range(4))
+    return ham, a, b
+
+
+@pytest.mark.parametrize("cutoffs", [(20, 20), (21, 20), (20, 21), (21, 21)])
+def test_stencil_applies_the_even_sector_of_the_truncated_hamiltonian(cutoffs):
+    # A symmetric h with no zero entry makes all nine occupation shifts; odd
+    # cutoffs[1] adds the padding column, which must stay zero.
+    rng = np.random.default_rng(20261019)
+    h = rng.normal(size=(4, 4))
+    h = h + h.T
+    ham = _SectorHamiltonian(h, cutoffs)
+    inside = ham.occ[1] <= cutoffs[1]
+    full = (ham.occ[0] * (cutoffs[1] + 1) + ham.occ[1])[inside]
+    dense = _full_space_hamiltonian(h, cutoffs)[0]
+    x = np.where(inside, rng.normal(size=inside.size), 0.0)
+    got = ham(x)
+    want = dense[np.ix_(full, full)] @ x[inside]
+    np.testing.assert_allclose(got[inside], want, rtol=0.0,
+                               atol=1e-13 * np.abs(want).max())
+    assert not got[~inside].any()
+    np.testing.assert_allclose(ham.diagonal[inside], np.diag(dense)[full],
+                               rtol=1e-14)
+
+
+def _full_space_ground_state(h, cutoffs):
+    """Lowest eigenpair of the complex H = 1/2 sum_ij h[i,j] R_i^dag R_j on
+    the whole truncated two-mode space, diagonalized densely."""
+    ham, a, b = _full_space_hamiltonian(h, cutoffs)
     energies, vecs = np.linalg.eigh(ham)
     psi = vecs[:, 0]
     return (float(np.real(np.vdot(psi, b.T @ b @ psi))),
@@ -242,7 +321,7 @@ def test_even_sector_in_photon_gauge_matches_full_space(u, ratio):
 
 def _uniform_start(h, cutoffs):
     """The uniform start vector on the even sector, as a state (occ, vec)."""
-    occ = _sector_hamiltonian(h, cutoffs)[1]
+    occ = _SectorHamiltonian(h, cutoffs).occ
     return occ, np.ones(occ.shape[1])
 
 
@@ -250,12 +329,11 @@ def _uniform_start(h, cutoffs):
                                               (1.0 + np.exp(-5.0), True)])
 def test_warm_start_does_not_bias_the_doubling_check(closed_params, ratio,
                                                      truncated):
-    # ARPACK stops on the Ritz residual, so the doubled-cutoff solve started
+    # LOBPCG stops on the Ritz residual, so the doubled-cutoff solve started
     # from the coarse ground state must land on the state that a solve from
     # the uniform vector finds, and the doubling drift must not move.
     p = at_ratio(closed_params, ratio)
-    h = (np.conj(oracle._GAUGE)[:, None] * (1j * ETA @ build_stability_matrix(p).m)
-         * oracle._GAUGE).real
+    h = _gauged(p)
     coarse = _fock_occupations(h, (60, 60), _uniform_start(h, (60, 60)))[0]
     fine = _fock_occupations(h, (120, 120), _uniform_start(h, (120, 120)))[0]
     fock = fock_ground_state(p, cutoffs=(60, 60))
