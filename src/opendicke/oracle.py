@@ -159,9 +159,9 @@ class _SectorHamiltonian:
     """
 
     def __init__(self, h: np.ndarray, cutoffs: tuple[int, int]):
-        width = cutoffs[1] + 1 | 1
+        self._width = cutoffs[1] + 1 | 1
         self.occ = np.stack(np.divmod(
-            np.arange(0, (cutoffs[0] + 1) * width, 2), width))
+            np.arange(0, (cutoffs[0] + 1) * self._width, 2), self._width))
         shifts: dict[int, np.ndarray] = {}
         for i, j in zip(*np.nonzero(h)):
             n = self.occ.copy()
@@ -172,8 +172,7 @@ class _SectorHamiltonian:
                 amp = amp * np.sqrt(np.maximum(n[mode], after).clip(min=0))
                 amp *= (after >= 0) & (after <= cutoffs[mode])
                 n[mode] = after
-            offset = int((n[0, 0] - self.occ[0, 0]) * width
-                         + n[1, 0] - self.occ[1, 0]) // 2
+            offset = int(self.index(n[:, 0]) - self.index(self.occ[:, 0]))
             shifts[offset] = shifts.get(offset, 0.0) + amp
         self.diagonal = shifts.get(0, np.zeros(self.occ.shape[1]))
         self.row_sums = sum(np.abs(amp) for amp in shifts.values())
@@ -195,6 +194,10 @@ class _SectorHamiltonian:
             if offset > 0 else
             (slice(None, dim + offset), amp[-offset:], slice(-offset, None))
             for offset, amp in sorted(shifts.items()) if offset != 0]
+
+    def index(self, occ: np.ndarray) -> np.ndarray:
+        """Index of the states with occupations occ = (n_a, n_b)."""
+        return (occ[0] * self._width + occ[1]) // 2
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         y = self.diagonal * x
@@ -225,12 +228,13 @@ def _lowest_eigenpair(ham: _SectorHamiltonian, x: np.ndarray):
     for iteration in range(FOCK_MAX_ITER + 1):
         residual = hx - theta * x
         norm = np.linalg.norm(residual)
-        if norm <= FOCK_RESIDUAL_TOL * np.linalg.norm(ham.row_sums * x):
+        bound = FOCK_RESIDUAL_TOL * np.linalg.norm(ham.row_sums * x)
+        if norm <= bound:
             hx = ham(x)
             theta = x @ hx
             residual = hx - theta * x
             norm = np.linalg.norm(residual)
-            if norm <= FOCK_RESIDUAL_TOL * np.linalg.norm(ham.row_sums * x):
+            if norm <= bound:
                 return float(theta), x
         if iteration == FOCK_MAX_ITER:
             raise NumericalFailure(
@@ -278,8 +282,7 @@ def _fock_occupations(h: np.ndarray, cutoffs: tuple[int, int], start=None):
     if start is None:
         v0[0] = 1.0
     else:
-        width = cutoffs[1] + 1 | 1
-        v0[(start[0][0] * width + start[0][1]) // 2] = start[1]
+        v0[ham.index(start[0])] = start[1]
     energy, vec = _lowest_eigenpair(ham, v0)
     weight = vec ** 2
     return ((float(weight @ ham.occ[1]), float(weight @ ham.occ[0]), energy),

@@ -106,7 +106,6 @@ def test_cli_import_leaves_scipy_sparse_out():
     assert out.strip() == "False"
 
 
-
 def test_package_runs_without_scipy():
     """scipy is a test dependency only: with it unimportable, the Fock
     oracle, both verify sets, every scan kind and the exponent fit run."""
@@ -131,6 +130,7 @@ print(codes)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == str([0] * 7)
+
 
 def test_spectrum_leaves_scipy_optimize_and_sparse_out():
     """The spectrum's root refinement is written out: a run loads neither

@@ -211,7 +211,6 @@ def test_fock_deterministic(closed_params):
     assert a.energy == b.energy
 
 
-
 def _gauged(params):
     """The real coefficient matrix of ``params`` in the photon gauge."""
     h = 1j * ETA @ build_stability_matrix(params).m
@@ -236,7 +235,6 @@ def test_fock_names_the_residual_at_the_iteration_cap(monkeypatch, closed_params
     assert 1e-12 < residual < 1.0
 
 
-
 def test_lowest_eigenpair_meets_the_stopping_rule_with_h_x_recomputed(
         closed_params):
     # H x is carried along the iteration, and its rounding drift grows with
@@ -250,6 +248,7 @@ def test_lowest_eigenpair_meets_the_stopping_rule_with_h_x_recomputed(
     assert (np.linalg.norm(hx - theta * x)
             <= oracle.FOCK_RESIDUAL_TOL * np.linalg.norm(ham.row_sums * x))
 
+
 @pytest.mark.parametrize("ratio", [0.5, 1.0 + np.exp(-5.0)])
 def test_fock_stopping_rule_is_relative(closed_params, ratio):
     # Scaling h by 2^k scales H and its eigenvalues exactly; the occupations
@@ -261,6 +260,7 @@ def test_fock_stopping_rule_is_relative(closed_params, ratio):
         got = _fock_occupations(h * 2.0 ** k, (20, 20))[0]
         assert got[:2] == pytest.approx(base[:2], rel=1e-12)
         assert got[2] == pytest.approx(base[2] * 2.0 ** k, rel=1e-12)
+
 
 def _full_space_hamiltonian(h, cutoffs):
     """H = 1/2 sum_ij h[i,j] R_i^dag R_j on the whole truncated two-mode
