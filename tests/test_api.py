@@ -97,8 +97,8 @@ def test_scalar_routes_take_a_point():
 
 
 def test_cli_import_leaves_scipy_sparse_out():
-    """scipy.sparse is the Fock oracle's alone and takes most of a cold
-    start, so importing the CLI must not load it."""
+    """scipy.sparse would take most of a cold start, so importing the CLI
+    must not load it."""
     env = dict(os.environ, PYTHONPATH=SRC)
     code = "import sys, opendicke.cli; print('scipy.sparse' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
