@@ -270,9 +270,9 @@ def conjugation_defect(m: np.ndarray) -> float:
 
 
 def check_hermitian(h: np.ndarray, errors: RowErrors) -> None:
-    """Fail every row of a stack of closed-system coefficient matrices,
-    h = i eta M or the real G = -Omega A, whose max-norm violation of
-    h = h^dag exceeds HERMITICITY_TOL * max(1, max|h|)."""
+    """Fail every row of a stack of closed-system coefficient matrices
+    h = i eta M whose max-norm violation of h = h^dag exceeds
+    HERMITICITY_TOL * max(1, max|h|)."""
     defect = np.abs(h - np.conj(np.swapaxes(h, -1, -2))).max(axis=(-2, -1))
     scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
     errors.fail(defect > HERMITICITY_TOL * scale, lambda i: NumericalFailure(

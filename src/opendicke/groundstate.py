@@ -1,26 +1,44 @@
-"""Closed-system (kappa = 0) ground-state fluctuations by Williamson's theorem.
+"""Closed-system (kappa = 0) ground-state fluctuations in closed form.
 
 Without photon loss the fluctuations follow the quadratic Hamiltonian
 X^T G X / 2 of the quadratures X = Q R = (x_c, p_c, x_a, p_a): the drift
 matrix of the shared builder (``fluctuations.drift_batch``) is A = Omega G,
 so G = -Omega A is real symmetric, and a ground state exists when G is
-positive definite.  Williamson (Am. J. Math. 58, 141 (1936)) diagonalizes
-it with two Hermitian eigen-solves per row: eigh(G) gives G^(+-1/2), and
-eigh(i B) of the antisymmetric B = G^(1/2) Omega G^(1/2) the frequencies
-+-omega_k.  The real and imaginary parts of the +omega_k eigenvectors v_k
-form an orthogonal O, and S^-1 = G^(-1/2) O D^(1/2), D = diag(omega_1,
-omega_1, omega_2, omega_2), is symplectic and takes G to D.  A degenerate
-pair needs nothing special: the real and imaginary parts of any orthonormal
-basis of its eigenspace are orthonormal.
+positive definite.  At kappa = 0, in both phases and at every u, G has one
+block form,
 
-In the ladder basis T^-1 = Q^dag S^-1 Q maps the normal-mode ladders
-C = (c1, c1+, c2, c2+) to R.  O Q has the columns (-i v_k, i conj(v_k)), so
-up to a phase of each mode the columns of T^-1 are Q^dag z_k and
-Q^dag conj(z_k), z_k = sqrt(omega_k) G^(-1/2) v_k.  The ground state is the
-vacuum of C, <R R^T> = T^-1 V0 T^-T with V0[0, 1] = V0[2, 3] = 1: a sum of
-products of Bogoliubov coefficients, which does not cancel at low pump.
-As in the open-system chain, every stage runs on a stack of matrices
-(:func:`ground_state_batch`), and the scalar functions are batches of one.
+    G = [[D, 0, 0, 0],
+         [0, D, g, 0],
+         [0, g, w, 0],
+         [0, 0, 0, w]],      D = -Delta,
+
+with exact zeros and exactly repeated entries in double precision.  In the
+canonical pairs x = (p_c, x_a), p = (-x_c, p_a) it reads
+H = (x^T K x + p^T P p) / 2 with K = [[D, g], [g, w]] and P = diag(D, w),
+and x = P^(1/2) xi, p = P^(-1/2) pi leaves the oscillators
+(xi^T W xi + pi^T pi) / 2 of the 2x2 W = P^(1/2) K P^(1/2).  With
+half = (W11 - W22) / 2 and rho = |half| + hypot(half, W12), W's eigenvectors are a
+rotation by t = W12 / rho (t = 0 where rho = 0), and the normal-mode
+frequencies are the roots of its eigenvalues,
+
+    nu_big^2   = W_jj + W12^2 / rho     (j the pair with the larger W_jj),
+    nu_small^2 = D w det K / nu_big^2   (= W_ii - W12^2 / rho).
+
+det K = D w - g^2 is formed from error-free products (Dekker): it is the
+only difference of nearly equal numbers in the problem, and it vanishes at
+threshold.  The pair (x_j, p_j) has the Bogoliubov coefficients
+
+    u_jk = U_jk (P_j + nu_k) / (2 sqrt(P_j nu_k)),
+    v_jk = U_jk (P_j^2 - nu_k^2) / ((P_j + nu_k) 2 sqrt(P_j nu_k)),
+
+where each P_j^2 - nu_k^2 is +-W12^2 / rho or +-rho, never a cancelling
+difference.  The ladder of the first pair is -i a, so
+T^-1 = diag(i, -i, 1, 1) T_b^-1, with T_b^-1 the real matrix of u and v, maps
+the normal-mode ladders C = (c1, c1+, c2, c2+) to R.  The ground state is
+the vacuum of C, <R R^T> = T^-1 V0 T^-T with V0[0, 1] = V0[2, 3] = 1: sums of
+products of u and v, the occupations sums of squares.  Every step is
+elementwise over a stack of rows (:func:`ground_state_batch`), failed rows
+blanked, and the scalar functions are batches of one.
 """
 
 from __future__ import annotations
@@ -29,14 +47,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ETA, OMEGA_SYMPL
+from .basis import CONJ_PERM, ETA, OMEGA_SYMPL
 from .errors import DynamicalInstability, NumericalFailure
-from .fluctuations import (SecondMoments, blank_failed, check_commutators,
-                           check_hermitian, drift_batch, hermitize_moments,
-                           live_rows)
+from .fluctuations import (HERMITICITY_TOL, SecondMoments, check_commutators,
+                           drift_batch, hermitize_moments)
 from .model import MeanFieldBatch, ModelParams, mean_field_point
 
 FREQUENCY_TOL = 1e-10
+
+# Entry (i, j) of G = -Omega A is sign * A[CONJ_PERM[i], j]: _ROWS and _SIGN
+# take G, flattened row-major, from A's flattened rows.
+_ROWS = (4 * CONJ_PERM[:, None] + np.arange(4)).ravel()
+_SIGN = np.repeat(-OMEGA_SYMPL.sum(axis=1), 4)[:, None]
+# Index into (0, D, g, w) of each entry of G's block form.
+_FORM = np.array([1, 0, 0, 0, 0, 1, 2, 0, 0, 2, 3, 0, 0, 0, 0, 3])
+_BLANK = np.eye(4).reshape(16, 1)
+# Phase of each entry of R = (i b1, -i b1+, b2, b2+), and of each moment.
+_PHASE = np.array([1j, -1j, 1.0, 1.0])
+_PHASES = _PHASE[:, None] * _PHASE
+# Veltkamp's splitting constant of double precision, 2^27 + 1.
+_SPLIT = 134217729.0
 
 
 @dataclass(frozen=True)
@@ -53,48 +83,107 @@ class BogoliubovModes:
     transform: np.ndarray
 
 
-def _williamson(params: ModelParams, mf: MeanFieldBatch):
-    """(frequencies, T^-1) of every row, frequencies in increasing order; a
-    batch with failed rows runs on its live rows (``live_rows``).
+def _split(a: np.ndarray):
+    """(hi, lo) with hi + lo = a exactly, each of at most 26 bits."""
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
 
-    Rows fail, in this order, on the symmetry of G, on a non-positive
-    eigenvalue of G and on a zero frequency.
+
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's TwoProduct)."""
+    p = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    return p, a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def _hamiltonian(params: ModelParams, mf: MeanFieldBatch):
+    """(D, g, w, det K) of every row, with (1, 0, 1, 1) on the failed rows.
+
+    Rows fail, in this order, where G departs from its block form beyond
+    HERMITICITY_TOL * max(1, max|G|) and where G is not positive definite
+    (D <= 0, w <= 0 or det K <= 0).
     """
     if params.kappa != 0.0:
         raise ValueError("ground state is defined for kappa = 0 only")
     errors = mf.errors
+    # G of every row as 16 rows of entries, G[4 i + j] = G_ij, failed rows
+    # blanked to the identity.
+    g = _SIGN * drift_batch(params, mf).reshape(-1, 16).T[_ROWS]
     if errors.failed:
-        return live_rows(_williamson, params, mf, (2,), (4, 4))
-    g = -OMEGA_SYMPL @ drift_batch(params, mf)
-    check_hermitian(g, errors)
+        g[:, ~errors.alive] = _BLANK
+    d, c, w = g[5], g[6], g[10]
+    defect = np.abs(g - np.stack((np.zeros_like(d), d, c, w))[_FORM]).max(axis=0)
+    tol = HERMITICITY_TOL * np.maximum(1.0, np.abs(g).max(axis=0))
+    # Written so that a non-finite G fails too.
+    errors.fail(~(defect <= tol), lambda i: NumericalFailure(lambda: (
+        f"quadrature Hamiltonian G departs from its closed-system block form "
+        f"by {defect[i]:.3e}")))
 
-    gamma, u = np.linalg.eigh(blank_failed(g, errors))
-    lowest = gamma[:, 0].copy()  # blank_failed overwrites gamma
-    errors.fail(lowest <= 0.0, lambda i: DynamicalInstability(lambda: (
-        f"quadrature Hamiltonian G has eigenvalue {lowest[i]:.3e} <= 0: not "
-        "positive definite, no stable ground state")))
-    root = np.sqrt(blank_failed(gamma, errors, 1.0))
-    half = (u * root[:, None]) @ u.transpose(0, 2, 1)
-    omega, v = np.linalg.eigh(1j * (half @ OMEGA_SYMPL @ half))
-    freqs = omega[:, 2:]
-    errors.fail(freqs[:, 0] <= FREQUENCY_TOL * np.maximum(1.0, freqs[:, 1]),
-                lambda i: DynamicalInstability(
-                    "zero-frequency mode: the system sits at the critical point"))
-    z = ((u / root[:, None]) @ (u.transpose(0, 2, 1) @ v[:, :, 2:])
-         * np.sqrt(0.5 * blank_failed(freqs, errors, 1.0))[:, None])
-    # Q^dag z = (x + i p, x - i p) per mode (1 / sqrt(2) is in z) and Q^dag
-    # conj(z) = conj(x - i p, x + i p), elementwise: a matrix product's fused
-    # multiply-adds leave a residue where the two terms cancel.
-    x, ip = z[:, 0::2], 1j * z[:, 1::2]
-    lower, upper = np.stack((x + ip, x - ip), 2), np.stack((x - ip, x + ip), 2)
-    return freqs, np.stack((lower, upper.conj()), axis=-1).reshape(-1, 4, 4)
+    dw, dw_err = _two_product(d, w)
+    cc, cc_err = _two_product(c, c)
+    det_k = (dw - cc) + (dw_err - cc_err)
+
+    def lowest(i: int) -> float:
+        # The lower eigenvalue of K, which is also G's lowest.
+        mean, radius = 0.5 * (d[i] + w[i]), np.hypot(0.5 * (d[i] - w[i]), c[i])
+        return det_k[i] / (mean + radius) if mean > 0.0 else mean - radius
+
+    errors.fail((d <= 0.0) | (w <= 0.0) | (det_k <= 0.0),
+                lambda i: DynamicalInstability(lambda: (
+                    f"quadrature Hamiltonian G has eigenvalue {lowest(i):.3e} "
+                    "<= 0: not positive definite, no stable ground state")))
+    alive = errors.alive
+    return (np.where(alive, d, 1.0), np.where(alive, c, 0.0),
+            np.where(alive, w, 1.0), np.where(alive, det_k, 1.0))
+
+
+def _bogoliubov(params: ModelParams, mf: MeanFieldBatch):
+    """(frequencies, T_b^-1[:, 0::2], T_b^-1[:, 1::2]) of every row: the
+    frequencies, (N, 2), in increasing order, and the two halves of T_b^-1
+    with the row index last, (4, 2, N).  The checks of ``_hamiltonian`` come
+    first, then a zero frequency fails a row."""
+    d, c, w, det_k = _hamiltonian(params, mf)
+    w11, w22, w12 = d * d, w * w, c * np.sqrt(d * w)
+    half = 0.5 * (d - w) * (d + w)
+    rho = np.abs(half) + np.hypot(half, w12)
+    t = w12 / np.where(rho > 0.0, rho, 1.0)
+    tw = t * w12
+    # The fast mode leans to the photon pair where half >= 0, else to the atom.
+    photon = half >= 0.0
+    big = np.where(photon, w11, w22) + tw
+    small = d * w * det_k / big
+    freqs = np.sqrt(np.stack((small, big), axis=1))
+    mf.errors.fail(freqs[:, 0] <= FREQUENCY_TOL * np.maximum(1.0, freqs[:, 1]),
+                   lambda i: DynamicalInstability(
+                       "zero-frequency mode: the system sits at the critical point"))
+    nu = np.where(mf.errors.alive[:, None], freqs, 1.0)
+
+    cos = 1.0 / np.sqrt(1.0 + t * t)
+    sin = t * cos
+    # U and P_j^2 - nu_k^2, pairs j = (photon, atom) down, modes k = (slow,
+    # fast) across.
+    lean, off = np.where(photon, cos, sin), np.where(photon, sin, cos)
+    near, far = np.where(photon, rho, tw), np.where(photon, tw, rho)
+    rot = np.array(((-off, lean), (lean, off)))
+    gap = np.array(((near, -far), (far, -near)))
+    p = np.stack((d, w))[:, None]
+    plus, scale = p + nu.T, 2.0 * np.sqrt(p * nu.T)
+    u = rot * plus / scale
+    v = rot * gap / (plus * scale)
+    # Row 2 j of T_b^-1 is (u_j1, v_j1, u_j2, v_j2), row 2 j + 1 (v_j1, u_j1, ...).
+    lower, upper = np.stack((u, v), 1), np.stack((v, u), 1)
+    return freqs, lower.reshape(4, 2, -1), upper.reshape(4, 2, -1)
 
 
 def ground_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     """Hermitized Bogoliubov-vacuum moments of every row of a mean-field
     batch; failures go to ``mf.errors``, then the commutator check."""
-    _, t_inv = _williamson(params, mf)
-    s = t_inv[:, :, 0::2] @ t_inv[:, :, 1::2].transpose(0, 2, 1)
+    _, lower, upper = _bogoliubov(params, mf)
+    # <R_i R_l> = sum_k T^-1[i, 2 k] T^-1[l, 2 k + 1], as <c_k c_k+> = 1.
+    s_b = (lower[:, None, 0] * upper[None, :, 0]
+           + lower[:, None, 1] * upper[None, :, 1])
+    s = s_b.transpose(2, 0, 1) * _PHASES
     check_commutators(s, np.abs(s).max(axis=(1, 2)), mf.errors)
     return hermitize_moments(s)
 
@@ -102,14 +191,16 @@ def ground_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
 def bogoliubov_modes(params: ModelParams) -> BogoliubovModes:
     """Symplectically normalized normal modes of the closed system."""
     batch = mean_field_point(params)
-    frequencies, t_inv = batch.errors.first_row(_williamson(params, batch))
+    freqs, lower, upper = _bogoliubov(params, batch)
+    batch.errors.raise_first()
+    t_inv = _PHASE[:, None] * np.stack((lower[..., 0], upper[..., 0]), -1).reshape(4, 4)
     # T^-1 eta T^-dag = eta gives T = eta T^-dag eta.
     transform = ETA @ t_inv.conj().T @ ETA
     defect = float(np.abs(transform @ ETA @ transform.conj().T - ETA).max())
     if defect > 1e-10:
         raise NumericalFailure(
             f"Bogoliubov transform not symplectic (defect {defect:.3e})")
-    return BogoliubovModes(frequencies=frequencies, transform=transform)
+    return BogoliubovModes(frequencies=freqs[0], transform=transform)
 
 
 def ground_state_moments(params: ModelParams) -> SecondMoments:

@@ -188,18 +188,19 @@ PINNED = {
             1: ("above", "-0.9999940481764035", "-2.079370510015999",
                 "0.9999999999689569", "40", "8.315287191035679e-07",
                 "0.006737946999085467", "ok")}),
-    # Re-pinned when the ground state moved to Williamson's symmetric
-    # eigen-solves: the fit takes near-threshold cells, whose forward error
-    # exceeds 1e-12.  Against the fit of the 50-digit curve the slopes are
-    # off by 1.6e-12 below and 1.6e-12 above (the complex eigen-solve: 1.1e-12
-    # and 9.6e-12), the intercepts by 4.3e-12 and 3.9e-12 (2.9e-12, 2.3e-11).
+    # Re-pinned when the ground state moved to its closed form: the fit takes
+    # near-threshold cells, whose forward error exceeded 1e-12.  The slopes
+    # equal those of the fit of the 60-digit curve, below to the last digit
+    # and above to one ulp, and the intercepts are within 9e-16 of it.  The
+    # two symmetric eigen-solves before were off by 7.8e-13 and 8.3e-13 in
+    # the slopes and by 7.9e-12 and 8.5e-12 in the intercepts.
     "exponent kappa = 0": (
         ["exponent", "--delta-c=-2", "--kappa=0"], {
-            0: ("below", "-0.5005687312132034", "-1.8518493227097619",
-                "0.9999998338184236", "40", "8.315287191035679e-07",
+            0: ("below", "-0.5005687312124203", "-1.8518493227018453",
+                "0.9999998338184233", "40", "8.315287191035679e-07",
                 "0.006737946999085467", "ok"),
-            1: ("above", "-0.5013192221603907", "-2.2081658438657765",
-                "0.9999990885030003", "40", "8.315287191035679e-07",
+            1: ("above", "-0.5013192221612196", "-2.208165843874273",
+                "0.9999990885030013", "40", "8.315287191035679e-07",
                 "0.006737946999085467", "ok")}),
 }
 
@@ -344,29 +345,33 @@ def test_mean_field_table_joins_batches(monkeypatch):
 # A grid of 600 pumps on [0, 2 y_c] whose 300 superradiant rows have no
 # branch (u < 0), at kappa > 0 and at kappa = 0: sha256 of repr(rows) of its
 # correlations and entanglement tables, pinned before failed rows left the
-# stack, and the error of the point at 1.025 y_c.
+# stack (at kappa = 0, re-pinned when the ground state moved to its closed
+# form), and the error of the point at 1.025 y_c.
 DEAD_ROWS = {
     28.73: ("0fb1184a1766e976", "50f368d3156f93b8",
             "superradiant branch undefined: radicand -31.245226928564698 < 0"),
-    0.0: ("be5ab4aa2c2ba4c6", "eb7f2516819cffaf",
+    0.0: ("9fd751f593de3e54", "fd5861df5ca44293",
           "beta0^2 = -3.741686956964145e-05 outside (0, 1) for y = "
           "0.047311273101661507"),
 }
+_LINALG = tuple(name for name in np.linalg.__all__
+                if callable(getattr(np.linalg, name))
+                and not isinstance(getattr(np.linalg, name), type))
 
 
 @pytest.mark.parametrize("kappa", sorted(DEAD_ROWS))
 def test_failed_rows_skip_the_linear_algebra(monkeypatch, kappa):
     """Rows whose mean field failed never reach an eigen-solve, determinant
-    or inverse: each stage of the correlations scan sees the 300 live rows
-    (two symmetric eigen-solves each at kappa = 0), and the tables keep
-    their pinned rows."""
+    or inverse: each stage of the correlations scan sees the 300 live rows,
+    and at kappa = 0, where the ground state is a closed form, the scan makes
+    no ``numpy.linalg`` call at all.  The tables keep their pinned rows."""
     base = dead_row_params(kappa)
     grid = np.linspace(0.0, 2.0 * critical_pump(base), 600)
-    names = ("eig", "det", "inv") if kappa else ("eigh",)
+    names = ("eig", "det", "inv") if kappa else _LINALG
     matrices = {}
     _count_linalg(monkeypatch, names, matrices)
     rows = figure_scan(ScanKind.MEAN_AND_FLUCT, base, grid).rows
-    assert matrices == dict.fromkeys(names, 300 if kappa else 600)
+    assert matrices == dict.fromkeys(names, 300 if kappa else 0)
     tables = (rows, figure_scan(ScanKind.ENTANGLEMENT, base, grid).rows)
     for table, digest in zip(tables, DEAD_ROWS[kappa]):
         assert sum(row[-1] == "failed" for row in table) == 300

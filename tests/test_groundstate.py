@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import at_ratio, normal_branch
-from opendicke import cli
+from opendicke import cli, groundstate
 from opendicke.basis import ETA
 from opendicke.entanglement import quad_covariance
-from opendicke.errors import DynamicalInstability
+from opendicke.errors import DynamicalInstability, NumericalFailure
 from opendicke.fluctuations import (build_stability_matrix, observables,
                                     stability_batch, steady_state_moments)
 from opendicke.analysis import ScanKind, figure_scan
@@ -126,9 +126,8 @@ def test_ground_state_curve(closed_params):
 
 def test_photon_atom_resonance_with_backreaction():
     # At u = 0.5, y = 1.5 y_c the shifted photon frequency equals the atom
-    # frequency, the photon and atom components of the eigenvectors tie in
-    # modulus, and LAPACK fixes the phases of partner eigenvectors on
-    # different components.  H is positive definite there.
+    # frequency: W11 and W22 tie, and the rotation takes the photon and atom
+    # pairs in equal parts.  H is positive definite there.
     p = ModelParams(delta_c=-2.0, kappa=0.0, u=0.5, y=0.0)
     p = p.with_pump(1.5 * critical_pump(p))
     m = build_stability_matrix(p).m
@@ -150,6 +149,49 @@ def test_occupations_real_exactly(closed_params):
     assert s[3, 2].imag == 0.0
 
 
+def test_vacuum_exact_at_zero_pump():
+    """At y = 0 both frequencies are the bare ones to the last bit, so the
+    ground state is the vacuum exactly, at every delta_c and u."""
+    rng = np.random.default_rng(5)
+    expected = np.zeros((4, 4), dtype=complex)
+    expected[0, 1] = expected[2, 3] = 1.0
+    for _ in range(50):
+        p = ModelParams(delta_c=-10.0 ** rng.uniform(-3.0, 3.0), kappa=0.0,
+                        u=rng.uniform(-5.0, 5.0), y=0.0)
+        assert np.array_equal(ground_state_moments(p).s, expected)
+
+
+@pytest.mark.parametrize("entry", range(16))
+def test_departure_from_block_form_fails_first(monkeypatch, closed_params, entry):
+    """A drift matrix whose G departs from the closed form's block structure
+    beyond HERMITICITY_TOL * max(1, max|G|) fails the row as
+    NumericalFailure before the positivity check; a departure within it
+    leaves the row as it was."""
+    real = groundstate.drift_batch
+
+    def shifted(by):
+        def drift(params, mf):
+            a = real(params, mf).copy()
+            a[:, entry // 4, entry % 4] += by
+            return a
+        return drift
+
+    for ratio, cls in ((0.5, None), (1.2, DynamicalInstability)):
+        p = at_ratio(closed_params, ratio)
+        monkeypatch.setattr(groundstate, "drift_batch", shifted(1e-9))
+        mf = normal_branch(p)
+        ground_state_batch(p, mf)
+        err = mf.errors.errors[0]
+        assert type(err) is NumericalFailure
+        assert str(err) == ("quadrature Hamiltonian G departs from its "
+                            "closed-system block form by 1.000e-09")
+        monkeypatch.setattr(groundstate, "drift_batch", shifted(1e-13))
+        mf = normal_branch(p)
+        ground_state_batch(p, mf)
+        err = mf.errors.errors[0]
+        assert err is None if cls is None else type(err) is cls
+
+
 def _cli_rows(argv) -> list[dict]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -158,8 +200,8 @@ def _cli_rows(argv) -> list[dict]:
 
 
 def test_degenerate_frequencies_at_zero_pump():
-    # At delta_c = -1, y = 0 the photon and the atom both have frequency 1,
-    # and eigh(i B) returns some orthonormal basis of the 2-d eigenspace.
+    # At delta_c = -1, y = 0 the photon and the atom both have frequency 1:
+    # W is a multiple of the identity, and its rotation has rho = 0.
     p = ModelParams(delta_c=-1.0, kappa=0.0, u=0.0, y=0.0)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 1] = expected[2, 3] = 1.0

@@ -12,7 +12,9 @@ Near threshold, kappa = 0: the soft frequency vanishes as sqrt(eps), and the
 ground state's cells carry a forward error far above 1e-12.  Over the
 ``exponent --delta-c=-2 --kappa=0`` window the median and the largest
 relative error against the 30-digit Williamson evaluation may not exceed
-those of the complex eigen-solve that the symmetric route replaced.
+those of the complex eigen-solve that the symmetric route replaced.  On a
+seeded box from 1e-11 off threshold down to 1e-4 y_c, the closed-form ground
+state meets the 60-digit Williamson covariance of the same M to 1e-14.
 
 Exceptional points: a refined real-axis endpoint of ``spectrum_scan`` is the
 root of the eigenvalue discriminant of the double drift matrix A(y), and lies
@@ -41,10 +43,13 @@ import pytest
 
 from exact_reference import critical_pump_squared, entries, steady_state
 from mp_reference import (discriminant_root, reference_endpoint,
+                          reference_ground_covariance,
                           reference_ground_observables, reference_observables)
 from opendicke import cli
 from opendicke.analysis import ScanKind, Side, depletion_curve, figure_scan
-from opendicke.fluctuations import build_stability_matrix, drift_batch, spectrum_scan
+from opendicke.fluctuations import (build_stability_matrix, drift_batch, observables,
+                                    spectrum_scan)
+from opendicke.groundstate import ground_state_moments
 from opendicke.model import ModelParams, critical_pump, mean_field_batch
 
 ARGV = ["correlations", "--delta-c=-2.0047", "--kappa=2.1802", "--u=0.3221",
@@ -100,6 +105,46 @@ def test_near_threshold_ground_state_no_farther_from_reference():
     assert len(errors) == 160
     assert np.median(errors) <= GROUND_MEDIAN
     assert max(errors) <= GROUND_MAX
+
+
+# Relative distances from threshold of the kappa = 0 box, both sides, down to
+# y = 1e-4 y_c; its bound on each cell's error; and its 144 points less the
+# eight superradiant rows without a branch.
+GROUND_BOX_EPS = np.array([-1e-11, 1e-11, -1e-9, 1e-9, -1e-6, 1e-6,
+                           -0.3, -0.9999, 0.5])
+GROUND_BOX_TOL = 1e-14
+GROUND_BOX_POINTS = 136
+
+
+def test_ground_state_box_meets_the_60_digit_solve():
+    """Over |delta_c| log-uniform in [1e-3, 1e3], u = 0 or uniform in
+    [-5, 5], and the pumps (1 + eps) y_c of GROUND_BOX_EPS, the ground state
+    meets the 60-digit Williamson covariance of the same M: the quadrature
+    covariance within GROUND_BOX_TOL of its largest entry, and delta_N and
+    n_photon within GROUND_BOX_TOL relative.  Superradiant rows without a
+    branch (u < 0) fail in the mean field and are left out."""
+    rng = np.random.default_rng(2027)
+    q = np.array([[1, 1, 0, 0], [-1j, 1j, 0, 0],
+                  [0, 0, 1, 1], [0, 0, -1j, 1j]]) / np.sqrt(2)
+    compared = 0
+    for n in range(16):
+        base = ModelParams(delta_c=-10.0 ** rng.uniform(-3.0, 3.0), kappa=0.0,
+                           u=0.0 if n % 2 == 0 else rng.uniform(-5.0, 5.0), y=0.0)
+        mf = mean_field_batch(base, (1.0 + GROUND_BOX_EPS) * critical_pump(base))
+        for y in mf.y[mf.errors.alive]:
+            p = base.with_pump(y)
+            moments = ground_state_moments(p)
+            ref = reference_ground_covariance(build_stability_matrix(p).m, dps=60)
+            with mp.workdps(60):
+                want = np.array([[float(ref[i, j]) for j in range(4)] for i in range(4)])
+                want_n = [float((ref[k, k] + ref[k + 1, k + 1] - 1) / 2) for k in (2, 0)]
+            raw = q @ moments.s @ q.T
+            cov = (0.5 * (raw + raw.T)).real
+            assert np.abs(cov - want).max() <= GROUND_BOX_TOL * np.abs(want).max()
+            for got, ref_n in zip(observables(moments), want_n):
+                assert abs(got - ref_n) <= GROUND_BOX_TOL * ref_n
+            compared += 1
+    assert compared == GROUND_BOX_POINTS
 
 
 # (delta_c, kappa, u, pump grid as multiples of y_c): the figure-scan
