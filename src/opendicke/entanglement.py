@@ -136,7 +136,7 @@ def covariance_batch(s: np.ndarray, errors: RowErrors):
     imag_resid = np.abs(sym.imag).max(axis=(1, 2))
     errors.fail(imag_resid > 1e-10 * scale, lambda i: NumericalFailure(
         lambda: f"covariance imaginary residue {imag_resid[i]:.3e} exceeds tolerance"))
-    c = blank_failed(sym.real.copy(), errors, 0.5 * np.eye(4))
+    c = blank_failed(sym.real.copy(), errors)
     invariants, nu_min = _symplectic_min(c, errors)
     errors.fail(nu_min < 0.5 - PHYSICALITY_TOL * scale, lambda i: NumericalFailure(
         lambda: f"unphysical covariance: min symplectic eigenvalue {nu_min[i]!r} < 1/2"))

@@ -126,33 +126,13 @@ class SecondMoments:
     s: np.ndarray
 
 
-def blank_failed(stack: np.ndarray, errors: RowErrors, fill=_EYE) -> np.ndarray:
-    """Overwrite the rows that already failed with a harmless matrix, so that
+def blank_failed(stack: np.ndarray, errors: RowErrors) -> np.ndarray:
+    """Overwrite the rows that already failed with the identity, so that
     stacked linear algebra never sees their NaN, infinite or singular
     entries."""
     if errors.failed:
-        stack[~errors.alive] = fill
+        stack[~errors.alive] = _EYE
     return stack
-
-
-def live_rows(route, params: ModelParams, mf: MeanFieldBatch, *shapes):
-    """``route(params, mf)`` for a batch with failed rows, run on a batch of
-    its live rows: their results and first errors go back to their indices,
-    and each failed row gets zeros of ``shapes``, one shape per result.
-    Without a live row the route does not run."""
-    errors = mf.errors
-    live = np.flatnonzero(errors.alive)
-    outs = [np.zeros((errors.alive.size,) + shape, complex) for shape in shapes]
-    if live.size:
-        sub = RowErrors(live.size)
-        fields = (mf.y, mf.alpha0, mf.beta0)
-        parts = route(params, MeanFieldBatch(*(f[live] for f in fields), sub))
-        for out, part in zip(outs, parts if len(outs) > 1 else [parts]):
-            out[live] = part
-        hit = np.zeros_like(errors.alive)
-        hit[live] = ~sub.alive
-        errors.fail(hit, lambda i: sub.errors[np.searchsorted(live, i)])
-    return tuple(outs) if len(outs) > 1 else outs[0]
 
 
 def _usable_cpus() -> int:
@@ -219,7 +199,7 @@ def _entries(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     for a batch of one with scalar fields."""
     alpha0, beta0, u = mf.alpha0, mf.beta0, params.u
     # Rows whose mean field failed may hold infinite values; no route
-    # decomposes them (``live_rows``).
+    # decomposes them (``steady_state_batch`` drops them first).
     with np.errstate(all="ignore"):
         bsq = beta0 * beta0
         one_minus = 1.0 - 2.0 * bsq
@@ -267,16 +247,6 @@ def build_stability_matrix(params: ModelParams) -> StabilityMatrix:
 def conjugation_defect(m: np.ndarray) -> float:
     """Max-norm violation of M = T conj(M) T (zero for a valid matrix)."""
     return float(np.abs(m - T_CONJ @ np.conj(m) @ T_CONJ).max())
-
-
-def check_hermitian(h: np.ndarray, errors: RowErrors) -> None:
-    """Fail every row of a stack of closed-system coefficient matrices
-    h = i eta M whose max-norm violation of h = h^dag exceeds
-    HERMITICITY_TOL * max(1, max|h|)."""
-    defect = np.abs(h - np.conj(np.swapaxes(h, -1, -2))).max(axis=(-2, -1))
-    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
-    errors.fail(defect > HERMITICITY_TOL * scale, lambda i: NumericalFailure(
-        lambda: f"coefficient matrix not Hermitian (defect {defect[i]:.3e})"))
 
 
 def _scale(lam: np.ndarray) -> np.ndarray:
@@ -507,19 +477,30 @@ def system_moments(q: QuasiNormalSystem, mode_corrs: np.ndarray) -> SecondMoment
 
 
 def steady_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
-    """Hermitized steady-state moments of every row of a mean-field batch;
-    a batch with failed rows runs on its live rows (``live_rows``).
+    """Hermitized steady-state moments of every row of a mean-field batch.
 
-    Rows fail into ``mf.errors`` in the order degenerate branch, defective,
-    biorthonormality, pairing, unstable, divergent, moment structure; their
-    moments are then meaningless.
+    A batch with failed rows runs on a batch of its live rows, if any, whose
+    moments and first errors go back to their indices; failed rows get
+    zeros.  Rows fail into ``mf.errors`` in the order degenerate branch,
+    defective, biorthonormality, pairing, unstable, divergent, moment
+    structure; their moments are then meaningless.
     """
-    if mf.errors.failed:
-        return live_rows(steady_state_batch, params, mf, (4, 4))
+    errors = mf.errors
+    if errors.failed:
+        live = np.flatnonzero(errors.alive)
+        s = np.zeros((errors.alive.size, 4, 4), complex)
+        if live.size:
+            sub = RowErrors(live.size)
+            s[live] = steady_state_batch(params, MeanFieldBatch(
+                mf.y[live], mf.alpha0[live], mf.beta0[live], sub))
+            hit = np.zeros_like(errors.alive)
+            hit[live] = ~sub.alive
+            errors.fail(hit, lambda i: sub.errors[np.searchsorted(live, i)])
+        return s
     m = stability_batch(params, mf)
-    lam, rights, lefts, _, scale = _decompose_batch(m, mf.errors)
-    corrs = _correlation_batch(lam, lefts, params.kappa, scale, mf.errors)
-    return _moment_batch(rights, corrs, mf.errors)
+    lam, rights, lefts, _, scale = _decompose_batch(m, errors)
+    corrs = _correlation_batch(lam, lefts, params.kappa, scale, errors)
+    return _moment_batch(rights, corrs, errors)
 
 
 def steady_state_moments(params: ModelParams) -> SecondMoments:

@@ -50,7 +50,7 @@ import numpy as np
 from .basis import CONJ_PERM, ETA, OMEGA_SYMPL
 from .errors import DynamicalInstability, NumericalFailure
 from .fluctuations import (HERMITICITY_TOL, SecondMoments, check_commutators,
-                           drift_batch, hermitize_moments)
+                           drift_batch)
 from .model import MeanFieldBatch, ModelParams, mean_field_point
 
 FREQUENCY_TOL = 1e-10
@@ -177,15 +177,16 @@ def _bogoliubov(params: ModelParams, mf: MeanFieldBatch):
 
 
 def ground_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
-    """Hermitized Bogoliubov-vacuum moments of every row of a mean-field
-    batch; failures go to ``mf.errors``, then the commutator check."""
+    """Bogoliubov-vacuum moments of every row of a mean-field batch, exactly
+    adjoint-symmetric (a moment and its partner are the same products in the
+    same order); failures go to ``mf.errors``, then the commutator check."""
     _, lower, upper = _bogoliubov(params, mf)
     # <R_i R_l> = sum_k T^-1[i, 2 k] T^-1[l, 2 k + 1], as <c_k c_k+> = 1.
     s_b = (lower[:, None, 0] * upper[None, :, 0]
            + lower[:, None, 1] * upper[None, :, 1])
     s = s_b.transpose(2, 0, 1) * _PHASES
     check_commutators(s, np.abs(s).max(axis=(1, 2)), mf.errors)
-    return hermitize_moments(s)
+    return s
 
 
 def bogoliubov_modes(params: ModelParams) -> BogoliubovModes:

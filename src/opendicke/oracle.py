@@ -1,14 +1,15 @@
 """Independent brute-force verifiers for the analytic routes.
 
 Two oracles, deliberately sharing no formula with the routes they check;
-they take the same solved-mean-field stability matrix and input checks:
+they take the same solved-mean-field stability matrix and check it themselves:
 
 * ``lyapunov_moments`` solves M S + S M^T + D = 0 as a dense 16-unknown
   linear system; for a stable M this is the unique steady state of the
   linear Langevin dynamics and must equal the eigenmode-formula result.
 * ``fock_ground_state`` diagonalizes the quadratic fluctuation Hamiltonian
   on a truncated two-mode Fock space and must reproduce the Bogoliubov
-  ground-state occupations once the cutoff has converged.  It works on the
+  ground-state occupations once the cutoff has converged.  It checks that
+  its coefficient matrix h = i eta M is Hermitian itself, and works on the
   even sector of the parity (-1)^(n_a + n_b) in the photon gauge a -> i a,
   where H is real symmetric and is applied as a stencil of at most nine
   occupation shifts; its lowest eigenpair comes from LOBPCG with the diagonal
@@ -24,10 +25,10 @@ import numpy as np
 
 from .basis import CONJ_PERM, ETA
 from .errors import (CutoffTooSmall, DivergentSteadyState, NumericalFailure,
-                     RowErrors, UnstableState)
-from .fluctuations import (SecondMoments, StabilityMatrix,
-                           build_stability_matrix, check_hermitian,
-                           hermitize_moments, noise_matrix)
+                     UnstableState)
+from .fluctuations import (HERMITICITY_TOL, SecondMoments, StabilityMatrix,
+                           build_stability_matrix, hermitize_moments,
+                           noise_matrix)
 from .model import ModelParams
 
 STABILITY_TOL = 1e-12
@@ -301,8 +302,9 @@ def fock_ground_state(params: ModelParams,
     which leaves both occupations unchanged, h is real and H a real symmetric
     matrix; its lowest eigenpair comes from block-size-one LOBPCG with the
     diagonal of H as preconditioner, started from the Fock vacuum.  A
-    coefficient matrix that is not real in that gauge, a truncated H that is
-    not symmetric, or a solve that reaches FOCK_MAX_ITER iterations raises
+    coefficient matrix off h = h^dag by more than HERMITICITY_TOL *
+    max(1, max|h|) or not real in that gauge, a truncated H that is not
+    symmetric, or a solve that reaches FOCK_MAX_ITER iterations raises
     NumericalFailure.  The run is repeated at doubled cutoffs, started from
     the coarse ground state copied onto the same (n_a, n_b) states; the solve
     stops on the Ritz residual ||H x - theta x||, relative to the size of the
@@ -317,9 +319,9 @@ def fock_ground_state(params: ModelParams,
         raise ValueError(f"cutoffs {cutoffs!r} too small; need >= 20")
 
     h = 1j * ETA @ build_stability_matrix(params).m
-    errors = RowErrors(1)
-    check_hermitian(h[None], errors)
-    errors.raise_first()
+    defect = float(np.abs(h - h.conj().T).max())
+    if defect > HERMITICITY_TOL * max(1.0, float(np.abs(h).max())):
+        raise NumericalFailure(f"coefficient matrix not Hermitian (defect {defect:.3e})")
     h = np.conj(_GAUGE)[:, None] * h * _GAUGE
     imaginary = float(np.abs(h.imag).max())
     if imaginary > 1e-12 * float(np.abs(h).max()):

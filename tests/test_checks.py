@@ -1,17 +1,19 @@
 """Row checks on hand-built stacks: a row that fails two checks of one stage
-keeps the first, and the shared commutator and Hermiticity checkers fail
-exactly the bad rows of a stack with the messages the routes report."""
+keeps the first, the shared commutator checker fails exactly the bad rows of
+a stack with the message the routes report, and the Fock oracle's own
+Hermiticity check names the defect of a perturbed coefficient matrix."""
 
 import numpy as np
 import pytest
 
-from opendicke import fluctuations
+from opendicke import fluctuations, oracle
 from opendicke.errors import (DefectiveMatrix, NumericalFailure, RowErrors,
                               UnstableState)
 from opendicke.fluctuations import (SecondMoments, StabilityMatrix,
-                                    check_commutators, check_hermitian,
+                                    build_stability_matrix, check_commutators,
                                     decompose, observables)
-from opendicke.model import ModelParams
+from opendicke.model import ModelParams, critical_pump
+from opendicke.oracle import fock_ground_state
 
 OPEN = ModelParams(delta_c=-2.0, kappa=2.0, u=0.0, y=0.0)
 
@@ -64,18 +66,19 @@ def _earlier_failure() -> RowErrors:
     return errors
 
 
-def test_check_hermitian_fails_the_bad_rows():
-    h = np.tile(np.array([[1.0, 2j, 0, 0], [-2j, 3.0, 0, 0],
-                          [0, 0, 4.0, 0.5], [0, 0, 0.5, 5.0]]), (3, 1, 1))
-    h[1:, 0, 1] += 1e-3
-    errors = _earlier_failure()
-    earlier = errors.errors[2]
-    check_hermitian(h, errors)
-    assert errors.alive.tolist() == [True, False, False]
-    assert errors.failed == 2 and errors.errors[0] is None
-    assert type(errors.errors[1]) is NumericalFailure
-    assert str(errors.errors[1]) == "coefficient matrix not Hermitian (defect 1.000e-03)"
-    assert errors.errors[2] is earlier
+def test_fock_oracle_rejects_a_non_hermitian_coefficient_matrix(monkeypatch):
+    closed = ModelParams(delta_c=-2.0, kappa=0.0, u=0.7, y=0.0)
+    p = closed.with_pump(0.5 * critical_pump(closed))
+    m = build_stability_matrix(p).m.copy()
+    # M[0, 1] is 0, so h = i eta M gains 1e-3 at (0, 1) and nowhere else.
+    assert m[0, 1] == 0.0
+    m[0, 1] = -1e-3j
+    monkeypatch.setattr(oracle, "build_stability_matrix",
+                        lambda params: StabilityMatrix(m=m, params=params))
+    with pytest.raises(NumericalFailure) as info:
+        fock_ground_state(p)
+    assert type(info.value) is NumericalFailure
+    assert str(info.value) == "coefficient matrix not Hermitian (defect 1.000e-03)"
 
 
 def test_check_commutators_fail_the_bad_rows():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import at_ratio, normal_branch
-from opendicke import cli, groundstate
+from opendicke import cli, fluctuations, groundstate
 from opendicke.basis import ETA
 from opendicke.entanglement import quad_covariance
 from opendicke.errors import DynamicalInstability, NumericalFailure
@@ -256,3 +256,25 @@ def test_seeded_sweep_rows_pure_and_stationary():
             residual = np.abs(m[i] @ s[i] + s[i] @ m[i].T).max()
             assert residual <= STATIONARY_TOL * np.abs(m[i]).max() * np.abs(s[i]).max()
     assert statuses == {"ok": 3380, "mean field": 620, "unstable": 0}
+
+
+def test_moments_are_exactly_adjoint_symmetric():
+    """Every live row of ``ground_state_batch`` equals its adjoint mirror
+    <R_jbar R_ibar>* exactly: the closed form builds a moment and its
+    partner from the same products in the same order, so the moments need no
+    projection.  The box has |delta_c| log-uniform in [1e-3, 1e3], u = 0 or
+    uniform in [-5, 5], and pumps at y = 0, at eps = +-1e-11 and +-1e-6 from
+    threshold and uniform in both phases."""
+    rng = np.random.default_rng(20261020)
+    near = np.array([1e-11, 1e-6])
+    live = 0
+    for k in range(400):
+        base = ModelParams(delta_c=-10.0 ** rng.uniform(-3.0, 3.0), kappa=0.0,
+                           u=0.0 if k % 2 else rng.uniform(-5.0, 5.0), y=0.0)
+        ratios = np.concatenate(([0.0], 1.0 - near, 1.0 + near,
+                                 rng.uniform(0.05, 0.95, 8), rng.uniform(1.05, 3.0, 8)))
+        mf = mean_field_batch(base, ratios * critical_pump(base))
+        s = ground_state_batch(base, mf)[mf.errors.alive]
+        assert (s == fluctuations._mirror(s)).all()
+        live += len(s)
+    assert live == 7860
