@@ -99,9 +99,9 @@ class RowErrors:
 
     ``alive`` marks the rows without an error and ``failed`` counts the
     others.  ``fail(mask, make)`` records ``make(i)`` for every still-alive
-    row i in ``mask``, so a later check never overwrites an earlier one and
-    each row keeps its first failing check.  Errors are built only for the
-    rows that fail, and their messages only when read.
+    row i with a flag set in ``mask[i]``, so a later check never overwrites
+    an earlier one and each row keeps its first failing check.  Errors are
+    built only for the rows that fail, and their messages only when read.
     """
 
     def __init__(self, n: int):
@@ -114,6 +114,7 @@ class RowErrors:
         # A single row may hand in a bool scalar.
         if not (np.count_nonzero(mask) if isinstance(mask, np.ndarray) else mask):
             return
+        mask = mask.reshape(len(mask), -1).any(axis=1) if np.ndim(mask) > 1 else mask
         hit = mask & self.alive
         for i in np.flatnonzero(hit):
             self.errors[i] = make(i)

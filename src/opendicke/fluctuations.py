@@ -185,7 +185,7 @@ def _gather(entries: np.ndarray) -> np.ndarray:
     """M, (N, 4, 4), from its entries (M00, M02, M20, M22), (4, N) or (4,)."""
     entries = np.concatenate((entries, entries.conjugate(),
                               np.zeros((1,) + entries.shape[1:])))
-    return entries[_ENTRY].T.reshape(-1, 4, 4)
+    return entries.take(_ENTRY, axis=0).T.reshape(-1, 4, 4)
 
 
 # A = Q M Q^-1 is linear in (Re e, Im e), e = (M00, M02, M20, M22), with
@@ -251,7 +251,7 @@ def conjugation_defect(m: np.ndarray) -> float:
 
 def _scale(lam: np.ndarray) -> np.ndarray:
     """max(1, max_k |lambda_k|) of every row."""
-    return np.maximum(1.0, np.abs(lam).max(axis=-1))
+    return np.abs(lam).max(axis=-1, initial=1.0)
 
 
 def _ill_conditioned(vecs: np.ndarray) -> np.ndarray:
@@ -271,16 +271,16 @@ def _ill_conditioned(vecs: np.ndarray) -> np.ndarray:
 
 
 def _defects(lam, vecs, ill_conditioned, scale):
-    """Defect test of every row: (defective, |lambda_i - lambda_j|).
+    """Defect test of every row: (defective, |lambda_i - lambda_j| per pair i < j).
 
     A row is defective when it is ``ill_conditioned`` (cond(V) above
     DEFECT_COND_LIMIT), or when two eigenvalues closer than
     DEFECT_GAP_LIMIT * scale have unit right eigenvectors whose overlap
     |<v_i, v_j>| exceeds DEFECT_OVERLAP_LIMIT.
     """
-    gaps = np.abs(lam[:, :, None] - lam[:, None, :])
+    gaps = np.abs(lam.take(_PAIR_I, axis=1) - lam.take(_PAIR_J, axis=1))
     defective = ill_conditioned
-    close = gaps[:, _PAIR_I, _PAIR_J] < DEFECT_GAP_LIMIT * scale[:, None]
+    close = gaps < DEFECT_GAP_LIMIT * scale[:, None]
     if np.count_nonzero(close):
         overlaps = np.abs(vecs.conj().transpose(0, 2, 1) @ vecs)[:, _PAIR_I, _PAIR_J]
         defective = defective | (close & (overlaps > DEFECT_OVERLAP_LIMIT)).any(axis=1)
@@ -290,9 +290,9 @@ def _defects(lam, vecs, ill_conditioned, scale):
 def _closest_pair(gaps: np.ndarray, vecs: np.ndarray) -> tuple[float, float]:
     """(gap, overlap of the unit eigenvectors) of one row's closest
     eigenvalue pair i < j, the first in (0, 1), (0, 2), ... order on a tie."""
-    k = int(np.argmin(gaps[_PAIR_I, _PAIR_J]))
+    k = int(np.argmin(gaps))
     i, j = _PAIR_I[k], _PAIR_J[k]
-    return float(gaps[i, j]), float(abs(np.vdot(vecs[:, i], vecs[:, j])))
+    return float(gaps[k]), float(abs(np.vdot(vecs[:, i], vecs[:, j])))
 
 
 def sort_modes(lam: np.ndarray, vecs: np.ndarray, order: np.ndarray):
@@ -311,9 +311,9 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     (DefectiveMatrix), on the biorthonormality residual (DefectiveMatrix)
     and on a term of that sum above PAIRING_TOL * scale (NumericalFailure).
     ``scale`` is max(1, max |lambda|) of every row.
-    The eigen-solve is the only dense decomposition of a passing row:
-    cond(V) is screened by ``_ill_conditioned``, and the SVD value that a
-    DefectiveMatrix reports is computed for its row only.
+    A passing row takes the eigen-solve, det(V) for the cond(V) screen of
+    ``_ill_conditioned`` and inv(V).  An SVD runs only for a row that screen
+    cannot clear, and for the cond(V) that a DefectiveMatrix reports.
     """
     lam, vecs = np.linalg.eig(m)
     # numpy orders complex numbers by (real part, imaginary part).
@@ -336,19 +336,18 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
         i, "(near-)defective stability matrix: cond(V) = {cond:.3e}, "
            "closest eigenvalue gap {gap:.3e} with overlap {overlap:.10f}"))
     lefts = np.linalg.inv(blank_failed(vecs, errors))
-    # max |L V - 1| and max |V L - 1| of every row
-    resid = np.abs(np.concatenate((lefts @ vecs, vecs @ lefts), axis=1)
-                   - _EYE2).max(axis=(1, 2))
-    # dist[n, k, l] = |lambda_l - conj(lambda_k)|, miss[n, k] = dist[n, k, p(k)]
-    dist = np.abs(lam[:, None, :] - lam.conj()[:, :, None])
-    pairing = _INVOLUTIONS[dist[:, _MODES, _INVOLUTIONS].sum(-1).argmin(1)]
-    miss = dist[np.arange(lam.shape[0])[:, None], _MODES, pairing]
+    # |L V - 1| and |V L - 1| of every row; a screened V has a finite inverse
+    resid = np.abs(np.concatenate((lefts @ vecs, vecs @ lefts), axis=1) - _EYE2)
+    # terms[n, q, k] = |lambda_p(k) - conj(lambda_k)| for p = _INVOLUTIONS[q]
+    terms = np.abs(lam.take(_INVOLUTIONS, axis=1) - lam.conj()[:, None, :])
+    best = terms.sum(-1).argmin(1)
+    pairing, miss = _INVOLUTIONS.take(best, axis=0), terms[np.arange(best.size), best]
     unpaired = miss > PAIRING_TOL * scale[:, None]
 
     errors.fail(resid > BIORTHO_TOL, lambda i: defect(
         i, "biorthonormalization residual {resid:.3e} exceeds {tol:g}; "
-           "matrix too close to defective", resid=resid[i], tol=BIORTHO_TOL))
-    errors.fail(unpaired.any(axis=1), lambda i: NumericalFailure(lambda: (
+           "matrix too close to defective", resid=resid[i].max(), tol=BIORTHO_TOL))
+    errors.fail(unpaired, lambda i: NumericalFailure(lambda: (
         f"eigenvalue {lam[i][unpaired[i]][0]!r} has no conjugate partner "
         f"(closest miss {miss[i][unpaired[i]][0]:.3e})")))
     return lam, vecs, lefts, pairing, scale
@@ -375,19 +374,18 @@ def _correlation_batch(lam: np.ndarray, lefts: np.ndarray, kappa: float,
     denom = lam[:, :, None] + lam[:, None, :]
     numer = (-2.0 * kappa * lefts[:, :, 0])[:, :, None] * lefts[:, None, :, 1]
     damped = np.abs(denom) > DIVERGENT_TOL * scale[:, None, None]
+    errors.fail(growing, lambda i: UnstableState(
+        lambda: f"growing quasi-normal modes, Re lambda = {lam[i][growing[i]].real!r}"))
+    if damped.all():
+        return numer / denom
     coupled = numer != 0.0
     # (damped < coupled) is ~damped & coupled.
     divergent = damped < coupled
-
-    errors.fail(growing.any(axis=1), lambda i: UnstableState(
-        lambda: f"growing quasi-normal modes, Re lambda = {lam[i][growing[i]].real!r}"))
-    errors.fail(divergent.any(axis=(1, 2)), lambda i: DivergentSteadyState(lambda: (
+    errors.fail(divergent, lambda i: DivergentSteadyState(lambda: (
         f"undamped noise-driven mode pairs "
         f"{[(int(k), int(l)) for k, l in np.argwhere(divergent[i])]!r}: "
         "steady-state moments diverge")))
     g = np.divide(numer, denom, out=np.zeros(numer.shape, numer.dtype), where=damped)
-    if damped.all():
-        return g
     # A conservative mode pair left in its vacuum: <rho rho+> is the
     # commutator [rho_k, rho_l] and <rho+ rho> = 0.  The pair is undamped
     # and the noise does not couple to it at all (at zero pump the atom
@@ -421,7 +419,7 @@ _MIRROR = (4 * CONJ_PERM[None, :] + CONJ_PERM[:, None]).ravel()
 def _mirror(s: np.ndarray) -> np.ndarray:
     """T conj(s)^T T: the adjoint partner <R_jbar R_ibar>* of every moment,
     for one matrix or a stack."""
-    return s.conj().reshape(s.shape[:-2] + (16,))[..., _MIRROR].reshape(s.shape)
+    return s.reshape(-1, 16).take(_MIRROR, axis=1).conj().reshape(s.shape)
 
 
 def hermitize_moments(s: np.ndarray) -> np.ndarray:
@@ -443,10 +441,11 @@ def check_commutators(s: np.ndarray, scale: np.ndarray, errors: RowErrors) -> No
     comms = flat[:, 1::10] - flat[:, 4::10]
     tol = np.maximum(1e-8, 1e-12 * scale)
     bad = np.abs(comms - 1.0) > tol[:, None]
-    for k in range(2):
-        errors.fail(bad[:, k], lambda i, k=k: NumericalFailure(lambda: (
-            f"commutator [R_{2 * k}, R_{2 * k + 1}] = {complex(comms[i, k])!r} "
-            f"deviates from 1 beyond {tol[i]:g}")))
+    if np.count_nonzero(bad):
+        for k in range(2):
+            errors.fail(bad[:, k], lambda i, k=k: NumericalFailure(lambda: (
+                f"commutator [R_{2 * k}, R_{2 * k + 1}] = {complex(comms[i, k])!r} "
+                f"deviates from 1 beyond {tol[i]:g}")))
 
 
 def _moment_batch(rights: np.ndarray, mode_corrs: np.ndarray,
@@ -462,10 +461,10 @@ def _moment_batch(rights: np.ndarray, mode_corrs: np.ndarray,
     mirror = _mirror(s)
     scale = np.abs(s).max(axis=(1, 2))
     sym_tol = np.maximum(1e-8, 1e-6 * scale)
-    asym = np.abs(s - mirror).max(axis=(1, 2))
+    asym = np.abs(s - mirror)
 
-    errors.fail(asym > sym_tol, lambda i: NumericalFailure(lambda: (
-        f"moment matrix violates adjoint symmetry by {asym[i]:.3e} "
+    errors.fail(asym > sym_tol[:, None, None], lambda i: NumericalFailure(lambda: (
+        f"moment matrix violates adjoint symmetry by {asym[i].max():.3e} "
         f"(tolerance {sym_tol[i]:g})")))
     check_commutators(s, scale, errors)
     return 0.5 * (s + mirror)

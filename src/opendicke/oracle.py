@@ -49,7 +49,7 @@ def _kron_sum(m: np.ndarray) -> np.ndarray:
     """M (x) I + I (x) M for a 4x4 M, gathered from the flat M and weighted
     in np.kron's operand order, so that its bytes are those of np.kron."""
     flat = m.reshape(16)
-    return flat[_LEFT] * _LEFT_W + _RIGHT_W * flat[_RIGHT]
+    return flat.take(_LEFT) * _LEFT_W + _RIGHT_W * flat.take(_RIGHT)
 
 
 def lyapunov_moments(stability: StabilityMatrix) -> SecondMoments:
@@ -77,25 +77,25 @@ def lyapunov_moments(stability: StabilityMatrix) -> SecondMoments:
     kappa = stability.params.kappa
     m = stability.m
     lam = np.linalg.eigvals(m)
-    scale = max(1.0, float(np.abs(lam).max()))
-    if (lam.real > STABILITY_TOL * scale).any():
-        raise UnstableState(
-            f"unstable stability matrix, max Re lambda = {lam.real.max():.3e}")
-    if np.abs(lam.real).max() <= STABILITY_TOL * scale:
+    # Four finite eigenvalues: Python's max and abs of their parts are numpy's.
+    scale, re = max(1.0, *np.abs(lam).tolist()), lam.real.tolist()
+    if max(re) > STABILITY_TOL * scale:
+        raise UnstableState(f"unstable stability matrix, max Re lambda = {max(re):.3e}")
+    if max(map(abs, re)) <= STABILITY_TOL * scale:
         raise DivergentSteadyState("no damped mode at all; no steady state")
 
     d = noise_matrix(kappa)
     a = _kron_sum(m)
     rhs = -d.reshape(16).astype(complex)
-    sums = lam[:, None] + lam[None, :]
-    if np.abs(sums).min() <= STABILITY_TOL * scale:
+    sums = np.abs(lam[:, None] + lam)
+    if sums.min() <= STABILITY_TOL * scale:
         s = np.linalg.lstsq(a, rhs, rcond=None)[0].reshape(4, 4)
         residual = float(np.abs(m @ s + s @ m.T + d).max())
         if residual > 1e-8 * max(1.0, 2.0 * kappa):
             raise DivergentSteadyState(
                 f"singular Lyapunov system with inconsistent noise "
                 f"(residual {residual:.3e}); moments diverge")
-        i, j = divmod(int(np.abs(sums).argmin()), 4)
+        i, j = divmod(int(sums.argmin()), 4)
         raise NumericalFailure(f"singular Lyapunov system with consistent noise: "
                                f"undamped pair {lam[i]:.6g}, {lam[j]:.6g} undetermined")
 

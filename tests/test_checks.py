@@ -1,17 +1,20 @@
 """Row checks on hand-built stacks: a row that fails two checks of one stage
-keeps the first, the shared commutator checker fails exactly the bad rows of
-a stack with the message the routes report, and the Fock oracle's own
-Hermiticity check names the defect of a perturbed coefficient matrix."""
+keeps the first, in the decomposition, the mode correlations, the moment
+reassembly and the observables; the shared commutator checker fails exactly
+the bad rows of a stack with the message the routes report; and the Fock
+oracle's own Hermiticity check names the defect of a perturbed coefficient
+matrix."""
 
 import numpy as np
 import pytest
 
 from opendicke import fluctuations, oracle
-from opendicke.errors import (DefectiveMatrix, NumericalFailure, RowErrors,
-                              UnstableState)
+from opendicke.errors import (DefectiveMatrix, DivergentSteadyState,
+                              NumericalFailure, RowErrors, UnstableState)
 from opendicke.fluctuations import (SecondMoments, StabilityMatrix,
+                                    _correlation_batch, _moment_batch,
                                     build_stability_matrix, check_commutators,
-                                    decompose, observables)
+                                    decompose, hermitize_moments, observables)
 from opendicke.model import ModelParams, critical_pump
 from opendicke.oracle import fock_ground_state
 
@@ -104,3 +107,48 @@ def test_check_commutators_fail_the_bad_rows():
     assert errors.alive.tolist() == [True, False, False]
     assert str(errors.errors[2]) == ("commutator [R_0, R_1] = (2+0j) deviates "
                                      "from 1 beyond 1e-08")
+
+
+def test_moment_checks_keep_the_first_failing_check():
+    """One stack through the moment reassembly: the adjoint-symmetry check
+    comes before both commutators, [R_0, R_1] before [R_2, R_3], and a row
+    that had already failed keeps its error."""
+    s = np.zeros((5, 4, 4), dtype=complex)
+    s[:, 0, 1] = s[:, 2, 3] = 1.0
+    s[1, 0, 1] = 1.0 + 1.0j     # adjoint symmetry and [R_0, R_1] off
+    s[2, 2, 3] = 1.5            # [R_2, R_3] off
+    s[3, 0, 1], s[3, 2, 3] = 2.0, 3.0
+    s[4, 0, 1] = 1.0 + 1.0j
+    errors = RowErrors(5)
+    errors.fail(np.arange(5) == 4, lambda i: UnstableState("earlier"))
+    earlier = errors.errors[4]
+
+    # With unit right eigenvectors the reassembled moments are s itself.
+    got = _moment_batch(np.broadcast_to(np.eye(4), s.shape), s, errors)
+    assert got.tobytes() == hermitize_moments(s).tobytes()
+    assert errors.alive.tolist() == [True, False, False, False, False]
+    assert all(type(errors.errors[i]) is NumericalFailure for i in (1, 2, 3))
+    assert [str(errors.errors[i]) for i in (1, 2, 3)] == [
+        "moment matrix violates adjoint symmetry by 2.000e+00 "
+        "(tolerance 1.41421e-06)",
+        "commutator [R_2, R_3] = (1.5+0j) deviates from 1 beyond 1e-08",
+        "commutator [R_0, R_1] = (2+0j) deviates from 1 beyond 1e-08"]
+    assert errors.errors[4] is earlier
+
+
+def test_correlation_checks_keep_the_first_failing_check():
+    """A growing mode is reported before an undamped noise-driven pair of the
+    same row; a row with only that pair diverges, and a stable row stays."""
+    lam = np.array([[1.0, -1.0, -2.0, -3.0],      # growing, and 1 - 1 = 0
+                    [1j, -1j, -2.0, -3.0],        # undamped pair 1j - 1j = 0
+                    [-1.0, -2.0, -3.0, -4.0]])
+    lefts = np.ones((3, 4, 4), dtype=complex)
+    errors = RowErrors(3)
+    got = _correlation_batch(lam, lefts, 2.0, np.full(3, 4.0), errors)
+    assert errors.alive.tolist() == [False, False, True]
+    assert type(errors.errors[0]) is UnstableState
+    assert str(errors.errors[0]).startswith("growing quasi-normal modes")
+    assert type(errors.errors[1]) is DivergentSteadyState
+    assert str(errors.errors[1]).startswith(
+        "undamped noise-driven mode pairs [(0, 1), (1, 0)]")
+    np.testing.assert_array_equal(got[2], -4.0 / (lam[2][:, None] + lam[2]))
