@@ -201,6 +201,8 @@ def status_of(err: Exception) -> str:
 
 def _masked(ok, *columns) -> tuple:
     """The columns with NaN on the rows where ``ok`` is False."""
+    if np.count_nonzero(ok) == ok.size:
+        return columns
     return tuple(np.where(ok, c, math.nan) for c in columns)
 
 

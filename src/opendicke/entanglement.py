@@ -58,7 +58,7 @@ def _invariants(c: np.ndarray) -> tuple[np.ndarray, ...]:
     symplectic form; see ``_discriminant``).  The 2x2 determinants are one
     stacked call."""
     k = c[:, :2] @ OMEGA_SYMPL @ c[:, :, 2:]
-    blocks = np.linalg.det(np.stack((c[:, :2, :2], c[:, 2:, 2:], c[:, :2, 2:], k)))
+    blocks = np.linalg.det(np.array((c[:, :2, :2], c[:, 2:, 2:], c[:, :2, 2:], k)))
     return tuple(blocks) + (np.linalg.det(c),)
 
 
@@ -77,8 +77,8 @@ def _discriminant(invariants, delta: np.ndarray) -> np.ndarray:
     det_p, det_a, _, det_k, det_c = invariants
     split = (det_p - det_a) ** 2
     square = delta ** 2
-    return np.where(split + 4.0 * np.abs(det_k) < square,
-                    split + 4.0 * det_k, square - 4.0 * det_c)
+    k4 = 4.0 * det_k
+    return np.where(split + np.abs(k4) < square, split + k4, square - 4.0 * det_c)
 
 
 def _nu_minus(sigma: np.ndarray, disc: np.ndarray, det_c: np.ndarray,
@@ -92,13 +92,13 @@ def _nu_minus(sigma: np.ndarray, disc: np.ndarray, det_c: np.ndarray,
     clamped at 0.  The vacuum gives 0.4999999999999999 (E_N 2.2e-16), not
     1/2: its covariance takes QUAD_MAP's (1/sqrt(2))^2, which rounds down.
     """
-    scale = np.maximum(1.0, sigma ** 2)
-    errors.fail(disc < -1e-10 * scale, lambda i: NumericalFailure(
+    floor = -1e-10 * np.maximum(1.0, sigma ** 2)
+    errors.fail(disc < floor, lambda i: NumericalFailure(
         lambda: f"negative discriminant {disc[i]:.3e} in symplectic invariants"))
     nu_plus_sq = 0.5 * (sigma + np.sqrt(np.maximum(disc, 0.0)))
-    arg = np.divide(det_c, nu_plus_sq, out=np.zeros_like(det_c),
+    arg = np.divide(det_c, nu_plus_sq, out=np.zeros(det_c.shape),
                     where=nu_plus_sq > 0.0)
-    errors.fail(arg < -1e-10 * scale, lambda i: NumericalFailure(
+    errors.fail(arg < floor, lambda i: NumericalFailure(
         lambda: f"negative nu_minus^2 = {arg[i]:.3e}"))
     return np.sqrt(np.maximum(arg, 0.0))
 
@@ -132,8 +132,8 @@ def covariance_batch(s: np.ndarray, errors: RowErrors):
     """
     raw = QUAD_MAP @ s @ QUAD_MAP.T
     sym = 0.5 * (raw + raw.transpose(0, 2, 1))
-    scale = np.maximum(1.0, np.abs(sym).max(axis=(1, 2)))
-    imag_resid = np.abs(sym.imag).max(axis=(1, 2))
+    scale = np.maximum(1.0, np.maximum.reduce(np.abs(sym), axis=(1, 2)))
+    imag_resid = np.maximum.reduce(np.abs(sym.imag), axis=(1, 2))
     errors.fail(imag_resid > 1e-10 * scale, lambda i: NumericalFailure(
         lambda: f"covariance imaginary residue {imag_resid[i]:.3e} exceeds tolerance"))
     c = blank_failed(sym.real.copy(), errors)

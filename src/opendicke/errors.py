@@ -115,11 +115,11 @@ class RowErrors:
         if not (np.count_nonzero(mask) if isinstance(mask, np.ndarray) else mask):
             return
         mask = mask.reshape(len(mask), -1).any(axis=1) if np.ndim(mask) > 1 else mask
-        hit = mask & self.alive
-        for i in np.flatnonzero(hit):
+        hit = (mask & self.alive).nonzero()[0]
+        self.alive[hit] = False
+        for i in hit.tolist():
             self.errors[i] = make(i)
-            self.failed += 1
-        self.alive &= ~hit
+        self.failed += hit.size
 
     def raise_first(self) -> None:
         """Raise the error of the first failed row, if any."""

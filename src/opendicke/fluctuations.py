@@ -43,11 +43,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import CONJ_PERM, J_COMM, OMEGA_R, QUAD_MAP, T_CONJ
+from .basis import CONJ_PERM, J_COMM, QUAD_MAP, T_CONJ
 from .errors import (DefectiveMatrix, DivergentSteadyState, NumericalFailure,
                      RowErrors, UnstableState, one_row)
-from .model import (MeanFieldBatch, ModelParams, abs_squared,
-                    mean_field_batch, mean_field_point, pump_grid)
+from .model import (MeanFieldBatch, ModelParams, mean_field_batch,
+                    mean_field_point, pump_grid)
 
 # Eigenvector-matrix condition number and eigenvalue-cluster thresholds above
 # which a matrix is treated as defective.  At an exactly defective point a
@@ -82,6 +82,8 @@ _MODES = np.arange(4)
 _PERMS = np.array(list(itertools.permutations(_MODES)))
 _THEN = (_PERMS[:, _PERMS][:, :, None] == _PERMS).all(-1).argmax(-1)
 _INVOLUTIONS = _PERMS[_THEN.diagonal() == 0]
+# The involutions' |lambda_p(k) - conj(lambda_k)| in |lambda_j - conj(lambda_k)|.
+_INVOLUTION_TERMS = (4 * _INVOLUTIONS + _MODES).ravel()
 _EYE = np.eye(4)
 _EYE2 = np.concatenate((_EYE, _EYE))
 
@@ -157,7 +159,7 @@ def _map_batches(compute, stack) -> list:
     """
     batches = [stack[start:start + BATCH_ROWS]
                for start in range(0, len(stack), BATCH_ROWS)]
-    workers = min(len(batches), _usable_cpus())
+    workers = min(len(batches), _usable_cpus()) if len(batches) > 1 else 1
     if workers < 2:
         return [compute(b) for b in batches]
     from concurrent.futures import Future, ThreadPoolExecutor
@@ -196,24 +198,18 @@ _DRIFT = np.rint((QUAD_MAP @ _gather(np.concatenate((_EYE, 1j * _EYE), axis=1))
 
 def _entries(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     """(M[0, 0], M[0, 2], M[2, 0], M[2, 2]) of every row, (4, N), or (4,)
-    for a batch of one with scalar fields."""
-    alpha0, beta0, u = mf.alpha0, mf.beta0, params.u
-    # Rows whose mean field failed may hold infinite values; no route
-    # decomposes them (``steady_state_batch`` drops them first).
-    with np.errstate(all="ignore"):
-        bsq = beta0 * beta0
-        one_minus = 1.0 - 2.0 * bsq
-        half_y = 0.5 * mf.y * one_minus
-        # drive is imaginary and atom is computed as i times a real number,
-        # so that no product or quotient of two general complex numbers is
-        # taken (their rounding differs between numpy scalars and arrays).
-        # Complex factors come first: a Python complex combined with a numpy
-        # scalar stays a fast Python complex.
-        drive = 1j * u * beta0 * np.sqrt(1.0 - bsq)
-        atom = -1j * ((OMEGA_R + u * abs_squared(alpha0)) / one_minus)
-        return np.array((1j * (params.delta_c - u * bsq) - params.kappa,
-                         -(drive * alpha0) + half_y,
-                         -(drive * alpha0.conjugate()) - half_y, atom))
+    for a batch of one with scalar fields.  The routes drop or raise the
+    rows whose mean field failed first; the ground state blanks them in A."""
+    half_y = 0.5 * mf.y * mf.one_minus
+    # drive is imaginary and atom is computed as i times a real number, so
+    # that no product or quotient of two general complex numbers is taken
+    # (their rounding differs between numpy scalars and arrays).  Complex
+    # factors come first: a Python complex combined with a numpy scalar
+    # stays a fast Python complex.
+    drive = 1j * params.u * mf.beta0 * mf.root
+    atom = -1j * (mf.gain / mf.one_minus)
+    return np.array((mf.cavity, half_y - drive * mf.alpha0,
+                     -(drive * mf.alpha0.conjugate()) - half_y, atom))
 
 
 def stability_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
@@ -240,8 +236,8 @@ def build_stability_matrix(params: ModelParams) -> StabilityMatrix:
     """Stability matrix of the linearized equations of motion (batch of one
     of :func:`stability_batch`)."""
     batch = mean_field_point(params)
-    return StabilityMatrix(m=batch.errors.first_row(stability_batch(params, batch)),
-                           params=params)
+    batch.errors.raise_first()
+    return StabilityMatrix(m=stability_batch(params, batch)[0], params=params)
 
 
 def conjugation_defect(m: np.ndarray) -> float:
@@ -251,7 +247,7 @@ def conjugation_defect(m: np.ndarray) -> float:
 
 def _scale(lam: np.ndarray) -> np.ndarray:
     """max(1, max_k |lambda_k|) of every row."""
-    return np.abs(lam).max(axis=-1, initial=1.0)
+    return np.maximum.reduce(np.abs(lam), axis=-1, initial=1.0)
 
 
 def _ill_conditioned(vecs: np.ndarray) -> np.ndarray:
@@ -317,7 +313,7 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     """
     lam, vecs = np.linalg.eig(m)
     # numpy orders complex numbers by (real part, imaginary part).
-    lam, vecs = sort_modes(lam, vecs, np.argsort(lam, axis=-1, kind="stable"))
+    lam, vecs = sort_modes(lam, vecs, lam.argsort(axis=-1, kind="stable"))
     scale = _scale(lam)
     defective, gaps = _defects(lam, vecs, _ill_conditioned(vecs), scale)
 
@@ -339,8 +335,10 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     # |L V - 1| and |V L - 1| of every row; a screened V has a finite inverse
     resid = np.abs(np.concatenate((lefts @ vecs, vecs @ lefts), axis=1) - _EYE2)
     # terms[n, q, k] = |lambda_p(k) - conj(lambda_k)| for p = _INVOLUTIONS[q]
-    terms = np.abs(lam.take(_INVOLUTIONS, axis=1) - lam.conj()[:, None, :])
-    best = terms.sum(-1).argmin(1)
+    table = np.abs(lam[:, :, None] - lam.conj()[:, None, :]).reshape(-1, 16)
+    terms = table.take(_INVOLUTION_TERMS, axis=1).reshape(-1, 10, 4)
+    # The sums in the order of terms.sum(-1), without its reduction overhead.
+    best = (terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]).argmin(1)
     pairing, miss = _INVOLUTIONS.take(best, axis=0), terms[np.arange(best.size), best]
     unpaired = miss > PAIRING_TOL * scale[:, None]
 
@@ -376,7 +374,7 @@ def _correlation_batch(lam: np.ndarray, lefts: np.ndarray, kappa: float,
     damped = np.abs(denom) > DIVERGENT_TOL * scale[:, None, None]
     errors.fail(growing, lambda i: UnstableState(
         lambda: f"growing quasi-normal modes, Re lambda = {lam[i][growing[i]].real!r}"))
-    if damped.all():
+    if np.count_nonzero(damped) == damped.size:
         return numer / denom
     coupled = numer != 0.0
     # (damped < coupled) is ~damped & coupled.
@@ -434,13 +432,13 @@ def hermitize_moments(s: np.ndarray) -> np.ndarray:
 
 
 def check_commutators(s: np.ndarray, scale: np.ndarray, errors: RowErrors) -> None:
-    """Fail every row whose commutator [R_0, R_1] or [R_2, R_3] is further
-    than max(1e-8, 1e-12 * scale) from 1, naming the first that is."""
+    """Fail every row whose commutator [R_0, R_1] or [R_2, R_3] is NaN or
+    further than max(1e-8, 1e-12 * scale) from 1, naming the first that is."""
     # Flat entries 1, 11 are (0, 1), (2, 3) and 4, 14 are (1, 0), (3, 2).
     flat = s.reshape(-1, 16)
     comms = flat[:, 1::10] - flat[:, 4::10]
     tol = np.maximum(1e-8, 1e-12 * scale)
-    bad = np.abs(comms - 1.0) > tol[:, None]
+    bad = ~(np.abs(comms - 1.0) <= tol[:, None])
     if np.count_nonzero(bad):
         for k in range(2):
             errors.fail(bad[:, k], lambda i, k=k: NumericalFailure(lambda: (
@@ -455,15 +453,17 @@ def _moment_batch(rights: np.ndarray, mode_corrs: np.ndarray,
     The raw adjoint-symmetry and commutator checks come before projection.
     Near the critical point the diverging entries carry a relative error of
     order eps_machine * ||M|| / |lambda_k + lambda_l|, so the tolerances
-    scale with the magnitude of the moments.
+    scale with the magnitude of the moments.  A row with a NaN or infinite
+    moment fails the adjoint-symmetry check: its scale is not finite.
     """
     s = rights @ mode_corrs @ rights.transpose(0, 2, 1)
     mirror = _mirror(s)
-    scale = np.abs(s).max(axis=(1, 2))
+    scale = np.maximum.reduce(np.abs(s), axis=(1, 2))
     sym_tol = np.maximum(1e-8, 1e-6 * scale)
     asym = np.abs(s - mirror)
+    symmetric = (asym <= sym_tol[:, None, None]) & (scale < math.inf)[:, None, None]
 
-    errors.fail(asym > sym_tol[:, None, None], lambda i: NumericalFailure(lambda: (
+    errors.fail(~symmetric, lambda i: NumericalFailure(lambda: (
         f"moment matrix violates adjoint symmetry by {asym[i].max():.3e} "
         f"(tolerance {sym_tol[i]:g})")))
     check_commutators(s, scale, errors)
@@ -486,15 +486,15 @@ def steady_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     """
     errors = mf.errors
     if errors.failed:
-        live = np.flatnonzero(errors.alive)
+        live = errors.alive.nonzero()[0]
         s = np.zeros((errors.alive.size, 4, 4), complex)
         if live.size:
             sub = RowErrors(live.size)
-            s[live] = steady_state_batch(params, MeanFieldBatch(
-                mf.y[live], mf.alpha0[live], mf.beta0[live], sub))
-            hit = np.zeros_like(errors.alive)
-            hit[live] = ~sub.alive
-            errors.fail(hit, lambda i: sub.errors[np.searchsorted(live, i)])
+            s[live] = steady_state_batch(params, mf.take(live, sub))
+            if sub.failed:
+                hit = np.zeros(errors.alive.size, bool)
+                hit[live] = ~sub.alive
+                errors.fail(hit, lambda i: sub.errors[live.searchsorted(i)])
         return s
     m = stability_batch(params, mf)
     lam, rights, lefts, _, scale = _decompose_batch(m, errors)
@@ -510,11 +510,11 @@ def steady_state_moments(params: ModelParams) -> SecondMoments:
 
 def observables_batch(s: np.ndarray, errors: RowErrors) -> tuple[np.ndarray, np.ndarray]:
     """(<db+ db>, <da+ da>) of every row.  An imaginary residue beyond
-    1e-10 * max(1, |value|) or a negative value fails the row."""
+    1e-10 * max(1, |value|), a negative value or a NaN fails the row."""
     # Flat entries 14 and 4 are (3, 2) and (1, 0): column k is <R_3-2k R_2-2k>.
     values = s.reshape(-1, 16)[:, 14:3:-10]
     tol = 1e-10 * np.maximum(1.0, np.abs(values))
-    imaginary, negative = np.abs(values.imag) > tol, values.real < -tol
+    imaginary, negative = ~(np.abs(values.imag) <= tol), ~(values.real >= -tol)
     for k in range(2):
         name = f"<R_{3 - 2 * k} R_{2 - 2 * k}>"
         errors.fail(imaginary[:, k], lambda r, k=k, name=name: NumericalFailure(
@@ -582,7 +582,8 @@ def _drift_at(params: ModelParams, y: float) -> np.ndarray:
     """Drift matrix at one pump value."""
     p = params.with_pump(y)
     batch = mean_field_point(p)
-    return batch.errors.first_row(drift_batch(p, batch))
+    batch.errors.raise_first()
+    return drift_batch(p, batch)[0]
 
 
 def _match_branches(lam: np.ndarray, vecs: np.ndarray):

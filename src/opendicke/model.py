@@ -86,16 +86,27 @@ class MeanFieldBatch:
 
     One row per pump value: the fields are arrays for a grid
     (:func:`mean_field_batch`) and scalars for a single pump value
-    (:func:`mean_field_point`).  The chemical potential is not kept; it
-    follows from alpha0 and beta0.  Rows whose mean field failed keep their
-    error in ``errors``; their amplitudes are meaningless (zero where the
-    superradiant branch does not exist).
+    (:func:`mean_field_point`).  Besides the amplitudes it keeps the terms
+    of the stationarity conditions that M reads again: ``cavity`` =
+    i (delta_c - u beta0^2) - kappa, ``gain`` = omega_r + u |alpha0|^2,
+    ``one_minus`` = 1 - 2 beta0^2 and ``root`` = sqrt(1 - beta0^2).  Rows
+    whose mean field failed keep their error in ``errors``; their fields are
+    meaningless.
     """
 
     y: np.ndarray
     alpha0: np.ndarray
     beta0: np.ndarray
+    cavity: np.ndarray
+    gain: np.ndarray
+    one_minus: np.ndarray
+    root: np.ndarray
     errors: RowErrors
+
+    def take(self, rows: np.ndarray, errors: RowErrors) -> MeanFieldBatch:
+        """The batch of the rows ``rows``, with ``errors``."""
+        return MeanFieldBatch(*(a.take(rows) for a in (self.y, self.alpha0, self.beta0,
+                              self.cavity, self.gain, self.one_minus, self.root)), errors)
 
 
 def critical_pump(params: ModelParams) -> float:
@@ -125,12 +136,6 @@ def critical_pump(params: ModelParams) -> float:
     return math.sqrt(y_c_sq)
 
 
-def abs_squared(z):
-    """|z|^2 in real arithmetic, which rounds alike for numpy scalars and
-    arrays (complex multiplication and division need not)."""
-    return z.real * z.real + z.imag * z.imag
-
-
 def mean_field_residuals(params: ModelParams, alpha0: complex,
                          beta0: float) -> tuple[complex, float]:
     """Residuals of the two stationarity conditions (zero at a solution)."""
@@ -157,11 +162,12 @@ def _order_parameter(params: ModelParams, y, y_c: float):
         return (y_sq - y_c ** 2) / (2.0 * y_sq), 1.0
     dc, u = params.delta_c, params.u
     ratio = u / dc * (y_sq - y_c ** 2) / (y_sq + u * OMEGA_R)
-    return dc / u * ratio / (1.0 + np.sqrt(1.0 - ratio)), 1.0 - ratio
+    radicand = 1.0 - ratio
+    return dc / u * ratio / (1.0 + np.sqrt(radicand)), radicand
 
 
-def _branch_fields(params: ModelParams, y, beta0):
-    """(alpha0, 1 - 2 beta0^2, stationarity residuals) at a given beta0.
+def _branch_fields(params: ModelParams, y, beta0, errors: RowErrors):
+    """(mean field with ``errors``, stationarity residuals) at a given beta0.
 
     The residuals are (|t1 + t2|, |t1| + |t2|, |t3 + t4|, |t3| + |t4|) for
     the conditions t1 + t2 = 0 and t3 + t4 = 0.  Scalars or arrays, in real
@@ -172,17 +178,20 @@ def _branch_fields(params: ModelParams, y, beta0):
     root = np.sqrt(1.0 - bsq)
     one_minus = 1.0 - 2.0 * bsq
     c = params.delta_c - params.u * bsq
+    ic = 1j * c
+    # t2 >= 0, so its own magnitude is t2.
     t2 = y * beta0 * root
     # alpha0 = -t2 / (i c - kappa); +0 in the normal phase, where t2 = +0 and
     # c = delta_c < 0.  The complex factor comes first: a Python complex
     # times a numpy scalar stays a fast Python complex.
-    alpha0 = (params.kappa + 1j * c) * (t2 / (params.kappa ** 2 + c * c))
-    gain = OMEGA_R + params.u * abs_squared(alpha0)
-    t1 = (1j * c - params.kappa) * alpha0
+    alpha0 = (params.kappa + ic) * (t2 / (params.kappa ** 2 + c * c))
+    gain = OMEGA_R + params.u * (alpha0.real * alpha0.real + alpha0.imag * alpha0.imag)
+    cavity = ic - params.kappa
+    t1 = cavity * alpha0
     t3 = gain * beta0
     t4 = y * alpha0.imag * one_minus / root
-    return alpha0, one_minus, (abs(t1 + t2), abs(t1) + abs(t2),
-                               abs(t3 + t4), abs(t3) + abs(t4))
+    return MeanFieldBatch(y, alpha0, beta0, cavity, gain, one_minus, root, errors), (
+        abs(t1 + t2), abs(t1) + t2, abs(t3 + t4), abs(t3) + abs(t4))
 
 
 def _residuals_exceed(res_a, size_a, res_b, size_b):
@@ -216,7 +225,7 @@ def pump_grid(y_grid) -> np.ndarray:
     pump value that is not finite and >= 0."""
     y = np.asarray(y_grid, dtype=float).reshape(-1)
     good = (0.0 <= y) & (y < math.inf)
-    if not good.all():
+    if np.count_nonzero(good) < y.size:
         raise ValueError(f"pump y must be finite and >= 0, got {float(y[~good][0])!r}")
     return y
 
@@ -240,17 +249,25 @@ def mean_field_batch(params: ModelParams, y_grid) -> MeanFieldBatch:
     with np.errstate(all="ignore"):
         branch, radicand = _order_parameter(params, y, y_c)
         sr = y > y_c
-        missing = sr & ~((0.0 < branch) & (branch < 1.0))
-        beta0 = np.sqrt(np.where(sr & ~missing, branch, 0.0))
-        alpha0, one_minus, residuals = _branch_fields(params, y, beta0)
-        degenerate = np.abs(one_minus) < 1e-12
+        inside = (0.0 < branch) & (branch < 1.0)
+        # (sr > inside) is sr & ~inside.
+        missing = sr > inside
+        beta0 = np.sqrt(np.where(sr & inside, branch, 0.0))
+        mf, residuals = _branch_fields(params, y, beta0, errors)
+        degenerate = np.abs(mf.one_minus) < 1e-12
         bad = _residuals_exceed(*residuals)
 
     errors.fail(missing, lambda i: _missing_branch(
         radicand[i] if params.u else radicand, branch[i], y[i]))
-    errors.fail(degenerate, lambda i: _degenerate_branch(one_minus[i]))
+    errors.fail(degenerate, lambda i: _degenerate_branch(mf.one_minus[i]))
     errors.fail(bad, lambda i: _residual_failure(*(r[i] for r in residuals)))
-    return MeanFieldBatch(y, alpha0, beta0, errors)
+    return mf
+
+
+def normal_phase(params: ModelParams, errors: RowErrors) -> MeanFieldBatch:
+    """The normal phase (alpha0 = beta0 = 0) at ``params.y`` as a batch of one."""
+    return MeanFieldBatch(np.float64(params.y), 0j, 0.0,
+                          1j * params.delta_c - params.kappa, OMEGA_R, 1.0, 1.0, errors)
 
 
 def mean_field_point(params: ModelParams) -> MeanFieldBatch:
@@ -265,17 +282,16 @@ def mean_field_point(params: ModelParams) -> MeanFieldBatch:
     y_c = critical_pump(params)
     errors = RowErrors(1)
     if not y > y_c:
-        return MeanFieldBatch(y, 0j, 0.0, errors)
+        return normal_phase(params, errors)
     with np.errstate(all="ignore"):
         branch, radicand = _order_parameter(params, y, y_c)
         if not 0.0 < branch < 1.0:
             errors.fail(True, lambda i: _missing_branch(radicand, branch, y))
-            return MeanFieldBatch(y, 0j, 0.0, errors)
-        beta0 = np.sqrt(branch)
-        alpha0, one_minus, residuals = _branch_fields(params, y, beta0)
-    errors.fail(abs(one_minus) < 1e-12, lambda i: _degenerate_branch(one_minus))
+            return normal_phase(params, errors)
+        mf, residuals = _branch_fields(params, y, np.sqrt(branch), errors)
+    errors.fail(abs(mf.one_minus) < 1e-12, lambda i: _degenerate_branch(mf.one_minus))
     errors.fail(_residuals_exceed(*residuals), lambda i: _residual_failure(*residuals))
-    return MeanFieldBatch(y, alpha0, beta0, errors)
+    return mf
 
 
 def solve_mean_field(params: ModelParams) -> MeanField:
@@ -287,7 +303,6 @@ def solve_mean_field(params: ModelParams) -> MeanField:
     """
     batch = mean_field_point(params)
     batch.errors.raise_first()
-    gain = OMEGA_R + params.u * abs_squared(batch.alpha0)
     return MeanField(alpha0=complex(batch.alpha0), beta0=float(batch.beta0),
-                     mu=float(-0.5 * gain / (1.0 - 2.0 * (batch.beta0 * batch.beta0))),
+                     mu=float(-0.5 * batch.gain / batch.one_minus),
                      phase=Phase.SUPERRADIANT if batch.beta0 > 0.0 else Phase.NORMAL)

@@ -18,7 +18,8 @@ if importlib.util.find_spec("opendicke") is None:
 
 from opendicke import fluctuations  # noqa: E402
 from opendicke.errors import RowErrors  # noqa: E402
-from opendicke.model import MeanFieldBatch, ModelParams, critical_pump  # noqa: E402
+from opendicke.model import (MeanFieldBatch, ModelParams, critical_pump,  # noqa: E402
+                             normal_phase)
 
 
 @pytest.fixture
@@ -41,7 +42,7 @@ def at_ratio(params: ModelParams, ratio: float) -> ModelParams:
 def normal_branch(params: ModelParams) -> MeanFieldBatch:
     """The normal-phase mean field at ``params.y`` as a batch of one, also
     above threshold, where the solver takes the superradiant branch."""
-    return MeanFieldBatch(y=params.y, alpha0=0j, beta0=0.0, errors=RowErrors(1))
+    return normal_phase(params, RowErrors(1))
 
 
 def dead_row_params(kappa: float) -> ModelParams:

@@ -39,7 +39,7 @@ from opendicke.fluctuations import (BATCH_ROWS, build_stability_matrix,
                                     observables, steady_state_moments)
 from opendicke.groundstate import bogoliubov_modes, ground_state_moments
 from opendicke.model import (ModelParams, Phase, critical_pump, mean_field_batch,
-                             solve_mean_field)
+                             mean_field_point, solve_mean_field)
 from opendicke.oracle import lyapunov_moments
 
 RATIOS = np.linspace(0.05, 2.0, 25)
@@ -313,6 +313,33 @@ def test_injected_mean_field_is_the_solved_one(u, ratio):
         mu = -0.5 * gain / (1.0 - 2.0 * beta0 ** 2)
         assert (mf.alpha0, mf.beta0, mf.mu) == (alpha0, beta0, mu)
         assert mf.phase is (Phase.SUPERRADIANT if ratio > 1.0 else Phase.NORMAL)
+
+
+def test_batch_of_one_builds_the_bytes_of_a_one_row_batch():
+    """The scalar fields of ``mean_field_point`` and a one-row array batch
+    of the same pump build the same stability and drift matrices, byte for
+    byte, and the same kappa > 0 steady-state moments: seeded points in both
+    phases, with u = 0 and u != 0, kappa = 0 and kappa > 0."""
+    rng = np.random.default_rng(31)
+    seen = set()
+    for i in range(240):
+        base = ModelParams(delta_c=-10.0 ** rng.uniform(-2.0, 2.0),
+                           kappa=0.0 if i % 4 == 0 else 10.0 ** rng.uniform(-3.0, 2.0),
+                           u=0.0 if i % 3 == 0 else rng.uniform(-5.0, 5.0), y=0.0)
+        p = base.with_pump(rng.uniform(0.05, 2.5) * critical_pump(base))
+        point, row = mean_field_point(p), mean_field_batch(p, [p.y])
+        assert point.errors.failed == row.errors.failed
+        if row.errors.failed:
+            continue
+        seen.add((p.kappa > 0.0, p.u != 0.0, row.beta0[0] > 0.0))
+        for build in (fluctuations.stability_batch, fluctuations.drift_batch):
+            assert build(p, point).tobytes() == build(p, row).tobytes()
+        if p.kappa > 0.0:
+            s_point = fluctuations.steady_state_batch(p, point)
+            s_row = fluctuations.steady_state_batch(p, row)
+            assert point.errors.failed == row.errors.failed
+            assert s_point.tobytes() == s_row.tobytes()
+    assert len(seen) == 8
 
 
 def test_mean_field_table_joins_batches(monkeypatch):

@@ -1,7 +1,8 @@
 """Row checks on hand-built stacks: a row that fails two checks of one stage
 keeps the first, in the decomposition, the mode correlations, the moment
 reassembly and the observables; the shared commutator checker fails exactly
-the bad rows of a stack with the message the routes report; and the Fock
+the bad rows of a stack with the message the routes report; a NaN or
+infinite moment fails the moment or observable checks; and the Fock
 oracle's own Hermiticity check names the defect of a perturbed coefficient
 matrix."""
 
@@ -152,3 +153,32 @@ def test_correlation_checks_keep_the_first_failing_check():
     assert str(errors.errors[1]).startswith(
         "undamped noise-driven mode pairs [(0, 1), (1, 0)]")
     np.testing.assert_array_equal(got[2], -4.0 / (lam[2][:, None] + lam[2]))
+
+
+def test_non_finite_moments_fail_their_checks():
+    """A NaN <R_3 R_2> fails the observables under its own name, and a NaN
+    or infinite moment that no observable reads fails the moment reassembly
+    on adjoint symmetry; a clean row stays alive through both."""
+    s = np.zeros((3, 4, 4), dtype=complex)
+    s[:, 0, 1] = s[:, 2, 3] = 1.0
+    s[1, 3, 2] = np.nan
+    errors = RowErrors(2)
+    delta_n, n_photon = fluctuations.observables_batch(s[:2], errors)
+    assert errors.alive.tolist() == [True, False]
+    assert type(errors.errors[1]) is NumericalFailure
+    assert str(errors.errors[1]).startswith("<R_3 R_2> = (nan+0j) ")
+    assert (delta_n[0], n_photon[0]) == (0.0, 0.0)
+
+    s[1, 3, 2] = 0.0
+    s[1, 0, 2], s[2, 0, 2] = np.nan, np.inf      # <R_0 R_2>
+    errors = RowErrors(3)
+    # The infinite entry times the zeros of the identity is a NaN, and numpy
+    # warns of it.
+    with np.errstate(invalid="ignore"):
+        got = _moment_batch(np.broadcast_to(np.eye(4), s.shape), s, errors)
+    assert errors.alive.tolist() == [True, False, False]
+    for i in (1, 2):
+        assert type(errors.errors[i]) is NumericalFailure
+        assert str(errors.errors[i]).startswith(
+            "moment matrix violates adjoint symmetry by ")
+    assert got[0].tobytes() == hermitize_moments(s[0]).tobytes()
