@@ -10,16 +10,16 @@ the analytic critical pump is used for centering.
 
 Scan tables carry one row per grid point with a status column; points where
 the model fails (divergence at the critical point, defective matrices,
-instability) are reported, never dropped, with the ``status`` of their
-error's class (:mod:`opendicke.errors`).  Every scan computes its grid as
-batches of arrays, BATCH_ROWS pump values at a time; a row's status is its
-first failing check, in the order mean field, defective, biorthonormality,
-pairing, unstable, divergent, moment structure, observables.  A grid scan of
-more than one batch runs its batches on one thread per CPU the process may
-use, the calling thread included (``fluctuations._map_batches``), and joins
-the rows in grid order, so its table does not depend on the number of
-threads.  A caller that writes rows as text passes ``render``, and each batch
-renders its rows on the thread that computed it.
+instability) are reported, never dropped.  Every scan computes its grid as
+batches of arrays, BATCH_ROWS pump values at a time; a row's status is the
+label of its first failing check (:class:`~opendicke.errors.RowErrors`), in
+the order mean field, defective, biorthonormality, pairing, unstable,
+divergent, moment structure, observables, and no error is built for it.  A
+grid scan of more than one batch runs its batches on one thread per CPU the
+process may use, the calling thread included (``fluctuations._map_batches``),
+and joins the rows in grid order, so its table does not depend on the number
+of threads.  A caller that writes rows as text passes ``render``, and each
+batch renders its rows on the thread that computed it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entanglement import covariance_batch, log_negativity_batch
-from .errors import InvalidCurve, OpenDickeError
+from .errors import InvalidCurve
 from .fluctuations import (_map_batches, observables_batch, spectrum_scan,
                            steady_state_batch)
 from .groundstate import ground_state_batch
@@ -163,7 +163,7 @@ def exponent_fit(curve, window: tuple[float, float] = DEFAULT_WINDOW,
 def _moments(params: ModelParams, y_grid):
     """(mean fields, rows whose mean field holds, fluctuation moments) of a
     pump grid, with the kappa = 0 (ground state) / kappa > 0 (steady state)
-    dispatch.  Failed rows keep their error in the batch's ``errors``."""
+    dispatch.  Failed rows are failed in the batch's ``errors``."""
     mf = mean_field_batch(params, y_grid)
     mean_ok = mf.errors.alive.copy()
     moments = ground_state_batch if params.kappa == 0.0 else steady_state_batch
@@ -192,13 +192,6 @@ def critical_exponent(params: ModelParams, side: Side,
     return exponent_fit(curve[:, :2], window, side)
 
 
-def status_of(err: Exception) -> str:
-    """Status-column label of a row's error, its class's ``status``, or raises it."""
-    if isinstance(err, OpenDickeError) and err.status is not None:
-        return err.status
-    raise err
-
-
 def _masked(ok, *columns) -> tuple:
     """The columns with NaN on the rows where ``ok`` is False."""
     if np.count_nonzero(ok) == ok.size:
@@ -208,8 +201,9 @@ def _masked(ok, *columns) -> tuple:
 
 def _mean_field_columns(params: ModelParams, y):
     mf = mean_field_batch(params, y)
-    return mf.errors, _masked(mf.errors.alive, np.abs(mf.alpha0) ** 2,
-                              mf.beta0 ** 2)
+    # Masked first: a failed row's |alpha0| may overflow when squared.
+    alpha0, beta0 = _masked(mf.errors.alive, mf.alpha0, mf.beta0)
+    return mf.errors, (np.abs(alpha0) ** 2, beta0 ** 2)
 
 
 def _excitation_columns(params: ModelParams, y):
@@ -264,9 +258,7 @@ def _grid_table(kind: ScanKind, params: ModelParams, y_grid, render) -> Table:
     def batch_rows(batch):
         errors, columns = columns_of(params, batch)
         return _rows(zip(batch.tolist(), (batch / y_c).tolist(),
-                         *(c.tolist() for c in columns),
-                         ["ok" if e is None else status_of(e)
-                          for e in errors.errors]), render)
+                         *(c.tolist() for c in columns), errors.status), render)
 
     return Table(kind=kind, columns=scan_columns(kind),
                  rows=[row for part in _map_batches(batch_rows, y)

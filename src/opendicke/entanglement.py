@@ -93,13 +93,13 @@ def _nu_minus(sigma: np.ndarray, disc: np.ndarray, det_c: np.ndarray,
     1/2: its covariance takes QUAD_MAP's (1/sqrt(2))^2, which rounds down.
     """
     floor = -1e-10 * np.maximum(1.0, sigma ** 2)
-    errors.fail(disc < floor, lambda i: NumericalFailure(
-        lambda: f"negative discriminant {disc[i]:.3e} in symplectic invariants"))
+    errors.fail(disc < floor, NumericalFailure,
+                lambda i: f"negative discriminant {disc[i]:.3e} in symplectic invariants")
     nu_plus_sq = 0.5 * (sigma + np.sqrt(np.maximum(disc, 0.0)))
     arg = np.divide(det_c, nu_plus_sq, out=np.zeros(det_c.shape),
                     where=nu_plus_sq > 0.0)
-    errors.fail(arg < floor, lambda i: NumericalFailure(
-        lambda: f"negative nu_minus^2 = {arg[i]:.3e}"))
+    errors.fail(arg < floor, NumericalFailure,
+                lambda i: f"negative nu_minus^2 = {arg[i]:.3e}")
     return np.sqrt(np.maximum(arg, 0.0))
 
 
@@ -126,20 +126,23 @@ def covariance_batch(s: np.ndarray, errors: RowErrors):
     """(covariances, their ``_invariants``, smallest symplectic eigenvalues)
     of a stack of moments.
 
-    Rows fail on an imaginary residue of the symmetrized covariance, on the
-    symplectic invariants (see ``_nu_minus``) and on a symplectic eigenvalue
-    below 1/2.
+    Rows fail, in this order, on a NaN or infinite entry of the symmetrized
+    covariance, on its imaginary residue, on the symplectic invariants (see
+    ``_nu_minus``) and on a symplectic eigenvalue below 1/2.
     """
     raw = QUAD_MAP @ s @ QUAD_MAP.T
     sym = 0.5 * (raw + raw.transpose(0, 2, 1))
     scale = np.maximum(1.0, np.maximum.reduce(np.abs(sym), axis=(1, 2)))
     imag_resid = np.maximum.reduce(np.abs(sym.imag), axis=(1, 2))
-    errors.fail(imag_resid > 1e-10 * scale, lambda i: NumericalFailure(
-        lambda: f"covariance imaginary residue {imag_resid[i]:.3e} exceeds tolerance"))
+    # A NaN scale is not below infinity either.
+    errors.fail(~(scale < math.inf), NumericalFailure,
+                lambda i: "covariance has a NaN or infinite entry")
+    errors.fail(imag_resid > 1e-10 * scale, NumericalFailure, lambda i: (
+        f"covariance imaginary residue {imag_resid[i]:.3e} exceeds tolerance"))
     c = blank_failed(sym.real.copy(), errors)
     invariants, nu_min = _symplectic_min(c, errors)
-    errors.fail(nu_min < 0.5 - PHYSICALITY_TOL * scale, lambda i: NumericalFailure(
-        lambda: f"unphysical covariance: min symplectic eigenvalue {nu_min[i]!r} < 1/2"))
+    errors.fail(nu_min < 0.5 - PHYSICALITY_TOL * scale, NumericalFailure, lambda i: (
+        f"unphysical covariance: min symplectic eigenvalue {nu_min[i]!r} < 1/2"))
     return c, invariants, nu_min
 
 
@@ -169,8 +172,8 @@ def log_negativity_batch(invariants, errors: RowErrors) -> np.ndarray:
     its ``_invariants``; a row with nu_minus = 0 fails."""
     nu = _pt_nu_minus(invariants, errors)
     singular = nu <= 0.0
-    errors.fail(singular, lambda i: NumericalFailure(
-        "nu_minus = 0; covariance is singular"))
+    errors.fail(singular, NumericalFailure,
+                lambda i: "nu_minus = 0; covariance is singular")
     e_n = -np.log(2.0 * np.where(singular, 0.5, nu))
     return np.where(e_n > 0.0, e_n, 0.0)
 

@@ -6,10 +6,10 @@ stays easy.  A class whose errors a scan records per row carries the row's
 status-column label as its class attribute ``status``; the others have none
 and propagate out of a scan.
 
-:class:`RowErrors` keeps the first error of every row of a batched pump
-scan; the scalar API runs batches of one and raises their row's error.
-Scans read only the class, so the batches hand in each message as a
-callable, formatted when ``str``, ``repr``, ``args`` or pickling reads it.
+:class:`RowErrors` records the first failure of every row of a batched pump
+scan: its status label at once, its error and message only where the error is
+raised or asked for.  Scans read only the labels; the scalar API runs batches
+of one and raises their row's error.
 """
 
 from __future__ import annotations
@@ -21,24 +21,6 @@ class OpenDickeError(Exception):
     """Base class for all errors raised by this package."""
 
     status: str | None = None
-
-    def _formatted(self) -> OpenDickeError:
-        args = BaseException.args.__get__(self)
-        if len(args) == 1 and callable(args[0]):
-            BaseException.args.__set__(self, (args[0](),))
-        return self
-
-    args = property(lambda self: BaseException.args.__get__(self._formatted()),
-                    BaseException.args.__set__)
-
-    def __str__(self):
-        return BaseException.__str__(self._formatted())
-
-    def __repr__(self):
-        return BaseException.__repr__(self._formatted())
-
-    def __reduce__(self):
-        return BaseException.__reduce__(self._formatted())
 
 
 class NoThreshold(OpenDickeError):
@@ -56,11 +38,8 @@ class NumericalFailure(OpenDickeError):
 
 
 class DefectiveMatrix(OpenDickeError):
-    """The stability matrix is (numerically) defective.
-
-    Carries diagnostics so scans can report how close to defectiveness the
-    point is.
-    """
+    """The stability matrix is (numerically) defective; ``cond``, ``gap``
+    and ``overlap`` tell how close to defectiveness the point is."""
     status = "defective"
 
     def __init__(self, message: str, cond: float = float("nan"),
@@ -95,36 +74,54 @@ class InvalidCurve(OpenDickeError):
 
 
 class RowErrors:
-    """First error of every row of a batch, in the order the checks run.
+    """First failure of every row of a batch, in the order the checks run.
 
-    ``alive`` marks the rows without an error and ``failed`` counts the
-    others.  ``fail(mask, make)`` records ``make(i)`` for every still-alive
-    row i with a flag set in ``mask[i]``, so a later check never overwrites
-    an earlier one and each row keeps its first failing check.  Errors are
-    built only for the rows that fail, and their messages only when read.
+    ``alive`` marks the live rows, ``failed`` counts the others and
+    ``status`` is the status column: "ok", or the ``status`` of the class a
+    row failed with.  ``fail(mask, cls, make)`` fails every live row i with
+    ``mask[i]`` set, so each row keeps its first failing check, and keeps
+    ``pending[i]`` = (cls, make, i); :meth:`adopt` takes over a sub-batch's
+    entries, which keep its index.  Only :meth:`error` and :meth:`raise_first`
+    build an error, ``cls(make(i))``, or ``cls(*make(i))`` for a tuple, so a
+    scan formats no message.
     """
 
     def __init__(self, n: int):
         self.alive = np.empty(n, dtype=bool)
         self.alive.fill(True)
-        self.errors: list[OpenDickeError | None] = [None] * n
+        self.status = ["ok"] * n
+        self.pending: dict[int, tuple] = {}
         self.failed = 0
 
-    def fail(self, mask: np.ndarray, make) -> None:
+    def fail(self, mask: np.ndarray, cls: type[OpenDickeError], make) -> None:
         # A single row may hand in a bool scalar.
         if not (np.count_nonzero(mask) if isinstance(mask, np.ndarray) else mask):
             return
         mask = mask.reshape(len(mask), -1).any(axis=1) if np.ndim(mask) > 1 else mask
-        hit = (mask & self.alive).nonzero()[0]
-        self.alive[hit] = False
-        for i in hit.tolist():
-            self.errors[i] = make(i)
-        self.failed += hit.size
+        hit = (mask & self.alive).nonzero()[0].tolist()
+        self._record(hit, [(cls, make, i) for i in hit])
+
+    def adopt(self, rows: np.ndarray, sub: RowErrors) -> None:
+        """Take over the failures of ``sub``, the errors of the live rows ``rows``."""
+        self._record([rows.item(j) for j in sub.pending], sub.pending.values())
+
+    def _record(self, hit: list, pending) -> None:
+        self.failed += len(hit)
+        for i, entry in zip(hit, pending):
+            self.alive[i] = False
+            self.status[i] = entry[0].status
+            self.pending[i] = entry
+
+    def error(self, i: int) -> OpenDickeError:
+        """The error of the failed row i, built now."""
+        cls, make, row = self.pending[i]
+        made = make(row)
+        return cls(*made) if isinstance(made, tuple) else cls(made)
 
     def raise_first(self) -> None:
         """Raise the error of the first failed row, if any."""
         if self.failed:
-            raise next(err for err in self.errors if err is not None)
+            raise self.error(min(self.pending))
 
     def first_row(self, out):
         """Row 0 of every array of a batch of one's result, its error raised first."""

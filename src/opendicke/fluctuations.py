@@ -129,11 +129,11 @@ class SecondMoments:
 
 
 def blank_failed(stack: np.ndarray, errors: RowErrors) -> np.ndarray:
-    """Overwrite the rows that already failed with the identity, so that
-    stacked linear algebra never sees their NaN, infinite or singular
-    entries."""
+    """``stack`` with the identity on the rows that already failed, a copy if
+    any did, so that stacked linear algebra never sees their NaN, infinite or
+    singular entries."""
     if errors.failed:
-        stack[~errors.alive] = _EYE
+        return np.where(errors.alive[:, None, None], stack, _EYE)
     return stack
 
 
@@ -309,7 +309,7 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     ``scale`` is max(1, max |lambda|) of every row.
     A passing row takes the eigen-solve, det(V) for the cond(V) screen of
     ``_ill_conditioned`` and inv(V).  An SVD runs only for a row that screen
-    cannot clear, and for the cond(V) that a DefectiveMatrix reports.
+    cannot clear, and for the cond(V) of a DefectiveMatrix that is built.
     """
     lam, vecs = np.linalg.eig(m)
     # numpy orders complex numbers by (real part, imaginary part).
@@ -317,18 +317,17 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     scale = _scale(lam)
     defective, gaps = _defects(lam, vecs, _ill_conditioned(vecs), scale)
 
-    def defect(i: int, message: str, **values) -> DefectiveMatrix:
-        # Reported: cond(V), and the closest pair if it is closer than the
-        # gap limit.
+    def defect(i: int, message: str, **values) -> tuple:
+        # DefectiveMatrix's arguments from the unblanked V: cond(V), and the
+        # closest pair if it is closer than the gap limit.
         cond = float(np.linalg.cond(vecs[i]))
         gap, overlap = _closest_pair(gaps[i], vecs[i])
         if not gap < DEFECT_GAP_LIMIT * scale[i]:
             gap, overlap = math.inf, 0.0
-        return DefectiveMatrix(lambda: message.format(
-            cond=cond, gap=gap, overlap=overlap, **values), cond=cond, gap=gap,
-            overlap=overlap)
+        return (message.format(cond=cond, gap=gap, overlap=overlap, **values),
+                cond, gap, overlap)
 
-    errors.fail(defective, lambda i: defect(
+    errors.fail(defective, DefectiveMatrix, lambda i: defect(
         i, "(near-)defective stability matrix: cond(V) = {cond:.3e}, "
            "closest eigenvalue gap {gap:.3e} with overlap {overlap:.10f}"))
     lefts = np.linalg.inv(blank_failed(vecs, errors))
@@ -342,12 +341,12 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     pairing, miss = _INVOLUTIONS.take(best, axis=0), terms[np.arange(best.size), best]
     unpaired = miss > PAIRING_TOL * scale[:, None]
 
-    errors.fail(resid > BIORTHO_TOL, lambda i: defect(
+    errors.fail(resid > BIORTHO_TOL, DefectiveMatrix, lambda i: defect(
         i, "biorthonormalization residual {resid:.3e} exceeds {tol:g}; "
            "matrix too close to defective", resid=resid[i].max(), tol=BIORTHO_TOL))
-    errors.fail(unpaired, lambda i: NumericalFailure(lambda: (
+    errors.fail(unpaired, NumericalFailure, lambda i: (
         f"eigenvalue {lam[i][unpaired[i]][0]!r} has no conjugate partner "
-        f"(closest miss {miss[i][unpaired[i]][0]:.3e})")))
+        f"(closest miss {miss[i][unpaired[i]][0]:.3e})"))
     return lam, vecs, lefts, pairing, scale
 
 
@@ -372,17 +371,17 @@ def _correlation_batch(lam: np.ndarray, lefts: np.ndarray, kappa: float,
     denom = lam[:, :, None] + lam[:, None, :]
     numer = (-2.0 * kappa * lefts[:, :, 0])[:, :, None] * lefts[:, None, :, 1]
     damped = np.abs(denom) > DIVERGENT_TOL * scale[:, None, None]
-    errors.fail(growing, lambda i: UnstableState(
-        lambda: f"growing quasi-normal modes, Re lambda = {lam[i][growing[i]].real!r}"))
+    errors.fail(growing, UnstableState, lambda i:
+                f"growing quasi-normal modes, Re lambda = {lam[i][growing[i]].real!r}")
     if np.count_nonzero(damped) == damped.size:
         return numer / denom
     coupled = numer != 0.0
     # (damped < coupled) is ~damped & coupled.
     divergent = damped < coupled
-    errors.fail(divergent, lambda i: DivergentSteadyState(lambda: (
+    errors.fail(divergent, DivergentSteadyState, lambda i: (
         f"undamped noise-driven mode pairs "
         f"{[(int(k), int(l)) for k, l in np.argwhere(divergent[i])]!r}: "
-        "steady-state moments diverge")))
+        "steady-state moments diverge"))
     g = np.divide(numer, denom, out=np.zeros(numer.shape, numer.dtype), where=damped)
     # A conservative mode pair left in its vacuum: <rho rho+> is the
     # commutator [rho_k, rho_l] and <rho+ rho> = 0.  The pair is undamped
@@ -432,18 +431,22 @@ def hermitize_moments(s: np.ndarray) -> np.ndarray:
 
 
 def check_commutators(s: np.ndarray, scale: np.ndarray, errors: RowErrors) -> None:
-    """Fail every row whose commutator [R_0, R_1] or [R_2, R_3] is NaN or
-    further than max(1e-8, 1e-12 * scale) from 1, naming the first that is."""
+    """Fail every row whose commutator [R_0, R_1] or [R_2, R_3] is not
+    finite or further than max(1e-8, 1e-12 * scale) from 1, naming the first
+    that is."""
     # Flat entries 1, 11 are (0, 1), (2, 3) and 4, 14 are (1, 0), (3, 2).
     flat = s.reshape(-1, 16)
     comms = flat[:, 1::10] - flat[:, 4::10]
+    deviation = np.abs(comms - 1.0)
     tol = np.maximum(1e-8, 1e-12 * scale)
-    bad = ~(np.abs(comms - 1.0) <= tol[:, None])
-    if np.count_nonzero(bad):
+    # An infinite scale leaves an infinite tolerance.
+    ok = (deviation <= tol[:, None]) & (deviation < math.inf)
+    if np.count_nonzero(ok) < ok.size:
+        bad = ~ok
         for k in range(2):
-            errors.fail(bad[:, k], lambda i, k=k: NumericalFailure(lambda: (
+            errors.fail(bad[:, k], NumericalFailure, lambda i, k=k: (
                 f"commutator [R_{2 * k}, R_{2 * k + 1}] = {complex(comms[i, k])!r} "
-                f"deviates from 1 beyond {tol[i]:g}")))
+                f"deviates from 1 beyond {tol[i]:g}"))
 
 
 def _moment_batch(rights: np.ndarray, mode_corrs: np.ndarray,
@@ -463,9 +466,9 @@ def _moment_batch(rights: np.ndarray, mode_corrs: np.ndarray,
     asym = np.abs(s - mirror)
     symmetric = (asym <= sym_tol[:, None, None]) & (scale < math.inf)[:, None, None]
 
-    errors.fail(~symmetric, lambda i: NumericalFailure(lambda: (
+    errors.fail(~symmetric, NumericalFailure, lambda i: (
         f"moment matrix violates adjoint symmetry by {asym[i].max():.3e} "
-        f"(tolerance {sym_tol[i]:g})")))
+        f"(tolerance {sym_tol[i]:g})"))
     check_commutators(s, scale, errors)
     return 0.5 * (s + mirror)
 
@@ -479,10 +482,10 @@ def steady_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     """Hermitized steady-state moments of every row of a mean-field batch.
 
     A batch with failed rows runs on a batch of its live rows, if any, whose
-    moments and first errors go back to their indices; failed rows get
-    zeros.  Rows fail into ``mf.errors`` in the order degenerate branch,
-    defective, biorthonormality, pairing, unstable, divergent, moment
-    structure; their moments are then meaningless.
+    moments and failures go back to their indices; failed rows get zeros.
+    Rows fail into ``mf.errors`` in the order degenerate branch, defective,
+    biorthonormality, pairing, unstable, divergent, moment structure; their
+    moments are then meaningless.
     """
     errors = mf.errors
     if errors.failed:
@@ -491,10 +494,7 @@ def steady_state_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
         if live.size:
             sub = RowErrors(live.size)
             s[live] = steady_state_batch(params, mf.take(live, sub))
-            if sub.failed:
-                hit = np.zeros(errors.alive.size, bool)
-                hit[live] = ~sub.alive
-                errors.fail(hit, lambda i: sub.errors[live.searchsorted(i)])
+            errors.adopt(live, sub)
         return s
     m = stability_batch(params, mf)
     lam, rights, lefts, _, scale = _decompose_batch(m, errors)
@@ -510,18 +510,20 @@ def steady_state_moments(params: ModelParams) -> SecondMoments:
 
 def observables_batch(s: np.ndarray, errors: RowErrors) -> tuple[np.ndarray, np.ndarray]:
     """(<db+ db>, <da+ da>) of every row.  An imaginary residue beyond
-    1e-10 * max(1, |value|), a negative value or a NaN fails the row."""
+    1e-10 * max(1, |value|), a negative value, a NaN or an infinite value
+    fails the row."""
     # Flat entries 14 and 4 are (3, 2) and (1, 0): column k is <R_3-2k R_2-2k>.
     values = s.reshape(-1, 16)[:, 14:3:-10]
-    tol = 1e-10 * np.maximum(1.0, np.abs(values))
-    imaginary, negative = ~(np.abs(values.imag) <= tol), ~(values.real >= -tol)
+    size = np.abs(values)
+    tol = 1e-10 * np.maximum(1.0, size)
+    # An infinite value has an infinite tolerance, so it gets its own check.
+    checks = ((~(np.abs(values.imag) <= tol), "has imaginary residue beyond {tol:g}"),
+              (~(values.real >= -tol), "is negative"), (size == math.inf, "is not finite"))
     for k in range(2):
-        name = f"<R_{3 - 2 * k} R_{2 - 2 * k}>"
-        errors.fail(imaginary[:, k], lambda r, k=k, name=name: NumericalFailure(
-            lambda: f"{name} = {complex(values[r, k])!r} has "
-                    f"imaginary residue beyond {tol[r, k]:g}"))
-        errors.fail(negative[:, k], lambda r, k=k, name=name: NumericalFailure(
-            lambda: f"{name} = {complex(values[r, k])!r} is negative"))
+        for bad, what in checks:
+            errors.fail(bad[:, k], NumericalFailure, lambda r, k=k, what=what: (
+                f"<R_{3 - 2 * k} R_{2 - 2 * k}> = {complex(values[r, k])!r} "
+                + what.format(tol=tol[r, k])))
     return values[:, 0].real, values[:, 1].real
 
 

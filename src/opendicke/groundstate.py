@@ -116,9 +116,9 @@ def _hamiltonian(params: ModelParams, mf: MeanFieldBatch):
     defect = np.abs(g - np.stack((np.zeros_like(d), d, c, w))[_FORM]).max(axis=0)
     tol = HERMITICITY_TOL * np.maximum(1.0, np.abs(g).max(axis=0))
     # Written so that a non-finite G fails too.
-    errors.fail(~(defect <= tol), lambda i: NumericalFailure(lambda: (
+    errors.fail(~(defect <= tol), NumericalFailure, lambda i: (
         f"quadrature Hamiltonian G departs from its closed-system block form "
-        f"by {defect[i]:.3e}")))
+        f"by {defect[i]:.3e}"))
 
     dw, dw_err = _two_product(d, w)
     cc, cc_err = _two_product(c, c)
@@ -129,10 +129,9 @@ def _hamiltonian(params: ModelParams, mf: MeanFieldBatch):
         mean, radius = 0.5 * (d[i] + w[i]), np.hypot(0.5 * (d[i] - w[i]), c[i])
         return det_k[i] / (mean + radius) if mean > 0.0 else mean - radius
 
-    errors.fail((d <= 0.0) | (w <= 0.0) | (det_k <= 0.0),
-                lambda i: DynamicalInstability(lambda: (
-                    f"quadrature Hamiltonian G has eigenvalue {lowest(i):.3e} "
-                    "<= 0: not positive definite, no stable ground state")))
+    errors.fail((d <= 0.0) | (w <= 0.0) | (det_k <= 0.0), DynamicalInstability,
+                lambda i: (f"quadrature Hamiltonian G has eigenvalue {lowest(i):.3e} "
+                           "<= 0: not positive definite, no stable ground state"))
     alive = errors.alive
     return (np.where(alive, d, 1.0), np.where(alive, c, 0.0),
             np.where(alive, w, 1.0), np.where(alive, det_k, 1.0))
@@ -155,8 +154,8 @@ def _bogoliubov(params: ModelParams, mf: MeanFieldBatch):
     small = d * w * det_k / big
     freqs = np.sqrt(np.stack((small, big), axis=1))
     mf.errors.fail(freqs[:, 0] <= FREQUENCY_TOL * np.maximum(1.0, freqs[:, 1]),
-                   lambda i: DynamicalInstability(
-                       "zero-frequency mode: the system sits at the critical point"))
+                   DynamicalInstability,
+                   lambda i: "zero-frequency mode: the system sits at the critical point")
     nu = np.where(mf.errors.alive[:, None], freqs, 1.0)
 
     cos = 1.0 / np.sqrt(1.0 + t * t)

@@ -90,7 +90,7 @@ class MeanFieldBatch:
     of the stationarity conditions that M reads again: ``cavity`` =
     i (delta_c - u beta0^2) - kappa, ``gain`` = omega_r + u |alpha0|^2,
     ``one_minus`` = 1 - 2 beta0^2 and ``root`` = sqrt(1 - beta0^2).  Rows
-    whose mean field failed keep their error in ``errors``; their fields are
+    whose mean field failed are failed in ``errors``; their fields are
     meaningless.
     """
 
@@ -201,23 +201,20 @@ def _residuals_exceed(res_a, size_a, res_b, size_b):
             | ((res_b > RESIDUAL_TOL) & (res_b > RESIDUAL_TOL * size_b)))
 
 
-def _missing_branch(radicand, bsq, y) -> NumericalFailure:
-    return NumericalFailure(lambda: (
-        f"superradiant branch undefined: radicand {float(radicand)!r} < 0"
-        if radicand < 0.0 else
-        f"beta0^2 = {float(bsq)!r} outside (0, 1) for y = {float(y)!r}"))
+def _missing_branch(radicand, bsq, y) -> str:
+    return (f"superradiant branch undefined: radicand {float(radicand)!r} < 0"
+            if radicand < 0.0 else
+            f"beta0^2 = {float(bsq)!r} outside (0, 1) for y = {float(y)!r}")
 
 
-def _degenerate_branch(one_minus) -> DegenerateBranch:
-    return DegenerateBranch(lambda: f"1 - 2 beta0^2 = {float(one_minus)!r}; "
-                                    "chemical potential singular")
+def _degenerate_branch(one_minus) -> str:
+    return f"1 - 2 beta0^2 = {float(one_minus)!r}; chemical potential singular"
 
 
-def _residual_failure(res_a, size_a, res_b, size_b) -> NumericalFailure:
-    return NumericalFailure(lambda: (
-        f"mean-field residuals ({res_a:.3e}, {res_b:.3e}) exceed "
-        f"{RESIDUAL_TOL:g} times max(1, size of their terms) "
-        f"({max(1.0, size_a):.3e}, {max(1.0, size_b):.3e})"))
+def _residual_failure(res_a, size_a, res_b, size_b) -> str:
+    return (f"mean-field residuals ({res_a:.3e}, {res_b:.3e}) exceed "
+            f"{RESIDUAL_TOL:g} times max(1, size of their terms) "
+            f"({max(1.0, size_a):.3e}, {max(1.0, size_b):.3e})")
 
 
 def pump_grid(y_grid) -> np.ndarray:
@@ -257,10 +254,12 @@ def mean_field_batch(params: ModelParams, y_grid) -> MeanFieldBatch:
         degenerate = np.abs(mf.one_minus) < 1e-12
         bad = _residuals_exceed(*residuals)
 
-    errors.fail(missing, lambda i: _missing_branch(
+    errors.fail(missing, NumericalFailure, lambda i: _missing_branch(
         radicand[i] if params.u else radicand, branch[i], y[i]))
-    errors.fail(degenerate, lambda i: _degenerate_branch(mf.one_minus[i]))
-    errors.fail(bad, lambda i: _residual_failure(*(r[i] for r in residuals)))
+    errors.fail(degenerate, DegenerateBranch,
+                lambda i: _degenerate_branch(mf.one_minus[i]))
+    errors.fail(bad, NumericalFailure,
+                lambda i: _residual_failure(*(r[i] for r in residuals)))
     return mf
 
 
@@ -286,11 +285,14 @@ def mean_field_point(params: ModelParams) -> MeanFieldBatch:
     with np.errstate(all="ignore"):
         branch, radicand = _order_parameter(params, y, y_c)
         if not 0.0 < branch < 1.0:
-            errors.fail(True, lambda i: _missing_branch(radicand, branch, y))
+            errors.fail(True, NumericalFailure,
+                        lambda i: _missing_branch(radicand, branch, y))
             return normal_phase(params, errors)
         mf, residuals = _branch_fields(params, y, np.sqrt(branch), errors)
-    errors.fail(abs(mf.one_minus) < 1e-12, lambda i: _degenerate_branch(mf.one_minus))
-    errors.fail(_residuals_exceed(*residuals), lambda i: _residual_failure(*residuals))
+    errors.fail(abs(mf.one_minus) < 1e-12, DegenerateBranch,
+                lambda i: _degenerate_branch(mf.one_minus))
+    errors.fail(_residuals_exceed(*residuals), NumericalFailure,
+                lambda i: _residual_failure(*residuals))
     return mf
 
 

@@ -9,14 +9,14 @@ from conftest import at_ratio
 from opendicke.analysis import (DEFAULT_WINDOW, ExponentFit, ScanKind, Side,
                                 critical_exponent, depletion_curve,
                                 exponent_fit, exponent_grid, exponent_table,
-                                figure_scan, status_of)
+                                figure_scan)
 from opendicke.errors import (CutoffTooSmall, DefectiveMatrix, DegenerateBranch,
                               DivergentSteadyState, DynamicalInstability,
                               InvalidCurve, NoThreshold, NumericalFailure,
-                              UnstableState)
+                              RowErrors, UnstableState)
 from opendicke.fluctuations import observables, steady_state_moments
 from opendicke.groundstate import ground_state_moments
-from opendicke.model import critical_pump
+from opendicke.model import ModelParams, critical_pump
 
 # Fit results over the standard window (frozen from this implementation).
 # They are exponents of the singular part of delta_N = a * eps**nu + b.  A
@@ -187,20 +187,30 @@ def test_scans_reject_invalid_pumps(open_params):
 
 
 def test_status_mapping():
+    """A failed row's status is its error class's label, recorded without
+    formatting the message; the classes no scan records per row have none."""
     labels = {NumericalFailure: "failed", DegenerateBranch: "degenerate",
               DefectiveMatrix: "defective", UnstableState: "unstable",
               DivergentSteadyState: "divergent", DynamicalInstability: "unstable"}
     for cls, label in labels.items():
         assert cls.status == label
-        assert status_of(cls("x")) == label
-        # A lazily formatted message is not formatted to read the status.
-        assert status_of(cls(lambda: 1 / 0)) == label
-    # Errors that no scan records per row propagate.
-    for err in (NoThreshold("x"), CutoffTooSmall("x"), InvalidCurve("x"),
-                KeyError("not a scan error")):
-        with pytest.raises(type(err)) as raised:
-            status_of(err)
-        assert raised.value is err
+        errors = RowErrors(2)
+        errors.fail(np.array([False, True]), cls, lambda i: 1 / 0)
+        assert errors.status == ["ok", label]
+        with pytest.raises(ZeroDivisionError):
+            errors.error(1)
+    for cls in (NoThreshold, CutoffTooSmall, InvalidCurve):
+        assert cls.status is None
+
+
+def test_mean_field_scan_at_huge_pumps_squares_only_printed_rows():
+    """|alpha0| of a failed row is not squared: at these pumps it overflows,
+    and every warning is an error."""
+    params = ModelParams(delta_c=-1e-3, kappa=1e-3, u=0.0, y=0.0)
+    grid = np.geomspace(1e140, 1e170, 31) * critical_pump(params)
+    rows = figure_scan(ScanKind.MEAN_FIELD, params, grid).rows
+    assert [row[-1] for row in rows] == ["degenerate"] * 16 + ["failed"] * 15
+    assert all(np.isnan(row[2:4]).all() for row in rows)
 
 
 def test_excitation_table_keeps_divergent_rows(open_params):

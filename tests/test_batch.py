@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from conftest import count_thread_starts, dead_row_params, pin_cpus
 from opendicke import analysis, cli, fluctuations
-from opendicke.analysis import ScanKind, figure_scan, status_of
+from opendicke.analysis import ScanKind, figure_scan
 from opendicke.entanglement import (log_negativity, quad_covariance,
                                     symplectic_min)
 from opendicke.errors import NumericalFailure, OpenDickeError
@@ -57,24 +57,22 @@ def _point_rows(p: ModelParams) -> tuple[tuple, tuple]:
     try:
         mf = solve_mean_field(p)
     except OpenDickeError as err:
-        status = status_of(err)
-        return (nan,) * 5 + (status,), (nan, nan, status)
+        return (nan,) * 5 + (err.status,), (nan, nan, err.status)
     mean = (mf.alpha0.real, mf.alpha0.imag, mf.beta0 ** 2)
     try:
         moments = (ground_state_moments(p) if p.kappa == 0.0
                    else steady_state_moments(p))
     except OpenDickeError as err:
-        status = status_of(err)
-        return mean + (nan, nan, status), (nan, nan, status)
+        return mean + (nan, nan, err.status), (nan, nan, err.status)
     try:
         excitation = mean + observables(moments) + ("ok",)
     except OpenDickeError as err:
-        excitation = mean + (nan, nan, status_of(err))
+        excitation = mean + (nan, nan, err.status)
     try:
         cov = quad_covariance(moments)
         negativity = (log_negativity(cov), symplectic_min(cov), "ok")
     except OpenDickeError as err:
-        negativity = (nan, nan, status_of(err))
+        negativity = (nan, nan, err.status)
     return excitation, negativity
 
 
@@ -354,8 +352,7 @@ def test_mean_field_table_joins_batches(monkeypatch):
     want = list(zip(grid.tolist(), (grid / y_c).tolist(),
                     np.where(ok, np.abs(mf.alpha0) ** 2, math.nan).tolist(),
                     np.where(ok, mf.beta0 ** 2, math.nan).tolist(),
-                    ["ok" if e is None else status_of(e)
-                     for e in mf.errors.errors]))
+                    mf.errors.status))
     sizes = []
 
     def counted(params, y):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from opendicke import fluctuations, oracle
+from opendicke.entanglement import covariance_batch
 from opendicke.errors import (DefectiveMatrix, DivergentSteadyState,
                               NumericalFailure, RowErrors, UnstableState)
 from opendicke.fluctuations import (SecondMoments, StabilityMatrix,
@@ -66,7 +67,7 @@ def test_observables_keep_the_first_failing_check(r32, r10, message):
 def _earlier_failure() -> RowErrors:
     """Errors of a 3-row stack whose row 2 has already failed."""
     errors = RowErrors(3)
-    errors.fail(np.array([False, False, True]), lambda i: UnstableState("earlier"))
+    errors.fail(np.array([False, False, True]), UnstableState, lambda i: "earlier")
     return errors
 
 
@@ -93,21 +94,21 @@ def test_check_commutators_fail_the_bad_rows():
     scale = np.abs(s).max(axis=(1, 2))
 
     errors = _earlier_failure()
-    earlier = errors.errors[2]
     check_commutators(s, scale, errors)
     assert errors.alive.tolist() == [True, False, False]
-    assert errors.failed == 2 and errors.errors[0] is None
-    assert type(errors.errors[1]) is NumericalFailure
-    assert str(errors.errors[1]) == ("commutator [R_2, R_3] = (1.5+0j) deviates "
-                                     "from 1 beyond 1e-08")
-    assert errors.errors[2] is earlier
+    assert errors.failed == 2 and 0 not in errors.pending
+    assert type(errors.error(1)) is NumericalFailure
+    assert str(errors.error(1)) == ("commutator [R_2, R_3] = (1.5+0j) deviates "
+                                    "from 1 beyond 1e-08")
+    assert repr(errors.error(2)) == "UnstableState('earlier')"
+    assert errors.status == ["ok", "failed", "unstable"]
 
     # A row with both commutators off names the first.
     errors = RowErrors(3)
     check_commutators(s, scale, errors)
     assert errors.alive.tolist() == [True, False, False]
-    assert str(errors.errors[2]) == ("commutator [R_0, R_1] = (2+0j) deviates "
-                                     "from 1 beyond 1e-08")
+    assert str(errors.error(2)) == ("commutator [R_0, R_1] = (2+0j) deviates "
+                                    "from 1 beyond 1e-08")
 
 
 def test_moment_checks_keep_the_first_failing_check():
@@ -121,20 +122,19 @@ def test_moment_checks_keep_the_first_failing_check():
     s[3, 0, 1], s[3, 2, 3] = 2.0, 3.0
     s[4, 0, 1] = 1.0 + 1.0j
     errors = RowErrors(5)
-    errors.fail(np.arange(5) == 4, lambda i: UnstableState("earlier"))
-    earlier = errors.errors[4]
+    errors.fail(np.arange(5) == 4, UnstableState, lambda i: "earlier")
 
     # With unit right eigenvectors the reassembled moments are s itself.
     got = _moment_batch(np.broadcast_to(np.eye(4), s.shape), s, errors)
     assert got.tobytes() == hermitize_moments(s).tobytes()
     assert errors.alive.tolist() == [True, False, False, False, False]
-    assert all(type(errors.errors[i]) is NumericalFailure for i in (1, 2, 3))
-    assert [str(errors.errors[i]) for i in (1, 2, 3)] == [
+    assert all(type(errors.error(i)) is NumericalFailure for i in (1, 2, 3))
+    assert [str(errors.error(i)) for i in (1, 2, 3)] == [
         "moment matrix violates adjoint symmetry by 2.000e+00 "
         "(tolerance 1.41421e-06)",
         "commutator [R_2, R_3] = (1.5+0j) deviates from 1 beyond 1e-08",
         "commutator [R_0, R_1] = (2+0j) deviates from 1 beyond 1e-08"]
-    assert errors.errors[4] is earlier
+    assert repr(errors.error(4)) == "UnstableState('earlier')"
 
 
 def test_correlation_checks_keep_the_first_failing_check():
@@ -147,10 +147,10 @@ def test_correlation_checks_keep_the_first_failing_check():
     errors = RowErrors(3)
     got = _correlation_batch(lam, lefts, 2.0, np.full(3, 4.0), errors)
     assert errors.alive.tolist() == [False, False, True]
-    assert type(errors.errors[0]) is UnstableState
-    assert str(errors.errors[0]).startswith("growing quasi-normal modes")
-    assert type(errors.errors[1]) is DivergentSteadyState
-    assert str(errors.errors[1]).startswith(
+    assert type(errors.error(0)) is UnstableState
+    assert str(errors.error(0)).startswith("growing quasi-normal modes")
+    assert type(errors.error(1)) is DivergentSteadyState
+    assert str(errors.error(1)).startswith(
         "undamped noise-driven mode pairs [(0, 1), (1, 0)]")
     np.testing.assert_array_equal(got[2], -4.0 / (lam[2][:, None] + lam[2]))
 
@@ -165,8 +165,8 @@ def test_non_finite_moments_fail_their_checks():
     errors = RowErrors(2)
     delta_n, n_photon = fluctuations.observables_batch(s[:2], errors)
     assert errors.alive.tolist() == [True, False]
-    assert type(errors.errors[1]) is NumericalFailure
-    assert str(errors.errors[1]).startswith("<R_3 R_2> = (nan+0j) ")
+    assert type(errors.error(1)) is NumericalFailure
+    assert str(errors.error(1)).startswith("<R_3 R_2> = (nan+0j) ")
     assert (delta_n[0], n_photon[0]) == (0.0, 0.0)
 
     s[1, 3, 2] = 0.0
@@ -178,7 +178,43 @@ def test_non_finite_moments_fail_their_checks():
         got = _moment_batch(np.broadcast_to(np.eye(4), s.shape), s, errors)
     assert errors.alive.tolist() == [True, False, False]
     for i in (1, 2):
-        assert type(errors.errors[i]) is NumericalFailure
-        assert str(errors.errors[i]).startswith(
+        assert type(errors.error(i)) is NumericalFailure
+        assert str(errors.error(i)).startswith(
             "moment matrix violates adjoint symmetry by ")
     assert got[0].tobytes() == hermitize_moments(s[0]).tobytes()
+
+
+def test_an_infinite_commutator_fails_its_row():
+    """An infinite <R_2 R_3> makes the scale, and with it the tolerance,
+    infinite; the commutator still fails."""
+    s = np.zeros((2, 4, 4), dtype=complex)
+    s[:, 0, 1] = s[:, 2, 3] = 1.0
+    s[1, 2, 3] = np.inf
+    errors = RowErrors(2)
+    check_commutators(s, np.abs(s).max(axis=(1, 2)), errors)
+    assert errors.status == ["ok", "failed"]
+    assert str(errors.error(1)) == ("commutator [R_2, R_3] = (inf+0j) deviates "
+                                    "from 1 beyond inf")
+
+
+def test_an_infinite_observable_fails_its_row():
+    s = np.zeros((2, 4, 4), dtype=complex)
+    s[1, 3, 2] = np.inf
+    errors = RowErrors(2)
+    delta_n, _ = fluctuations.observables_batch(s, errors)
+    assert errors.status == ["ok", "failed"]
+    assert str(errors.error(1)) == "<R_3 R_2> = (inf+0j) is not finite"
+    assert delta_n[0] == 0.0
+
+
+def test_a_nan_covariance_fails_before_its_determinants():
+    """A NaN <R_0 R_2> fails the covariance check, so that the determinants
+    never see it (every warning is an error); a vacuum row stays."""
+    s = np.zeros((2, 4, 4), dtype=complex)
+    s[:, 0, 1] = s[:, 2, 3] = 1.0
+    s[1, 0, 2] = np.nan
+    errors = RowErrors(2)
+    _, _, nu_min = covariance_batch(s, errors)
+    assert errors.status == ["ok", "failed"]
+    assert str(errors.error(1)) == "covariance has a NaN or infinite entry"
+    assert nu_min[0] == pytest.approx(0.5)

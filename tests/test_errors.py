@@ -1,10 +1,10 @@
-"""Row errors: a failed row gets its error class at once, and the message is
-formatted only when something reads it.
+"""Row errors: a failed row gets its status label at once, and its error,
+message included, is built only where it is raised or asked for.
 
 Each case below makes one check fail and pins the raised error's class,
 message and attributes at the values of the eagerly formatted messages
 that came before; ``str``, ``repr``, ``args`` and pickling must read them
-exactly.  A pump scan reads only the classes, so it formats no message.
+exactly.  A pump scan reads only the labels, so it builds no error.
 """
 
 import pickle
@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import at_ratio, normal_branch
-from opendicke import analysis, model
+from opendicke import model
 from opendicke.analysis import ScanKind, figure_scan
 from opendicke.entanglement import log_negativity, quad_covariance
 from opendicke.errors import (DefectiveMatrix, DegenerateBranch,
                               DivergentSteadyState, DynamicalInstability,
-                              NumericalFailure, OpenDickeError, UnstableState)
+                              NumericalFailure, OpenDickeError, RowErrors,
+                              UnstableState)
 from opendicke.fluctuations import (SecondMoments, StabilityMatrix,
                                     build_stability_matrix, decompose,
                                     mode_correlations, observables,
@@ -81,8 +82,7 @@ def _occupation():
     return SecondMoments(s=s)
 
 
-# name: (failing call, class, message, attributes); every message but the
-# constant one of log-negativity is deferred.
+# name: (failing call, class, message, attributes).
 CASES = {
     "missing branch (radicand)": (
         lambda mp: _steady(NO_BRANCH, RATIOS[12]), NumericalFailure,
@@ -156,8 +156,7 @@ def test_message_reads_as_formatted_text(name, monkeypatch):
         call(monkeypatch)
     err = info.value
     assert type(err) is cls
-    pending = BaseException.args.__get__(err)[0]
-    assert callable(pending) == (name != "log-negativity")
+    assert vars(err) == attributes
     assert repr(err) == f"{cls.__name__}({message!r})"
     assert str(err) == message
     assert err.args == (message,)
@@ -166,17 +165,38 @@ def test_message_reads_as_formatted_text(name, monkeypatch):
     assert type(copy) is cls and copy.args == (message,)
 
 
-def test_message_is_formatted_once_on_first_read():
+def test_message_is_formatted_only_when_the_error_is_built():
     calls = []
-    err = NumericalFailure(lambda: calls.append(1) or "text")
-    assert not calls
-    assert f"{err}" == "text" and str(err) == "text" and err.args == ("text",)
-    assert calls == [1]
+    errors = RowErrors(3)
+    errors.fail(np.array([False, True, True]), NumericalFailure,
+                lambda i: calls.append(i) or f"row {i}")
+    assert not calls and errors.status == ["ok", "failed", "failed"]
+    err = errors.error(2)
+    assert f"{err}" == "row 2" and str(err) == "row 2" and err.args == ("row 2",)
+    assert calls == [2] and 0 not in errors.pending
+    with pytest.raises(NumericalFailure, match="^row 1$"):
+        errors.raise_first()
+    assert calls == [2, 1]
+
+
+def test_adopted_failures_keep_their_rows():
+    """A sub-batch of rows 1 and 3 hands its failures back: the status lands
+    on the batch's row, and the message is made with the sub-batch's index."""
+    errors = RowErrors(4)
+    sub = RowErrors(2)
+    sub.fail(np.array([False, True]), DivergentSteadyState, lambda i: f"sub row {i}")
+    errors.adopt(np.array([1, 3]), sub)
+    assert errors.alive.tolist() == [True, True, True, False]
+    assert errors.status == ["ok", "ok", "ok", "divergent"] and errors.failed == 1
+    assert repr(errors.error(3)) == "DivergentSteadyState('sub row 1')"
+    # A later check does not overwrite an adopted failure.
+    errors.fail(np.ones(4, bool), NumericalFailure, lambda i: "later")
+    assert errors.status == ["failed", "failed", "failed", "divergent"]
 
 
 def test_scans_format_no_message(monkeypatch):
-    """Every row error of failing sweep sets, and of the degenerate branch at
-    1e7 y_c, is built, and none is read."""
+    """Failing sweep sets, and the degenerate branch at 1e7 y_c, build no
+    error: their rows carry only the status labels."""
     made = []
 
     def record(self, *args):
@@ -184,20 +204,37 @@ def test_scans_format_no_message(monkeypatch):
         Exception.__init__(self, *args)
 
     monkeypatch.setattr(OpenDickeError, "__init__", record)
+    failed = []
     for params in (WEAK, NO_BRANCH):
         grid = RATIOS * model.critical_pump(params)
         for kind in (ScanKind.MEAN_AND_FLUCT, ScanKind.ENTANGLEMENT):
             statuses = [row[-1] for row in figure_scan(kind, params, grid).rows]
             assert statuses.count("ok") < len(statuses)
-    assert len(made) == 2 * (25 + 13)
-    assert all(callable(BaseException.args.__get__(err)[0]) for err in made)
-    assert {analysis.status_of(err) for err in made} == {"divergent", "failed"}
-    made.clear()
+            failed += [status for status in statuses if status != "ok"]
+    assert len(failed) == 2 * (25 + 13)
+    assert set(failed) == {"divergent", "failed"}
+    assert made == []
     for params in (OPEN, CLOSED):
         grid = np.array([0.5, 1e7]) * model.critical_pump(params)
         for kind in (ScanKind.MEAN_FIELD, ScanKind.MEAN_AND_FLUCT,
                      ScanKind.ENTANGLEMENT):
             statuses = [row[-1] for row in figure_scan(kind, params, grid).rows]
             assert statuses == ["ok", "degenerate"]
-    assert len(made) == 6
-    assert all(callable(BaseException.args.__get__(err)[0]) for err in made)
+    assert made == []
+
+
+def test_a_scan_with_a_defective_row_takes_one_svd(monkeypatch):
+    """The defective row at 1.9368 costs the cond(V) screen's SVD and no
+    second one for the diagnostics of an error that no scan reads."""
+    real = np.linalg.cond
+    calls = []
+
+    def cond(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", cond)
+    rows = figure_scan(ScanKind.MEAN_AND_FLUCT, OPEN,
+                       [0.5, 1.9368167091351347, 3.0]).rows
+    assert [row[-1] for row in rows] == ["ok", "defective", "ok"]
+    assert len(calls) == 1

@@ -243,7 +243,8 @@ def test_pairing_is_the_nearest_conjugate_where_that_is_an_involution():
     box_rows = m.shape[0] - noise.shape[0]
     assert np.count_nonzero(errors.alive[:box_rows]) >= 2000
     assert not errors.alive[box_rows:].any()
-    assert all("no conjugate partner" in str(e) for e in errors.errors[box_rows:])
+    assert all("no conjugate partner" in str(errors.error(i))
+               for i in range(box_rows, m.shape[0]))
     above = np.concatenate([above for _, above, _ in box])
     assert 0 < np.count_nonzero(above) < box_rows
     assert any(kappa == 0.0 for kappa, *_ in box)
@@ -433,7 +434,8 @@ def test_reported_cond_is_the_svd_value():
     _decompose_batch(m.copy(), errors)
     cond = np.linalg.cond(_sorted_eigenvectors(m))
     messages = set()
-    for i, err in enumerate(errors.errors):
+    for i in errors.pending:
+        err = errors.error(i)
         if isinstance(err, DefectiveMatrix):
             assert err.cond == pytest.approx(cond[i], rel=1e-12)
             messages.add(str(err).split()[0])

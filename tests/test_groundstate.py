@@ -181,15 +181,14 @@ def test_departure_from_block_form_fails_first(monkeypatch, closed_params, entry
         monkeypatch.setattr(groundstate, "drift_batch", shifted(1e-9))
         mf = normal_branch(p)
         ground_state_batch(p, mf)
-        err = mf.errors.errors[0]
+        err = mf.errors.error(0)
         assert type(err) is NumericalFailure
         assert str(err) == ("quadrature Hamiltonian G departs from its "
                             "closed-system block form by 1.000e-09")
         monkeypatch.setattr(groundstate, "drift_batch", shifted(1e-13))
         mf = normal_branch(p)
         ground_state_batch(p, mf)
-        err = mf.errors.errors[0]
-        assert err is None if cls is None else type(err) is cls
+        assert mf.errors.alive[0] if cls is None else type(mf.errors.error(0)) is cls
 
 
 def _cli_rows(argv) -> list[dict]:
@@ -240,11 +239,12 @@ def test_seeded_sweep_rows_pure_and_stationary():
         mean_ok = mf.errors.alive.copy()
         m = stability_batch(base, mf)
         s = ground_state_batch(base, mf)
-        for i, err in enumerate(mf.errors.errors):
+        for i in range(mf.y.size):
             if not mean_ok[i]:
                 statuses["mean field"] += 1
                 continue
-            if err is not None:
+            if not mf.errors.alive[i]:
+                err = mf.errors.error(i)
                 assert isinstance(err, DynamicalInstability), err
                 statuses["unstable"] += 1
                 continue
