@@ -15,11 +15,11 @@ batches of arrays, BATCH_ROWS pump values at a time; a row's status is the
 label of its first failing check (:class:`~opendicke.errors.RowErrors`), in
 the order mean field, defective, biorthonormality, pairing, unstable,
 divergent, moment structure, observables, and no error is built for it.  A
-grid scan of more than one batch runs its batches on one thread per CPU the
-process may use, the calling thread included (``fluctuations._map_batches``),
-and joins the rows in grid order, so its table does not depend on the number
-of threads.  A caller that writes rows as text passes ``render``, and each
-batch renders its rows on the thread that computed it.
+kappa > 0 steady-state scan runs its batches on one thread per usable CPU
+(``fluctuations._map_batches``), other grid scans on the calling thread, and
+the rows join in grid order, so a table does not depend on the threads.  A
+caller that writes rows as text passes ``render``, and each batch renders
+its rows on the thread that computed it.
 """
 
 from __future__ import annotations
@@ -248,9 +248,10 @@ def _rows(rows, render) -> list:
 
 
 def _grid_table(kind: ScanKind, params: ModelParams, y_grid, render) -> Table:
-    """The table of a grid scan, computed and rendered in batches of at most
-    BATCH_ROWS pumps (:func:`_map_batches`); raises ValueError naming the
-    first bad pump of the grid before any batch runs."""
+    """The table of a grid scan, in batches of at most BATCH_ROWS pumps, each
+    rendered as it finishes, on the scan threads (:func:`_map_batches`) only
+    for the kappa > 0 steady state, whose eigen-solves release the GIL;
+    raises ValueError naming the first bad pump before any batch runs."""
     columns_of = _GRID_SCANS[kind][1]
     y = pump_grid(y_grid)
     y_c = critical_pump(params)
@@ -260,8 +261,9 @@ def _grid_table(kind: ScanKind, params: ModelParams, y_grid, render) -> Table:
         return _rows(zip(batch.tolist(), (batch / y_c).tolist(),
                          *(c.tolist() for c in columns), errors.status), render)
 
+    threads = kind is not ScanKind.MEAN_FIELD and params.kappa > 0.0
     return Table(kind=kind, columns=scan_columns(kind),
-                 rows=[row for part in _map_batches(batch_rows, y)
+                 rows=[row for part in _map_batches(batch_rows, y, threads)
                        for row in part])
 
 

@@ -6,11 +6,11 @@ status column per row; output is byte-deterministic for identical
 invocations (shortest round-trip float formatting, fixed row order).  CSV
 rows are ``%s`` format strings written at once, as ``csv`` would write them:
 floats as their ``str``, and no cell or name needs quoting.  Scans compute
-their pump grids as batches of arrays, a grid of more than one batch on one
-thread per CPU the process may use; ``--threads`` is accepted for
-compatibility and ignored.  A grid scan's CSV lines are rendered per batch,
-on the thread that computed the batch, and a spectrum's after its branches
-are matched; JSON and exponent tables are written from the row tuples.
+their pump grids as batches of arrays, on one thread per usable CPU for the
+spectrum and kappa > 0 correlations and entanglement; ``--threads`` is
+accepted for compatibility and ignored.  A grid scan's CSV lines are rendered
+per batch, on the thread that computed the batch, and a spectrum's after its
+branches are matched; JSON and exponent tables are written from the row tuples.
 
 Pump values and grid endpoints accept the token ``yc`` scaled by an optional
 prefix, e.g. ``--y=0.9yc`` or ``--y-grid=0:2yc:200``; the analytic critical

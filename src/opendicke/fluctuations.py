@@ -30,8 +30,8 @@ keeps its first failing check (:class:`~opendicke.errors.RowErrors`).  The
 scalar functions (``build_stability_matrix``, ``decompose``,
 ``mode_correlations``, ``system_moments``, ``steady_state_moments``) are
 batches of one and raise the error of their row.  ``_map_batches`` runs a
-long grid in batches of BATCH_ROWS pumps on one thread per usable CPU, the
-calling thread included, for the grid scans of ``analysis`` and the spectrum.
+long grid in batches of BATCH_ROWS pumps on one thread per usable CPU for the
+spectrum and the kappa > 0 steady-state scans of ``analysis``.
 """
 
 from __future__ import annotations
@@ -145,9 +145,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_batches(compute, stack) -> list:
+def _map_batches(compute, stack, threads: bool = True) -> list:
     """``compute`` of each slice of at most BATCH_ROWS rows of ``stack``, in
-    grid order, on one thread per usable CPU.
+    grid order, on one thread per usable CPU if ``threads``, else serially.
 
     numpy's LAPACK calls release the GIL, so the eigen-solves of different
     batches overlap.  Helper threads take batches from the front and the
@@ -159,7 +159,7 @@ def _map_batches(compute, stack) -> list:
     """
     batches = [stack[start:start + BATCH_ROWS]
                for start in range(0, len(stack), BATCH_ROWS)]
-    workers = min(len(batches), _usable_cpus()) if len(batches) > 1 else 1
+    workers = min(len(batches), _usable_cpus()) if threads and len(batches) > 1 else 1
     if workers < 2:
         return [compute(b) for b in batches]
     from concurrent.futures import Future, ThreadPoolExecutor

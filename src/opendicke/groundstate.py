@@ -49,8 +49,8 @@ import numpy as np
 
 from .basis import CONJ_PERM, ETA, OMEGA_SYMPL
 from .errors import DynamicalInstability, NumericalFailure
-from .fluctuations import (HERMITICITY_TOL, SecondMoments, check_commutators,
-                           drift_batch)
+from .fluctuations import (HERMITICITY_TOL, SecondMoments, blank_failed,
+                           check_commutators, drift_batch)
 from .model import MeanFieldBatch, ModelParams, mean_field_point
 
 FREQUENCY_TOL = 1e-10
@@ -61,7 +61,6 @@ _ROWS = (4 * CONJ_PERM[:, None] + np.arange(4)).ravel()
 _SIGN = np.repeat(-OMEGA_SYMPL.sum(axis=1), 4)[:, None]
 # Index into (0, D, g, w) of each entry of G's block form.
 _FORM = np.array([1, 0, 0, 0, 0, 1, 2, 0, 0, 2, 3, 0, 0, 0, 0, 3])
-_BLANK = np.eye(4).reshape(16, 1)
 # Phase of each entry of R = (i b1, -i b1+, b2, b2+), and of each moment.
 _PHASE = np.array([1j, -1j, 1.0, 1.0])
 _PHASES = _PHASE[:, None] * _PHASE
@@ -107,11 +106,9 @@ def _hamiltonian(params: ModelParams, mf: MeanFieldBatch):
     if params.kappa != 0.0:
         raise ValueError("ground state is defined for kappa = 0 only")
     errors = mf.errors
-    # G of every row as 16 rows of entries, G[4 i + j] = G_ij, failed rows
-    # blanked to the identity.
-    g = _SIGN * drift_batch(params, mf).reshape(-1, 16).T[_ROWS]
-    if errors.failed:
-        g[:, ~errors.alive] = _BLANK
+    # G of every row as 16 rows of entries, G[4 i + j] = G_ij, from A with
+    # the failed rows blanked.
+    g = _SIGN * blank_failed(drift_batch(params, mf), errors).reshape(-1, 16).T[_ROWS]
     d, c, w = g[5], g[6], g[10]
     defect = np.abs(g - np.stack((np.zeros_like(d), d, c, w))[_FORM]).max(axis=0)
     tol = HERMITICITY_TOL * np.maximum(1.0, np.abs(g).max(axis=0))

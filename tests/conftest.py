@@ -51,9 +51,10 @@ def dead_row_params(kappa: float) -> ModelParams:
     return ModelParams(delta_c=-0.0021305, kappa=kappa, u=-1.4257, y=0.0)
 
 
-# A grid of more than one batch runs its batches on one thread per usable CPU,
-# the calling thread included (fluctuations._map_batches); tests pin the CPU
-# count so that they run the same on any machine.
+# The spectrum and a kappa > 0 steady-state grid of more than one batch run
+# their batches on one thread per usable CPU, the calling thread included
+# (fluctuations._map_batches); tests pin the CPU count so that they run the
+# same on any machine.
 
 def pin_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(fluctuations.os, "sched_getaffinity",

@@ -5,7 +5,6 @@ import re
 import numpy as np
 import pytest
 
-from conftest import at_ratio
 from opendicke.analysis import (DEFAULT_WINDOW, ExponentFit, ScanKind, Side,
                                 critical_exponent, depletion_curve,
                                 exponent_fit, exponent_grid, exponent_table,

@@ -430,10 +430,12 @@ def test_failed_point_raises_without_eigen_solve(monkeypatch, kappa):
 @pytest.mark.parametrize("kind", [ScanKind.MEAN_AND_FLUCT, ScanKind.ENTANGLEMENT])
 @pytest.mark.parametrize("kappa", sorted(DEAD_ROWS))
 def test_threaded_scan_joins_single_batch_scans(monkeypatch, kind, kappa):
-    """A 600-pump scan on three threads equals, by repr, its three
-    single-batch scans end to end.  Its failed rows fill the second batch in
-    part and the third wholly, so both failed rows and their live-row
-    re-entry run off the calling thread.  Every thread is joined on return."""
+    """A 600-pump scan on three CPUs equals, by repr, its three single-batch
+    scans end to end.  Its failed rows fill the second batch in part and the
+    third wholly.  At kappa > 0 the batches run on three threads, so both
+    failed rows and their live-row re-entry run off the calling thread, and
+    every thread is joined on return; at kappa = 0 no eigen-solve releases
+    the GIL, and no thread starts."""
     base = dead_row_params(kappa)
     grid = np.linspace(0.0, 2.0 * critical_pump(base), 600)
     want = []
@@ -442,7 +444,8 @@ def test_threaded_scan_joins_single_batch_scans(monkeypatch, kind, kappa):
     pin_cpus(monkeypatch, 3)
     started = count_thread_starts(monkeypatch)
     rows = figure_scan(kind, base, grid).rows
-    assert started and not any(thread.is_alive() for thread in started)
+    assert bool(started) is (kappa > 0.0)
+    assert not any(thread.is_alive() for thread in started)
     assert repr(rows) == repr(want)
 
 

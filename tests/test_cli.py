@@ -120,6 +120,16 @@ def test_exponent_rejects_window_past_zero_pump(side, curve, capsys):
                    "below y_c; it must be <= 1 there\n")
 
 
+def test_exponent_fit_that_diverges_exits_3(capsys):
+    # Gauss-Newton steps off to a non-finite Jacobian on this window
+    code, out, err = run_cli(["exponent", "--delta-c=-2", "--kappa=2", "--side=above",
+                              "--window-min=0.5", "--window-max=0.9", "--points=8"],
+                             capsys)
+    assert code == 3 and out == ""
+    assert err == ("numerical failure: power-law fit diverged at slope -1.8242e+11, "
+                   "intercept 2.63472e+11, background 0.23309\n")
+
+
 def test_exponent_window_past_one_above_threshold(capsys):
     argv = ["exponent", "--delta-c=-2", "--kappa=2", "--window-min=0.5",
             "--window-max=2", "--side=above", "--curve"]
@@ -441,23 +451,24 @@ def test_csv_bytes_equal_the_csv_module(argv, to_file, tmp_path, capsys,
 
 # 600-pump grids, three batches each, of every grid kind: at kappa > 0 and
 # kappa = 0, and at a point whose failed rows fill part of the second batch
-# and all of the third, so that failed rows and live-row re-entry are
-# rendered off the calling thread.
+# and all of the third, so that at kappa > 0 failed rows and live-row
+# re-entry are rendered off the calling thread.
 _OPEN = model.ModelParams(delta_c=-2.0, kappa=2.18, u=0.0, y=0.0)
-RENDERED_SCANS = [("meanfield", _OPEN)] + [
+_CLOSED = model.ModelParams(delta_c=-2.0, kappa=0.0, u=0.0, y=0.0)
+RENDERED_SCANS = [("meanfield", _OPEN), ("meanfield", _CLOSED)] + [
     (command, params) for command in ("correlations", "entanglement")
-    for params in (_OPEN, model.ModelParams(delta_c=-2.0, kappa=0.0, u=0.0, y=0.0),
-                   dead_row_params(28.73), dead_row_params(0.0))]
+    for params in (_OPEN, _CLOSED, dead_row_params(28.73), dead_row_params(0.0))]
 
 
 @pytest.mark.parametrize("command, params", RENDERED_SCANS, ids=lambda v: v if
                          isinstance(v, str) else f"kappa={v.kappa!r},u={v.u!r}")
 def test_rendered_csv_lines_equal_the_row_tuples(command, params, monkeypatch,
                                                  capsys):
-    """A scan renders its CSV lines per batch on the scan threads: its
-    output is the same bytes on one and on three CPUs, and is ``fmt % row``
-    over the row tuples of ``figure_scan`` without ``render``.  JSON is
-    written from those tuples."""
+    """A scan renders its CSV lines per batch, on the scan threads for the
+    kappa > 0 steady state and on the calling thread for the mean field and
+    kappa = 0: its output is the same bytes on one and on three CPUs, and is
+    ``fmt % row`` over the row tuples of ``figure_scan`` without ``render``.
+    JSON is written from those tuples."""
     argv = [command, f"--delta-c={params.delta_c!r}", f"--kappa={params.kappa!r}",
             f"--u={params.u!r}", "--y-grid=0:2yc:600"]
     started = count_thread_starts(monkeypatch)
@@ -466,7 +477,9 @@ def test_rendered_csv_lines_equal_the_row_tuples(command, params, monkeypatch,
         pin_cpus(monkeypatch, cpus)
         outputs.append([run_cli(argv + [f"--format={fmt}"], capsys)
                         for fmt in ("csv", "json")])
-        assert bool(started) is (cpus > 1)
+        assert bool(started) is (cpus > 1 and command != "meanfield"
+                                 and params.kappa > 0.0)
+        assert not any(thread.is_alive() for thread in started)
     assert outputs[0] == outputs[1]
     (code, out, err), (json_code, json_out, json_err) = outputs[0]
     assert code == json_code == 0 and err == json_err == ""

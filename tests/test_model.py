@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import at_ratio
 from opendicke.analysis import ScanKind, figure_scan
-from opendicke.errors import NoThreshold
+from opendicke.errors import DegenerateBranch, NoThreshold
 from opendicke.model import (ModelParams, Phase, critical_pump,
                              mean_field_batch, mean_field_residuals,
                              solve_mean_field)
@@ -110,6 +110,13 @@ def test_superradiant_residuals_with_collisions():
     r_alpha, r_beta = mean_field_residuals(p, mf.alpha0, mf.beta0)
     assert abs(r_alpha) < 1e-12 and abs(r_beta) < 1e-12
     assert 0.0 < mf.beta0 ** 2 < 0.5
+
+
+def test_residuals_reject_beta0_of_one(open_params):
+    with pytest.raises(DegenerateBranch) as info:
+        mean_field_residuals(open_params, 0j, 1.0)
+    assert type(info.value) is DegenerateBranch
+    assert info.value.args == ("beta0 = 1 is outside the two-mode expansion",)
 
 
 def test_order_parameter_continuous_at_threshold(open_params):
