@@ -10,16 +10,16 @@ the analytic critical pump is used for centering.
 
 Scan tables carry one row per grid point with a status column; points where
 the model fails (divergence at the critical point, defective matrices,
-instability) are reported, never dropped.  Every scan computes its grid as
-batches of arrays, BATCH_ROWS pump values at a time; a row's status is the
-label of its first failing check (:class:`~opendicke.errors.RowErrors`), in
-the order mean field, defective, biorthonormality, pairing, unstable,
+instability) are reported, never dropped, save that a point without a mean
+field fails the whole spectrum (``spectrum_scan``).  Every scan computes its
+grid as batches of arrays, BATCH_ROWS pump values at a time; a row's status
+is the label of its first failing check (:class:`~opendicke.errors.RowErrors`),
+in the order mean field, defective, biorthonormality, pairing, unstable,
 divergent, moment structure, observables, and no error is built for it.  A
 kappa > 0 steady-state scan runs its batches on one thread per usable CPU
 (``fluctuations._map_batches``), other grid scans on the calling thread, and
-the rows join in grid order, so a table does not depend on the threads.  A
-caller that writes rows as text passes ``render``, and each batch renders
-its rows on the thread that computed it.
+the rows join in grid order, so a table does not depend on the threads
+(:func:`figure_scan` says where ``render`` renders them).
 """
 
 from __future__ import annotations

@@ -657,10 +657,12 @@ def spectrum_scan(params: ModelParams, y_grid) -> SpectrumScan:
 
     Grid points where the matrix is (near-)defective are kept, flagged with
     status 'defective'; points where branch matching stays ambiguous after
-    the eigenvector tie-break are flagged 'ambiguous'.  The eigen-solves run
-    in batches of BATCH_ROWS pumps on every scan thread (:func:`_map_batches`);
-    branch matching and endpoint refinement run on the calling thread alone.
-    An interval that reaches an edge of the grid ends there, unrefined.
+    the eigenvector tie-break are flagged 'ambiguous'; a point without a mean
+    field raises for the whole grid, as branch matching needs every row.  The
+    eigen-solves run in batches of BATCH_ROWS pumps on every scan thread
+    (:func:`_map_batches`); branch matching and endpoint refinement run on
+    the calling thread alone.  An interval that reaches an edge of the grid
+    ends there, unrefined.
     """
     if np.ndim(y_grid) != 1 or np.size(y_grid) < 2:
         raise ValueError("y grid must be a 1-d array with at least 2 points")

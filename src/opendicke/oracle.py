@@ -34,20 +34,20 @@ from .model import ModelParams
 STABILITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 # Backward-error limit of the dense solve: a residual up to this times
-# max|M| max|S| is rounding in M S + S M^T, whatever the scale of M and S.
+# max|M| max|S| is rounding in vec(M S + S M^T), whatever the scale of M and S.
 BACKWARD_TOL = 1e-12
 
 
 # Entry (4i + k, 4j + l) of M (x) I + I (x) M is M[i, j] I[k, l] + I[i, j] M[k, l]:
-# flat indices into M and the 0/1 weights of both terms.
+# flat indices into M and the 0/1 weights of both terms, cast to complex once.
 _HI, _LO = np.divmod(np.arange(16), 4)
-_LEFT, _LEFT_W = 4 * _HI[:, None] + _HI, (_LO[:, None] == _LO).astype(float)
-_RIGHT, _RIGHT_W = 4 * _LO[:, None] + _LO, (_HI[:, None] == _HI).astype(float)
+_LEFT, _LEFT_W = 4 * _HI[:, None] + _HI, (_LO[:, None] == _LO).astype(complex)
+_RIGHT, _RIGHT_W = 4 * _LO[:, None] + _LO, (_HI[:, None] == _HI).astype(complex)
 
 
 def _kron_sum(m: np.ndarray) -> np.ndarray:
-    """M (x) I + I (x) M for a 4x4 M, gathered from the flat M and weighted
-    in np.kron's operand order, so that its bytes are those of np.kron."""
+    """M (x) I + I (x) M for a complex 4x4 M, gathered from the flat M and
+    weighted in np.kron's operand order: its bytes are np.kron's."""
     flat = m.reshape(16)
     return flat.take(_LEFT) * _LEFT_W + _RIGHT_W * flat.take(_RIGHT)
 
@@ -56,10 +56,10 @@ def lyapunov_moments(stability: StabilityMatrix) -> SecondMoments:
     """Steady second moments from the Lyapunov equation M S + S M^T + D = 0,
     with D the cavity noise of the matrix's own kappa.
 
-    Solved by row-major vectorization, (M (x) I + I (x) M) vec(S) = -vec(D),
-    as a dense 16-unknown system.  The solve is rejected when its residual
-    max|M S + S M^T + D| exceeds both 1e-10 max(1, 2 kappa) and the
-    backward-error limit 1e-12 max|M| max|S|.
+    Solved by row-major vectorization as the dense 16-unknown system
+    A vec(S) = -vec(D), A = M (x) I + I (x) M, and rejected when the residual
+    max|A vec(S) + vec(D)| of the system solved (vectorized M S + S M^T + D)
+    exceeds both 1e-10 max(1, 2 kappa) and the limit 1e-12 max|M| max|S|.
 
     Valid box: every |lambda_k + lambda_l| above 1e-12 max|lambda|.  Below
     that the system counts as singular, and a least-squares solve only tells
@@ -70,12 +70,11 @@ def lyapunov_moments(stability: StabilityMatrix) -> SecondMoments:
     kappa = 1.6571e-4, u = -3.90154, y = 0.05 y_c (Re lambda ~ -4.9e-13) it
     gave delta_N = -2.04e-6, where a 60-digit solve of the same M gives 228.943.
     Inside the box the dense solve is backward stable, but its forward error
-    grows with the condition number of M (x) I + I (x) M: at
-    delta_c = -1.0056e-4, kappa = 3327.95, u = 1.36203, y = 2.386e5 that is
-    2e16, and delta_N is off by 0.9 % against a 50-digit solve.
+    grows with the condition number of A: at delta_c = -1.0056e-4,
+    kappa = 3327.95, u = 1.36203, y = 2.386e5 that is 2e16, and delta_N is
+    off by 0.9 % against a 50-digit solve.
     """
-    kappa = stability.params.kappa
-    m = stability.m
+    kappa, m = stability.params.kappa, stability.m
     lam = np.linalg.eigvals(m)
     # Four finite eigenvalues: Python's max and abs of their parts are numpy's.
     scale, re = max(1.0, *np.abs(lam).tolist()), lam.real.tolist()
@@ -84,13 +83,12 @@ def lyapunov_moments(stability: StabilityMatrix) -> SecondMoments:
     if max(map(abs, re)) <= STABILITY_TOL * scale:
         raise DivergentSteadyState("no damped mode at all; no steady state")
 
-    d = noise_matrix(kappa)
     a = _kron_sum(m)
-    rhs = -d.reshape(16).astype(complex)
+    rhs = -noise_matrix(kappa).reshape(16).astype(complex)
     sums = np.abs(lam[:, None] + lam)
     if sums.min() <= STABILITY_TOL * scale:
-        s = np.linalg.lstsq(a, rhs, rcond=None)[0].reshape(4, 4)
-        residual = float(np.abs(m @ s + s @ m.T + d).max())
+        x = np.linalg.lstsq(a, rhs, rcond=None)[0]
+        residual = float(np.abs(a @ x - rhs).max())
         if residual > 1e-8 * max(1.0, 2.0 * kappa):
             raise DivergentSteadyState(
                 f"singular Lyapunov system with inconsistent noise "
@@ -99,16 +97,16 @@ def lyapunov_moments(stability: StabilityMatrix) -> SecondMoments:
         raise NumericalFailure(f"singular Lyapunov system with consistent noise: "
                                f"undamped pair {lam[i]:.6g}, {lam[j]:.6g} undetermined")
 
-    s = np.linalg.solve(a, rhs).reshape(4, 4)
-    residual = float(np.abs(m @ s + s @ m.T + d).max())
+    x = np.linalg.solve(a, rhs)
+    residual = float(np.abs(a @ x - rhs).max())
     resid_tol = max(RESIDUAL_TOL, RESIDUAL_TOL * 2.0 * kappa)
     if residual > resid_tol:  # only then can the backward-error limit decide
         resid_tol = max(resid_tol, BACKWARD_TOL * float(np.abs(m).max())
-                        * float(np.abs(s).max()))
+                        * float(np.abs(x).max()))
         if residual > resid_tol:
             raise NumericalFailure(
                 f"Lyapunov residual {residual:.3e} exceeds {resid_tol:g}")
-    return SecondMoments(s=hermitize_moments(s))
+    return SecondMoments(s=hermitize_moments(x.reshape(4, 4)))
 
 
 @dataclass(frozen=True)

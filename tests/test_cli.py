@@ -4,13 +4,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import count_thread_starts, dead_row_params, pin_cpus
-from opendicke import analysis, cli, model
+from opendicke import analysis, cli, model, oracle
 
 
 def run_cli(argv, capsys):
@@ -151,6 +155,19 @@ def test_spectrum_interval_report(capsys):
     assert "1.93681670" in err and "2.03473906" in err
 
 
+def test_spectrum_exits_3_on_a_failed_mean_field_row(capsys):
+    """A grid row without a mean field fails the whole spectrum, whose
+    branch matching needs every row; correlations reports it as a row."""
+    grid = ["--delta-c=-2", "--kappa=2", "--u=-3", "--y-grid=0:2yc:50"]
+    code, out, err = run_cli(["spectrum", *grid], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: superradiant branch undefined: "
+                          "radicand -0.0593")
+    code, out, _ = run_cli(["correlations", *grid], capsys)
+    _, rows = parse_csv(out)
+    assert code == 0 and len(rows) == 50 and rows[-1][-1] == "failed"
+
+
 def test_entanglement_json_with_null(capsys):
     code, out, _ = run_cli(["entanglement", "--delta-c=-2", "--kappa=2",
                             "--y-grid=0:2yc:5", "--format=json"], capsys)
@@ -191,6 +208,28 @@ def test_verify_closed_system(capsys):
     assert code == 0
     assert "12/12 checks passed" in out
     assert "bogoliubov_symplectic" in out
+
+
+def test_verify_catches_a_wrong_kronecker_system(monkeypatch, capsys):
+    """The oracle takes its residual on the Kronecker system it solved, so a
+    wrong entry of that system passes it; verify's lyapunov_residual, taken
+    on M S + S M^T + D itself, and the eigenmode comparison both fail."""
+    kron_sum = oracle._kron_sum
+
+    def perturbed(m):
+        a = kron_sum(m)
+        a[0, 5] += 1e-6 * np.abs(a).max()
+        return a
+
+    monkeypatch.setattr(oracle, "_kron_sum", perturbed)
+    code, out, err = run_cli(["verify", "--delta-c=-2", "--kappa=2"], capsys)
+    assert (code, err) == (4, "")
+    failed = {line.split()[1]: line for line in out.splitlines()
+              if line.startswith("FAIL")}
+    assert set(failed) == {"eigenmode_vs_lyapunov", "lyapunov_residual"}
+    assert "max |err| = 3.0" in failed["lyapunov_residual"]
+    assert "tol 1e-10" in failed["lyapunov_residual"]
+    assert "11/13 checks passed" in out
 
 
 def test_verify_at_threshold_reports_numerical_error(capsys):
@@ -532,3 +571,16 @@ def test_verify_names_the_undetermined_pair_at_zero_pump(capsys):
                              capsys)
     assert (code, out) == (3, "")
     assert "consistent noise: undamped pair" in err and "undetermined" in err
+
+
+def test_module_entry_point_runs_verify():
+    """``python -m opendicke.cli`` reaches cli.main through the __main__
+    guard, with the package this suite imports."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "opendicke.cli", "verify", "--delta-c=-2",
+         "--kappa=2"], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "13/13 checks passed" in done.stdout
