@@ -24,14 +24,6 @@ T_CONJ = np.eye(4)[CONJ_PERM]
 # [a, a+] = 1, [a+, a] = -1, and likewise for b.
 ETA = np.diag([1.0, -1.0, 1.0, -1.0])
 
-# Commutator matrix J with J[i, j] = [R_i, R_j].
-J_COMM = np.array([
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-    [0.0, 0.0, -1.0, 0.0],
-])
-
 # Map from ladder operators to quadratures (x_c, y_c, x_a, y_a) with
 # x = (a + a+)/sqrt(2), y = -i (a - a+)/sqrt(2).
 QUAD_MAP = np.array([
@@ -41,10 +33,17 @@ QUAD_MAP = np.array([
     [0.0, 0.0, -1.0j, 1.0j],
 ]) / np.sqrt(2.0)
 
-# Symplectic form in the quadrature ordering (x_c, y_c, x_a, y_a).
+# Symplectic form Omega, in both bases: [R_i, R_j] = Omega[i, j] for the
+# ladder vector R and [X_i, X_j] = i Omega[i, j] for the quadratures
+# X = (x_c, y_c, x_a, y_a).
 OMEGA_SYMPL = np.array([
     [0.0, 1.0, 0.0, 0.0],
     [-1.0, 0.0, 0.0, 0.0],
     [0.0, 0.0, 0.0, 1.0],
     [0.0, 0.0, -1.0, 0.0],
 ])
+
+# Photon gauge a -> i a: R = PHOTON_GAUGE * R', with R' the ladder vector of
+# the rotated photon.  It leaves both occupations n_a and n_b unchanged, and
+# the closed-system coefficient matrix is real in it (alpha0 is imaginary).
+PHOTON_GAUGE = np.array([1j, -1j, 1.0, 1.0])

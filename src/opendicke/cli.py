@@ -199,7 +199,8 @@ def _verify_checks(args) -> list[tuple[str, bool, str]]:
 
     checks: list[tuple[str, bool, str]] = []
 
-    def record(name: str, err: float, tol: float) -> None:
+    def record(name: str, err: float, tol: float, limit: float = 0.0) -> None:
+        tol = max(tol, limit)  # limit: a precision limit times the size compared
         checks.append((name, err <= tol, f"max |err| = {err:.3e}, tol {tol:g}"))
 
     stability = fluctuations.build_stability_matrix(params)
@@ -219,12 +220,14 @@ def _verify_checks(args) -> list[tuple[str, bool, str]]:
     if params.kappa > 0.0:
         moments = fluctuations.system_moments(q, fluctuations.mode_correlations(q))
         reference = oracle.lyapunov_moments(stability)
+        s_max = float(np.abs(reference.s).max())
         record("eigenmode_vs_lyapunov",
-               float(np.abs(moments.s - reference.s).max()), 1e-8)
+               float(np.abs(moments.s - reference.s).max()), 1e-8, 1e-8 * s_max)
         noise = fluctuations.noise_matrix(params.kappa)
         resid = float(np.abs(stability.m @ reference.s
                              + reference.s @ stability.m.T + noise).max())
-        record("lyapunov_residual", resid, 1e-10)
+        record("lyapunov_residual", resid, 1e-10,
+               oracle.BACKWARD_TOL * float(np.abs(stability.m).max()) * s_max)
     else:
         moments = groundstate.ground_state_moments(params)
         modes = groundstate.bogoliubov_modes(params)
@@ -234,18 +237,20 @@ def _verify_checks(args) -> list[tuple[str, bool, str]]:
 
     comm_err = max(abs(moments.s[0, 1] - moments.s[1, 0] - 1.0),
                    abs(moments.s[2, 3] - moments.s[3, 2] - 1.0))
-    record("commutator_preservation", float(comm_err), 1e-8)
+    record("commutator_preservation", float(comm_err), 1e-8,
+           1e-12 * float(np.abs(moments.s).max()))  # check_commutators' limit
 
     cov = entanglement.quad_covariance(moments)
     nu_min = entanglement.symplectic_min(cov)
     checks.append(("covariance_physicality", 0.5 - nu_min <= 1e-8,
                    f"min symplectic eigenvalue = {nu_min!r}"))
+    cov_limit = 1e-14 * float(np.abs(cov).max())  # about 45 eps times max|C|
     record("pt_cross_check",
            abs(entanglement.pt_nu_minus(cov) - entanglement.pt_symplectic_min(cov)),
-           1e-10)
+           1e-10, cov_limit)
     record("nu_min_cross_check",
            abs(nu_min - float(entanglement.symplectic_eigenvalues(cov).min())),
-           1e-10)
+           1e-10, cov_limit)
 
     tmsv = entanglement.two_mode_squeezed_covariance(0.7)
     record("tmsv_closed_form",

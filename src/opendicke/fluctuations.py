@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import CONJ_PERM, J_COMM, QUAD_MAP, T_CONJ
+from .basis import CONJ_PERM, OMEGA_SYMPL, QUAD_MAP, T_CONJ
 from .errors import (DefectiveMatrix, DivergentSteadyState, NumericalFailure,
                      RowErrors, UnstableState, one_row)
 from .model import (MeanFieldBatch, ModelParams, mean_field_batch,
@@ -391,7 +391,7 @@ def _correlation_batch(lam: np.ndarray, lefts: np.ndarray, kappa: float,
     # then follows from lambda_k + lambda_l ~ 0.
     lowering = (lam.imag < 0.0) & (np.abs(lam.real) <= tol)
     vacuum = (damped | coupled) < (lowering[:, :, None] & (lam.imag > 0.0)[:, None, :])
-    return np.where(vacuum, lefts @ J_COMM @ lefts.transpose(0, 2, 1), g)
+    return np.where(vacuum, lefts @ OMEGA_SYMPL @ lefts.transpose(0, 2, 1), g)
 
 
 def mode_correlations(q: QuasiNormalSystem) -> np.ndarray:

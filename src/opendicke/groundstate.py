@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CONJ_PERM, ETA, OMEGA_SYMPL
+from .basis import CONJ_PERM, ETA, OMEGA_SYMPL, PHOTON_GAUGE
 from .errors import DynamicalInstability, NumericalFailure
 from .fluctuations import (HERMITICITY_TOL, SecondMoments, blank_failed,
                            check_commutators, drift_batch)
@@ -61,9 +61,8 @@ _ROWS = (4 * CONJ_PERM[:, None] + np.arange(4)).ravel()
 _SIGN = np.repeat(-OMEGA_SYMPL.sum(axis=1), 4)[:, None]
 # Index into (0, D, g, w) of each entry of G's block form.
 _FORM = np.array([1, 0, 0, 0, 0, 1, 2, 0, 0, 2, 3, 0, 0, 0, 0, 3])
-# Phase of each entry of R = (i b1, -i b1+, b2, b2+), and of each moment.
-_PHASE = np.array([1j, -1j, 1.0, 1.0])
-_PHASES = _PHASE[:, None] * _PHASE
+# Phase of each moment: R = (i b1, -i b1+, b2, b2+) in the photon gauge.
+_PHASES = PHOTON_GAUGE[:, None] * PHOTON_GAUGE
 # Veltkamp's splitting constant of double precision, 2^27 + 1.
 _SPLIT = 134217729.0
 
@@ -190,7 +189,7 @@ def bogoliubov_modes(params: ModelParams) -> BogoliubovModes:
     batch = mean_field_point(params)
     freqs, lower, upper = _bogoliubov(params, batch)
     batch.errors.raise_first()
-    t_inv = _PHASE[:, None] * np.stack((lower[..., 0], upper[..., 0]), -1).reshape(4, 4)
+    t_inv = PHOTON_GAUGE[:, None] * np.stack((lower[..., 0], upper[..., 0]), -1).reshape(4, 4)
     # T^-1 eta T^-dag = eta gives T = eta T^-dag eta.
     transform = ETA @ t_inv.conj().T @ ETA
     defect = float(np.abs(transform @ ETA @ transform.conj().T - ETA).max())

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CONJ_PERM, ETA
+from .basis import CONJ_PERM, ETA, PHOTON_GAUGE
 from .errors import (CutoffTooSmall, DivergentSteadyState, NumericalFailure,
                      UnstableState)
 from .fluctuations import (HERMITICITY_TOL, SecondMoments, StabilityMatrix,
@@ -120,10 +120,6 @@ class FockGroundState:
     cutoffs: tuple[int, int]
 
 
-# Photon gauge a -> i a: R = _GAUGE * R', with R' the ladder vector of the
-# rotated photon.  It leaves n_a and n_b unchanged, and the closed-system
-# coefficient matrix is real in it (the mean-field alpha0 is imaginary).
-_GAUGE = np.array([1j, -1j, 1.0, 1.0])
 # Mode (0 photon, 1 atom) and occupation step of each slot of R.
 _MODE = np.array([0, 0, 1, 1])
 _STEP = np.array([-1, 1, -1, 1])
@@ -320,7 +316,7 @@ def fock_ground_state(params: ModelParams,
     defect = float(np.abs(h - h.conj().T).max())
     if defect > HERMITICITY_TOL * max(1.0, float(np.abs(h).max())):
         raise NumericalFailure(f"coefficient matrix not Hermitian (defect {defect:.3e})")
-    h = np.conj(_GAUGE)[:, None] * h * _GAUGE
+    h = np.conj(PHOTON_GAUGE)[:, None] * h * PHOTON_GAUGE
     imaginary = float(np.abs(h.imag).max())
     if imaginary > 1e-12 * float(np.abs(h).max()):
         raise NumericalFailure(

@@ -107,6 +107,16 @@ def test_fit_rejects_nonpositive_values():
         exponent_fit(np.column_stack([eps, values]))
 
 
+def test_fit_rejects_a_fitted_curve_that_is_not_positive():
+    """Positive values whose best fit has a negative background that
+    outweighs the power law at the first point (fitted / value = -0.0093)."""
+    eps = exponent_grid(n=9)
+    values = eps * np.array([8.0, 1.0, 3.0, 3.0, 5.0, 7.0, 8.0, 9.0, 4.0])
+    with pytest.raises(InvalidCurve, match=re.escape(
+            "fitted curve is not positive inside the window")):
+        exponent_fit(np.column_stack([eps, values]))
+
+
 def test_fit_rejects_curve_that_is_not_pairs():
     with pytest.raises(InvalidCurve, match=re.escape(
             "curve must be pairs (eps, value), got shape (5, 3)")):

@@ -19,9 +19,7 @@ import csv
 import hashlib
 import io
 import math
-import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -492,23 +490,28 @@ def test_threaded_batches_run_once_and_the_caller_takes_a_share(monkeypatch, cpu
                                                                batches):
     """Every batch runs exactly once and the results come back in grid
     order; the calling thread runs batches beside the helpers, and no helper
-    outlives the call."""
+    outlives the call.  A helper's first batch waits until the calling thread
+    has entered one, and the caller's until a helper has: the helpers hold at
+    most one batch each meanwhile, so the caller's share does not depend on
+    how the threads are scheduled."""
     pin_cpus(monkeypatch, cpus)
     lock = threading.Lock()
     ran = []
+    caller = threading.get_ident()
+    caller_in, helper_in = threading.Event(), threading.Event()
 
     def index(b):
-        time.sleep(0.002)  # long enough for every thread to take a batch
+        if threading.get_ident() == caller:
+            caller_in.set()
+            helper_in.wait(10.0)
+        else:
+            helper_in.set()
+            caller_in.wait(10.0)
         with lock:
             ran.append((_batch_index(b), threading.get_ident()))
         return _batch_index(b)
     before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        result = fluctuations._map_batches(index, np.arange(batches * BATCH_ROWS))
-    finally:
-        sys.setswitchinterval(interval)
+    result = fluctuations._map_batches(index, np.arange(batches * BATCH_ROWS))
     assert result == list(range(batches))
     assert threading.active_count() == before
     assert sorted(i for i, _ in ran) == list(range(batches))

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import count_thread_starts, dead_row_params, pin_cpus
 from opendicke import analysis, cli, model, oracle
+from test_oracle import LARGE_SCALE
 
 
 def run_cli(argv, capsys):
@@ -230,6 +231,19 @@ def test_verify_catches_a_wrong_kronecker_system(monkeypatch, capsys):
     assert "max |err| = 3.0" in failed["lyapunov_residual"]
     assert "tol 1e-10" in failed["lyapunov_residual"]
     assert "11/13 checks passed" in out
+
+
+def test_verify_passes_at_large_scale(capsys):
+    """max|M| ~ 8.6e3, max|S| ~ 7.3e6, max|C| ~ 8.0e6: rounding alone exceeds
+    five fixed tolerances here, so each of those checks scales its limit
+    with the size of what it compares."""
+    p = LARGE_SCALE
+    code, out, err = run_cli(["verify", f"--delta-c={p.delta_c!r}",
+                              f"--kappa={p.kappa!r}", f"--u={p.u!r}",
+                              f"--y={p.y!r}"], capsys)
+    assert (code, err) == (0, ""), out
+    assert "FAIL" not in out
+    assert "13/13 checks passed" in out
 
 
 def test_verify_at_threshold_reports_numerical_error(capsys):

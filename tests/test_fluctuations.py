@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import at_ratio, count_thread_starts, normal_branch, pin_cpus
 from opendicke import fluctuations
 from opendicke.analysis import ScanKind, figure_scan
-from opendicke.basis import CONJ_PERM, J_COMM, QUAD_MAP, T_CONJ
+from opendicke.basis import CONJ_PERM, OMEGA_SYMPL, QUAD_MAP, T_CONJ
 from opendicke.errors import (DefectiveMatrix, DegenerateBranch,
                               DivergentSteadyState, NumericalFailure,
                               UnstableState)
@@ -610,7 +610,7 @@ def _correlations_with_vacuum_everywhere(lam, lefts, kappa, scale):
     g = np.divide(numer, denom, out=np.zeros_like(numer), where=damped)
     lowering = (lam.imag < 0.0) & (np.abs(lam.real) <= STABILITY_TOL * scale[:, None])
     vacuum = (damped | coupled) < (lowering[:, :, None] & (lam.imag > 0.0)[:, None, :])
-    return np.where(vacuum, lefts @ J_COMM @ lefts.transpose(0, 2, 1), g), vacuum.any()
+    return np.where(vacuum, lefts @ OMEGA_SYMPL @ lefts.transpose(0, 2, 1), g), vacuum.any()
 
 
 @pytest.mark.parametrize("zero_pump", [False, True])

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 
 from conftest import at_ratio, normal_branch
 from opendicke import oracle
-from opendicke.basis import ETA
+from opendicke.basis import ETA, PHOTON_GAUGE
 from opendicke.errors import (CutoffTooSmall, DivergentSteadyState,
                               NumericalFailure, UnstableState)
 from opendicke.fluctuations import (SecondMoments, StabilityMatrix,
@@ -214,7 +214,7 @@ def test_fock_deterministic(closed_params):
 def _gauged(params):
     """The real coefficient matrix of ``params`` in the photon gauge."""
     h = 1j * ETA @ build_stability_matrix(params).m
-    return (np.conj(oracle._GAUGE)[:, None] * h * oracle._GAUGE).real
+    return (np.conj(PHOTON_GAUGE)[:, None] * h * PHOTON_GAUGE).real
 
 
 def test_truncated_hamiltonian_rejects_non_symmetric_coefficients():
