@@ -198,8 +198,8 @@ _DRIFT = np.rint((QUAD_MAP @ _gather(np.concatenate((_EYE, 1j * _EYE), axis=1))
 
 def _entries(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     """(M[0, 0], M[0, 2], M[2, 0], M[2, 2]) of every row, (4, N), or (4,)
-    for a batch of one with scalar fields.  The routes drop or raise the
-    rows whose mean field failed first; the ground state blanks them in A."""
+    for a batch of one with scalar fields.  Rows whose mean field failed are
+    dropped or raised by the routes, and blanked by the ground state."""
     half_y = 0.5 * mf.y * mf.one_minus
     # drive is imaginary and atom is computed as i times a real number, so
     # that no product or quotient of two general complex numbers is taken
@@ -230,6 +230,14 @@ def drift_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
     most two entries of M times 1 or 2: the exact Q M Q^-1, rounded once."""
     e = np.reshape(_entries(params, mf), (4, -1))
     return (_DRIFT @ np.concatenate((e.real, e.imag))).T.reshape(-1, 4, 4)
+
+
+def frame_batch(params: ModelParams, mf: MeanFieldBatch):
+    """(Delta, omega, g) of every row, each (N,): Delta = Im M00,
+    omega = -Im M22 and the complex coupling g = 2 M02, bit for bit A[1, 0],
+    A[2, 3] and A[0, 2] + i A[1, 2] of :func:`drift_batch`."""
+    e = np.reshape(_entries(params, mf), (4, -1))
+    return e[0].imag, -e[3].imag, 2.0 * e[1]
 
 
 def build_stability_matrix(params: ModelParams) -> StabilityMatrix:

@@ -1,19 +1,15 @@
 """Closed-system (kappa = 0) ground-state fluctuations in closed form.
 
-Without photon loss the fluctuations follow the quadratic Hamiltonian
-X^T G X / 2 of the quadratures X = Q R = (x_c, p_c, x_a, p_a): the drift
-matrix of the shared builder (``fluctuations.drift_batch``) is A = Omega G,
-so G = -Omega A is real symmetric, and a ground state exists when G is
-positive definite.  At kappa = 0, in both phases and at every u, G has one
-block form,
+Without photon loss the fluctuations follow a quadratic Hamiltonian fixed by
+each row's frame (``fluctuations.frame_batch``): the cavity detuning Delta,
+the side-mode frequency w and the pump coupling g, which is real at
+kappa = 0, where alpha0 is imaginary.  With D = -Delta, in the quadratures
+(x_c, p_c, x_a, p_a) it is X^T G X / 2,
 
-    G = [[D, 0, 0, 0],
-         [0, D, g, 0],
-         [0, g, w, 0],
-         [0, 0, 0, w]],      D = -Delta,
+    H = D (x_c^2 + p_c^2) / 2 + w (x_a^2 + p_a^2) / 2 + g p_c x_a,
 
-with exact zeros and exactly repeated entries in double precision.  In the
-canonical pairs x = (p_c, x_a), p = (-x_c, p_a) it reads
+and a ground state exists when G is positive definite.  In the canonical
+pairs x = (p_c, x_a), p = (-x_c, p_a) it reads
 H = (x^T K x + p^T P p) / 2 with K = [[D, g], [g, w]] and P = diag(D, w),
 and x = P^(1/2) xi, p = P^(-1/2) pi leaves the oscillators
 (xi^T W xi + pi^T pi) / 2 of the 2x2 W = P^(1/2) K P^(1/2).  With
@@ -47,20 +43,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CONJ_PERM, ETA, OMEGA_SYMPL, PHOTON_GAUGE
+from .basis import ETA, PHOTON_GAUGE
 from .errors import DynamicalInstability, NumericalFailure
-from .fluctuations import (HERMITICITY_TOL, SecondMoments, blank_failed,
-                           check_commutators, drift_batch)
+from .fluctuations import (HERMITICITY_TOL, SecondMoments, check_commutators,
+                           frame_batch)
 from .model import MeanFieldBatch, ModelParams, mean_field_point
 
 FREQUENCY_TOL = 1e-10
 
-# Entry (i, j) of G = -Omega A is sign * A[CONJ_PERM[i], j]: _ROWS and _SIGN
-# take G, flattened row-major, from A's flattened rows.
-_ROWS = (4 * CONJ_PERM[:, None] + np.arange(4)).ravel()
-_SIGN = np.repeat(-OMEGA_SYMPL.sum(axis=1), 4)[:, None]
-# Index into (0, D, g, w) of each entry of G's block form.
-_FORM = np.array([1, 0, 0, 0, 0, 1, 2, 0, 0, 2, 3, 0, 0, 0, 0, 3])
+# (D, g, w) of a failed row: two bare oscillators of unit frequency.
+_BLANK = np.array([[1.0], [0.0], [1.0]])
 # Phase of each moment: R = (i b1, -i b1+, b2, b2+) in the photon gauge.
 _PHASES = PHOTON_GAUGE[:, None] * PHOTON_GAUGE
 # Veltkamp's splitting constant of double precision, 2^27 + 1.
@@ -98,23 +90,23 @@ def _two_product(a: np.ndarray, b: np.ndarray):
 def _hamiltonian(params: ModelParams, mf: MeanFieldBatch):
     """(D, g, w, det K) of every row, with (1, 0, 1, 1) on the failed rows.
 
-    Rows fail, in this order, where G departs from its block form beyond
-    HERMITICITY_TOL * max(1, max|G|) and where G is not positive definite
-    (D <= 0, w <= 0 or det K <= 0).
+    Rows fail, in this order, where the frame is not finite or g is not real
+    beyond HERMITICITY_TOL * max(1, |Delta|, |g|, |omega|), and where G is
+    not positive definite (D <= 0, w <= 0 or det K <= 0).
     """
     if params.kappa != 0.0:
         raise ValueError("ground state is defined for kappa = 0 only")
     errors = mf.errors
-    # G of every row as 16 rows of entries, G[4 i + j] = G_ij, from A with
-    # the failed rows blanked.
-    g = _SIGN * blank_failed(drift_batch(params, mf), errors).reshape(-1, 16).T[_ROWS]
-    d, c, w = g[5], g[6], g[10]
-    defect = np.abs(g - np.stack((np.zeros_like(d), d, c, w))[_FORM]).max(axis=0)
-    tol = HERMITICITY_TOL * np.maximum(1.0, np.abs(g).max(axis=0))
-    # Written so that a non-finite G fails too.
+    delta, omega, g = frame_batch(params, mf)
+    h = np.where(errors.alive, np.stack((-delta, g, omega)), _BLANK)
+    # g is real at kappa = 0, where alpha0 is imaginary.  Written so that a
+    # non-finite frame fails too.
+    defect = np.where(np.isfinite(h).all(axis=0), np.abs(h[1].imag), np.nan)
+    tol = HERMITICITY_TOL * np.maximum(1.0, np.abs(h).max(axis=0))
     errors.fail(~(defect <= tol), NumericalFailure, lambda i: (
         f"quadrature Hamiltonian G departs from its closed-system block form "
         f"by {defect[i]:.3e}"))
+    d, c, w = np.where(errors.alive, h.real, _BLANK)
 
     dw, dw_err = _two_product(d, w)
     cc, cc_err = _two_product(c, c)
@@ -129,8 +121,7 @@ def _hamiltonian(params: ModelParams, mf: MeanFieldBatch):
                 lambda i: (f"quadrature Hamiltonian G has eigenvalue {lowest(i):.3e} "
                            "<= 0: not positive definite, no stable ground state"))
     alive = errors.alive
-    return (np.where(alive, d, 1.0), np.where(alive, c, 0.0),
-            np.where(alive, w, 1.0), np.where(alive, det_k, 1.0))
+    return (*np.where(alive, (d, c, w), _BLANK), np.where(alive, det_k, 1.0))
 
 
 def _bogoliubov(params: ModelParams, mf: MeanFieldBatch):

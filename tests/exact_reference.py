@@ -1,5 +1,5 @@
-"""Test-only exact reference for the entries of the stability matrix M and
-for the kappa > 0 steady state they fix.
+"""Test-only exact reference for the entries of the stability matrix M, for
+the kappa > 0 steady state they fix and for its log-negativity at threshold.
 
 Every row's M has the shape fixed by three real numbers (Delta, omega, g):
 the cavity entry M00 = i Delta - kappa, the side-mode entry M22 = -i omega,
@@ -63,9 +63,49 @@ n_photon = (sigma00 + sigma11 - 1) / 2 are traces of the two diagonal
 blocks, so the cavity rotation, whose phase the inputs leave open, does not
 change them.
 
+Entanglement at threshold.  With Z = Delta^2 omega + Delta g^2 +
+kappa^2 omega, the ten equations have the solution
+
+    sigma = R + c v v^T,   c = -1 / (4 Delta Z),
+    v = (g kappa, g Delta, Delta^2 + kappa^2, 0),
+
+where R is zero but for R00 = R11 = 1/2, R22 = -omega / (4 Delta),
+R33 = -(Delta^2 + kappa^2 + omega^2) / (4 Delta omega) and
+R03 = R30 = g / (4 Delta); substituting it into the Lyapunov equation checks
+it.  Z vanishes at threshold, where g^2 = y_c^2 = -(Delta^2 + kappa^2) omega
+/ Delta, so c is the diverging part.  The partial transpose p_b -> -p_b
+leaves v alone (v3 = 0) and flips the sign of R03; call the result R~.  The
+symplectic eigenvalues of sigma~ = R~ + c v v^T obey nu_-^2 nu_+^2 = det
+sigma~ and nu_-^2 + nu_+^2 = Delta~ = -tr((Omega sigma~)^2) / 2, and both
+are linear in c:
+
+    det sigma~ = det R~ + c v^T adj(R~) v          (determinant lemma),
+    Delta~     = Delta~(R~) + c (Omega v)^T R~ (Omega v)   (v^T Omega v = 0).
+
+So nu_-^2 = 2 det sigma~ / (Delta~ + sqrt(Delta~^2 - 4 det sigma~)) tends
+to the ratio of the two coefficients of c.  R~ splits into the blocks
+{1}, {2} and {0, 3}, and at threshold the coefficients are
+
+    v^T adj(R~) v = -(Delta^2 + kappa^2)^2 (4 Delta^4 + 4 Delta^2 kappa^2
+                     + 4 Delta^2 omega^2 + omega^4) / (64 Delta^3 omega),
+    (Omega v)^T R~ (Omega v) = (Delta^2 + kappa^2) (g^2 + (Delta^2 + kappa^2)
+                     R33) = -(Delta^2 + kappa^2)^2 (Delta^2 + kappa^2
+                     + 5 omega^2) / (4 Delta omega),
+
+so that
+
+    nu_-*^2 = (4 Delta^4 + 4 Delta^2 kappa^2 + 4 Delta^2 omega^2 + omega^4)
+              / (16 Delta^2 (Delta^2 + kappa^2 + 5 omega^2))
+
+and E_N* = max(0, -ln 2 nu_-*).  The frame tends to (delta_c, 1, y_c) from
+both sides of threshold at every u, so E_N has this limit from both sides.
+It is positive exactly where 4 nu_-*^2 < 1, which reduces to
+16 Delta^2 > omega^2: at |delta_c| > omega_r / 4, whatever kappa.
+
 The package never imports this module.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -120,3 +160,11 @@ def steady_state(delta_c: float, kappa: float, u: float,
     sigma = {pair: rows[n][10] / rows[n][n] for pair, n in col.items()}
     return ((sigma[2, 2] + sigma[3, 3] - 1) / 2,
             (sigma[0, 0] + sigma[1, 1] - 1) / 2)
+
+
+def threshold_log_negativity(delta_c: float, kappa: float) -> float:
+    """E_N* = max(0, -ln 2 nu_-*), the limit of the steady state's
+    log-negativity at threshold (module docstring), from the exact nu_-*^2."""
+    d_sq, k_sq = Fraction(delta_c) ** 2, Fraction(kappa) ** 2
+    nu_sq = (4 * d_sq * (d_sq + k_sq + 1) + 1) / (16 * d_sq * (d_sq + k_sq + 5))
+    return max(0.0, -0.5 * math.log(4 * nu_sq))

@@ -13,6 +13,11 @@ threshold over the required window [e^-14, e^-5].
 Test 09 extends test 01 towards kappa -> 0+: nu = -1 holds at every
 kappa > 0, and the fitted amplitude and background meet the Laurent
 coefficients of delta_N = a / eps + b at u = 0.
+
+Test 10 checks the paper's claim that the steady state's entanglement stays
+finite at threshold: E_N tends to the closed form E_N* of
+``exact_reference.threshold_log_negativity`` from both sides, and E_N* is
+positive exactly where |delta_c| > omega_r / 4.
 """
 
 import math
@@ -21,6 +26,7 @@ import time
 import numpy as np
 import pytest
 
+from exact_reference import threshold_log_negativity
 from opendicke import cli
 from opendicke.analysis import ScanKind, Side, critical_exponent, figure_scan
 from opendicke.entanglement import log_negativity, quad_covariance
@@ -209,3 +215,33 @@ def test_09_open_exponent_and_amplitudes(ratio):
             f"{side.value}: intercept {fit.intercept} vs ln a = {math.log(a)}"
         assert abs(fit.background - b) <= 1e-2, \
             f"{side.value}: background {fit.background} vs b = {b}"
+
+
+def test_10_entanglement_finite_at_threshold():
+    """At (delta_c, kappa) = (-2, 2), E_N* = 0.180402168640, and
+    |E_N - E_N*| <= eps / 2 at y = y_c (1 -+ eps), eps in {1e-4, 1e-6}, at
+    every u: measured -0.285 eps below threshold, -0.049 eps, -0.087 eps and
+    +0.073 eps above it at u = 0, 0.7 and -1.3.  Across |delta_c| = 1/4,
+    E_N at eps = 1e-6 is 0 on both sides of threshold at delta_c = -0.24 and
+    positive at delta_c = -0.26, whatever kappa and u."""
+    star = threshold_log_negativity(-2.0, 2.0)
+    assert abs(star - 0.180402168640) <= 1e-12
+    eps = np.array([1e-4, 1e-6])
+    offsets = np.concatenate((-eps, eps))
+    for u in (0.0, 0.7, -1.3):
+        params = ModelParams(delta_c=-2.0, kappa=2.0, u=u, y=0.0)
+        rows = figure_scan(ScanKind.ENTANGLEMENT, params,
+                           critical_pump(params) * (1.0 + offsets)).rows
+        for row, offset in zip(rows, offsets):
+            assert row[-1] == "ok", (u, offset, row)
+            assert abs(row[2] - star) <= 0.5 * abs(offset), (u, offset, row)
+    for kappa, u in ((0.01, 0.0), (1.0, 0.5), (30.0, -2.0)):
+        for delta_c in (-0.24, -0.26):
+            params = ModelParams(delta_c=delta_c, kappa=kappa, u=u, y=0.0)
+            rows = figure_scan(ScanKind.ENTANGLEMENT, params,
+                               critical_pump(params) * np.array([1.0 - 1e-6, 1.0 + 1e-6])).rows
+            entangled = delta_c == -0.26
+            assert (threshold_log_negativity(delta_c, kappa) > 0.0) == entangled
+            for row in rows:
+                assert row[-1] == "ok", (delta_c, kappa, u, row)
+                assert row[2] > 0.0 if entangled else row[2] == 0.0, (delta_c, kappa, u, row)

@@ -214,12 +214,16 @@ def test_status_mapping():
 
 def test_mean_field_scan_at_huge_pumps_squares_only_printed_rows():
     """|alpha0| of a failed row is not squared: at these pumps it overflows,
-    and every warning is an error."""
-    params = ModelParams(delta_c=-1e-3, kappa=1e-3, u=0.0, y=0.0)
-    grid = np.geomspace(1e140, 1e170, 31) * critical_pump(params)
-    rows = figure_scan(ScanKind.MEAN_FIELD, params, grid).rows
-    assert [row[-1] for row in rows] == ["degenerate"] * 16 + ["failed"] * 15
-    assert all(np.isnan(row[2:4]).all() for row in rows)
+    and every warning is an error.  The fluctuation and entanglement scans
+    print the same statuses and only NaN cells, at kappa = 0 too, where the
+    ground state blanks the failed rows' frames before any arithmetic."""
+    for kappa in (0.0, 1e-3):
+        params = ModelParams(delta_c=-1e-3, kappa=kappa, u=0.0, y=0.0)
+        grid = np.geomspace(1e140, 1e170, 31) * critical_pump(params)
+        for kind in (ScanKind.MEAN_FIELD, ScanKind.MEAN_AND_FLUCT, ScanKind.ENTANGLEMENT):
+            rows = figure_scan(kind, params, grid).rows
+            assert [row[-1] for row in rows] == ["degenerate"] * 16 + ["failed"] * 15
+            assert all(np.isnan(row[2:-1]).all() for row in rows)
 
 
 def test_excitation_table_keeps_divergent_rows(open_params):

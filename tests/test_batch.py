@@ -158,6 +158,17 @@ PINNED = {
             8: ("2.23606797749979", "2.0", "0.3267109582831973",
                 "-0.7566470875139744", "0.3159525823376357", "0.3825238493433536",
                 "0.007648459057201094", "ok")}),
+    "correlations u != 0 kappa = 0": (
+        ["correlations", "--delta-c=-1", "--kappa=0", "--u=0.5", "--y-grid=0:2yc:9"], {
+            3: ("0.75", "0.75", "0.0", "0.0", "0.0", "0.07235057519384369",
+                "0.07235057519384369", "ok"),
+            6: ("1.5", "1.5", "0.0", "-0.5568626505610705", "0.21564683762798914",
+                "0.01149795351972898", "0.0121765606026888", "ok")}),
+    "entanglement kappa = 0": (
+        ["entanglement", "--delta-c=-2", "--kappa=0", "--y-grid=0:2yc:9"], {
+            2: ("0.7071067811865476", "0.5", "0.25829200889211756", "0.5", "ok"),
+            6: ("2.121320343559643", "1.5", "0.23844964054604767",
+                "0.4999999999999997", "ok")}),
     "entanglement": (
         ["entanglement", "--delta-c=-2", "--kappa=2", "--y-grid=0:2yc:9"], {
             3: ("1.5", "0.75", "0.11278700298268074", "0.5005735242247541", "ok"),
@@ -313,9 +324,11 @@ def test_injected_mean_field_is_the_solved_one(u, ratio):
 
 def test_batch_of_one_builds_the_bytes_of_a_one_row_batch():
     """The scalar fields of ``mean_field_point`` and a one-row array batch
-    of the same pump build the same stability and drift matrices, byte for
-    byte, and the same kappa > 0 steady-state moments: seeded points in both
-    phases, with u = 0 and u != 0, kappa = 0 and kappa > 0."""
+    of the same pump build the same stability and drift matrices and frames,
+    byte for byte, and the same kappa > 0 steady-state moments: seeded points
+    in both phases, with u = 0 and u != 0, kappa = 0 and kappa > 0.  The
+    frame's (Delta, omega, Re g, Im g) are A[1, 0], A[2, 3], A[0, 2] and
+    A[1, 2] of the drift matrix, signed zeros included."""
     rng = np.random.default_rng(31)
     seen = set()
     for i in range(240):
@@ -330,6 +343,13 @@ def test_batch_of_one_builds_the_bytes_of_a_one_row_batch():
         seen.add((p.kappa > 0.0, p.u != 0.0, row.beta0[0] > 0.0))
         for build in (fluctuations.stability_batch, fluctuations.drift_batch):
             assert build(p, point).tobytes() == build(p, row).tobytes()
+        frame = fluctuations.frame_batch(p, row)
+        assert ([x.tobytes() for x in fluctuations.frame_batch(p, point)]
+                == [x.tobytes() for x in frame])
+        delta, omega, g = frame
+        a = fluctuations.drift_batch(p, row)[0]
+        assert (np.concatenate((delta, omega, g.real, g.imag)).tobytes()
+                == a[[1, 2, 0, 1], [0, 3, 2, 2]].tobytes())
         if p.kappa > 0.0:
             s_point = fluctuations.steady_state_batch(p, point)
             s_row = fluctuations.steady_state_batch(p, row)

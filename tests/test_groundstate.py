@@ -161,34 +161,43 @@ def test_vacuum_exact_at_zero_pump():
         assert np.array_equal(ground_state_moments(p).s, expected)
 
 
-@pytest.mark.parametrize("entry", range(16))
+# The 16 edits (slot, shift) of a row's frame (Delta, omega, Re g, Im g):
+# NaN, +inf and -inf in each slot fail the row, and so does Im g shifted by
+# +-1e-9; Im g shifted by +-1e-13 stays within tolerance.
+FRAME_EDITS = ([(slot, shift) for slot in range(4)
+                for shift in (np.nan, np.inf, -np.inf)]
+               + [(3, shift) for shift in (1e-9, -1e-9, 1e-13, -1e-13)])
+
+
+@pytest.mark.parametrize("entry", range(len(FRAME_EDITS)))
 def test_departure_from_block_form_fails_first(monkeypatch, closed_params, entry):
-    """A drift matrix whose G departs from the closed form's block structure
-    beyond HERMITICITY_TOL * max(1, max|G|) fails the row as
-    NumericalFailure before the positivity check; a departure within it
-    leaves the row as it was."""
-    real = groundstate.drift_batch
+    """A frame that is not finite, or whose g is not real beyond
+    HERMITICITY_TOL * max(1, |Delta|, |g|, |omega|), fails the row as
+    NumericalFailure before the positivity check; an Im g within it leaves
+    the row as it was.  Every warning is an error, so the blanked row runs
+    no arithmetic on the edited value."""
+    slot, shift = FRAME_EDITS[entry]
+    real = groundstate.frame_batch
 
-    def shifted(by):
-        def drift(params, mf):
-            a = real(params, mf).copy()
-            a[:, entry // 4, entry % 4] += by
-            return a
-        return drift
+    def frame(params, mf):
+        delta, omega, g = (part.copy() for part in real(params, mf))
+        (delta, omega, g.real, g.imag)[slot][...] += shift
+        return delta, omega, g
 
+    monkeypatch.setattr(groundstate, "frame_batch", frame)
+    prefix = "quadrature Hamiltonian G departs from its closed-system block form by "
     for ratio, cls in ((0.5, None), (1.2, DynamicalInstability)):
         p = at_ratio(closed_params, ratio)
-        monkeypatch.setattr(groundstate, "drift_batch", shifted(1e-9))
         mf = normal_branch(p)
         ground_state_batch(p, mf)
+        if abs(shift) == 1e-13:
+            assert mf.errors.alive[0] if cls is None else type(mf.errors.error(0)) is cls
+            continue
         err = mf.errors.error(0)
         assert type(err) is NumericalFailure
-        assert str(err) == ("quadrature Hamiltonian G departs from its "
-                            "closed-system block form by 1.000e-09")
-        monkeypatch.setattr(groundstate, "drift_batch", shifted(1e-13))
-        mf = normal_branch(p)
-        ground_state_batch(p, mf)
-        assert mf.errors.alive[0] if cls is None else type(mf.errors.error(0)) is cls
+        assert str(err).startswith(prefix)
+        if abs(shift) == 1e-9:
+            assert str(err) == prefix + "1.000e-09"
 
 
 def _cli_rows(argv) -> list[dict]:

@@ -47,10 +47,10 @@ from mp_reference import (discriminant_root, reference_endpoint,
                           reference_ground_observables, reference_observables)
 from opendicke import cli
 from opendicke.analysis import ScanKind, Side, depletion_curve, figure_scan
-from opendicke.fluctuations import (build_stability_matrix, drift_batch, observables,
-                                    spectrum_scan)
+from opendicke.fluctuations import (build_stability_matrix, drift_batch, frame_batch,
+                                    observables, spectrum_scan)
 from opendicke.groundstate import ground_state_moments
-from opendicke.model import ModelParams, critical_pump, mean_field_batch
+from opendicke.model import ModelParams, critical_pump, mean_field_batch, mean_field_point
 
 ARGV = ["correlations", "--delta-c=-2.0047", "--kappa=2.1802", "--u=0.3221",
         "--y-grid=0.001yc:0.05yc:6"]
@@ -224,7 +224,8 @@ def test_stability_entries_meet_the_exact_reference():
     """Re M00 = -kappa, Im M00 = Delta, M20 = -conj(M02) and Re M22 = 0
     exactly; -Im M22 = omega and |2 M02| = g within 4 eps relative, times
     y^2 / y_c^2 above threshold, where 1 - 2 beta0^2 = y_c^2 / y^2 is the
-    difference of two numbers near 1."""
+    difference of two numbers near 1.  The frame's (Delta, omega, |g|) meet
+    the same bounds."""
     eps = Fraction(np.finfo(float).eps)
     rng = np.random.default_rng(20111014)
     for _ in range(2000):
@@ -243,6 +244,10 @@ def test_stability_entries_meet_the_exact_reference():
         tol = 4 * eps * max(1, y_sq / critical_pump_squared(delta_c, kappa))
         assert abs(Fraction(-m[2, 2].imag) - omega) <= tol * omega, p
         assert abs(Fraction(float(abs(2 * m[0, 2]))) - g) <= tol * g, p
+        f_delta, f_omega, f_g = (x[0] for x in frame_batch(p, mean_field_point(p)))
+        assert f_delta == delta, p
+        assert abs(Fraction(f_omega) - omega) <= tol * omega, p
+        assert abs(Fraction(float(abs(f_g))) - g) <= tol * g, p
 
 
 # (delta_c, kappa, u, bound): the U0_SETS on both sides of threshold, normal-
