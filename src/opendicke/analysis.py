@@ -104,19 +104,26 @@ def exponent_fit(curve, window: tuple[float, float] = DEFAULT_WINDOW,
     """Fit value = exp(intercept) * eps**slope + background inside the window.
 
     ``curve`` is a sequence of (eps, value) pairs with eps = |1 - y/y_c|.
-    Values must be positive inside the window and at least 8 points must
-    survive the window cut.  The fit minimizes the relative residuals by
-    Gauss-Newton, starting from the straight line through (ln eps, ln value)
-    with zero background; on an exact power law that start is already the
-    solution and is returned unchanged.  Raises InvalidCurve when the
-    iteration does not converge or the fitted curve is not positive.
+    No eps may be NaN, values must be finite and positive inside the window,
+    and at least 8 points must survive the window cut.  The fit minimizes
+    the relative residuals by Gauss-Newton, starting from the straight line
+    through (ln eps, ln value) with zero background; on an exact power law
+    that start is already the solution and is returned unchanged.  Raises
+    InvalidCurve when the iteration does not converge or the fitted curve is
+    not positive.
     """
     arr = np.asarray(list(curve), dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidCurve(f"curve must be pairs (eps, value), got shape {arr.shape}")
+    nan_eps = np.isnan(arr[:, 0]).nonzero()[0]
+    if nan_eps.size:
+        raise InvalidCurve(f"eps is NaN at point {nan_eps[0]} of the curve")
     lo, hi = window
-    mask = (arr[:, 0] >= lo) & (arr[:, 0] <= hi)
-    pts = arr[mask]
+    pts = arr[(arr[:, 0] >= lo) & (arr[:, 0] <= hi)]
+    if not np.isfinite(pts[:, 1]).all():
+        eps, value = pts[~np.isfinite(pts[:, 1])][0].tolist()
+        raise InvalidCurve(f"non-finite value {value!r} at eps = {eps!r} "
+                           "inside the fit window")
     if pts.shape[0] < MIN_FIT_POINTS:
         raise InvalidCurve(f"only {pts.shape[0]} points inside window "
                            f"{window!r}; need >= {MIN_FIT_POINTS}")

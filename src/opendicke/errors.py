@@ -83,7 +83,8 @@ class RowErrors:
     ``pending[i]`` = (cls, make, i); :meth:`adopt` takes over a sub-batch's
     entries, which keep its index.  Only :meth:`error` and :meth:`raise_first`
     build an error, ``cls(make(i))``, or ``cls(*make(i))`` for a tuple, so a
-    scan formats no message.
+    scan formats no message.  A maker may therefore read only values that
+    stay as they were at ``fail``: a name rebound later changes the message.
     """
 
     def __init__(self, n: int):

@@ -197,19 +197,13 @@ _DRIFT = np.rint((QUAD_MAP @ _gather(np.concatenate((_EYE, 1j * _EYE), axis=1))
 
 
 def _entries(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
-    """(M[0, 0], M[0, 2], M[2, 0], M[2, 2]) of every row, (4, N), or (4,)
-    for a batch of one with scalar fields.  Rows whose mean field failed are
+    """(M[0, 0], M[0, 2], M[2, 0], M[2, 2]) = (i Delta - kappa, g/2, -conj(g/2),
+    -i omega) of every row from kappa and the frame, (4, N), or (4,) for a
+    batch of one with scalar fields.  Rows whose mean field failed are
     dropped or raised by the routes, and blanked by the ground state."""
-    half_y = 0.5 * mf.y * mf.one_minus
-    # drive is imaginary and atom is computed as i times a real number, so
-    # that no product or quotient of two general complex numbers is taken
-    # (their rounding differs between numpy scalars and arrays).  Complex
-    # factors come first: a Python complex combined with a numpy scalar
-    # stays a fast Python complex.
-    drive = 1j * params.u * mf.beta0 * mf.root
-    atom = -1j * (mf.gain / mf.one_minus)
-    return np.array((mf.cavity, half_y - drive * mf.alpha0,
-                     -(drive * mf.alpha0.conjugate()) - half_y, atom))
+    half_g = 0.5 * mf.g
+    return np.array((1j * mf.delta - params.kappa, half_g, -half_g.conjugate(),
+                     -1j * mf.omega))
 
 
 def stability_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
@@ -233,11 +227,9 @@ def drift_batch(params: ModelParams, mf: MeanFieldBatch) -> np.ndarray:
 
 
 def frame_batch(params: ModelParams, mf: MeanFieldBatch):
-    """(Delta, omega, g) of every row, each (N,): Delta = Im M00,
-    omega = -Im M22 and the complex coupling g = 2 M02, bit for bit A[1, 0],
-    A[2, 3] and A[0, 2] + i A[1, 2] of :func:`drift_batch`."""
-    e = np.reshape(_entries(params, mf), (4, -1))
-    return e[0].imag, -e[3].imag, 2.0 * e[1]
+    """(Delta, omega, g) of every row, each (N,): the batch's frame, bit for
+    bit A[1, 0], A[2, 3] and A[0, 2] + i A[1, 2] of :func:`drift_batch`."""
+    return np.reshape(mf.delta, -1), np.reshape(mf.omega, -1), np.reshape(mf.g, -1)
 
 
 def build_stability_matrix(params: ModelParams) -> StabilityMatrix:

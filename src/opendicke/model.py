@@ -86,27 +86,27 @@ class MeanFieldBatch:
 
     One row per pump value: the fields are arrays for a grid
     (:func:`mean_field_batch`) and scalars for a single pump value
-    (:func:`mean_field_point`).  Besides the amplitudes it keeps the terms
-    of the stationarity conditions that M reads again: ``cavity`` =
-    i (delta_c - u beta0^2) - kappa, ``gain`` = omega_r + u |alpha0|^2,
-    ``one_minus`` = 1 - 2 beta0^2 and ``root`` = sqrt(1 - beta0^2).  Rows
-    whose mean field failed are failed in ``errors``; their fields are
-    meaningless.
+    (:func:`mean_field_point`).  Besides the amplitudes and ``one_minus`` =
+    1 - 2 beta0^2 it keeps the frame, all that M reads besides kappa: the
+    cavity detuning ``delta`` = delta_c - u beta0^2, the side-mode frequency
+    ``omega`` = (omega_r + u |alpha0|^2) / (1 - 2 beta0^2) and the complex
+    coupling ``g`` = 2 M[0, 2].  Rows whose mean field failed are failed in
+    ``errors``; their fields are meaningless.
     """
 
     y: np.ndarray
     alpha0: np.ndarray
     beta0: np.ndarray
-    cavity: np.ndarray
-    gain: np.ndarray
     one_minus: np.ndarray
-    root: np.ndarray
+    delta: np.ndarray
+    omega: np.ndarray
+    g: np.ndarray
     errors: RowErrors
 
     def take(self, rows: np.ndarray, errors: RowErrors) -> MeanFieldBatch:
         """The batch of the rows ``rows``, with ``errors``."""
         return MeanFieldBatch(*(a.take(rows) for a in (self.y, self.alpha0, self.beta0,
-                              self.cavity, self.gain, self.one_minus, self.root)), errors)
+                              self.one_minus, self.delta, self.omega, self.g)), errors)
 
 
 def critical_pump(params: ModelParams) -> float:
@@ -166,13 +166,15 @@ def _order_parameter(params: ModelParams, y, y_c: float):
     return dc / u * ratio / (1.0 + np.sqrt(radicand)), radicand
 
 
-def _branch_fields(params: ModelParams, y, beta0, errors: RowErrors):
-    """(mean field with ``errors``, stationarity residuals) at a given beta0.
+def _branch_fields(params: ModelParams, y, beta0, errors: RowErrors) -> MeanFieldBatch:
+    """The mean field and its frame at a given beta0, with ``errors``.
 
-    The residuals are (|t1 + t2|, |t1| + |t2|, |t3 + t4|, |t3| + |t4|) for
-    the conditions t1 + t2 = 0 and t3 + t4 = 0.  Scalars or arrays, in real
-    arithmetic (and products of a real with a complex number), which rounds
-    alike for both; general complex products and quotients need not.
+    Rows fail first where 1 - 2 beta0^2 ~ 0, then where a stationarity
+    condition t1 + t2 = 0 or t3 + t4 = 0 does not close: |t1 + t2| beyond
+    RESIDUAL_TOL times max(1, |t1| + |t2|), or likewise for t3 + t4.
+    Scalars or arrays, in real arithmetic (and products of a real with a
+    complex number), which rounds alike for both; general complex products
+    and quotients need not.
     """
     bsq = beta0 * beta0
     root = np.sqrt(1.0 - bsq)
@@ -186,29 +188,30 @@ def _branch_fields(params: ModelParams, y, beta0, errors: RowErrors):
     # times a numpy scalar stays a fast Python complex.
     alpha0 = (params.kappa + ic) * (t2 / (params.kappa ** 2 + c * c))
     gain = OMEGA_R + params.u * (alpha0.real * alpha0.real + alpha0.imag * alpha0.imag)
-    cavity = ic - params.kappa
-    t1 = cavity * alpha0
+    t1 = (ic - params.kappa) * alpha0
     t3 = gain * beta0
     t4 = y * alpha0.imag * one_minus / root
-    return MeanFieldBatch(y, alpha0, beta0, cavity, gain, one_minus, root, errors), (
+    res_a, size_a, res_b, size_b = residuals = (
         abs(t1 + t2), abs(t1) + t2, abs(t3 + t4), abs(t3) + abs(t4))
-
-
-def _residuals_exceed(res_a, size_a, res_b, size_b):
-    """res > RESIDUAL_TOL * max(1, size) for either condition, written with
-    operators only so that it works on scalars and arrays."""
-    return (((res_a > RESIDUAL_TOL) & (res_a > RESIDUAL_TOL * size_a))
-            | ((res_b > RESIDUAL_TOL) & (res_b > RESIDUAL_TOL * size_b)))
+    # drive is i times a real number, so that no product of two general
+    # complex numbers is taken (their rounding differs between numpy scalars
+    # and arrays); its complex factor comes first, as in alpha0.
+    drive = 1j * params.u * beta0 * root
+    g = 2.0 * (0.5 * y * one_minus - drive * alpha0)
+    errors.fail(abs(one_minus) < 1e-12, DegenerateBranch, lambda i: (
+        f"1 - 2 beta0^2 = {float(np.ravel(one_minus)[i])!r}; chemical potential singular"))
+    # Operators only, which work on scalars and arrays alike.
+    bad = (((res_a > RESIDUAL_TOL) & (res_a > RESIDUAL_TOL * size_a))
+           | ((res_b > RESIDUAL_TOL) & (res_b > RESIDUAL_TOL * size_b)))
+    errors.fail(bad, NumericalFailure,
+                lambda i: _residual_failure(*(np.ravel(r)[i] for r in residuals)))
+    return MeanFieldBatch(y, alpha0, beta0, one_minus, c, gain / one_minus, g, errors)
 
 
 def _missing_branch(radicand, bsq, y) -> str:
     return (f"superradiant branch undefined: radicand {float(radicand)!r} < 0"
             if radicand < 0.0 else
             f"beta0^2 = {float(bsq)!r} outside (0, 1) for y = {float(y)!r}")
-
-
-def _degenerate_branch(one_minus) -> str:
-    return f"1 - 2 beta0^2 = {float(one_minus)!r}; chemical potential singular"
 
 
 def _residual_failure(res_a, size_a, res_b, size_b) -> str:
@@ -233,16 +236,15 @@ def mean_field_batch(params: ModelParams, y_grid) -> MeanFieldBatch:
     At and below the critical pump a row is in the normal phase; above it on
     the superradiant branch with beta0 > 0 (:func:`_order_parameter`).
     Superradiant rows fail when the branch does not exist (radicand < 0 or
-    beta0^2 outside (0, 1)), when 1 - 2 beta0^2 ~ 0, and when a stationarity
-    residual exceeds RESIDUAL_TOL times the larger of 1 and the size of its
-    terms.  The pump value stored in ``params`` is ignored; a pump value
-    that is not finite and >= 0 raises ValueError (:func:`pump_grid`).
+    beta0^2 outside (0, 1)), then as in :func:`_branch_fields`.  The pump
+    value stored in ``params`` is ignored; a pump value that is not finite
+    and >= 0 raises ValueError (:func:`pump_grid`).
     """
     y = pump_grid(y_grid)
     y_c = critical_pump(params)
     errors = RowErrors(y.size)
     # Rows off the superradiant branch may overflow or take a root of a
-    # negative number here; they are masked or failed below.
+    # negative number here; they are masked or failed.
     with np.errstate(all="ignore"):
         branch, radicand = _order_parameter(params, y, y_c)
         sr = y > y_c
@@ -250,23 +252,15 @@ def mean_field_batch(params: ModelParams, y_grid) -> MeanFieldBatch:
         # (sr > inside) is sr & ~inside.
         missing = sr > inside
         beta0 = np.sqrt(np.where(sr & inside, branch, 0.0))
-        mf, residuals = _branch_fields(params, y, beta0, errors)
-        degenerate = np.abs(mf.one_minus) < 1e-12
-        bad = _residuals_exceed(*residuals)
-
-    errors.fail(missing, NumericalFailure, lambda i: _missing_branch(
-        radicand[i] if params.u else radicand, branch[i], y[i]))
-    errors.fail(degenerate, DegenerateBranch,
-                lambda i: _degenerate_branch(mf.one_minus[i]))
-    errors.fail(bad, NumericalFailure,
-                lambda i: _residual_failure(*(r[i] for r in residuals)))
-    return mf
+        errors.fail(missing, NumericalFailure, lambda i: _missing_branch(
+            radicand[i] if params.u else radicand, branch[i], y[i]))
+        return _branch_fields(params, y, beta0, errors)
 
 
 def normal_phase(params: ModelParams, errors: RowErrors) -> MeanFieldBatch:
     """The normal phase (alpha0 = beta0 = 0) at ``params.y`` as a batch of one."""
-    return MeanFieldBatch(np.float64(params.y), 0j, 0.0,
-                          1j * params.delta_c - params.kappa, OMEGA_R, 1.0, 1.0, errors)
+    y = np.float64(params.y)
+    return MeanFieldBatch(y, 0j, 0.0, 1.0, params.delta_c, OMEGA_R, y + 0j, errors)
 
 
 def mean_field_point(params: ModelParams) -> MeanFieldBatch:
@@ -288,12 +282,7 @@ def mean_field_point(params: ModelParams) -> MeanFieldBatch:
             errors.fail(True, NumericalFailure,
                         lambda i: _missing_branch(radicand, branch, y))
             return normal_phase(params, errors)
-        mf, residuals = _branch_fields(params, y, np.sqrt(branch), errors)
-    errors.fail(abs(mf.one_minus) < 1e-12, DegenerateBranch,
-                lambda i: _degenerate_branch(mf.one_minus))
-    errors.fail(_residuals_exceed(*residuals), NumericalFailure,
-                lambda i: _residual_failure(*residuals))
-    return mf
+        return _branch_fields(params, y, np.sqrt(branch), errors)
 
 
 def solve_mean_field(params: ModelParams) -> MeanField:
@@ -306,5 +295,5 @@ def solve_mean_field(params: ModelParams) -> MeanField:
     batch = mean_field_point(params)
     batch.errors.raise_first()
     return MeanField(alpha0=complex(batch.alpha0), beta0=float(batch.beta0),
-                     mu=float(-0.5 * batch.gain / batch.one_minus),
+                     mu=float(-0.5 * batch.omega),
                      phase=Phase.SUPERRADIANT if batch.beta0 > 0.0 else Phase.NORMAL)

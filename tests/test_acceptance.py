@@ -223,7 +223,11 @@ def test_10_entanglement_finite_at_threshold():
     every u: measured -0.285 eps below threshold, -0.049 eps, -0.087 eps and
     +0.073 eps above it at u = 0, 0.7 and -1.3.  Across |delta_c| = 1/4,
     E_N at eps = 1e-6 is 0 on both sides of threshold at delta_c = -0.24 and
-    positive at delta_c = -0.26, whatever kappa and u."""
+    positive at delta_c = -0.26, whatever kappa and u.  At kappa = 0 the
+    ground state's E_N diverges as -ln(eps) / 4: the least-squares slope
+    against -ln eps over five eps in [1e-10, 1e-6] is 1/4 within 0.005 on
+    both sides at u = 0 and 0.7 (measured 0.249969 below threshold and
+    0.249956 above, at both u)."""
     star = threshold_log_negativity(-2.0, 2.0)
     assert abs(star - 0.180402168640) <= 1e-12
     eps = np.array([1e-4, 1e-6])
@@ -245,3 +249,12 @@ def test_10_entanglement_finite_at_threshold():
             for row in rows:
                 assert row[-1] == "ok", (delta_c, kappa, u, row)
                 assert row[2] > 0.0 if entangled else row[2] == 0.0, (delta_c, kappa, u, row)
+    eps = np.geomspace(1e-10, 1e-6, 5)
+    for u in (0.0, 0.7):
+        params = ModelParams(delta_c=-2.0, kappa=0.0, u=u, y=0.0)
+        for offsets in (-eps, eps):
+            rows = figure_scan(ScanKind.ENTANGLEMENT, params,
+                               critical_pump(params) * (1.0 + offsets)).rows
+            assert all(row[-1] == "ok" for row in rows), (u, rows)
+            slope = np.polyfit(-np.log(eps), [row[2] for row in rows], 1)[0]
+            assert abs(slope - 0.25) <= 0.005, (u, offsets[0], slope)

@@ -107,6 +107,21 @@ def test_fit_rejects_nonpositive_values():
         exponent_fit(np.column_stack([eps, values]))
 
 
+@pytest.mark.parametrize("column, bad, message", [
+    (0, np.nan, "eps is NaN at point 5 of the curve"),
+    (1, np.nan, "non-finite value nan at eps = {!r} inside the fit window"),
+    (1, np.inf, "non-finite value inf at eps = {!r} inside the fit window"),
+], ids=["nan eps", "nan value", "inf value"])
+def test_fit_names_non_finite_input(column, bad, message):
+    """A NaN eps is not dropped by the window cut, and a NaN or +inf value
+    inside the window is named before the fit, not as a diverged fit."""
+    eps = exponent_grid()
+    curve = np.column_stack([eps, 1.0 / eps])
+    curve[5, column] = bad
+    with pytest.raises(InvalidCurve, match=f"^{re.escape(message.format(float(eps[5])))}$"):
+        exponent_fit(curve)
+
+
 def test_fit_rejects_a_fitted_curve_that_is_not_positive():
     """Positive values whose best fit has a negative background that
     outweighs the power law at the first point (fitted / value = -0.0093)."""

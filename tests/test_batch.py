@@ -327,8 +327,9 @@ def test_batch_of_one_builds_the_bytes_of_a_one_row_batch():
     of the same pump build the same stability and drift matrices and frames,
     byte for byte, and the same kappa > 0 steady-state moments: seeded points
     in both phases, with u = 0 and u != 0, kappa = 0 and kappa > 0.  The
-    frame's (Delta, omega, Re g, Im g) are A[1, 0], A[2, 3], A[0, 2] and
-    A[1, 2] of the drift matrix, signed zeros included."""
+    frame is the batch's (delta, omega, g), and its (Delta, omega, Re g,
+    Im g) are A[1, 0], A[2, 3], A[0, 2] and A[1, 2] of the drift matrix;
+    M[2, 0] is -conj(M[0, 2]), signed zeros included."""
     rng = np.random.default_rng(31)
     seen = set()
     for i in range(240):
@@ -343,9 +344,12 @@ def test_batch_of_one_builds_the_bytes_of_a_one_row_batch():
         seen.add((p.kappa > 0.0, p.u != 0.0, row.beta0[0] > 0.0))
         for build in (fluctuations.stability_batch, fluctuations.drift_batch):
             assert build(p, point).tobytes() == build(p, row).tobytes()
+        m = fluctuations.stability_batch(p, row)[0]
+        assert (-m[0, 2].conjugate()).tobytes() == m[2, 0].tobytes()
         frame = fluctuations.frame_batch(p, row)
         assert ([x.tobytes() for x in fluctuations.frame_batch(p, point)]
-                == [x.tobytes() for x in frame])
+                == [x.tobytes() for x in frame]
+                == [x.tobytes() for x in (row.delta, row.omega, row.g)])
         delta, omega, g = frame
         a = fluctuations.drift_batch(p, row)[0]
         assert (np.concatenate((delta, omega, g.real, g.imag)).tobytes()

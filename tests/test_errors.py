@@ -12,7 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import at_ratio, normal_branch
+from conftest import at_ratio, dead_row_params, normal_branch
 from opendicke import model
 from opendicke.analysis import ScanKind, figure_scan
 from opendicke.entanglement import log_negativity, quad_covariance
@@ -24,7 +24,8 @@ from opendicke.fluctuations import (SecondMoments, StabilityMatrix,
                                     build_stability_matrix, decompose,
                                     mode_correlations, observables,
                                     stability_batch, steady_state_moments)
-from opendicke.groundstate import ground_state_batch
+from opendicke.groundstate import (bogoliubov_modes, ground_state_batch,
+                                   ground_state_moments)
 from opendicke.model import ModelParams, solve_mean_field
 
 OPEN = ModelParams(delta_c=-2.0, kappa=2.0, u=0.0, y=0.0)
@@ -177,6 +178,59 @@ def test_message_is_formatted_only_when_the_error_is_built():
     with pytest.raises(NumericalFailure, match="^row 1$"):
         errors.raise_first()
     assert calls == [2, 1]
+
+
+def _built(errors: RowErrors, i: int) -> str:
+    err = errors.error(i)
+    return repr((type(err), err.args, vars(err)))
+
+
+# Scalar points whose mean field fails its residual check and its degenerate
+# check.
+RESIDUAL_POINT = ModelParams(delta_c=-1.0660805150031624e-05, kappa=4123.7619063772345,
+                             u=2.581841834827432e-13, y=0.0)
+DEGENERATE_POINT = ModelParams(delta_c=-714.584262713347, kappa=0.0,
+                               u=-1.832388072738821e-10, y=0.0)
+
+
+def test_messages_read_the_values_of_their_failure(monkeypatch):
+    """A maker reads only values that stay as they were at ``fail``: every
+    message of the scans and scalar routes below, built at once when its row
+    fails, is built alike after the call.  The scans cover the rows without
+    a branch, the degenerate and residual rows at huge pumps, and grids
+    through threshold, at kappa > 0 and kappa = 0."""
+    real = RowErrors.fail
+    made = []
+
+    def fail(self, mask, cls, make):
+        before = set(self.pending)
+        real(self, mask, cls, make)
+        made.extend((self, i, _built(self, i)) for i in sorted(self.pending.keys() - before))
+
+    monkeypatch.setattr(RowErrors, "fail", fail)
+    scans = []
+    for kappa in (0.0, 28.73):
+        base = dead_row_params(kappa)
+        scans.append((base, np.linspace(0.0, 2.0 * model.critical_pump(base), 600)))
+    for kappa in (0.0, 1e-3):
+        base = ModelParams(delta_c=-1e-3, kappa=kappa, u=0.0, y=0.0)
+        scans.append((base, np.geomspace(1e140, 1e170, 31) * model.critical_pump(base)))
+    for base in (OPEN, CLOSED):
+        scans.append((base, np.linspace(0.0, 2.0 * model.critical_pump(base), 9)))
+    statuses = set()
+    for base, grid in scans:
+        for kind in (ScanKind.MEAN_FIELD, ScanKind.MEAN_AND_FLUCT, ScanKind.ENTANGLEMENT):
+            statuses.update(row[-1] for row in figure_scan(kind, base, grid).rows)
+    for base, ratio in ((RESIDUAL_POINT, 151.99111796745476), (DEGENERATE_POINT, 1e6)):
+        p = at_ratio(base, ratio)
+        for route in (solve_mean_field, build_stability_matrix, steady_state_moments,
+                      ground_state_moments, bogoliubov_modes):
+            with pytest.raises((DegenerateBranch, NumericalFailure, ValueError)):
+                route(p)
+    assert statuses == {"ok", "failed", "degenerate", "divergent", "unstable"}
+    assert {type(errors.error(i)) for errors, i, _ in made} == {
+        NumericalFailure, DegenerateBranch, DivergentSteadyState, DynamicalInstability}
+    assert [message for _, _, message in made] == [_built(errors, i) for errors, i, _ in made]
 
 
 def test_adopted_failures_keep_their_rows():
