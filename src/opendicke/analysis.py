@@ -167,14 +167,12 @@ def exponent_fit(curve, window: tuple[float, float] = DEFAULT_WINDOW,
                        n_points=pts.shape[0], background=float(background))
 
 
-def _moments(params: ModelParams, y_grid):
-    """(mean fields, rows whose mean field holds, fluctuation moments) of a
-    pump grid, with the kappa = 0 (ground state) / kappa > 0 (steady state)
-    dispatch.  Failed rows are failed in the batch's ``errors``."""
-    mf = mean_field_batch(params, y_grid)
-    mean_ok = mf.errors.alive.copy()
+def _moments(params: ModelParams, mf) -> np.ndarray:
+    """Fluctuation moments of a mean-field batch, with the kappa = 0 (ground
+    state) / kappa > 0 (steady state) dispatch.  Failed rows are failed in
+    the batch's ``errors``."""
     moments = ground_state_batch if params.kappa == 0.0 else steady_state_batch
-    return mf, mean_ok, moments(params, mf)
+    return moments(params, mf)
 
 
 def depletion_curve(params: ModelParams, side: Side,
@@ -185,8 +183,8 @@ def depletion_curve(params: ModelParams, side: Side,
     y_c = critical_pump(params)
     eps = exponent_grid(window, n)
     sign = -1.0 if side is Side.BELOW else 1.0
-    mf, _, s = _moments(params, y_c * (1.0 + sign * eps))
-    delta_n, n_photon = observables_batch(s, mf.errors)
+    mf = mean_field_batch(params, y_c * (1.0 + sign * eps))
+    delta_n, n_photon = observables_batch(_moments(params, mf), mf.errors)
     mf.errors.raise_first()
     return np.column_stack([eps, delta_n, n_photon])
 
@@ -214,16 +212,16 @@ def _mean_field_columns(params: ModelParams, y):
 
 
 def _excitation_columns(params: ModelParams, y):
-    mf, mean_ok, s = _moments(params, y)
-    delta_n, n_photon = observables_batch(s, mf.errors)
-    return mf.errors, (_masked(mean_ok, mf.alpha0.real, mf.alpha0.imag,
-                               mf.beta0 ** 2)
-                       + _masked(mf.errors.alive, delta_n, n_photon))
+    mf = mean_field_batch(params, y)
+    # Masked before the moments fail more rows.
+    mean = _masked(mf.errors.alive, mf.alpha0.real, mf.alpha0.imag, mf.beta0 ** 2)
+    delta_n, n_photon = observables_batch(_moments(params, mf), mf.errors)
+    return mf.errors, mean + _masked(mf.errors.alive, delta_n, n_photon)
 
 
 def _entanglement_columns(params: ModelParams, y):
-    mf, _, s = _moments(params, y)
-    _, invariants, nu_min = covariance_batch(s, mf.errors)
+    mf = mean_field_batch(params, y)
+    _, invariants, nu_min = covariance_batch(_moments(params, mf), mf.errors)
     e_n = log_negativity_batch(invariants, mf.errors)
     return mf.errors, _masked(mf.errors.alive, e_n, nu_min)
 

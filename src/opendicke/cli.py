@@ -16,8 +16,9 @@ Pump values and grid endpoints accept the token ``yc`` scaled by an optional
 prefix, e.g. ``--y=0.9yc`` or ``--y-grid=0:2yc:200``; the analytic critical
 pump for the given (delta_c, kappa) is substituted.
 
-Exit codes: 0 success, 2 invalid parameters, 3 numerical failure outside the
-per-row protection of scans, 4 verification failure.
+Exit codes: 0 success, 2 invalid parameters (a grid too large to allocate
+among them), 3 numerical failure outside the per-row protection of scans,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -366,7 +367,7 @@ def run(argv) -> int:
         return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, NoThreshold, OSError) as err:
+    except (ValueError, NoThreshold, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OpenDickeError as err:

@@ -673,7 +673,7 @@ def spectrum_scan(params: ModelParams, y_grid) -> SpectrumScan:
     mf = mean_field_batch(params, y_grid)
     mf.errors.raise_first()
     parts = _map_batches(_spectra, drift_batch(params, mf))
-    lam, vecs, defective, _ = map(np.concatenate, zip(*parts))
+    lam, vecs, defective = map(np.concatenate, list(zip(*parts))[:3])
     branches, ambiguous = _match_branches(lam, vecs)
     status = ["defective" if d else "ambiguous" if a else "ok"
               for d, a in zip(defective.tolist(), ambiguous)]

@@ -86,18 +86,16 @@ class MeanFieldBatch:
 
     One row per pump value: the fields are arrays for a grid
     (:func:`mean_field_batch`) and scalars for a single pump value
-    (:func:`mean_field_point`).  Besides the amplitudes and ``one_minus`` =
-    1 - 2 beta0^2 it keeps the frame, all that M reads besides kappa: the
-    cavity detuning ``delta`` = delta_c - u beta0^2, the side-mode frequency
-    ``omega`` = (omega_r + u |alpha0|^2) / (1 - 2 beta0^2) and the complex
-    coupling ``g`` = 2 M[0, 2].  Rows whose mean field failed are failed in
+    (:func:`mean_field_point`).  Besides the amplitudes it keeps the frame,
+    all that M reads besides kappa: the cavity detuning ``delta`` =
+    delta_c - u beta0^2, the side-mode frequency ``omega`` =
+    (omega_r + u |alpha0|^2) / (1 - 2 beta0^2) and the complex coupling
+    ``g`` = 2 M[0, 2].  Rows whose mean field failed are failed in
     ``errors``; their fields are meaningless.
     """
 
-    y: np.ndarray
     alpha0: np.ndarray
     beta0: np.ndarray
-    one_minus: np.ndarray
     delta: np.ndarray
     omega: np.ndarray
     g: np.ndarray
@@ -105,8 +103,8 @@ class MeanFieldBatch:
 
     def take(self, rows: np.ndarray, errors: RowErrors) -> MeanFieldBatch:
         """The batch of the rows ``rows``, with ``errors``."""
-        return MeanFieldBatch(*(a.take(rows) for a in (self.y, self.alpha0, self.beta0,
-                              self.one_minus, self.delta, self.omega, self.g)), errors)
+        return MeanFieldBatch(*(a.take(rows) for a in (
+            self.alpha0, self.beta0, self.delta, self.omega, self.g)), errors)
 
 
 def critical_pump(params: ModelParams) -> float:
@@ -205,7 +203,7 @@ def _branch_fields(params: ModelParams, y, beta0, errors: RowErrors) -> MeanFiel
            | ((res_b > RESIDUAL_TOL) & (res_b > RESIDUAL_TOL * size_b)))
     errors.fail(bad, NumericalFailure,
                 lambda i: _residual_failure(*(np.ravel(r)[i] for r in residuals)))
-    return MeanFieldBatch(y, alpha0, beta0, one_minus, c, gain / one_minus, g, errors)
+    return MeanFieldBatch(alpha0, beta0, c, gain / one_minus, g, errors)
 
 
 def _missing_branch(radicand, bsq, y) -> str:
@@ -260,7 +258,7 @@ def mean_field_batch(params: ModelParams, y_grid) -> MeanFieldBatch:
 def normal_phase(params: ModelParams, errors: RowErrors) -> MeanFieldBatch:
     """The normal phase (alpha0 = beta0 = 0) at ``params.y`` as a batch of one."""
     y = np.float64(params.y)
-    return MeanFieldBatch(y, 0j, 0.0, 1.0, params.delta_c, OMEGA_R, y + 0j, errors)
+    return MeanFieldBatch(0j, 0.0, params.delta_c, OMEGA_R, y + 0j, errors)
 
 
 def mean_field_point(params: ModelParams) -> MeanFieldBatch:

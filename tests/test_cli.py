@@ -424,6 +424,20 @@ def test_exponent_rejects_too_few_points(points, curve, capsys):
     assert err == f"error: points per side must be >= 8 for the fit, got {points}\n"
 
 
+# 10**15 doubles are 7.1 PiB, beyond the 128 TiB user address space of a
+# 64-bit Linux process, so the allocation is refused under any overcommit
+# setting.  A count that could be allocated must never be tried here.
+@pytest.mark.parametrize("argv", [
+    ["correlations", "--delta-c=-2", "--y-grid=0:2yc:1000000000000000"],
+    ["exponent", "--delta-c=-2", "--points=1000000000000000"]])
+def test_grid_too_large_to_allocate_exits_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: Unable to allocate 7.11 PiB for an array with shape "
+                   "(1000000000000000,) and data type float64\n")
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "scan.csv"
     code, out, _ = run_cli(["meanfield", "--delta-c=-2", "--kappa=2",

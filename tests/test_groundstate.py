@@ -244,11 +244,12 @@ def test_seeded_sweep_rows_pure_and_stationary():
     for _ in range(200):
         base = ModelParams(delta_c=-10.0 ** rng.uniform(-2.0, 2.0), kappa=0.0,
                            u=rng.uniform(-5.0, 5.0), y=0.0)
-        mf = mean_field_batch(base, rng.uniform(0.0, 2.0, 20) * critical_pump(base))
+        y = rng.uniform(0.0, 2.0, 20) * critical_pump(base)
+        mf = mean_field_batch(base, y)
         mean_ok = mf.errors.alive.copy()
         m = stability_batch(base, mf)
         s = ground_state_batch(base, mf)
-        for i in range(mf.y.size):
+        for i in range(y.size):
             if not mean_ok[i]:
                 statuses["mean field"] += 1
                 continue

@@ -1,5 +1,6 @@
 """Mean-field solutions: thresholds, closed forms, residuals, phase labels."""
 
+import dataclasses
 import decimal
 import math
 import re
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import at_ratio
+from conftest import at_ratio, dead_row_params
 from opendicke.analysis import ScanKind, figure_scan
-from opendicke.errors import DegenerateBranch, NoThreshold
-from opendicke.model import (ModelParams, Phase, critical_pump,
+from opendicke.errors import DegenerateBranch, NoThreshold, RowErrors
+from opendicke.model import (MeanFieldBatch, ModelParams, Phase, critical_pump,
                              mean_field_batch, mean_field_residuals,
                              solve_mean_field)
 
@@ -188,3 +189,21 @@ def test_mean_field_batch_rejects_what_model_params_rejects(open_params):
         with pytest.raises(ValueError):
             open_params.with_pump(float(bad))
     assert mean_field_batch(open_params, [0.0, 1.0]).errors.failed == 0
+
+
+def test_take_keeps_every_field():
+    """``MeanFieldBatch.take`` of the live rows of a grid with failed rows
+    returns every field but ``errors`` as ``field[rows]``, byte for byte, so
+    that a field added to the batch but not to ``take`` fails here."""
+    base = dead_row_params(28.73)
+    mf = mean_field_batch(base, np.linspace(0.0, 2.0 * critical_pump(base), 40))
+    rows = mf.errors.alive.nonzero()[0]
+    assert 0 < rows.size < 40
+    errors = RowErrors(rows.size)
+    sub = mf.take(rows, errors)
+    assert sub.errors is errors
+    for f in dataclasses.fields(MeanFieldBatch):
+        if f.name != "errors":
+            got, want = getattr(sub, f.name), getattr(mf, f.name)[rows]
+            assert (got.dtype, got.shape, got.tobytes()) == (
+                want.dtype, want.shape, want.tobytes()), f.name

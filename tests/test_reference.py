@@ -130,8 +130,9 @@ def test_ground_state_box_meets_the_60_digit_solve():
     for n in range(16):
         base = ModelParams(delta_c=-10.0 ** rng.uniform(-3.0, 3.0), kappa=0.0,
                            u=0.0 if n % 2 == 0 else rng.uniform(-5.0, 5.0), y=0.0)
-        mf = mean_field_batch(base, (1.0 + GROUND_BOX_EPS) * critical_pump(base))
-        for y in mf.y[mf.errors.alive]:
+        grid = (1.0 + GROUND_BOX_EPS) * critical_pump(base)
+        mf = mean_field_batch(base, grid)
+        for y in grid[mf.errors.alive]:
             p = base.with_pump(y)
             moments = ground_state_moments(p)
             ref = reference_ground_covariance(build_stability_matrix(p).m, dps=60)
