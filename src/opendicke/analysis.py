@@ -204,30 +204,27 @@ def _masked(ok, *columns) -> tuple:
     return tuple(np.where(ok, c, math.nan) for c in columns)
 
 
-def _mean_field_columns(params: ModelParams, y):
-    mf = mean_field_batch(params, y)
+def _mean_field_columns(params: ModelParams, mf):
     # Masked first: a failed row's |alpha0| may overflow when squared.
     alpha0, beta0 = _masked(mf.errors.alive, mf.alpha0, mf.beta0)
-    return mf.errors, (np.abs(alpha0) ** 2, beta0 ** 2)
+    return np.abs(alpha0) ** 2, beta0 ** 2
 
 
-def _excitation_columns(params: ModelParams, y):
-    mf = mean_field_batch(params, y)
+def _excitation_columns(params: ModelParams, mf):
     # Masked before the moments fail more rows.
     mean = _masked(mf.errors.alive, mf.alpha0.real, mf.alpha0.imag, mf.beta0 ** 2)
     delta_n, n_photon = observables_batch(_moments(params, mf), mf.errors)
-    return mf.errors, mean + _masked(mf.errors.alive, delta_n, n_photon)
+    return mean + _masked(mf.errors.alive, delta_n, n_photon)
 
 
-def _entanglement_columns(params: ModelParams, y):
-    mf = mean_field_batch(params, y)
+def _entanglement_columns(params: ModelParams, mf):
     _, invariants, nu_min = covariance_batch(_moments(params, mf), mf.errors)
     e_n = log_negativity_batch(invariants, mf.errors)
-    return mf.errors, _masked(mf.errors.alive, e_n, nu_min)
+    return _masked(mf.errors.alive, e_n, nu_min)
 
 
 # The columns between (y, y_over_yc) and status of each grid scan, and the
-# function that computes them, with the rows' errors, for a batch of pumps.
+# function that computes them from a batch's mean field, failing its rows.
 _GRID_SCANS = {
     ScanKind.MEAN_FIELD: (("alpha0_sq", "beta0_sq"), _mean_field_columns),
     ScanKind.MEAN_AND_FLUCT: (("alpha0_re", "alpha0_im", "beta0_sq", "delta_N",
@@ -262,9 +259,10 @@ def _grid_table(kind: ScanKind, params: ModelParams, y_grid, render) -> Table:
     y_c = critical_pump(params)
 
     def batch_rows(batch):
-        errors, columns = columns_of(params, batch)
+        mf = mean_field_batch(params, batch)
+        columns = columns_of(params, mf)
         return _rows(zip(batch.tolist(), (batch / y_c).tolist(),
-                         *(c.tolist() for c in columns), errors.status), render)
+                         *(c.tolist() for c in columns), mf.errors.status), render)
 
     threads = kind is not ScanKind.MEAN_FIELD and params.kappa > 0.0
     return Table(kind=kind, columns=scan_columns(kind),

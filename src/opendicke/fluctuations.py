@@ -299,13 +299,14 @@ def sort_modes(lam: np.ndarray, vecs: np.ndarray, order: np.ndarray):
 
 def _decompose_batch(m: np.ndarray, errors: RowErrors):
     """Biorthogonal decomposition of a stack:
-    (lam, rights, lefts, pairing, scale).
+    (lam, rights, lefts, best, scale).
 
-    Eigenvalues are sorted by (real part, imaginary part), and ``pairing`` is
-    the involution p of least sum_k |lambda_p(k) - conj(lambda_k)| (the first
-    of ``_INVOLUTIONS`` on a tie).  Rows fail, in this order, as defective
-    (DefectiveMatrix), on the biorthonormality residual (DefectiveMatrix)
-    and on a term of that sum above PAIRING_TOL * scale (NumericalFailure).
+    Eigenvalues are sorted by (real part, imaginary part), and the pairing
+    ``_INVOLUTIONS[best]`` is the involution p of least sum_k
+    |lambda_p(k) - conj(lambda_k)| (the first on a tie).  Rows fail, in this
+    order, as defective (DefectiveMatrix), on the biorthonormality residual
+    (DefectiveMatrix) and on a term of that sum above PAIRING_TOL * scale
+    (NumericalFailure).
     ``scale`` is max(1, max |lambda|) of every row.
     A passing row takes the eigen-solve, det(V) for the cond(V) screen of
     ``_ill_conditioned`` and inv(V).  An SVD runs only for a row that screen
@@ -338,7 +339,7 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     terms = table.take(_INVOLUTION_TERMS, axis=1).reshape(-1, 10, 4)
     # The sums in the order of terms.sum(-1), without its reduction overhead.
     best = (terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]).argmin(1)
-    pairing, miss = _INVOLUTIONS.take(best, axis=0), terms[np.arange(best.size), best]
+    miss = terms[np.arange(best.size), best]
     unpaired = miss > PAIRING_TOL * scale[:, None]
 
     errors.fail(resid > BIORTHO_TOL, DefectiveMatrix, lambda i: defect(
@@ -347,7 +348,7 @@ def _decompose_batch(m: np.ndarray, errors: RowErrors):
     errors.fail(unpaired, NumericalFailure, lambda i: (
         f"eigenvalue {lam[i][unpaired[i]][0]!r} has no conjugate partner "
         f"(closest miss {miss[i][unpaired[i]][0]:.3e})"))
-    return lam, vecs, lefts, pairing, scale
+    return lam, vecs, lefts, best, scale
 
 
 def decompose(stability: StabilityMatrix) -> QuasiNormalSystem:
@@ -358,9 +359,9 @@ def decompose(stability: StabilityMatrix) -> QuasiNormalSystem:
     are still verified.  Eigenvalues are sorted by (real part, imaginary
     part) and paired with their conjugates by the least-distance involution.
     """
-    lam, vecs, lefts, pairing, _ = one_row(_decompose_batch, stability.m)
+    lam, vecs, lefts, best, _ = one_row(_decompose_batch, stability.m)
     return QuasiNormalSystem(lambdas=lam, rights=vecs, lefts=lefts,
-                             pairing=pairing, matrix=stability)
+                             pairing=_INVOLUTIONS.take(best, axis=0), matrix=stability)
 
 
 def _correlation_batch(lam: np.ndarray, lefts: np.ndarray, kappa: float,
@@ -535,7 +536,8 @@ def observables(s: SecondMoments) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class EndpointReport:
-    """Refined boundary of an interval where a mode pair sits on the real axis."""
+    """End of an interval where a mode pair sits on the real axis: its pump, if
+    it is a refined root, and the defect test of the drift matrix at that pump."""
 
     y: float
     refined: bool
@@ -558,8 +560,8 @@ class SpectrumScan:
     ``branches[i, k]`` is the eigenvalue of branch k at ``y[i]``; branches are
     matched between neighboring grid points by total eigenvalue displacement
     with an eigenvector-overlap tie-break.  ``real_intervals`` lists maximal
-    runs where at least two eigenvalues are real, with root-refined,
-    defectiveness-classified endpoints.
+    runs where at least two eigenvalues are real, with endpoints classified
+    at their own pumps.
     """
 
     y: np.ndarray
@@ -568,13 +570,12 @@ class SpectrumScan:
     real_intervals: list[RealInterval] = field(default_factory=list)
 
 
-def _spectra(a: np.ndarray):
+def _spectra(lam: np.ndarray, vecs: np.ndarray):
     """(lam, unit right eigenvectors, defective, gaps) of a stack of drift
-    matrices, in the eigensolver's order; cond(V) is screened by
-    ``_ill_conditioned``.  Q is unitary, so cond(V) and the overlaps are
-    those of the eigenvectors of M.  The results are complex even where every
-    eigenvalue of the stack is real, so that no row depends on the others."""
-    lam, vecs = np.linalg.eig(a)
+    matrices from their real eigen-solve (lam, vecs), in the eigensolver's
+    order; cond(V) is screened by ``_ill_conditioned``.  Q is unitary, so
+    cond(V) and the overlaps are those of the eigenvectors of M.  The results
+    are complex even where every eigenvalue is real: no row depends on others."""
     lam, vecs = lam.astype(complex, copy=False), vecs.astype(complex, copy=False)
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     return (lam, vecs) + _defects(lam, vecs, _ill_conditioned(vecs), _scale(lam))
@@ -620,36 +621,33 @@ def _match_branches(lam: np.ndarray, vecs: np.ndarray):
     return np.take_along_axis(lam, _PERMS[list(perms)], 1), [False] + tied.tolist()
 
 
-def _discriminant(params: ModelParams, y: float) -> float:
-    """Re prod_{i<j} (lambda_i - lambda_j)^2 of the drift matrix at y by its
-    real eigen-solve: < 0 with one real pair and one conjugate pair, > 0 with
-    two conjugate pairs, and through 0 with a slope where a real pair merges."""
-    lam = np.linalg.eig(_drift_at(params, y))[0].astype(complex)
-    return float(np.prod((lam[_PAIR_I] - lam[_PAIR_J]) ** 2).real)
+def _discriminant(lam: np.ndarray) -> float:
+    """Re prod_{i<j} (lambda_i - lambda_j)^2 of one row's eigenvalues of the
+    drift matrix: < 0 with one real pair and one conjugate pair, > 0 with two
+    conjugate pairs, and through 0 with a slope where a real pair merges."""
+    return float(np.prod((lam[_PAIR_I] - lam[_PAIR_J]).astype(complex) ** 2).real)
 
 
-def _refine_endpoint(params: ModelParams, a: float, b: float) -> EndpointReport:
+def _refine_endpoint(params: ModelParams, a: float, b: float, fa: float, fb: float):
     """The edge of the real-axis region between an inside pump a and an outside
-    pump b: the root of ``_discriminant`` by Illinois regula falsi down to adjacent
-    floats, classified on the inside; a itself, unrefined, without a sign change."""
-    fa, fb = _discriminant(params, a), _discriminant(params, b)
-    refined, moved = fa <= 0.0 < fb, 0
+    pump b of discriminants fa and fb: (y, refined, ``_spectra`` at y).  y is
+    the root of ``_discriminant`` by Illinois regula falsi down to adjacent
+    floats, classified on the inside; a, with None, if no step lands inside."""
+    refined, moved, solve = fa <= 0.0 < fb, 0, None
     while refined:
         c = b - fb * (b - a) / (fb - fa)
         if not min(a, b) < c < max(a, b):  # a step below the float spacing
             near, far = (a, b) if abs(c - a) <= abs(c - b) else (b, a)
             if (c := math.nextafter(near, far)) == far:
                 break
-        fc = _discriminant(params, c)
+        step = np.linalg.eig(_drift_at(params, c)[None])  # (lam, vecs)
+        fc = _discriminant(step[0][0])
         # Illinois: an end kept twice in a row has its value halved.
         if fc <= 0.0:
-            a, fa, fb, moved = c, fc, fb / (2.0 if moved > 0 else 1.0), 1
+            a, fa, fb, moved, solve = c, fc, fb / (2.0 if moved > 0 else 1.0), 1, step
         else:
             b, fb, fa, moved = c, fc, fa / (2.0 if moved < 0 else 1.0), -1
-    _, vecs, defective, gaps = _spectra(_drift_at(params, a)[None])
-    gap, overlap = _closest_pair(gaps[0], vecs[0])
-    return EndpointReport(y=a, refined=refined, defective=bool(defective[0]),
-                          cond=float(np.linalg.cond(vecs[0])), gap=gap, overlap=overlap)
+    return a, refined, solve and _spectra(*solve)
 
 
 def spectrum_scan(params: ModelParams, y_grid) -> SpectrumScan:
@@ -661,8 +659,9 @@ def spectrum_scan(params: ModelParams, y_grid) -> SpectrumScan:
     field raises for the whole grid, as branch matching needs every row.  The
     eigen-solves run in batches of BATCH_ROWS pumps on every scan thread
     (:func:`_map_batches`); branch matching and endpoint refinement run on
-    the calling thread alone.  An interval that reaches an edge of the grid
-    ends there, unrefined.
+    the calling thread alone.  An interval's end is the refined root where
+    the discriminant changes sign next to its inside grid row, else that row,
+    and is classified from the solve at its own pump; none is solved twice.
     """
     if np.ndim(y_grid) != 1 or np.size(y_grid) < 2:
         raise ValueError("y grid must be a 1-d array with at least 2 points")
@@ -672,28 +671,28 @@ def spectrum_scan(params: ModelParams, y_grid) -> SpectrumScan:
 
     mf = mean_field_batch(params, y_grid)
     mf.errors.raise_first()
-    parts = _map_batches(_spectra, drift_batch(params, mf))
-    lam, vecs, defective = map(np.concatenate, list(zip(*parts))[:3])
+    parts = _map_batches(lambda a: _spectra(*np.linalg.eig(a)), drift_batch(params, mf))
+    spectra = lam, vecs, defective, _ = tuple(map(np.concatenate, zip(*parts)))
     branches, ambiguous = _match_branches(lam, vecs)
     status = ["defective" if d else "ambiguous" if a else "ok"
               for d, a in zip(defective.tolist(), ambiguous)]
 
-    def grid_edge(i: int) -> EndpointReport:
-        return EndpointReport(y=y_grid[i], refined=False, defective=False,
-                              cond=float(np.linalg.cond(vecs[i])),
-                              gap=math.nan, overlap=math.nan)
+    def endpoint(inside: int, outside: int) -> EndpointReport:
+        y, refined, solved = y_grid[inside], False, None
+        if 0 <= outside < y_grid.size:
+            y, refined, solved = _refine_endpoint(params, y, y_grid[outside],
+                                                  _discriminant(lam[inside]),
+                                                  _discriminant(lam[outside]))
+        _, v, d, g = (x[0] for x in solved) if solved else (x[inside] for x in spectra)
+        gap, overlap = _closest_pair(g, v)
+        return EndpointReport(y=y, refined=refined, defective=bool(d),
+                              cond=float(np.linalg.cond(v)), gap=gap, overlap=overlap)
 
     # Maximal runs of rows with two real eigenvalues (Im exactly 0): start to end - 1.
     real = np.count_nonzero(branches.imag == 0.0, axis=-1) >= 2
     padded = np.concatenate(([False], real, [False]))
-    intervals = []
-    for start, end in zip(np.flatnonzero(padded[1:] > padded[:-1]).tolist(),
-                          np.flatnonzero(padded[1:] < padded[:-1]).tolist()):
-        lower = (_refine_endpoint(params, y_grid[start], y_grid[start - 1])
-                 if start > 0 else grid_edge(start))
-        upper = (_refine_endpoint(params, y_grid[end - 1], y_grid[end])
-                 if end < y_grid.size else grid_edge(end - 1))
-        intervals.append(RealInterval(lower=lower, upper=upper))
-
-    return SpectrumScan(y=y_grid, branches=branches, status=status,
-                        real_intervals=intervals)
+    starts = np.flatnonzero(padded[1:] > padded[:-1]).tolist()
+    ends = np.flatnonzero(padded[1:] < padded[:-1]).tolist()
+    return SpectrumScan(y=y_grid, branches=branches, status=status, real_intervals=[
+        RealInterval(lower=endpoint(start, start - 1), upper=endpoint(end - 1, end))
+        for start, end in zip(starts, ends)])

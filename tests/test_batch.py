@@ -280,12 +280,30 @@ def test_spectrum_solves_each_row_once(monkeypatch, open_params, points):
     own."""
     matrices = {}
     calls = _count_linalg(monkeypatch, ("eig",), matrices)
-    monkeypatch.setattr(fluctuations, "_refine_endpoint", lambda params, a, b: None)
+    monkeypatch.setattr(fluctuations, "_refine_endpoint",
+                        lambda params, a, b, fa, fb: (a, False, None))
     pin_cpus(monkeypatch, 3)
     grid = np.linspace(0.0, 1.2 * critical_pump(open_params), points)
     assert len(fluctuations.spectrum_scan(open_params, grid).real_intervals) == 1
     assert matrices == {"eig": points}
     assert calls == {"eig": -(-points // BATCH_ROWS)}
+
+
+def test_spectrum_refinement_solves_no_pump_twice(monkeypatch, open_params):
+    """The endpoint refinement reads its brackets' discriminants from the
+    grid's eigen-solves and reports each end from the solve at its pump: no
+    drift matrix, a grid row's or a step's, reaches eig twice."""
+    solved, real_eig = [], np.linalg.eig
+
+    def eig(a):
+        solved.extend(m.tobytes() for m in np.reshape(a, (-1, 4, 4)))
+        return real_eig(a)
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    grid = np.linspace(0.0, 1.2 * critical_pump(open_params), 241)
+    (interval,) = fluctuations.spectrum_scan(open_params, grid).real_intervals
+    assert interval.lower.refined and interval.upper.refined
+    assert len(solved) > grid.size
+    assert len(set(solved)) == len(solved)
 
 
 @pytest.mark.parametrize("ratio", [0.5, 1.5])
@@ -585,7 +603,7 @@ def test_bad_pump_raises_before_any_batch(monkeypatch, open_params):
     grid[300], grid[500] = -1.0, math.nan
     names, _ = analysis._GRID_SCANS[ScanKind.MEAN_AND_FLUCT]
 
-    def never(params, y):
+    def never(params, mf):
         raise AssertionError("a batch ran")
     monkeypatch.setitem(analysis._GRID_SCANS, ScanKind.MEAN_AND_FLUCT, (names, never))
     pin_cpus(monkeypatch, 2)

@@ -19,7 +19,7 @@ from opendicke.fluctuations import (_INVOLUTIONS, _PERMS, _THEN,
                                     DEFECT_COND_LIMIT, DIVERGENT_TOL,
                                     STABILITY_TOL, SecondMoments, StabilityMatrix,
                                     _correlation_batch, _decompose_batch, _defects,
-                                    _ill_conditioned, _match_branches,
+                                    _discriminant, _ill_conditioned, _match_branches,
                                     _scale, _spectra,
                                     build_stability_matrix,
                                     conjugation_defect, decompose, drift_batch,
@@ -234,7 +234,8 @@ def test_pairing_is_the_nearest_conjugate_where_that_is_an_involution():
     noise = rng.standard_normal((200, 4, 4)) + 1j * rng.standard_normal((200, 4, 4))
     m = np.concatenate([rows for *_, rows in box] + [noise])
     errors = RowErrors(m.shape[0])
-    lam, _, _, pairing, _ = _decompose_batch(m, errors)
+    lam, _, _, best, _ = _decompose_batch(m, errors)
+    pairing = _INVOLUTIONS[best]
     rows = np.arange(m.shape[0])[:, None]
     assert np.all(pairing[rows, pairing] == np.arange(4))
     nearest = np.abs(lam[:, None, :] - lam.conj()[:, :, None]).argmin(-1)
@@ -266,6 +267,25 @@ def test_spectrum_scan_start_and_interval(open_params):
     assert iv.lower.refined and iv.upper.refined
     assert iv.lower.defective and iv.upper.defective
     assert 0.0 < iv.lower.y < y_c
+
+
+def test_double_exceptional_point_ends_on_its_grid_row():
+    """At delta_c = -omega_r in the normal phase |Delta| = omega, so the
+    characteristic polynomial is symmetric under s -> -kappa - s and both
+    pairs reach the real axis at one pump.  The discriminant is > 0 on both
+    sides of the lower bracket, and the end is its inside grid row, with four
+    real eigenvalues, unrefined and classified there."""
+    p = ModelParams(delta_c=-1.0, kappa=10.0, u=0.0, y=0.0)
+    grid = np.linspace(9.9, 1.01 * critical_pump(p), 401)
+    scan = spectrum_scan(p, grid)
+    lower = scan.real_intervals[0].lower
+    assert lower.y == 10.00014975093284 and not lower.refined
+    (i,) = np.flatnonzero(grid == lower.y)
+    assert (scan.branches[i].imag == 0.0).all()
+    assert _discriminant(scan.branches[i]) > 0.0 < _discriminant(scan.branches[i - 1])
+    defective, cond = _svd_defects(drift_batch(p, mean_field_batch(p, grid[i:i + 1])))
+    assert lower.defective == defective[0]
+    assert lower.cond == pytest.approx(cond[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -480,7 +500,7 @@ def test_spectrum_scan_screen_matches_svd_mask(u, grid):
     for e in ends:
         defective, cond = _svd_defects(drift_batch(p, mean_field_batch(p, [e.y])))
         assert e.cond == pytest.approx(cond[0], rel=1e-12)
-        assert e.defective == (e.refined and defective[0])
+        assert e.defective == defective[0]
 
 
 def _match_every_row(lam, vecs):
@@ -510,7 +530,8 @@ def _branch_stacks():
     coarse steps, shuffled within each row."""
     for u, grid in SPECTRUM_GRIDS:
         p = ModelParams(delta_c=-2.0, kappa=2.0, u=u, y=0.0)
-        yield _spectra(drift_batch(p, mean_field_batch(p, grid(critical_pump(p)))))[:2]
+        drift = drift_batch(p, mean_field_batch(p, grid(critical_pump(p))))
+        yield _spectra(*np.linalg.eig(drift))[:2]
     rng = np.random.default_rng(20261018)
     for trial in range(60):
         steps = rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))
